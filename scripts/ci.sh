@@ -3,10 +3,10 @@
 # times — plain, under AddressSanitizer + UndefinedBehaviorSanitizer,
 # and under ThreadSanitizer (which exercises the sharded engine's
 # barriers and mailboxes) — then run the quick-scale benches serial
-# AND sharded, check the artifacts for byte parity, exercise the
-# checkpoint/restore and multi-process farm crash-safety paths, and
-# check that EXPERIMENTS.md has not drifted from the committed
-# artifacts.
+# AND sharded, check the artifacts against the committed manifest and
+# for serial/sharded byte parity, exercise the checkpoint/restore and
+# multi-process farm crash-safety paths, and check that EXPERIMENTS.md
+# has not drifted from the committed artifacts.
 #
 # Usage: scripts/ci.sh [jobs]
 set -eu
@@ -35,6 +35,16 @@ mkdir -p "${artifacts}"
 "${root}/build/bench/stashbench" --quick --jobs "${jobs}" \
     --out "${artifacts}"
 ls -l "${artifacts}"/BENCH_*.json
+
+# Same-behaviour golden: every deterministic quick artifact must match
+# the committed manifest byte for byte, so a moved counter fails here
+# and not only in the two-decimal EXPERIMENTS.md check below.
+# Regenerate the manifest only in a change that means to alter
+# simulated behaviour, and explain that change in EXPERIMENTS.md:
+#   cd "${artifacts}" && ls BENCH_*.json | grep -v BENCH_simperf.json |
+#       xargs sha256sum > "${root}/scripts/quick_artifacts.sha256"
+echo "=== quick artifacts vs scripts/quick_artifacts.sha256 ==="
+(cd "${artifacts}" && sha256sum -c "${root}/scripts/quick_artifacts.sha256")
 
 # The determinism contract, enforced end to end: the sharded engine
 # must reproduce every serial BENCH_<name>.json byte for byte.  The
@@ -281,4 +291,4 @@ git -C "${root}" diff --exit-code -- EXPERIMENTS.md || {
     exit 1
 }
 
-echo "=== CI passed (plain + ASan/UBSan + TSan + quick benches + parity + checkpoint/restore + farm + backends + trace + scaling + sampling) ==="
+echo "=== CI passed (plain + ASan/UBSan + TSan + quick benches + manifest + parity + checkpoint/restore + farm + backends + trace + scaling + sampling) ==="

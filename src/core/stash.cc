@@ -1,10 +1,11 @@
 #include "core/stash.hh"
 
 #include <algorithm>
-#include <map>
+#include <bit>
 #include <ostream>
 #include <sstream>
 
+#include "mem/group_by_key.hh"
 #include "sim/log.hh"
 #include "snapshot/snapshot.hh"
 #include "verify/protocol_checker.hh"
@@ -44,6 +45,37 @@ traceWord(CoreId core, std::uint32_t w)
     return t.first == core && t.second == w;
 }
 
+/**
+ * Calls visit(w, pa) for each stash word w in [begin, end) of entry
+ * @p idx (@p e) that keep(w) selects, in ascending order.  A run of
+ * visited words on one virtual page shares one VP-map translation;
+ * the VP-map still counts every word.  Returns the words visited.
+ */
+template <class Keep, class Visit>
+unsigned
+translateWords(VpMap &vp_map, const StashMapEntry &e, MapIndex idx,
+               std::uint32_t begin, std::uint32_t end, Keep keep,
+               Visit visit)
+{
+    Addr vpage = 0;
+    PhysAddr ppage = 0;
+    unsigned words = 0;
+    for (std::uint32_t w = begin; w < end; ++w) {
+        if (!keep(w))
+            continue;
+        const Addr ga = e.tile.globalAddrOf(w * wordBytes - e.stashBase);
+        if (words > 0 && pageBase(ga) == vpage) {
+            vp_map.countRunWord();
+        } else {
+            vpage = pageBase(ga);
+            ppage = vp_map.translate(vpage, idx);
+        }
+        visit(w, ppage + (ga - vpage));
+        ++words;
+    }
+    return words;
+}
+
 } // namespace
 
 void
@@ -55,6 +87,20 @@ Stash::setState(std::uint32_t w, WordState s, const char *why)
                " (", why, ")");
     }
     state[w] = s;
+}
+
+void
+Stash::sendRegReq(PhysAddr line_pa, WordMask mask, MapIndex idx)
+{
+    Msg reg;
+    reg.type = MsgType::RegReq;
+    reg.requester = owner;
+    reg.requesterUnit = Unit::Stash;
+    reg.linePA = line_pa;
+    reg.mask = mask;
+    reg.ownerIsStash = true;
+    reg.stashMapIdx = idx;
+    fabric.send(node, fabric.nodeOfLlc(line_pa), Unit::Llc, std::move(reg));
 }
 
 // ---------------------------------------------------------------------
@@ -78,6 +124,9 @@ Stash::addMap(LocalAddr stash_base, const TileSpec &tile)
     }
 
     Cycles cost = 1;
+    const std::uint32_t first_word = stash_base / wordBytes;
+    const std::uint32_t last_word =
+        (stash_base + tile.mappedBytes() - 1) / wordBytes;
 
     // Section 4.5: replication search happens before the new entry is
     // allocated, so the new entry cannot match itself.
@@ -108,10 +157,7 @@ Stash::addMap(LocalAddr stash_base, const TileSpec &tile)
     bool reuse_same_location =
         match && map.entry(*match).stashBase == stash_base;
     if (reuse_same_location) {
-        const unsigned c0 = chunkOf(stash_base / wordBytes);
-        const unsigned c1 =
-            chunkOf((stash_base + tile.mappedBytes() - 1) / wordBytes);
-        for (unsigned c = c0; c <= c1; ++c) {
+        for (unsigned c = chunkOf(first_word); c <= chunkOf(last_word); ++c) {
             if (chunks[c].allocIdx != *match) {
                 reuse_same_location = false;
                 break;
@@ -133,15 +179,8 @@ Stash::addMap(LocalAddr stash_base, const TileSpec &tile)
     // only trusts a (entry, word) pair when the word's chunk records
     // that entry as its latest allocator (stale recycled entries can
     // otherwise alias other data living at the same stash words).
-    {
-        const std::uint32_t first_word = stash_base / wordBytes;
-        const std::uint32_t last_word =
-            (stash_base + tile.mappedBytes() - 1) / wordBytes;
-        for (unsigned c = chunkOf(first_word); c <= chunkOf(last_word);
-             ++c) {
-            chunks[c].allocIdx = idx;
-        }
-    }
+    for (unsigned c = chunkOf(first_word); c <= chunkOf(last_word); ++c)
+        chunks[c].allocIdx = idx;
 
     // Reclaim the stash range for the new mapping: trigger the lazy
     // writebacks of whatever previously lived there, then invalidate.
@@ -155,11 +194,7 @@ Stash::addMap(LocalAddr stash_base, const TileSpec &tile)
     // model's equivalent of the paper's Section 4.5 re-registration
     // rule, without its traffic).
     if (!reuse_same_location) {
-        const std::uint32_t first_word = stash_base / wordBytes;
-        const std::uint32_t last_word =
-            (stash_base + tile.mappedBytes() - 1) / wordBytes;
-        for (unsigned c = chunkOf(first_word); c <= chunkOf(last_word);
-             ++c) {
+        for (unsigned c = chunkOf(first_word); c <= chunkOf(last_word); ++c) {
             if (chunks[c].dirty || chunks[c].writeback)
                 writebackChunk(c);
         }
@@ -216,41 +251,27 @@ Stash::chgMap(MapIndex idx, LocalAddr stash_base, const TileSpec &tile)
     } else if (!e.tile.isCoherent && tile.isCoherent) {
         // Non-coherent -> coherent: register every dirty word so the
         // directory knows this stash now holds the latest copy.
-        const std::uint32_t first_word = e.stashBase / wordBytes;
-        const std::uint32_t last_word =
-            (e.stashBase + e.tile.mappedBytes() - 1) / wordBytes;
-        std::map<PhysAddr, WordMask> reg_lines;
-        for (std::uint32_t w = first_word; w <= last_word; ++w) {
-            if (!chunks[chunkOf(w)].dirty &&
-                !chunks[chunkOf(w)].writeback) {
-                continue;
-            }
-            if (state[w] == WordState::Invalid)
-                continue;
-            setState(w, WordState::Registered, "chgmap-coherent");
-            const std::uint32_t off = w * wordBytes - e.stashBase;
-            const Addr ga = e.tile.globalAddrOf(off);
-            ++_stats.vpMapAccesses;
-            const PhysAddr pa = vpMap.translate(ga, idx);
-            if (checker) {
-                // The conversion makes the stash copy the globally
-                // visible one: commit it to the golden image.
-                checker->onStore(pa, data[w]);
-            }
-            reg_lines[lineBase(pa)] |= wordBit(lineWord(pa));
-        }
-        for (const auto &[line_pa, mask] : reg_lines) {
-            Msg reg;
-            reg.type = MsgType::RegReq;
-            reg.requester = owner;
-            reg.requesterUnit = Unit::Stash;
-            reg.linePA = line_pa;
-            reg.mask = mask;
-            reg.ownerIsStash = true;
-            reg.stashMapIdx = idx;
-            fabric.send(node, fabric.nodeOfLlc(line_pa), Unit::Llc,
-                        std::move(reg));
-        }
+        GroupByKey<PhysAddr> reg_lines;
+        _stats.vpMapAccesses += translateWords(
+            vpMap, e, idx, e.stashBase / wordBytes,
+            (e.stashBase + e.tile.mappedBytes()) / wordBytes,
+            [&](std::uint32_t w) {
+                const Chunk &ch = chunks[chunkOf(w)];
+                return (ch.dirty || ch.writeback) &&
+                       state[w] != WordState::Invalid;
+            },
+            [&](std::uint32_t w, PhysAddr pa) {
+                setState(w, WordState::Registered, "chgmap-coherent");
+                if (checker) {
+                    // The conversion makes the stash copy the globally
+                    // visible one: commit it to the golden image.
+                    checker->onStore(pa, data[w]);
+                }
+                reg_lines.add(lineBase(pa), wordBit(lineWord(pa)));
+            });
+        reg_lines.forEach([&](PhysAddr line_pa, WordMask mask, auto) {
+            sendRegReq(line_pa, mask, idx);
+        });
     }
     e.tile.isCoherent = tile.isCoherent;
     return cost;
@@ -317,7 +338,6 @@ Stash::access(LocalAddr line_addr, WordMask mask, bool is_store,
     sim_assert(mask != 0);
     sim_assert(line_addr + lineBytes <= params.bytes);
     const std::uint32_t word0 = line_addr / wordBytes;
-    const Tick hit_latency = params.hitCycles * params.clockPeriod;
 
     // ----- Temporary / global-unmapped modes: plain scratchpad -----
     if (map_idx == unmappedIndex) {
@@ -335,9 +355,7 @@ Stash::access(LocalAddr line_addr, WordMask mask, bool is_store,
             ++_stats.loadHits;
             _stats.hitWords += popcount(mask);
         }
-        LineData snap = snapshotLine(line_addr);
-        eq.scheduleIn(hit_latency,
-                      [done = std::move(done), snap]() { done(snap); });
+        complete(line_addr, std::move(done));
         return;
     }
 
@@ -392,41 +410,26 @@ Stash::access(LocalAddr line_addr, WordMask mask, bool is_store,
             // directory would end up registering data the stash no
             // longer holds).  The translation latency is off the
             // store's critical path.
-            std::map<PhysAddr, WordMask> reg_lines;
-            for (unsigned w = 0; w < wordsPerLine; ++w) {
-                if (!(need_reg & wordBit(w)))
-                    continue;
-                const std::uint32_t off =
-                    (word0 + w) * wordBytes - e.stashBase;
-                const Addr ga = e.tile.globalAddrOf(off);
-                ++_stats.vpMapAccesses;
-                const PhysAddr pa = vpMap.translate(ga, map_idx);
-                reg_lines[lineBase(pa)] |= wordBit(lineWord(pa));
-            }
-            for (const auto &[line_pa, m] : reg_lines) {
+            GroupByKey<PhysAddr> reg_lines;
+            _stats.vpMapAccesses += translateWords(
+                vpMap, e, map_idx, word0, word0 + wordsPerLine,
+                [&](std::uint32_t w) { return need_reg & wordBit(w - word0); },
+                [&](std::uint32_t, PhysAddr pa) {
+                    reg_lines.add(lineBase(pa), wordBit(lineWord(pa)));
+                });
+            reg_lines.forEach([&](PhysAddr line_pa, WordMask m, auto) {
                 if (tracePA(line_pa)) {
                     inform("stash core ", owner, " store RegReq "
                            "pa=0x", std::hex, line_pa, std::dec,
                            " mask=0x", std::hex, m, std::dec,
                            " idx=", unsigned(map_idx));
                 }
-                Msg reg;
-                reg.type = MsgType::RegReq;
-                reg.requester = owner;
-                reg.requesterUnit = Unit::Stash;
-                reg.linePA = line_pa;
-                reg.mask = m;
-                reg.ownerIsStash = true;
-                reg.stashMapIdx = map_idx;
-                fabric.send(node, fabric.nodeOfLlc(line_pa),
-                            Unit::Llc, std::move(reg));
-            }
+                sendRegReq(line_pa, m, map_idx);
+            });
         } else {
             ++_stats.storeHits;
         }
-        LineData snap = snapshotLine(line_addr);
-        eq.scheduleIn(hit_latency,
-                      [done = std::move(done), snap]() { done(snap); });
+        complete(line_addr, std::move(done));
         return;
     }
 
@@ -466,31 +469,26 @@ Stash::access(LocalAddr line_addr, WordMask mask, bool is_store,
     if (!missing) {
         ++_stats.loadHits;
         _stats.hitWords += popcount(mask);
-        LineData snap = snapshotLine(line_addr);
-        eq.scheduleIn(hit_latency,
-                      [done = std::move(done), snap]() { done(snap); });
+        complete(line_addr, std::move(done));
         return;
     }
 
-    // Translate the missing words and group them by physical line.
-    std::map<PhysAddr, WordMask> req_lines;
-    std::vector<std::pair<std::uint32_t, PhysAddr>> word_pas;
-    for (unsigned w = 0; w < wordsPerLine; ++w) {
-        if (!(missing & wordBit(w)))
-            continue;
-        const std::uint32_t off = (word0 + w) * wordBytes - e.stashBase;
-        const Addr ga = e.tile.globalAddrOf(off);
-        const PhysAddr pa = vpMap.translate(ga, map_idx);
-        req_lines[lineBase(pa)] |= wordBit(lineWord(pa));
-        word_pas.emplace_back(word0 + w, pa);
-    }
+    // Translate the missing words and group them by physical line;
+    // each record's payload is its stash word.
+    GroupByKey<PhysAddr, std::uint32_t> miss_lines;
+    translateWords(
+        vpMap, e, map_idx, word0, word0 + wordsPerLine,
+        [&](std::uint32_t w) { return missing & wordBit(w - word0); },
+        [&](std::uint32_t w, PhysAddr pa) {
+            miss_lines.add(lineBase(pa), wordBit(lineWord(pa)), w);
+        });
 
     // Miss-slot (MSHR) limit: count the new lines this access needs.
     unsigned new_lines = 0;
-    for (const auto &[line_pa, m] : req_lines) {
-        if (pendingFills.find(line_pa) == pendingFills.end())
+    miss_lines.forEach([&](PhysAddr line_pa, WordMask, auto) {
+        if (!pendingFills.contains(line_pa))
             ++new_lines;
-    }
+    });
     if (pendingFills.size() + new_lines > params.mshrs &&
         new_lines > 0) {
         deferred.push_back(
@@ -502,7 +500,7 @@ Stash::access(LocalAddr line_addr, WordMask mask, bool is_store,
     ++_stats.translations;
     _stats.hitWords += popcount(WordMask(mask & ~missing));
     _stats.missWords += popcount(missing);
-    _stats.vpMapAccesses += word_pas.size();
+    _stats.vpMapAccesses += popcount(missing);
 
     auto waiter = std::make_shared<Waiter>();
     waiter->remaining = popcount(missing);
@@ -511,23 +509,23 @@ Stash::access(LocalAddr line_addr, WordMask mask, bool is_store,
 
     // Merge with in-flight fills (MSHR behaviour): words another
     // access already requested are waited on, not fetched twice.
-    std::map<PhysAddr, WordMask> to_request;
-    for (const auto &[stash_word, pa] : word_pas) {
-        const PhysAddr line_pa = lineBase(pa);
+    std::vector<std::pair<PhysAddr, WordMask>> to_request;
+    miss_lines.forEach([&](PhysAddr line_pa, WordMask m, auto recs) {
+        std::vector<PendingWord> &fills = pendingFills[line_pa];
         WordMask inflight = 0;
-        auto it = pendingFills.find(line_pa);
-        if (it != pendingFills.end()) {
-            for (const PendingWord &pw : it->second)
-                inflight |= wordBit(pw.wordInLine);
+        for (const PendingWord &pw : fills)
+            inflight |= wordBit(pw.wordInLine);
+        if (m & ~inflight)
+            to_request.emplace_back(line_pa, WordMask(m & ~inflight));
+        // Each record carries exactly one word bit.
+        for (const auto &r : recs) {
+            fills.push_back(PendingWord{
+                r.payload, unsigned(std::countr_zero(r.bits)), waiter});
         }
-        if (!(inflight & wordBit(lineWord(pa))))
-            to_request[line_pa] |= wordBit(lineWord(pa));
-        pendingFills[line_pa].push_back(
-            PendingWord{stash_word, lineWord(pa), waiter});
-    }
+    });
 
     const Tick xlat = params.translationCycles * params.clockPeriod;
-    eq.scheduleIn(xlat, [this, to_request]() {
+    eq.scheduleIn(xlat, [this, to_request = std::move(to_request)]() {
         for (const auto &[line_pa, m] : to_request) {
             Msg req;
             req.type = MsgType::ReadReq;
@@ -582,10 +580,9 @@ Stash::replayDeferred()
 }
 
 void
-Stash::finishWaiter(const std::shared_ptr<Waiter> &w)
+Stash::complete(LocalAddr line_addr, AccessDone done)
 {
-    LineData snap = snapshotLine(w->lineAddr);
-    AccessDone done = std::move(w->done);
+    LineData snap = snapshotLine(line_addr);
     eq.scheduleIn(params.hitCycles * params.clockPeriod,
                   [done = std::move(done), snap]() { done(snap); });
 }
@@ -621,53 +618,47 @@ Stash::writebackChunk(unsigned chunk)
         const std::uint32_t map_begin = e.stashBase / wordBytes;
         const std::uint32_t map_end =
             (e.stashBase + e.tile.mappedBytes()) / wordBytes;
-        std::map<PhysAddr, std::pair<WordMask, LineData>> wb_lines;
-        unsigned words = 0;
-        for (std::uint32_t w = std::max(w_begin, map_begin);
-             w < std::min(w_end, map_end); ++w) {
-            if (state[w] != WordState::Registered)
-                continue;
-            const std::uint32_t off = w * wordBytes - e.stashBase;
-            const Addr ga = e.tile.globalAddrOf(off);
-            ++_stats.vpMapAccesses;
-            const PhysAddr pa = vpMap.translate(ga, ch.mapIdx);
-            auto &[m, d] = wb_lines[lineBase(pa)];
-            m |= wordBit(lineWord(pa));
-            d.w[lineWord(pa)] = data[w];
-            setState(w, WordState::Valid, "chunk-writeback");
-            ++words;
-        }
+        // Each record's payload is its word's data.
+        GroupByKey<PhysAddr, std::uint32_t> wb_lines;
+        const unsigned words = translateWords(
+            vpMap, e, ch.mapIdx, std::max(w_begin, map_begin),
+            std::min(w_end, map_end),
+            [&](std::uint32_t w) {
+                return state[w] == WordState::Registered;
+            },
+            [&](std::uint32_t w, PhysAddr pa) {
+                wb_lines.add(lineBase(pa), wordBit(lineWord(pa)), data[w]);
+                setState(w, WordState::Valid, "chunk-writeback");
+            });
+        _stats.vpMapAccesses += words;
         if (words) {
             ++_stats.lazyWritebackChunks;
             _stats.wordsWrittenBack += words;
             ++_stats.translations;
         }
-        for (auto &[line_pa, md] : wb_lines) {
+        wb_lines.forEach([&](PhysAddr line_pa, WordMask m, auto recs) {
             if (tracePA(line_pa)) {
                 inform("stash core ", owner, " WbReq pa=0x", std::hex,
-                       line_pa, std::dec, " mask=0x", std::hex,
-                       md.first, std::dec, " chunkIdx=",
-                       unsigned(ch.mapIdx));
+                       line_pa, std::dec, " mask=0x", std::hex, m,
+                       std::dec, " chunkIdx=", unsigned(ch.mapIdx));
             }
             Msg wb;
             wb.type = MsgType::WbReq;
             wb.requester = owner;
             wb.requesterUnit = Unit::Stash;
             wb.linePA = line_pa;
-            wb.mask = md.first;
-            wb.data = md.second;
+            wb.mask = m;
+            for (const auto &r : recs)
+                wb.data.w[std::countr_zero(r.bits)] = r.payload;
             fabric.send(node, fabric.nodeOfLlc(line_pa), Unit::Llc,
                         std::move(wb));
-        }
+        });
     }
 
     ch.dirty = false;
     ch.writeback = false;
     if (e.dirtyData > 0) {
         --e.dirtyData;
-        if (e.dirtyData == 0 && !e.valid) {
-            // Fully drained, already replaced: nothing more to do.
-        }
     } else if (checker) {
         // The chunk was dirty/writeback (checked on entry), so the
         // entry must have been charged for it: a zero counter here is
@@ -788,8 +779,9 @@ Stash::receive(const Msg &msg)
                             msg.data.w[pw->wordInLine]);
                     }
                 }
-                if (--pw->waiter->remaining == 0)
-                    finishWaiter(pw->waiter);
+                Waiter &waiter = *pw->waiter;
+                if (--waiter.remaining == 0)
+                    complete(waiter.lineAddr, std::move(waiter.done));
                 pw = vec.erase(pw);
             } else {
                 ++pw;

@@ -230,6 +230,9 @@ class Stash : public MemObject
     std::vector<std::uint32_t> resolveVa(Addr va, MapIndex hint,
                                          bool allAliases = false) const;
 
+    /** Registers @p mask of line @p line_pa for map entry @p idx. */
+    void sendRegReq(PhysAddr line_pa, WordMask mask, MapIndex idx);
+
     /** Writes back (or discards, if non-coherent) one chunk. */
     void writebackChunk(unsigned chunk);
 
@@ -242,8 +245,8 @@ class Stash : public MemObject
     /** Frees VP-map space by retiring oldest map entries. */
     void evictEntriesForVpSpace();
 
-    /** Completes a waiter by snapshotting its stash line. */
-    void finishWaiter(const std::shared_ptr<Waiter> &w);
+    /** Delivers the stash line's image to @p done after a hit. */
+    void complete(LocalAddr line_addr, AccessDone done);
 
     LineData snapshotLine(LocalAddr line_addr) const;
 

@@ -52,6 +52,11 @@ class VpMap
      */
     PhysAddr translate(Addr va, MapIndex map_idx);
 
+    /** Counts a word the caller translated from the same page's
+     *  translate() just before: one lookup per page run, but the
+     *  model counts every word. */
+    void countRunWord() { ++_accesses; }
+
     /**
      * RTLB lookup for a remote request.  Guaranteed to hit for any
      * page of a live mapping (see file comment).

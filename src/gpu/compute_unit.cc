@@ -1,8 +1,9 @@
 #include "gpu/compute_unit.hh"
 
 #include <algorithm>
-#include <map>
+#include <bit>
 
+#include "mem/group_by_key.hh"
 #include "sim/log.hh"
 #include "snapshot/snapshot.hh"
 #include "verify/watchdog.hh"
@@ -457,15 +458,13 @@ ComputeUnit::executeMem(WarpCtx &warp, const WarpOp &op)
     switch (op.kind) {
       case OpKind::GlobalLd:
       case OpKind::GlobalSt:
-        execMemGlobal(warp, op);
+      case OpKind::StashLd:
+      case OpKind::StashSt:
+        execMemLines(warp, op);
         return;
       case OpKind::LocalLd:
       case OpKind::LocalSt:
         execMemLocal(warp, op);
-        return;
-      case OpKind::StashLd:
-      case OpKind::StashSt:
-        execMemStash(warp, op);
         return;
       default:
         panic("not a memory op");
@@ -477,54 +476,66 @@ ComputeUnit::executeMem(WarpCtx &warp, const WarpOp &op)
 // ---------------------------------------------------------------------
 
 void
-ComputeUnit::execMemGlobal(WarpCtx &warp, const WarpOp &op)
+ComputeUnit::execMemLines(WarpCtx &warp, const WarpOp &op)
 {
-    const bool is_store = op.kind == OpKind::GlobalSt;
-    if (is_store)
-        ++_stats.globalStores;
+    const bool to_stash =
+        op.kind == OpKind::StashLd || op.kind == OpKind::StashSt;
+    const bool is_store =
+        op.kind == OpKind::GlobalSt || op.kind == OpKind::StashSt;
+    if (to_stash)
+        ++(is_store ? _stats.localStores : _stats.localLoads);
     else
-        ++_stats.globalLoads;
+        ++(is_store ? _stats.globalStores : _stats.globalLoads);
+    sim_assert(!to_stash || stash != nullptr);
+    const MapIndex map_idx = !to_stash || op.mapSlot == 0xff
+                                 ? unmappedIndex
+                                 : warp.tb->mapIdx[op.mapSlot];
 
-    // Coalesce the lanes by cache line.
-    struct Group
-    {
-        WordMask mask = 0;
-        LineData store;
-        std::vector<std::pair<unsigned, unsigned>> lanes; // lane, word
-    };
-    std::map<Addr, Group> groups;
+    // Coalesce the lanes by line; a record's payload is its lane and
+    // store value.  Stash ops address the block's 32-bit local space.
+    GroupByKey<Addr, std::pair<unsigned, std::uint32_t>> lines;
     for (unsigned lane = 0; lane < op.addrs.size(); ++lane) {
-        const Addr a = op.addrs[lane];
-        Group &g = groups[lineBase(a)];
-        const unsigned w = lineWord(a);
-        g.mask |= wordBit(w);
-        if (is_store) {
-            g.store.w[w] = op.storeAcc ? warp.acc[lane] : op.value;
-        } else {
-            g.lanes.emplace_back(lane, w);
-        }
+        const Addr a =
+            to_stash ? Addr(LocalAddr(warp.tb->localBase + op.addrs[lane]))
+                     : op.addrs[lane];
+        lines.add(lineBase(a), wordBit(lineWord(a)),
+                  {lane, is_store && op.storeAcc ? warp.acc[lane] : op.value});
     }
 
     warp.blocked = true;
-    warp.pendingMem += unsigned(groups.size());
+    // Every line's access is pending before the first is issued.
+    lines.forEach([&](Addr, WordMask, auto) { ++warp.pendingMem; });
     const std::uint64_t seq = ++warp.memSeq;
-    for (auto &[line_va, g] : groups) {
-        l1->access(line_va, g.mask, is_store,
-                   is_store ? &g.store : nullptr,
-                   [this, &warp, lanes = std::move(g.lanes), is_store,
-                    seq](const LineData &d) {
-                       if (!is_store) {
-                           for (const auto &[lane, w] : lanes) {
-                               if (seq >= warp.accSeq[lane]) {
-                                   warp.acc[lane] = d.w[w];
-                                   warp.accSeq[lane] = seq;
-                               }
-                           }
-                       }
-                       if (--warp.pendingMem == 0)
-                           unblock(warp);
-                   });
-    }
+    lines.forEach([&](Addr line, WordMask mask, auto lanes) {
+        LineData store;
+        std::vector<std::pair<unsigned, unsigned>> loads; // lane, word
+        for (const auto &r : lanes) {
+            // Each record carries exactly one word bit.
+            const unsigned w = unsigned(std::countr_zero(r.bits));
+            if (is_store)
+                store.w[w] = r.payload.second;
+            else
+                loads.emplace_back(r.payload.first, w);
+        }
+        auto done = [this, &warp, loads = std::move(loads),
+                     seq](const LineData &d) {
+            for (const auto &[lane, w] : loads) {
+                if (seq >= warp.accSeq[lane]) {
+                    warp.acc[lane] = d.w[w];
+                    warp.accSeq[lane] = seq;
+                }
+            }
+            if (--warp.pendingMem == 0)
+                unblock(warp);
+        };
+        const LineData *store_data = is_store ? &store : nullptr;
+        if (to_stash) {
+            stash->access(LocalAddr(line), mask, is_store, store_data,
+                          map_idx, std::move(done));
+        } else {
+            l1->access(line, mask, is_store, store_data, std::move(done));
+        }
+    });
 }
 
 void
@@ -566,64 +577,7 @@ ComputeUnit::execMemLocal(WarpCtx &warp, const WarpOp &op)
     WarpOp stash_op = op;
     stash_op.kind = is_store ? OpKind::StashSt : OpKind::StashLd;
     stash_op.mapSlot = 0xff;
-    execMemStash(warp, stash_op);
-}
-
-void
-ComputeUnit::execMemStash(WarpCtx &warp, const WarpOp &op)
-{
-    sim_assert(stash != nullptr);
-    const bool is_store = op.kind == OpKind::StashSt;
-    if (is_store)
-        ++_stats.localStores;
-    else
-        ++_stats.localLoads;
-
-    const MapIndex map_idx = op.mapSlot == 0xff
-                                 ? unmappedIndex
-                                 : warp.tb->mapIdx[op.mapSlot];
-    const LocalAddr base = warp.tb->localBase;
-
-    struct Group
-    {
-        WordMask mask = 0;
-        LineData store;
-        std::vector<std::pair<unsigned, unsigned>> lanes;
-    };
-    std::map<LocalAddr, Group> groups;
-    for (unsigned lane = 0; lane < op.addrs.size(); ++lane) {
-        const LocalAddr a = LocalAddr(base + op.addrs[lane]);
-        const LocalAddr line = a & ~LocalAddr(lineBytes - 1);
-        Group &g = groups[line];
-        const unsigned w = (a / wordBytes) % wordsPerLine;
-        g.mask |= wordBit(w);
-        if (is_store) {
-            g.store.w[w] = op.storeAcc ? warp.acc[lane] : op.value;
-        } else {
-            g.lanes.emplace_back(lane, w);
-        }
-    }
-
-    warp.blocked = true;
-    warp.pendingMem += unsigned(groups.size());
-    const std::uint64_t seq = ++warp.memSeq;
-    for (auto &[line, g] : groups) {
-        stash->access(line, g.mask, is_store,
-                      is_store ? &g.store : nullptr, map_idx,
-                      [this, &warp, lanes = std::move(g.lanes),
-                       is_store, seq](const LineData &d) {
-                          if (!is_store) {
-                              for (const auto &[lane, w] : lanes) {
-                                  if (seq >= warp.accSeq[lane]) {
-                                      warp.acc[lane] = d.w[w];
-                                      warp.accSeq[lane] = seq;
-                                  }
-                              }
-                          }
-                          if (--warp.pendingMem == 0)
-                              unblock(warp);
-                      });
-    }
+    execMemLines(warp, stash_op);
 }
 
 void

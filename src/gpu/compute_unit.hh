@@ -111,13 +111,12 @@ class ComputeUnit
     void tick();
     void execute(WarpCtx &warp);
     void executeMem(WarpCtx &warp, const WarpOp &op);
-    void execMemGlobal(WarpCtx &warp, const WarpOp &op);
+    /** Global and stash ops: one L1 or stash access per line. */
+    void execMemLines(WarpCtx &warp, const WarpOp &op);
     void execMemLocal(WarpCtx &warp, const WarpOp &op);
-    void execMemStash(WarpCtx &warp, const WarpOp &op);
     void unblock(WarpCtx &warp);
     void onWarpFinished(WarpCtx &warp);
     void tryLaunchBlocks();
-    void launchBlock(const ThreadBlock &tb);
     void finishBlock(TbCtx &tb);
     void checkKernelDone();
     bool allocLocal(std::uint32_t bytes, LocalAddr *base);

@@ -40,6 +40,9 @@ enum class Unit : std::uint8_t
     Dma,
 };
 
+/** Number of distinct Unit values. */
+constexpr unsigned numUnits = unsigned(Unit::Dma) + 1;
+
 /** All message types exchanged over the mesh. */
 enum class MsgType : std::uint8_t
 {

@@ -14,9 +14,10 @@ void
 Fabric::registerObject(NodeId node, Unit unit, MemObject *obj)
 {
     sim_assert(obj != nullptr);
-    auto key = std::make_pair(node, unsigned(unit));
-    sim_assert(objects.find(key) == objects.end());
-    objects[key] = obj;
+    sim_assert(node < objects.size());
+    MemObject *&slot = objects[node][unsigned(unit)];
+    sim_assert(slot == nullptr);
+    slot = obj;
 }
 
 void
@@ -48,12 +49,12 @@ Fabric::bindQueues(std::vector<EventQueue *> queues, bool sharded)
 void
 Fabric::send(NodeId src, NodeId dst, Unit unit, Msg msg)
 {
-    auto it = objects.find(std::make_pair(dst, unsigned(unit)));
-    if (it == objects.end()) {
+    MemObject *target =
+        dst < objects.size() ? objects[dst][unsigned(unit)] : nullptr;
+    if (!target) {
         panic("fabric: no ", unsigned(unit), " unit at node ", dst,
               " for ", msgTypeName(msg.type));
     }
-    MemObject *target = it->second;
     if (dropFilter && dropFilter(src, dst, msg)) {
         ++droppedMsgs;
         return;

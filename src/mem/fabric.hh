@@ -20,7 +20,6 @@
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
-#include <map>
 #include <vector>
 
 #include "mem/coherence/msg.hh"
@@ -50,7 +49,7 @@ class MemObject
 class Fabric
 {
   public:
-    explicit Fabric(Mesh &mesh) : mesh(mesh) {}
+    explicit Fabric(Mesh &mesh) : mesh(mesh), objects(mesh.numNodes()) {}
 
     /** Registers @p obj as the @p unit at @p node. */
     void registerObject(NodeId node, Unit unit, MemObject *obj);
@@ -176,7 +175,8 @@ class Fabric
     void armFlush(Tick t);
 
     Mesh &mesh;
-    std::map<std::pair<NodeId, unsigned>, MemObject *> objects;
+    /** Registered objects, indexed [node][unit]; null where none. */
+    std::vector<std::array<MemObject *, numUnits>> objects;
     std::vector<NodeId> coreNodes;
 
     /**

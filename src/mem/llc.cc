@@ -1,9 +1,6 @@
 #include "mem/llc.hh"
 
-#include <algorithm>
-#include <array>
-#include <tuple>
-
+#include "mem/group_by_key.hh"
 #include "sim/log.hh"
 #include "snapshot/snapshot.hh"
 
@@ -13,59 +10,44 @@ namespace stashsim
 namespace
 {
 
-/**
- * Per-(owner, unit, map index) word-mask aggregation for directory
- * actions (forwards, invalidations).  A line has wordsPerLine words,
- * so there are at most wordsPerLine distinct groups — a fixed array
- * with linear probing beats a node-based std::map on this hot path
- * by a wide margin (typical group count is 1 or 2).  Emission is
- * sorted into the old std::map key order so the message sequence —
- * and therefore the simulated event order — is byte-for-byte
- * unchanged.
- */
-class OwnerGroups
+/** A registered word's directory record: owner core, unit, map index. */
+struct Owner
 {
-  public:
-    struct Group
-    {
-        CoreId owner;
-        bool isStash;
-        unsigned mapIdx;
-        WordMask mask;
-    };
+    CoreId core;
+    bool isStash;
+    unsigned mapIdx;
 
-    void
-    add(CoreId owner, bool is_stash, unsigned map_idx, WordMask bit)
-    {
-        for (unsigned i = 0; i < n; ++i) {
-            Group &g = groups[i];
-            if (g.owner == owner && g.isStash == is_stash &&
-                g.mapIdx == map_idx) {
-                g.mask |= bit;
-                return;
-            }
-        }
-        groups[n++] = Group{owner, is_stash, map_idx, bit};
-    }
-
-    /** Visits groups in (owner, isStash, mapIdx) order. */
-    template <class F>
-    void
-    forEachSorted(F &&f)
-    {
-        std::sort(groups.begin(), groups.begin() + n,
-                  [](const Group &a, const Group &b) {
-                      return std::tie(a.owner, a.isStash, a.mapIdx) <
-                             std::tie(b.owner, b.isStash, b.mapIdx);
-                  });
-        for (unsigned i = 0; i < n; ++i)
-            f(groups[i]);
-    }
-
-  private:
-    std::array<Group, wordsPerLine> groups;
-    unsigned n = 0;
+    auto operator<=>(const Owner &) const = default;
 };
+
+/**
+ * Ends a write: one InvReq per previous owner in @p inv, in key order
+ * (counted in @p sent), then an @p ack_type acknowledgement of @p req.
+ */
+void
+invalidateAndAck(Fabric &fabric, NodeId node, const Msg &req,
+                 GroupByKey<Owner> &inv, MsgType ack_type, Counter &sent)
+{
+    inv.forEach([&](const Owner &o, WordMask mask, auto) {
+        ++sent;
+        Msg i;
+        i.type = MsgType::InvReq;
+        i.requester = o.core;
+        i.requesterUnit = o.isStash ? Unit::Stash : Unit::L1;
+        i.linePA = req.linePA;
+        i.mask = mask;
+        i.stashMapIdx = std::uint8_t(o.mapIdx);
+        fabric.send(node, fabric.nodeOfCore(o.core), i.requesterUnit,
+                    std::move(i));
+    });
+    Msg ack;
+    ack.type = ack_type;
+    ack.requester = req.requester;
+    ack.requesterUnit = req.requesterUnit;
+    ack.linePA = req.linePA;
+    ack.mask = req.mask;
+    fabric.sendToRequester(node, ack);
+}
 
 } // namespace
 
@@ -244,8 +226,7 @@ LlcBank::serveRead(const Msg &msg, Line &line)
 
     // Forward demanded words that are registered elsewhere, grouped
     // by (owner, unit, map index).
-    OwnerGroups fwd;
-    WordMask remote = 0;
+    GroupByKey<Owner> fwd;
     for (unsigned w = 0; w < wordsPerLine; ++w) {
         if (!(msg.mask & wordBit(w)))
             continue;
@@ -257,22 +238,21 @@ LlcBank::serveRead(const Msg &msg, Line &line)
         // an L1 racing its own eviction's writeback.  Forward anyway;
         // the owner serves from the registered location or bounces a
         // retry that lands after the writeback.
-        fwd.add(we.owner, we.ownerIsStash, we.mapIdx, wordBit(w));
-        remote |= wordBit(w);
+        fwd.add({we.owner, we.ownerIsStash, we.mapIdx}, wordBit(w));
     }
 
-    fwd.forEachSorted([&](const OwnerGroups::Group &g) {
+    fwd.forEach([&](const Owner &o, WordMask mask, auto) {
         ++_stats.remoteForwards;
         Msg f;
         f.type = MsgType::FwdReadReq;
         f.requester = msg.requester;
         f.requesterUnit = msg.requesterUnit;
         f.linePA = msg.linePA;
-        f.mask = g.mask;
-        f.stashMapIdx = std::uint8_t(g.mapIdx);
+        f.mask = mask;
+        f.stashMapIdx = std::uint8_t(o.mapIdx);
         f.retries = msg.retries;
-        fabric.send(node, fabric.nodeOfCore(g.owner),
-                    g.isStash ? Unit::Stash : Unit::L1, std::move(f));
+        fabric.send(node, fabric.nodeOfCore(o.core),
+                    o.isStash ? Unit::Stash : Unit::L1, std::move(f));
     });
 
     // Respond with what the LLC holds: exactly the demanded words for
@@ -314,7 +294,7 @@ LlcBank::serveReg(const Msg &msg, Line &line)
     }
     // Invalidate previous owners (single-owner transfer, the DeNovo
     // analogue of ownership stealing), grouped per old owner.
-    OwnerGroups inv;
+    GroupByKey<Owner> inv;
     for (unsigned w = 0; w < wordsPerLine; ++w) {
         if (!(msg.mask & wordBit(w)))
             continue;
@@ -322,7 +302,7 @@ LlcBank::serveReg(const Msg &msg, Line &line)
         if (we.state == WordState::Registered &&
             (we.owner != msg.requester ||
              we.ownerIsStash != msg.ownerIsStash)) {
-            inv.add(we.owner, we.ownerIsStash, we.mapIdx, wordBit(w));
+            inv.add({we.owner, we.ownerIsStash, we.mapIdx}, wordBit(w));
         }
         we.state = WordState::Registered;
         we.owner = msg.requester;
@@ -332,26 +312,8 @@ LlcBank::serveReg(const Msg &msg, Line &line)
     }
     line.dirty = true;
 
-    inv.forEachSorted([&](const OwnerGroups::Group &g) {
-        ++_stats.invalidationsSent;
-        Msg i;
-        i.type = MsgType::InvReq;
-        i.requester = g.owner;
-        i.requesterUnit = g.isStash ? Unit::Stash : Unit::L1;
-        i.linePA = msg.linePA;
-        i.mask = g.mask;
-        i.stashMapIdx = std::uint8_t(g.mapIdx);
-        fabric.send(node, fabric.nodeOfCore(g.owner),
-                    g.isStash ? Unit::Stash : Unit::L1, std::move(i));
-    });
-
-    Msg ack;
-    ack.type = MsgType::RegAck;
-    ack.requester = msg.requester;
-    ack.requesterUnit = msg.requesterUnit;
-    ack.linePA = msg.linePA;
-    ack.mask = msg.mask;
-    fabric.sendToRequester(node, ack);
+    invalidateAndAck(fabric, node, msg, inv, MsgType::RegAck,
+                     _stats.invalidationsSent);
 }
 
 void
@@ -364,7 +326,7 @@ LlcBank::serveWb(const Msg &msg, Line &line)
                msg.requesterUnit == Unit::Stash ? "stash" : "l1/dma");
     }
     const bool is_dma = msg.type == MsgType::DmaWriteReq;
-    OwnerGroups inv;
+    GroupByKey<Owner> inv;
     for (unsigned w = 0; w < wordsPerLine; ++w) {
         if (!(msg.mask & wordBit(w)))
             continue;
@@ -378,7 +340,7 @@ LlcBank::serveWb(const Msg &msg, Line &line)
             }
             // A DMA store is a real store: it takes the word from its
             // previous owner (whose copy is now stale).
-            inv.add(we.owner, we.ownerIsStash, we.mapIdx, wordBit(w));
+            inv.add({we.owner, we.ownerIsStash, we.mapIdx}, wordBit(w));
         }
         we.state = WordState::Valid;
         we.data = msg.data.w[w];
@@ -388,26 +350,9 @@ LlcBank::serveWb(const Msg &msg, Line &line)
     }
     line.dirty = true;
 
-    inv.forEachSorted([&](const OwnerGroups::Group &g) {
-        ++_stats.invalidationsSent;
-        Msg i;
-        i.type = MsgType::InvReq;
-        i.requester = g.owner;
-        i.requesterUnit = g.isStash ? Unit::Stash : Unit::L1;
-        i.linePA = msg.linePA;
-        i.mask = g.mask;
-        i.stashMapIdx = std::uint8_t(g.mapIdx);
-        fabric.send(node, fabric.nodeOfCore(g.owner),
-                    g.isStash ? Unit::Stash : Unit::L1, std::move(i));
-    });
-
-    Msg ack;
-    ack.type = is_dma ? MsgType::DmaWriteAck : MsgType::WbAck;
-    ack.requester = msg.requester;
-    ack.requesterUnit = msg.requesterUnit;
-    ack.linePA = msg.linePA;
-    ack.mask = msg.mask;
-    fabric.sendToRequester(node, ack);
+    invalidateAndAck(fabric, node, msg, inv,
+                     is_dma ? MsgType::DmaWriteAck : MsgType::WbAck,
+                     _stats.invalidationsSent);
 }
 
 void

@@ -137,7 +137,6 @@ class LlcBank : public MemObject
 
     unsigned setIndex(PhysAddr pa) const;
     Line *findLine(PhysAddr line_pa);
-    Line &getLineOrFill(const Msg &msg, bool *stalled);
     Line *allocLine(PhysAddr line_pa);
     void process(const Msg &msg);
     void serveRead(const Msg &msg, Line &line);

@@ -393,14 +393,25 @@ SnapshotReader::SnapshotReader(std::vector<std::uint8_t> raw)
     _phaseCursor = u32();
     _workload = str();
 
+    // The count and sizes are unvalidated until the header CRC below,
+    // so bound them before they size anything: a table entry takes at
+    // least 16 bytes (u32 name length, u64 size, u32 CRC), and the
+    // payloads together cannot exceed the image.
     const std::uint32_t count = u32();
+    if (count > (limit - cursor) / 16)
+        fail("section count " + std::to_string(count) +
+             " exceeds what the image can hold");
     std::size_t payloadBytes = 0;
     _sections.reserve(count);
     for (std::uint32_t i = 0; i < count; ++i) {
         Section s;
         s.name = str();
-        s.size = std::size_t(u64());
+        const std::uint64_t size = u64();
         s.crc = u32();
+        if (size > bytes.size() - payloadBytes)
+            fail("section '" + s.name + "' size " + std::to_string(size) +
+                 " exceeds the image");
+        s.size = std::size_t(size);
         payloadBytes += s.size;
         _sections.push_back(std::move(s));
     }

@@ -284,6 +284,39 @@ TEST_F(StashBench, ChgMapCoherentToNonCoherentWritesBack)
     EXPECT_EQ(cpuLoad(gbase), 61u);
 }
 
+TEST_F(StashBench, ChgMapNonCoherentToCoherentRegistersDirtyWords)
+{
+    // Non-coherent stores stay local.  Converting the mapping to
+    // coherent registers every readable word of its dirty chunks, so
+    // the directory forwards CPU loads of them to the stash.
+    initField(gbase, 32);
+    TileSpec t = aosTile(gbase, 32);
+    t.isCoherent = false;
+    auto r = stash->addMap(0, t);
+    stashStore(0, 71, r.idx);
+    stashStore(8, 72, r.idx);
+    EXPECT_EQ(stashLoad(4, r.idx), 101u);  // dirty chunk, Valid
+    EXPECT_EQ(stashLoad(64, r.idx), 116u); // clean chunk, Valid
+    EXPECT_EQ(stash->probeWord(0), WordState::Valid);
+
+    const Counter vp = stash->stats().vpMapAccesses;
+    TileSpec coherent = t;
+    coherent.isCoherent = true;
+    stash->chgMap(r.idx, 0, coherent);
+    eq.run();
+    EXPECT_EQ(stash->stats().vpMapAccesses, vp + 3);
+    EXPECT_EQ(stash->probeWord(0), WordState::Registered);
+    EXPECT_EQ(stash->probeWord(4), WordState::Registered);
+    EXPECT_EQ(stash->probeWord(8), WordState::Registered);
+    EXPECT_EQ(stash->probeWord(12), WordState::Invalid);
+    EXPECT_EQ(stash->probeWord(64), WordState::Valid);
+
+    EXPECT_EQ(cpuLoad(gbase), 71u);
+    EXPECT_EQ(cpuLoad(gbase + 64), 101u);
+    EXPECT_EQ(cpuLoad(gbase + 2 * 64), 72u);
+    EXPECT_EQ(stash->stats().remoteHits, 3u);
+}
+
 TEST_F(StashBench, CrossKernelReuseSameLocation)
 {
     // Kernel 1 writes; kernel 2 maps the same tile at the same stash

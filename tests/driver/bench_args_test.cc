@@ -52,6 +52,14 @@ struct BadNumberCase
     const char *value;
 };
 
+/** Prints the case label: the default dumps the pointer bytes into
+ *  every test name, and those change with each build. */
+void
+PrintTo(const BadNumberCase &c, std::ostream *os)
+{
+    *os << c.label;
+}
+
 class BadNumbers : public ::testing::TestWithParam<BadNumberCase>
 {
 };

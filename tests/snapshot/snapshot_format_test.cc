@@ -172,6 +172,44 @@ TEST(SnapshotFormatTest, RandomBitFlipsAreDetected)
     }
 }
 
+TEST(SnapshotFormatTest, InflatedSectionTableIsRejected)
+{
+    // Length-field inflation in the section table must be caught by
+    // the table's own bounds, before it sizes an allocation and before
+    // the header CRC is reached.  Offsets follow the layout documented
+    // in snapshot.cc; sampleWriter()'s workload is "sample" and its
+    // first section "alpha".
+    const std::size_t countAt = 8 + 4 + 8 + 8 + 4 + (4 + 6);
+    const std::size_t alphaSizeAt = countAt + 4 + (4 + 5);
+    const std::size_t headerCrcAt =
+        countAt + 4 + (4 + 5 + 8 + 4) + (4 + 4 + 8 + 4);
+    auto put = [](std::vector<std::uint8_t> &image, std::size_t at,
+                  std::uint64_t v, unsigned bytes) {
+        for (unsigned i = 0; i < bytes; ++i)
+            image[at + i] = std::uint8_t(v >> (8 * i));
+    };
+    auto rejection = [](std::vector<std::uint8_t> image) {
+        try {
+            SnapshotReader r(std::move(image));
+        } catch (const SnapshotError &e) {
+            return e.reason();
+        }
+        return std::string("accepted");
+    };
+
+    std::vector<std::uint8_t> hugeCount = sampleWriter().serialize();
+    put(hugeCount, countAt, 0xFFFFFFFFu, 4);
+    EXPECT_NE(rejection(std::move(hugeCount)).find("section count"),
+              std::string::npos);
+
+    // The header CRC is recomputed, so only the size is wrong.
+    std::vector<std::uint8_t> hugeSize = sampleWriter().serialize();
+    put(hugeSize, alphaSizeAt, std::uint64_t{1} << 63, 8);
+    put(hugeSize, headerCrcAt, crc32(hugeSize.data(), headerCrcAt), 4);
+    EXPECT_NE(rejection(std::move(hugeSize)).find("exceeds the image"),
+              std::string::npos);
+}
+
 TEST(SnapshotFormatTest, FileRoundTripIsByteIdentical)
 {
     const std::string path =

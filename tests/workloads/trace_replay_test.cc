@@ -60,6 +60,14 @@ struct RejectCase
     const char *needle; //!< must appear in the error message
 };
 
+/** Prints the case label: the default dumps the pointer bytes into
+ *  every test name, and those change with each build. */
+void
+PrintTo(const RejectCase &c, std::ostream *os)
+{
+    *os << c.label;
+}
+
 class TraceRejects : public ::testing::TestWithParam<RejectCase>
 {
 };

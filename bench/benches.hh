@@ -63,18 +63,9 @@ struct SimperfCollector
         double hostSeconds = 0;
         /** Queue-shape rollup: peak is a max, the rest are sums. */
         QueueShape shape;
-        /** Engine drain-loop rollup (sums; lanes dropped). */
-        std::uint64_t execNs = 0;
-        std::uint64_t barrierWaitNs = 0;
-        std::uint64_t flushNs = 0;
-        std::uint64_t quanta = 0;
     };
 
     std::vector<BenchTotals> benches; //!< first-use order
-
-    /** Engine mode of the collected runs (CLI --shards setting);
-     *  recorded in the artifact so per-mode events/sec compare. */
-    unsigned shards = 1;
 
     /**
      * Recovery counters accumulated across every sweep (cached,
@@ -101,8 +92,6 @@ struct BenchContext
     workloads::Scale scale = workloads::Scale::Full;
     /** Sweep worker threads; 0 = one per hardware thread. */
     unsigned jobs = 0;
-    /** Intra-run shard threads per run; 1 = serial, 0 = auto. */
-    unsigned shards = 1;
     /**
      * Memory backend for every run that does not pick its own
      * (stashbench --backend); the memback ablation overrides it per
@@ -154,8 +143,7 @@ struct BenchInfo
     /**
      * False = explicit-only: the bench runs when named on the command
      * line but is excluded from the all-bench default selection (the
-     * scaling bench: its artifact records host wall-clock, so it must
-     * not feed the deterministic default artifact set).
+     * synthspace bench: it keeps farm state under --out).
      */
     bool defaultRun = true;
 };

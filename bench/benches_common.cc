@@ -29,8 +29,6 @@ report::JsonValue runAblationSparsitySweep(const BenchContext &ctx);
 report::JsonValue runMemBackend(const BenchContext &ctx);
 report::JsonValue runSynth(const BenchContext &ctx);
 report::JsonValue runSynthspace(const BenchContext &ctx);
-// Implemented in benches_scaling.cc.
-report::JsonValue runScaling(const BenchContext &ctx);
 
 const std::vector<BenchInfo> &
 benchList()
@@ -90,13 +88,6 @@ benchList()
          "6 synthetic workload variants x scratchGD/cache/stash on "
          "the 15-CU machine",
          runSynth},
-        {"scaling",
-         "Scaling: sharded-engine events/sec vs --shards "
-         "(host wall-clock; explicit-only)",
-         "smoke quick full",
-         "Fixed workloads x shard counts {1,2,4,..,min(tiles,hw)}; "
-         "run by name only — the artifact is host-dependent",
-         runScaling, /*defaultRun=*/false},
         {"synthspace",
          "Sampled SynthMix parameter space: warm once per point, "
          "fan organizations out from the checkpoint (explicit-only)",
@@ -136,29 +127,8 @@ SimperfCollector::add(const char *bench,
         t->shape.poolChunks += p.shape.poolChunks;
         t->shape.wheelInserts += p.shape.wheelInserts;
         t->shape.farInserts += p.shape.farInserts;
-        t->execNs += p.engine.execNs;
-        t->barrierWaitNs += p.engine.barrierWaitNs;
-        t->flushNs += p.engine.flushNs;
-        t->quanta += p.engine.quanta;
     }
 }
-
-namespace
-{
-
-report::JsonValue
-engineTotalsJson(std::uint64_t exec_ns, std::uint64_t barrier_ns,
-                 std::uint64_t flush_ns, std::uint64_t quanta)
-{
-    report::JsonValue e = report::JsonValue::object();
-    e["execNs"] = double(exec_ns);
-    e["barrierWaitNs"] = double(barrier_ns);
-    e["flushNs"] = double(flush_ns);
-    e["quanta"] = double(quanta);
-    return e;
-}
-
-} // namespace
 
 report::JsonValue
 SimperfCollector::toJson(const char *scale, double wallSeconds) const
@@ -166,16 +136,11 @@ SimperfCollector::toJson(const char *scale, double wallSeconds) const
     report::JsonValue doc = report::JsonValue::object();
     doc["schema"] = "stashsim-simperf-v1";
     doc["scale"] = scale;
-    // Engine mode: per-mode artifacts (serial vs --shards N) carry
-    // the same deterministic event counts, so eventsPerSec compares
-    // engine throughput directly.
-    doc["shards"] = double(shards);
     doc["wallSeconds"] = wallSeconds;
 
     std::uint64_t runs = 0, events = 0, ticks = 0;
     double host = 0;
     QueueShape shape;
-    std::uint64_t execNs = 0, barrierNs = 0, flushNs = 0, quanta = 0;
     report::JsonValue arr = report::JsonValue::array();
     for (const BenchTotals &b : benches) {
         report::JsonValue e = report::JsonValue::object();
@@ -193,8 +158,6 @@ SimperfCollector::toJson(const char *scale, double wallSeconds) const
         q["wheelInserts"] = double(b.shape.wheelInserts);
         q["farInserts"] = double(b.shape.farInserts);
         e["queueShape"] = std::move(q);
-        e["engine"] = engineTotalsJson(b.execNs, b.barrierWaitNs,
-                                       b.flushNs, b.quanta);
         arr.push(std::move(e));
         runs += b.runs;
         events += b.events;
@@ -205,10 +168,6 @@ SimperfCollector::toJson(const char *scale, double wallSeconds) const
         shape.poolChunks += b.shape.poolChunks;
         shape.wheelInserts += b.shape.wheelInserts;
         shape.farInserts += b.shape.farInserts;
-        execNs += b.execNs;
-        barrierNs += b.barrierWaitNs;
-        flushNs += b.flushNs;
-        quanta += b.quanta;
     }
     doc["benches"] = std::move(arr);
 
@@ -225,8 +184,6 @@ SimperfCollector::toJson(const char *scale, double wallSeconds) const
     q["wheelInserts"] = double(shape.wheelInserts);
     q["farInserts"] = double(shape.farInserts);
     tot["queueShape"] = std::move(q);
-    tot["engine"] =
-        engineTotalsJson(execNs, barrierNs, flushNs, quanta);
     doc["totals"] = std::move(tot);
 
     // Structured recovery counters (sweep.*): this document is the
@@ -378,17 +335,6 @@ runToJson(const RunRecord &rec, bool components)
     perf["simTicks"] = double(r.perf.simTicks);
     run["perf"] = std::move(perf);
 
-    // --shards 0 runs record the model's decision and its
-    // host-independent input, so the artifact says how it was made.
-    // Fixed --shards N runs emit nothing here — their artifacts stay
-    // byte-identical to serial.
-    if (r.shardsAutoTuned) {
-        report::JsonValue a = report::JsonValue::object();
-        a["shards"] = double(r.shardsUsed);
-        a["eventsPerQuantum"] = r.autoEventsPerQuantum;
-        run["autoShards"] = std::move(a);
-    }
-
     if (components) {
         report::JsonValue stats = report::JsonValue::object();
         for (const auto &[key, value] : r.stats.flatten())
@@ -446,14 +392,11 @@ sweepSpecs(const BenchContext &ctx, const char *bench,
         }
     }
     for (RunSpec &spec : specs) {
-        if (!spec.shards)
-            spec.shards = ctx.shards;
         if (!spec.backend)
             spec.backend = ctx.backend;
     }
     SweepOptions opts;
     opts.threads = ctx.jobs;
-    opts.shardsPerRun = ctx.shards;
     opts.progress = ctx.progress;
     opts.stop = ctx.stop;
     if (!ctx.stateDir.empty()) {

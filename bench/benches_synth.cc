@@ -227,7 +227,6 @@ runSynthspace(const BenchContext &ctx)
             fatal("synthspace: ", err);
         req.stateDir = stateRoot;
         req.threads = ctx.jobs;
-        req.shardsPerRun = ctx.shards;
         req.workerId = ctx.workerId;
         req.leaseTtlMs = ctx.leaseTtlMs;
         req.maxAttempts = ctx.maxAttempts;

@@ -419,81 +419,6 @@ renderSynth(std::ostream &os, const JsonValue &doc)
           "`--trace-replay FILE` (`BENCH_replay.json`).\n\n";
 }
 
-/**
- * The scaling section renders the measured table only when the
- * explicit-only BENCH_scaling.json is present in @p dir; otherwise it
- * emits a deterministic stub, so the committed EXPERIMENTS.md (and
- * its CI drift check, which regenerates only the default benches)
- * never depends on a host-wall-clock artifact.
- */
-void
-renderScaling(std::ostream &os, const std::string &dir)
-{
-    os << "## Sharded-engine scaling (`stashbench scaling`)\n\n";
-
-    JsonValue doc;
-    bool have = false;
-    {
-        std::ifstream is(dir + "/BENCH_scaling.json");
-        if (is) {
-            std::stringstream ss;
-            ss << is.rdbuf();
-            std::string parse_err;
-            const JsonValue *schema = nullptr;
-            have = JsonValue::parse(ss.str(), doc, parse_err) &&
-                   (schema = doc.find("schema")) != nullptr &&
-                   schema->asString() == "stashsim-scaling-v1";
-        }
-    }
-    if (!have) {
-        os << "The scaling bench measures host wall-clock — "
-              "events/sec, quanta/sec, and\nthe per-shard "
-              "barrier-wait vs execute split across `--shards {1, 2, "
-              "4,\n..., min(tiles, hw)}` — so its artifact is "
-              "host-dependent by design and\nexcluded from the "
-              "deterministic default artifact set. Run it by name "
-              "on\na many-core host:\n\n"
-              "```sh\nbuild/bench/stashbench --quick --out <dir> "
-              "scaling\n```\n\n"
-              "and re-render with `BENCH_scaling.json` present to "
-              "replace this note\nwith the measured table (schema "
-              "`stashsim-scaling-v1`; methodology and\nthe `--shards "
-              "0` auto-tune cost model in `DESIGN.md` §16).\n\n";
-        return;
-    }
-
-    os << "Measured on "
-       << std::uint64_t(doc.find("hwThreads")->asNumber())
-       << " hardware thread(s), " << doc.find("scale")->asString()
-       << " scale (host-dependent; see `DESIGN.md` §16):\n\n"
-       << "| shards | events/sec | speedup | quanta/sec | "
-          "barrier-wait share |\n"
-       << "|-------:|-----------:|--------:|-----------:|"
-          "-------------------:|\n";
-    const JsonValue *runs = doc.find("runs");
-    for (std::size_t i = 0; runs && i < runs->size(); ++i) {
-        const JsonValue &p = runs->at(i);
-        const double exec = p.find("engine")->find("execNs")
-                                ->asNumber();
-        const double wait = p.find("engine")->find("barrierWaitNs")
-                                ->asNumber();
-        const double share =
-            exec + wait > 0 ? wait / (exec + wait) : 0.0;
-        char line[160];
-        std::snprintf(line, sizeof(line),
-                      "| %u | %.3g | %.2f | %.3g | %.1f%% |\n",
-                      unsigned(p.find("shards")->asNumber()),
-                      p.find("eventsPerSec")->asNumber(),
-                      p.find("speedup")->asNumber(),
-                      p.find("quantaPerSec")->asNumber(),
-                      100.0 * share);
-        os << line;
-    }
-    os << "\nEvery sharded point's deterministic counters matched "
-          "the serial\npoint exactly (the `validated` flags); only "
-          "the wall-clock differs.\n\n";
-}
-
 /** Loads an optional BENCH_<name>.json; false (no error) if absent
  *  or not carrying @p schemaName. */
 bool
@@ -513,8 +438,8 @@ loadOptionalDoc(const std::string &dir, const std::string &bench,
 }
 
 /**
- * Sampled-simulation section: like scaling, the artifact is
- * explicit-only (`stashbench --sample` keeps farm state under --out),
+ * Sampled-simulation section: the artifact is explicit-only
+ * (`stashbench --sample` keeps farm state under --out),
  * so the committed EXPERIMENTS.md carries a stub unless
  * BENCH_sample.json is present at render time.
  */
@@ -724,7 +649,6 @@ renderExperimentsMd(const std::string &dir, std::ostream &os,
     renderAblations(os);
     renderMemBackend(os, memback);
     renderSynth(os, synth);
-    renderScaling(os, dir);
     renderSample(os, dir);
     renderSynthspace(os, dir);
     renderStaticTail(os);

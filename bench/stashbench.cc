@@ -206,7 +206,6 @@ traceReplayMain(const BenchArgs &args)
     BenchContext ctx;
     ctx.scale = args.scale;
     ctx.jobs = args.jobs;
-    ctx.shards = args.shards;
     if (!resolveBackend(args, ctx))
         return 2;
     ctx.progress = &std::cerr;
@@ -265,7 +264,6 @@ sampleMain(const BenchArgs &args)
     req.intervalPhases = args.sampleInterval;
     req.unsampled = args.sampleUnsampled;
     req.threads = args.jobs;
-    req.shardsPerRun = args.shards;
     req.checkpointEveryTicks = Tick(args.checkpointEvery);
     req.progress = &std::cerr;
     req.stop = &g_stop;
@@ -412,9 +410,8 @@ main(int argc, char **argv)
 
     std::vector<const BenchInfo *> selected;
     if (args.benches.empty()) {
-        // Explicit-only benches (scaling: host-dependent artifact)
-        // run only when named, keeping the default artifact set
-        // deterministic.
+        // Explicit-only benches (synthspace: keeps farm state under
+        // --out) run only when named.
         for (const BenchInfo &b : benchList()) {
             if (b.defaultRun)
                 selected.push_back(&b);
@@ -436,7 +433,6 @@ main(int argc, char **argv)
     BenchContext ctx;
     ctx.scale = args.scale;
     ctx.jobs = args.jobs;
-    ctx.shards = args.shards;
     if (!resolveBackend(args, ctx))
         return 2;
     ctx.progress = &std::cerr;
@@ -444,7 +440,6 @@ main(int argc, char **argv)
     ctx.traceDir = args.traceDir;
     ctx.components = args.components;
     SimperfCollector simperf;
-    simperf.shards = args.shards;
     ctx.simperf = &simperf;
     // --farm names the shared state directory and implies resume
     // (workers serve each other's cached results); --restore names
@@ -480,16 +475,14 @@ main(int argc, char **argv)
 
     SweepOptions sizing;
     sizing.threads = args.jobs;
-    sizing.shardsPerRun = args.shards;
     const unsigned threads =
         SweepDriver(sizing).threadsFor(unsigned(-1));
     std::fprintf(stderr,
                  "stashbench: %zu bench%s, scale %s, %u sweep "
-                 "thread%s, %u shard%s/run\n",
+                 "thread%s\n",
                  selected.size(), selected.size() == 1 ? "" : "es",
                  workloads::scaleName(args.scale), threads,
-                 threads == 1 ? "" : "s", args.shards,
-                 args.shards == 1 ? "" : "s");
+                 threads == 1 ? "" : "s");
 
     bool all_ok = true;
     const auto wall_start = std::chrono::steady_clock::now();

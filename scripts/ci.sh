@@ -1,12 +1,11 @@
 #!/usr/bin/env sh
 # Tier-1 CI: configure, build, and run the full test suite three
 # times — plain, under AddressSanitizer + UndefinedBehaviorSanitizer,
-# and under ThreadSanitizer (which exercises the sharded engine's
-# barriers and mailboxes) — then run the quick-scale benches serial
-# AND sharded, check the artifacts against the committed manifest and
-# for serial/sharded byte parity, exercise the checkpoint/restore and
-# multi-process farm crash-safety paths, and check that EXPERIMENTS.md
-# has not drifted from the committed artifacts.
+# and under ThreadSanitizer — then run the quick-scale benches, check
+# the artifacts against the committed manifest, exercise the
+# checkpoint/restore, multi-process farm crash-safety, memory-backend,
+# trace and sampling paths, and check that EXPERIMENTS.md has not
+# drifted from the committed artifacts.
 #
 # Usage: scripts/ci.sh [jobs]
 set -eu
@@ -27,10 +26,13 @@ run_suite() {
 
 run_suite "${root}/build"
 run_suite "${root}/build-san" -DSTASHSIM_SANITIZE=address,undefined
+# Each System runs on one thread; TSan covers the threads that run
+# many Systems at once (the SweepDriver's workers) and the farm's
+# lease heartbeats.
 run_suite "${root}/build-tsan" -DSTASHSIM_SANITIZE=thread
 
 artifacts="${root}/build/bench-artifacts"
-echo "=== stashbench --quick, serial engine (artifacts -> ${artifacts}) ==="
+echo "=== stashbench --quick (artifacts -> ${artifacts}) ==="
 mkdir -p "${artifacts}"
 "${root}/build/bench/stashbench" --quick --jobs "${jobs}" \
     --out "${artifacts}"
@@ -46,30 +48,13 @@ ls -l "${artifacts}"/BENCH_*.json
 echo "=== quick artifacts vs scripts/quick_artifacts.sha256 ==="
 (cd "${artifacts}" && sha256sum -c "${root}/scripts/quick_artifacts.sha256")
 
-# The determinism contract, enforced end to end: the sharded engine
-# must reproduce every serial BENCH_<name>.json byte for byte.  The
-# TSan build runs it so barrier/mailbox races surface loudly.
-sharded="${root}/build/bench-artifacts-sharded"
-echo "=== stashbench --quick --shards 4 under TSan (parity check) ==="
-mkdir -p "${sharded}"
-"${root}/build-tsan/bench/stashbench" --quick --shards 4 \
-    --jobs "${jobs}" --out "${sharded}"
-for f in "${artifacts}"/BENCH_*.json; do
-    name="$(basename "${f}")"
-    [ "${name}" = "BENCH_simperf.json" ] && continue # host wall-clock
-    cmp "${f}" "${sharded}/${name}"
-done
-echo "serial and sharded artifacts are byte-identical"
-
-# Checkpoint/restore parity, end to end through the CLI: run two
+# Checkpoint/restore parity, end to end through the CLI: run three
 # quick benches dropping checkpoints at every eligible phase
 # boundary, then delete the cached RESULT_* artifacts so --restore is
 # forced to re-finish every run from a mid-run CKPT_* snapshot.  The
-# resumed artifacts must be byte-identical — once restoring under the
-# serial engine, once under --shards 4 from the same serially-taken
-# checkpoints.
+# resumed artifacts must be byte-identical.
 snapdir="${root}/build/bench-artifacts-snapshot"
-echo "=== checkpoint/restore parity (fig5 serial; ablation_replication, synth --shards 4) ==="
+echo "=== checkpoint/restore parity (fig5, ablation_replication, synth) ==="
 rm -rf "${snapdir}"
 mkdir -p "${snapdir}"
 "${root}/build/bench/stashbench" --quick --jobs "${jobs}" \
@@ -81,10 +66,8 @@ for name in fig5 ablation_replication synth; do
     rm "${snapdir}/checkpoints/${name}"/RESULT_*.snap
 done
 "${root}/build/bench/stashbench" --quick --jobs "${jobs}" \
-    --restore "${snapdir}/checkpoints" --out "${snapdir}" fig5
-"${root}/build/bench/stashbench" --quick --jobs "${jobs}" \
-    --shards 4 --restore "${snapdir}/checkpoints" \
-    --out "${snapdir}" ablation_replication synth
+    --restore "${snapdir}/checkpoints" --out "${snapdir}" \
+    fig5 ablation_replication synth
 for name in fig5 ablation_replication synth; do
     cmp "${snapdir}/BENCH_${name}.ref.json" \
         "${snapdir}/BENCH_${name}.json"
@@ -202,34 +185,6 @@ if "${root}/build/bench/stashbench" --trace-from SynthMix \
 fi
 echo "malformed trace and bad flag combinations rejected"
 
-# Scaling leg: measure the sharded engine's real speedup.  The
-# scaling bench is explicit-only (host wall-clock artifact), runs the
-# shard-count ladder sequentially, and self-checks that every sharded
-# point reproduces the serial point's deterministic counters — a
-# non-validated run fails the CLI.  A 1-core host has no ladder to
-# climb (and the quantum overheads would only add noise), so the leg
-# is skipped there with a notice.
-cores="$(nproc 2>/dev/null || echo 1)"
-if [ "${cores}" -le 1 ]; then
-    echo "=== scaling bench: SKIPPED (${cores} hardware thread(s);" \
-         "needs >1 to measure speedup) ==="
-else
-    scaling="${root}/build/bench-artifacts-scaling"
-    echo "=== stashbench --quick scaling (artifacts -> ${scaling}) ==="
-    rm -rf "${scaling}"
-    mkdir -p "${scaling}"
-    "${root}/build/bench/stashbench" --quick --out "${scaling}" \
-        scaling
-    ls -l "${scaling}/BENCH_scaling.json"
-    # And the auto-tune path end to end: --shards 0 picks a count via
-    # the cost model; every run must still validate (the artifact
-    # additionally records each run's autoShards decision).
-    "${root}/build/bench/stashbench" --quick --jobs "${jobs}" \
-        --shards 0 --out "${scaling}" fig5
-    ls -l "${scaling}/BENCH_fig5.json"
-    echo "scaling bench artifact archived"
-fi
-
 # Sampling leg: warm once, fan measured intervals out from the one
 # checkpoint (DESIGN.md §17).  Three checks: the sampled quick-scale
 # sweep completes validated over gpu-group deltas; its artifact is
@@ -291,4 +246,4 @@ git -C "${root}" diff --exit-code -- EXPERIMENTS.md || {
     exit 1
 }
 
-echo "=== CI passed (plain + ASan/UBSan + TSan + quick benches + manifest + parity + checkpoint/restore + farm + backends + trace + scaling + sampling) ==="
+echo "=== CI passed (plain + ASan/UBSan + TSan + quick benches + manifest + checkpoint/restore + farm + backends + trace + sampling) ==="

@@ -192,20 +192,6 @@ struct SystemConfig
     // --- CPU core ------------------------------------------------------
     unsigned cpuOutstanding = 4; //!< max in-flight CPU memory ops
 
-    // --- Execution engine ----------------------------------------------
-    /**
-     * Intra-run shard worker threads.  1 (default) = serial engine.
-     * N > 1 = sharded engine: one event queue per mesh tile, advanced
-     * in lock-step quanta by N workers (clamped to numNodes()).
-     * 0 = auto: the run starts sharded with one calibration worker,
-     * then the quantum-size-vs-barrier-cost model picks the worker
-     * count from the first drain's counters (DESIGN.md section 16;
-     * serial on single-threaded hosts).
-     * Serial and sharded runs produce byte-identical artifacts; see
-     * DESIGN.md section 10.  Incompatible with verify.faultInjection.
-     */
-    unsigned shards = 1;
-
     // --- Verification (not part of the modelled machine) ---------------
     VerifyConfig verify;
 

@@ -21,8 +21,8 @@ needsValue(int i, int argc, const char *flag, std::string &err)
 /**
  * Strict whole-token base-10 unsigned parse for @p flag's value.
  *
- * strtoul-style parsing silently turned "--shards abc" into 0 (the
- * auto-tune mode!) and "--jobs 3x" into 3; here every byte must be a
+ * strtoul-style parsing silently turned "--jobs abc" into 0 (one
+ * thread per core) and "--jobs 3x" into 3; here every byte must be a
  * decimal digit and the value must fit @p max, or the parse fails
  * with a diagnostic naming the flag and the offending token.
  */
@@ -99,11 +99,6 @@ BenchArgs::parse(int argc, char **argv, BenchArgs &out,
             if (!needsValue(i, argc, a, err))
                 return false;
             if (!parseUnsigned(a, argv[++i], out.jobs, err))
-                return false;
-        } else if (std::strcmp(a, "--shards") == 0) {
-            if (!needsValue(i, argc, a, err))
-                return false;
-            if (!parseUnsigned(a, argv[++i], out.shards, err))
                 return false;
         } else if (std::strcmp(a, "--backend") == 0) {
             if (!needsValue(i, argc, a, err))
@@ -227,13 +222,6 @@ BenchArgs::usage(const char *prog)
            "  --scale S           full | quick | smoke\n"
            "  --jobs N, -j N      sweep worker threads "
            "(default: hardware)\n"
-           "  --shards N          intra-run shard threads per run "
-           "(default 1 = serial,\n"
-           "                      0 = auto-tuned per run by the "
-           "quantum-vs-barrier cost\n"
-           "                      model, DESIGN.md §16); "
-           "artifacts are byte-identical\n"
-           "                      either way\n"
            "  --backend NAME      memory backend for every run: "
            "fixed (default),\n"
            "                      sttmram, or scmcache (see --list "

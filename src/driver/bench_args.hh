@@ -28,8 +28,6 @@ struct BenchArgs
     workloads::Scale scale = workloads::Scale::Full;
     /** Sweep worker threads; 0 = one per hardware thread. */
     unsigned jobs = 0;
-    /** Intra-run shard threads per run; 1 = serial, 0 = auto. */
-    unsigned shards = 1;
     /**
      * Memory backend name for every run ("fixed", "sttmram",
      * "scmcache"); empty keeps each bench's own choice (the fixed
@@ -109,7 +107,6 @@ struct BenchArgs
      * Parses argv.  Recognized flags:
      *   --quick | --smoke | --scale full|quick|smoke
      *   --jobs N | -j N
-     *   --shards N
      *   --backend NAME
      *   --out DIR
      *   --trace DIR

@@ -1,6 +1,9 @@
 #include "driver/farm.hh"
 
 #include <chrono>
+#include <climits>
+#include <cmath>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -85,6 +88,45 @@ leaseJson(const FarmConfig &cfg, unsigned attempt, bool released)
     return doc.dump();
 }
 
+/**
+ * Reads and parses a farm state file.  False when it is missing,
+ * unparseable, or not a JSON object.
+ */
+bool
+readJsonObject(const std::string &path, report::JsonValue &doc)
+{
+    std::ifstream is(path);
+    if (!is)
+        return false;
+    std::stringstream buf;
+    buf << is.rdbuf();
+    std::string err;
+    return report::JsonValue::parse(buf.str(), doc, err) &&
+           doc.isObject();
+}
+
+/**
+ * @p v as an integer in [0, @p max].  False for a missing value, a
+ * non-number, or a negative, fractional, non-finite or out-of-range
+ * number, none of which may be cast to an integer.
+ */
+bool
+wholeNumber(const report::JsonValue *v, std::uint64_t max,
+            std::uint64_t &out)
+{
+    if (!v || !v->isNumber())
+        return false;
+    const double d = v->asNumber();
+    // 2^64: every finite double below it converts to uint64 exactly.
+    if (!(d >= 0) || d >= 18446744073709551616.0 || d != std::floor(d))
+        return false;
+    const auto u = std::uint64_t(d);
+    if (u > max)
+        return false;
+    out = u;
+    return true;
+}
+
 } // namespace
 
 std::uint64_t
@@ -118,27 +160,29 @@ leaseExists(const std::string &dir, const std::string &label)
 bool
 readLease(const std::string &path, Lease &out)
 {
-    std::ifstream is(path);
-    if (!is)
-        return false;
-    std::stringstream buf;
-    buf << is.rdbuf();
     report::JsonValue doc;
-    std::string err;
-    if (!report::JsonValue::parse(buf.str(), doc, err))
+    if (!readJsonObject(path, doc))
         return false;
+    Lease l;
+    std::uint64_t attempt = 0;
     const report::JsonValue *worker = doc.find("worker");
-    const report::JsonValue *hb = doc.find("heartbeatMs");
-    const report::JsonValue *attempt = doc.find("attempt");
-    if (!worker || !hb || !attempt)
+    if (!worker || !worker->isString() ||
+        !wholeNumber(doc.find("heartbeatMs"), UINT64_MAX,
+                     l.heartbeatMs) ||
+        !wholeNumber(doc.find("attempt"), UINT_MAX, attempt))
         return false;
-    out.worker = worker->asString();
-    out.heartbeatMs = std::uint64_t(hb->asNumber());
-    out.attempt = unsigned(attempt->asNumber());
-    if (const report::JsonValue *pid = doc.find("pid"))
-        out.pid = std::uint64_t(pid->asNumber());
-    if (const report::JsonValue *rel = doc.find("released"))
-        out.released = rel->asBool();
+    l.worker = worker->asString();
+    l.attempt = unsigned(attempt);
+    if (const report::JsonValue *pid = doc.find("pid")) {
+        if (!wholeNumber(pid, UINT64_MAX, l.pid))
+            return false;
+    }
+    if (const report::JsonValue *rel = doc.find("released")) {
+        if (!rel->isBool())
+            return false;
+        l.released = rel->asBool();
+    }
+    out = std::move(l);
     return true;
 }
 
@@ -255,22 +299,22 @@ bool
 loadFailed(const std::string &dir, const std::string &label,
            unsigned &attempts, std::vector<std::string> &errors)
 {
-    std::ifstream is(failedPath(dir, label));
-    if (!is)
-        return false;
-    std::stringstream buf;
-    buf << is.rdbuf();
     report::JsonValue doc;
-    std::string err;
-    if (!report::JsonValue::parse(buf.str(), doc, err))
+    std::uint64_t att = 0;
+    if (!readJsonObject(failedPath(dir, label), doc) ||
+        !wholeNumber(doc.find("attempts"), UINT_MAX, att))
         return false;
-    const report::JsonValue *att = doc.find("attempts");
-    attempts = att ? unsigned(att->asNumber()) : 0;
-    errors.clear();
-    if (const report::JsonValue *errs = doc.find("errors")) {
-        for (std::size_t i = 0; i < errs->size(); ++i)
-            errors.push_back(errs->at(i).asString());
+    const report::JsonValue *errs = doc.find("errors");
+    if (!errs || !errs->isArray())
+        return false;
+    std::vector<std::string> msgs;
+    for (std::size_t i = 0; i < errs->size(); ++i) {
+        if (!errs->at(i).isString())
+            return false;
+        msgs.push_back(errs->at(i).asString());
     }
+    attempts = unsigned(att);
+    errors = std::move(msgs);
     return true;
 }
 

@@ -87,7 +87,12 @@ std::string failedPath(const std::string &dir, const std::string &label);
 /** True when LEASE_<label>.json exists (held or released). */
 bool leaseExists(const std::string &dir, const std::string &label);
 
-/** Parses a lease file; false when missing or (mid-publish) partial. */
+/**
+ * Parses a lease file.  False, with @p out untouched, when the file
+ * is missing or is not an object with a string `worker` and integer
+ * `heartbeatMs` and `attempt` in range (plus, when present, an
+ * integer `pid` and a boolean `released`).
+ */
 bool readLease(const std::string &path, Lease &out);
 
 enum class ClaimStatus
@@ -124,7 +129,9 @@ void writeFailed(const std::string &dir, const std::string &label,
                  const std::vector<std::string> &errors);
 
 /**
- * Reads FAILED_<label>.json; false when absent or unparseable.
+ * Reads FAILED_<label>.json.  False, with the outputs untouched, when
+ * it is absent or is not an object with an integer `attempts` in
+ * range and an array of strings `errors`.
  */
 bool loadFailed(const std::string &dir, const std::string &label,
                 unsigned &attempts, std::vector<std::string> &errors);

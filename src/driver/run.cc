@@ -28,8 +28,6 @@ resolveRunConfig(const RunSpec &spec)
         cfg = WorkloadFactory::instance().defaultConfig(spec.workload);
     }
     cfg.memOrg = spec.org;
-    if (spec.shards)
-        cfg.shards = *spec.shards;
     if (spec.backend)
         cfg.memBackend.kind = *spec.backend;
     return cfg;

@@ -42,14 +42,6 @@ struct RunSpec
     workloads::Scale scale = workloads::Scale::Full;
 
     /**
-     * Intra-run shard worker threads (SystemConfig::shards); unset
-     * keeps the configuration's own setting.  Applied on top of
-     * @ref config like @ref org, so sweeps can toggle the engine per
-     * run (1 = serial, N = sharded, 0 = auto).
-     */
-    std::optional<unsigned> shards;
-
-    /**
      * Memory backend kind (SystemConfig::memBackend.kind); unset
      * keeps the configuration's own setting.  Applied on top of
      * @ref config like @ref org, so sweeps can ablate the backing
@@ -141,7 +133,7 @@ RunResult runSpec(const RunSpec &spec);
 /**
  * The SystemConfig @p spec resolves to: the explicit config, the
  * workload's default, or the microbenchmark machine — with the org
- * and shard overrides applied.  Exported so the SweepDriver's resume
+ * and backend overrides applied.  Exported so the SweepDriver's resume
  * path can hash the exact configuration a spec will run with.
  */
 SystemConfig resolveRunConfig(const RunSpec &spec);

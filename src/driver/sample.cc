@@ -263,7 +263,6 @@ runSample(const SampleRequest &req)
 
     SweepOptions so;
     so.threads = req.threads;
-    so.shardsPerRun = req.shardsPerRun;
     so.progress = req.progress;
     so.stateDir = req.stateDir;
     so.checkpointEveryTicks = req.checkpointEveryTicks;

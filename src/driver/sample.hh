@@ -116,7 +116,6 @@ struct SampleRequest
 
     /** @{ Farm/sweep knobs, passed through to SweepOptions. */
     unsigned threads = 0;
-    unsigned shardsPerRun = 1;
     std::string workerId;
     std::uint64_t leaseTtlMs = 30'000;
     unsigned maxAttempts = 3;

@@ -230,16 +230,9 @@ SweepDriver::threadsFor(std::size_t n) const
 {
     unsigned t = opts.threads;
     if (t == 0) {
-        if (opts.shardsPerRun == 0) {
-            // Runs auto-size their shard fleets to the machine;
-            // running sweeps concurrently on top would oversubscribe.
-            return 1;
-        }
         t = std::thread::hardware_concurrency();
         if (t == 0)
             t = 1;
-        // Each run brings shardsPerRun workers of its own.
-        t = std::max(1u, t / std::max(1u, opts.shardsPerRun));
     }
     if (t > n)
         t = unsigned(n);

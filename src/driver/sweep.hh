@@ -74,16 +74,6 @@ struct SweepOptions
     /** Worker threads; 0 = one per hardware thread, 1 = serial. */
     unsigned threads = 0;
 
-    /**
-     * Intra-run shard threads each run will use (RunSpec::shards /
-     * SystemConfig::shards).  Only consulted when @ref threads is 0:
-     * auto-sizing divides the hardware threads by this so a sweep of
-     * sharded runs does not oversubscribe the host (N sweeps x M
-     * shard workers).  0 means the runs auto-size too; the sweep then
-     * stays serial and lets each run own the machine.
-     */
-    unsigned shardsPerRun = 1;
-
     /** Progress stream ("[k/n] label ... ok"); nullptr = silent. */
     std::ostream *progress = nullptr;
 

@@ -5,10 +5,8 @@
 #include <ios>
 #include <ostream>
 #include <string>
-#include <thread>
 
 #include "sim/log.hh"
-#include "sim/shard_autotune.hh"
 #include "snapshot/snapshot.hh"
 #include "verify/fault_injector.hh"
 #include "verify/protocol_checker.hh"
@@ -47,37 +45,6 @@ meshParamsOf(const SystemConfig &cfg)
     return mp;
 }
 
-unsigned
-hostHardwareThreads()
-{
-    const unsigned n = std::thread::hardware_concurrency();
-    return n == 0 ? 1 : n;
-}
-
-std::unique_ptr<ShardEngine>
-makeEngine(const SystemConfig &cfg)
-{
-    ShardEngine::Options o;
-    if (cfg.shards == 0) {
-        // Auto-tune: build the sharded topology but start with one
-        // calibration worker; System::autoTuneShards() feeds the
-        // first drain's counters to the cost model and retunes the
-        // pool (DESIGN.md section 16).  A single-threaded host can
-        // never win from sharding, so it gets the serial kernel.
-        o.threads = 1;
-        o.tiles = hostHardwareThreads() > 1 ? cfg.numNodes() : 1;
-    } else {
-        // Sharding with one worker would pay quantum overhead for no
-        // concurrency, so a single thread gets the serial
-        // single-queue engine (the byte-identical classic kernel).
-        o.threads = std::min(std::max(cfg.shards, 1u),
-                             cfg.numNodes());
-        o.tiles = o.threads > 1 ? cfg.numNodes() : 1;
-    }
-    o.lookahead = meshParamsOf(cfg).minLatencyTicks();
-    return std::make_unique<ShardEngine>(o);
-}
-
 } // namespace
 
 std::uint64_t
@@ -86,63 +53,27 @@ boundarySnapshotWrites()
     return g_boundarySnapshotWrites.load(std::memory_order_relaxed);
 }
 
-SimPerf::Sources
-System::perfSources()
-{
-    SimPerf::Sources s;
-    s.events = [this] { return engine->eventsExecuted(); };
-    s.tick = [this] { return engine->now(); };
-    s.shape = [this] {
-        QueueShape q;
-        q.peakLiveEvents = engine->peakLiveEvents();
-        q.poolChunks = engine->poolChunksAllocated();
-        q.wheelInserts = engine->wheelInserts();
-        q.farInserts = engine->farInserts();
-        return q;
-    };
-    s.engine = [this] { return engine->breakdown(); };
-    return s;
-}
-
 System::System(const SystemConfig &cfg, const EnergyParams &energy)
-    : cfg(cfg), energyModel(energy), engine(makeEngine(this->cfg)),
-      perf(perfSources()),
-      mesh(engine->queue(0), meshParamsOf(this->cfg)), fabric(mesh)
+    : cfg(cfg), energyModel(energy), perf(eq),
+      mesh(eq, meshParamsOf(this->cfg)), fabric(mesh)
 {
     if (cfg.numGpuCus + cfg.numCpuCores > cfg.numNodes())
         fatal("more cores than mesh nodes");
     if (cfg.llcBanks != cfg.numNodes())
         fatal("this system places one LLC bank per mesh node");
-    _autoShards = cfg.shards == 0 && sharded();
-    if (sharded() && cfg.verify.faultInjection) {
-        fatal("fault injection requires the serial engine (shards=1): "
-              "injected perturbations schedule onto foreign tile "
-              "queues and consume RNG draws in host-dependent order");
-    }
-
-    // Bind the per-node queues so every Fabric send takes the
-    // canonical deferred path (identical in both modes; DESIGN.md
-    // section 10).
-    {
-        std::vector<EventQueue *> tq;
-        for (NodeId n = 0; n < cfg.numNodes(); ++n)
-            tq.push_back(&queueFor(n));
-        fabric.bindQueues(std::move(tq), sharded());
-    }
 
     // LLC banks: one per node, each with its own memory-backend
-    // instance on the same queue (the backend's timing knobs —
-    // dramCycles included — live in cfg.memBackend, nowhere else).
+    // instance (the backend's timing knobs — dramCycles included —
+    // live in cfg.memBackend, nowhere else).
     LlcBank::Params lp;
     lp.bankBytes = cfg.llcBankBytes;
     lp.assoc = cfg.llcAssoc;
     lp.accessCycles = cfg.llcBankCycles;
     for (NodeId n = 0; n < cfg.numNodes(); ++n) {
-        memBackends.push_back(makeMemBackend(cfg.memBackend,
-                                             queueFor(n), mem,
-                                             gpuClockPeriod));
+        memBackends.push_back(
+            makeMemBackend(cfg.memBackend, eq, mem, gpuClockPeriod));
         llcBanks.push_back(std::make_unique<LlcBank>(
-            queueFor(n), fabric, *memBackends.back(), n, lp));
+            eq, fabric, *memBackends.back(), n, lp));
         fabric.registerObject(n, Unit::Llc, llcBanks.back().get());
     }
 
@@ -157,7 +88,6 @@ System::System(const SystemConfig &cfg, const EnergyParams &energy)
     for (unsigned i = 0; i < cfg.numGpuCus; ++i) {
         const NodeId node = NodeId(i);
         const CoreId core = CoreId(i);
-        EventQueue &eq = queueFor(node);
         GpuNode g;
         g.tlb = std::make_unique<Tlb>(pageTable, cfg.vpMapEntries);
         g.l1 = std::make_unique<L1Cache>(eq, fabric, *g.tlb, core,
@@ -199,7 +129,6 @@ System::System(const SystemConfig &cfg, const EnergyParams &energy)
     for (unsigned i = 0; i < cfg.numCpuCores; ++i) {
         const NodeId node = NodeId(cfg.numGpuCus + i);
         const CoreId core = CoreId(cfg.numGpuCus + i);
-        EventQueue &eq = queueFor(node);
         CpuNode c;
         c.tlb = std::make_unique<Tlb>(pageTable, cfg.vpMapEntries);
         c.l1 = std::make_unique<L1Cache>(eq, fabric, *c.tlb, core,
@@ -213,8 +142,7 @@ System::System(const SystemConfig &cfg, const EnergyParams &energy)
 
     // Verification subsystem (all pieces independently toggleable).
     if (cfg.verify.faultInjection) {
-        _injector = std::make_unique<FaultInjector>(eventQueue(),
-                                                    this->cfg.verify);
+        _injector = std::make_unique<FaultInjector>(eq, this->cfg.verify);
         fabric.setFaultInjector(_injector.get());
     }
     if (cfg.verify.protocolChecker) {
@@ -240,8 +168,7 @@ System::System(const SystemConfig &cfg, const EnergyParams &energy)
         }
     }
     if (cfg.verify.watchdog) {
-        _watchdog = std::make_unique<Watchdog>(eventQueue(),
-                                               this->cfg.verify);
+        _watchdog = std::make_unique<Watchdog>(eq, this->cfg.verify);
         _watchdog->setDumpFn(
             [this](std::ostream &os) { dumpDiagnostics(os); });
         for (auto &g : gpus) {
@@ -251,17 +178,12 @@ System::System(const SystemConfig &cfg, const EnergyParams &energy)
         }
         for (auto &c : cpus)
             c.core->setWatchdog(_watchdog.get());
-        // Sharded runs have no single queue to arm check events on;
-        // the engine's barrier hook drives the checks instead, at the
-        // quantum boundaries (the coherent global drain points).
-        if (sharded())
-            _watchdog->setExternalChecks(true);
         // The watchdog arms itself at the driver's drain points.
-        eventQueue().addPhaseListener(_watchdog.get());
+        eq.addPhaseListener(_watchdog.get());
     }
 
     // SimPerf samples host time at every drain boundary.
-    eventQueue().addPhaseListener(&perf);
+    eq.addPhaseListener(&perf);
 
     registerComponentStats();
 }
@@ -296,9 +218,9 @@ System::registerComponentStats()
     }
     registry.addGroup("noc", &mesh.stats());
     registry.addValue("sim.tick",
-                      [this] { return double(engine->now()); });
+                      [this] { return double(eq.curTick()); });
     registry.addValue("sim.gpuCycles", [this] {
-        return double(engine->now() / gpuClockPeriod);
+        return double(eq.curTick() / gpuClockPeriod);
     });
     registry.addValue("simperf.events",
                       [this] { return perf.eventsNow(); });
@@ -309,28 +231,16 @@ System::registerComponentStats()
     registry.addValue("simperf.ticksPerHostSec",
                       [this] { return perf.ticksPerHostSecNow(); });
     registry.addValue("simperf.peakLiveEvents", [this] {
-        return double(engine->peakLiveEvents());
+        return double(eq.peakLiveEvents());
     });
     registry.addValue("simperf.poolChunks", [this] {
-        return double(engine->poolChunksAllocated());
+        return double(eq.poolChunksAllocated());
     });
     registry.addValue("simperf.wheelInserts", [this] {
-        return double(engine->wheelInserts());
+        return double(eq.wheelInserts());
     });
     registry.addValue("simperf.farInserts", [this] {
-        return double(engine->farInserts());
-    });
-    registry.addValue("simperf.quanta", [this] {
-        return double(engine->quantaExecuted());
-    });
-    registry.addValue("simperf.execNs", [this] {
-        return double(engine->breakdown().execNs);
-    });
-    registry.addValue("simperf.barrierWaitNs", [this] {
-        return double(engine->breakdown().barrierWaitNs);
-    });
-    registry.addValue("simperf.flushNs", [this] {
-        return double(engine->breakdown().flushNs);
+        return double(eq.farInserts());
     });
 }
 
@@ -340,56 +250,19 @@ void
 System::drain(const char *what)
 {
     // Phases only complete when no component generates further work,
-    // so running every queue dry is a full drain.  The phase boundary
-    // is broadcast to every listener (watchdog, SimPerf) through the
-    // phase-hub queue.
-    eventQueue().beginPhase(what);
-    ShardEngine::BarrierHook hook;
-    if (_watchdog && sharded()) {
-        hook = [this](Tick quantum_end) {
-            _watchdog->barrierCheck(quantum_end,
-                                    engine->totalPending());
-        };
-    }
-    engine->drain([this] { fabric.flushStaged(); }, hook);
-    eventQueue().endPhase();
+    // so running the queue dry is a full drain.  The phase boundary
+    // is broadcast to every listener (watchdog, SimPerf).
+    eq.beginPhase(what);
+    eq.run();
+    // A trailing PriInternal event (a watchdog poll) may have carried
+    // curTick past the last model event; the drain ends when the
+    // model did.
+    eq.setTime(eq.lastEventTick());
+    eq.endPhase();
     // Drain points are the protocol's synchronization points: the
     // only moments the DeNovo invariants must hold globally.
     if (_checker)
         _checker->audit(what);
-    if (_autoShards && !_autoTuned)
-        autoTuneShards();
-}
-
-void
-System::autoTuneShards()
-{
-    // Calibration prologue: the engine ran this drain with one
-    // worker, so its exec-time and quantum counters are a clean
-    // single-threaded sample.  A drain that executed no quanta (all
-    // work was controller-staged, or the phase was empty) carries no
-    // signal — keep calibrating through the next drain.
-    const EngineBreakdown b = engine->breakdown();
-    const std::uint64_t events = engine->eventsExecuted();
-    if (b.quanta == 0 || events == 0)
-        return;
-    _autoTuned = true;
-
-    AutoTuneInputs in;
-    in.tiles = engine->numTiles();
-    in.hwThreads = hostHardwareThreads();
-    in.events = events;
-    in.quanta = b.quanta;
-    in.execNs = std::max<std::uint64_t>(1, b.execNs);
-    in.barrierCrossNs = measuredBarrierCrossNs();
-    const AutoTuneDecision d = stashsim::autoTuneShards(in);
-    _autoEventsPerQuantum = d.eventsPerQuantum;
-    engine->setThreads(d.workers);
-    inform("auto-shards: picked ", d.workers, " worker(s) from ",
-           "eventsPerQuantum=", d.eventsPerQuantum,
-           " nsPerEvent=", d.nsPerEvent,
-           " barrierCrossNs=", in.barrierCrossNs,
-           " tiles=", in.tiles, " hwThreads=", in.hwThreads);
 }
 
 void
@@ -404,20 +277,18 @@ System::runGpuPhase(Phase &phase)
             std::move(phase.kernel.blocks[b]));
     }
 
-    // Atomic: sharded CUs complete on their tile's worker thread.
-    std::atomic<unsigned> pending{0};
+    unsigned pending = 0;
     for (std::size_t i = 0; i < gpus.size(); ++i) {
         if (per_cu[i].blocks.empty())
             continue;
-        pending.fetch_add(1, std::memory_order_relaxed);
-        gpus[i].cu->runKernel(std::move(per_cu[i]), [&pending] {
-            pending.fetch_sub(1, std::memory_order_relaxed);
-        });
+        ++pending;
+        gpus[i].cu->runKernel(std::move(per_cu[i]),
+                              [&pending] { --pending; });
     }
     drain("gpu kernel phase");
-    if (pending.load() != 0 && _watchdog)
+    if (pending != 0 && _watchdog)
         _watchdog->reportHang("gpu kernel phase");
-    sim_assert(pending.load() == 0);
+    sim_assert(pending == 0);
 }
 
 void
@@ -429,24 +300,19 @@ System::runCpuPhase(Phase &phase, std::vector<std::string> *errors)
         c.l1->selfInvalidate();
 
     // Per-core error logs, merged in core order after the drain:
-    // sharded cores fail concurrently, and core-major order keeps the
-    // merged log identical across modes (serial interleaving by time
-    // would differ from any parallel schedule).
+    // core-major order is part of the deterministic result (the
+    // artifacts' errors lists), independent of when each core failed.
     std::vector<std::vector<std::string>> coreErrors(
         phase.cpuWork.size());
-    std::atomic<unsigned> pending{0};
+    unsigned pending = 0;
     for (std::size_t i = 0; i < phase.cpuWork.size(); ++i) {
         if (phase.cpuWork[i].empty())
             continue;
         if (i >= cpus.size())
             fatal("workload uses more CPU cores than configured");
-        pending.fetch_add(1, std::memory_order_relaxed);
+        ++pending;
         cpus[i].core->run(std::move(phase.cpuWork[i]),
-                          [&pending] {
-                              pending.fetch_sub(
-                                  1, std::memory_order_relaxed);
-                          },
-                          &coreErrors[i]);
+                          [&pending] { --pending; }, &coreErrors[i]);
     }
     drain("cpu phase");
     if (errors) {
@@ -455,9 +321,9 @@ System::runCpuPhase(Phase &phase, std::vector<std::string> *errors)
                 errors->push_back(std::move(e));
         }
     }
-    if (pending.load() != 0 && _watchdog)
+    if (pending != 0 && _watchdog)
         _watchdog->reportHang("cpu phase");
-    sim_assert(pending.load() == 0);
+    sim_assert(pending == 0);
 }
 
 RunResult
@@ -554,10 +420,10 @@ System::run(Workload wl, const RunControl &ctl)
             break;
         }
         if (checkpointing && p + 1 < wl.phases.size() &&
-            engine->now() >= lastCkpt + ctl.checkpointEveryTicks) {
+            eq.curTick() >= lastCkpt + ctl.checkpointEveryTicks) {
             writeCheckpoint(ctl, wl, std::uint32_t(p + 1),
                             baselineCaptured, baseline);
-            lastCkpt = engine->now();
+            lastCkpt = eq.curTick();
         }
         if (ctl.interrupt && p + 1 < wl.phases.size() &&
             ctl.interrupt->load(std::memory_order_relaxed)) {
@@ -566,7 +432,7 @@ System::run(Workload wl, const RunControl &ctl)
             // the cadence says) and surface the interrupt — the next
             // attempt resumes here instead of at tick 0.
             if (!ctl.checkpointDir.empty() &&
-                engine->now() > lastCkpt) {
+                eq.curTick() > lastCkpt) {
                 writeCheckpoint(ctl, wl, std::uint32_t(p + 1),
                                 baselineCaptured, baseline);
             }
@@ -619,10 +485,6 @@ System::run(Workload wl, const RunControl &ctl)
     if (!r.errors.empty())
         r.validated = false;
     r.perf = perf.summary();
-    r.shardsUsed = engine->serial() ? 1 : engine->numThreads();
-    r.shardsAutoTuned = _autoShards && _autoTuned;
-    r.autoEventsPerQuantum =
-        r.shardsAutoTuned ? _autoEventsPerQuantum : 0;
     return r;
 }
 
@@ -649,7 +511,7 @@ System::statsSnapshot() const
     for (const auto &b : memBackends)
         s.memback.add(b->stats());
     s.noc.add(mesh.stats());
-    s.gpuCycles = engine->now() / gpuClockPeriod;
+    s.gpuCycles = eq.curTick() / gpuClockPeriod;
     s.numGpuCus = gpus.size();
     return s;
 }
@@ -688,24 +550,11 @@ System::memBackendOf(NodeId node)
 void
 System::dumpDiagnostics(std::ostream &os) const
 {
-    os << "--- system state (tick " << engine->now() << ") ---\n";
-    if (engine->serial()) {
-        const EventQueue &eq = engine->queue(0);
-        os << "  event queue: " << eq.size() << " pending event(s)";
-        if (eq.size() > 0)
-            os << ", next at tick " << eq.nextTick();
-        os << "\n";
-    } else {
-        os << "  event queues (" << engine->numTiles() << " tiles): "
-           << engine->totalPending() << " pending event(s)\n";
-        for (unsigned t = 0; t < engine->numTiles(); ++t) {
-            const EventQueue &eq = engine->queue(t);
-            if (eq.size() == 0)
-                continue;
-            os << "    tile " << t << ": " << eq.size()
-               << " pending, next at tick " << eq.nextTick() << "\n";
-        }
-    }
+    os << "--- system state (tick " << eq.curTick() << ") ---\n";
+    os << "  event queue: " << eq.size() << " pending event(s)";
+    if (eq.size() > 0)
+        os << ", next at tick " << eq.nextTick();
+    os << "\n";
     fabric.dumpState(os);
     os << "  router channel reservations (busy-until tick):\n";
     static const char *dirName[] = {"N", "S", "E", "W", "L"};
@@ -784,23 +633,10 @@ System::saveSnapshot(SnapshotWriter &w) const
         w.endSection();
     }
 
-    // Engine clock: one aggregate section regardless of sharding, so
-    // a serially-taken checkpoint restores into a sharded System (and
-    // vice versa).  Per-tile wheel/far/peak split is observability
-    // only and legitimately differs across modes.
+    // Event-queue clock and observability counters.
     {
         w.beginSection("engine");
-        EventQueue::ClockState s = engine->queue(0).clockState();
-        s.curTick = engine->now();
-        for (unsigned t = 1; t < engine->numTiles(); ++t) {
-            const auto q = engine->queue(t).clockState();
-            s.lastEventTick = std::max(s.lastEventTick,
-                                       q.lastEventTick);
-            s.executed += q.executed;
-            s.peakLive = std::max(s.peakLive, q.peakLive);
-            s.wheelInserts += q.wheelInserts;
-            s.farInserts += q.farInserts;
-        }
+        const EventQueue::ClockState s = eq.clockState();
         w.u64(s.curTick);
         w.u64(s.lastEventTick);
         w.u64(s.nextSeq);
@@ -904,7 +740,7 @@ System::validateConfigDeltas(SnapshotReader &r, DeltaMask declared,
         "snapshot configuration hash mismatch: snapshot was taken "
         "with config hash 0x",
         std::hex, r.configHash(), " but this system's is 0x", want,
-        std::dec, " (always-excepted fields: shards, verify)");
+        std::dec, " (always-excepted fields: verify)");
 
     if (!r.hasSection("cfgid")) {
         fatal(prefix, "; the snapshot carries no 'cfgid' section, so "
@@ -1007,13 +843,7 @@ System::restoreSnapshot(SnapshotReader &r, DeltaMask declared)
         s.wheelInserts = r.u64();
         s.farInserts = r.u64();
         r.closeSection();
-        // Every tile's clock moves to the checkpoint tick (setTime
-        // re-anchors each calendar wheel there); the phase-hub queue
-        // additionally carries the aggregate counters and the event
-        // sequence number.
-        for (unsigned t = 1; t < engine->numTiles(); ++t)
-            engine->queue(t).setTime(s.curTick);
-        engine->queue(0).restoreClock(s);
+        eq.restoreClock(s);
     }
 
     r.openSection("mem");
@@ -1128,7 +958,7 @@ System::writeSnapshotFile(const std::string &path,
 {
     SnapshotWriter w;
     w.configHash = snapshotConfigHash(cfg);
-    w.tick = engine->now();
+    w.tick = eq.curTick();
     w.phaseCursor = next_phase;
     w.workload = wl.name;
     saveSnapshot(w);
@@ -1159,7 +989,7 @@ System::writeCheckpoint(const RunControl &ctl,
     std::string path = ctl.checkpointDir;
     if (!path.empty() && path.back() != '/')
         path += '/';
-    path += "CKPT_" + label + "@" + std::to_string(engine->now()) +
+    path += "CKPT_" + label + "@" + std::to_string(eq.curTick()) +
             ".snap";
     writeSnapshotFile(path, wl, next_phase, baseline_captured,
                       baseline);

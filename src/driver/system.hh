@@ -10,13 +10,9 @@
  * coherent with the stash-extended DeNovo protocol through the shared
  * LLC.
  *
- * Execution engine: all components schedule on a ShardEngine.  With
- * cfg.shards == 1 (the default) the engine is a single event queue
- * and runs exactly the classic serial kernel.  With cfg.shards > 1
- * every mesh tile gets its own queue and the tiles advance in
- * lock-step quanta bounded by the NoC's minimum cross-tile latency;
- * cross-tile messages flow through the Fabric's canonical mailboxes
- * so both modes produce byte-identical artifacts (DESIGN.md §10).
+ * Execution: every component schedules on the System's one event
+ * queue, and a System runs on one thread (sweeps get their
+ * parallelism from running many Systems at once; DESIGN.md §10).
  *
  * A run executes the workload's phases in order, draining all memory
  * activity between phases (the data-race-free synchronization points
@@ -52,7 +48,6 @@
 #include "noc/mesh.hh"
 #include "report/stats_registry.hh"
 #include "sim/event_queue.hh"
-#include "sim/shard_engine.hh"
 #include "sim/simperf.hh"
 #include "snapshot/snapshot.hh"
 #include "workloads/workload.hh"
@@ -163,12 +158,6 @@ struct RunResult
      * workload's final phase; such a run skipped final validation.
      */
     bool truncated = false;
-    /** Shard worker threads the run finished with (1 = serial). */
-    unsigned shardsUsed = 1;
-    /** True when `--shards 0` picked shardsUsed via the cost model. */
-    bool shardsAutoTuned = false;
-    /** Auto-tune's host-independent input (0 unless auto-tuned). */
-    double autoEventsPerQuantum = 0;
 };
 
 /**
@@ -195,8 +184,8 @@ class System
 
     /**
      * Serializes every stateful component into @p w, one section per
-     * component.  Only valid at a drain point (between phases): all
-     * event queues empty, no in-flight coherence activity.
+     * component.  Only valid at a drain point (between phases): the
+     * event queue empty, no in-flight coherence activity.
      */
     void saveSnapshot(SnapshotWriter &w) const;
 
@@ -224,13 +213,8 @@ class System
         return registry;
     }
 
-    /** True when running sharded (one queue per tile, >1 worker). */
-    bool sharded() const { return !engine->serial(); }
-
     /** @{ Component access for tests. */
-    /** The phase-hub queue (tile 0; THE queue in serial mode). */
-    EventQueue &eventQueue() { return engine->queue(0); }
-    ShardEngine &shardEngine() { return *engine; }
+    EventQueue &eventQueue() { return eq; }
     const SimPerf &simPerf() const { return perf; }
     FunctionalMem functionalMem() { return {mem, pageTable}; }
     const SystemConfig &config() const { return cfg; }
@@ -247,7 +231,7 @@ class System
     /** @} */
 
     /**
-     * Structured system-state dump: event queue(s), fabric in-flight
+     * Structured system-state dump: event queue, fabric in-flight
      * counts, router channel reservations, stash maps.  Runs on any
      * panic/fatal while the watchdog is enabled.
      */
@@ -271,23 +255,9 @@ class System
         std::unique_ptr<CpuCore> core;
     };
 
-    /** The queue @p node's components schedule on. */
-    EventQueue &queueFor(NodeId node)
-    {
-        return engine->serial() ? engine->queue(0)
-                                : engine->queue(node);
-    }
-
     void runGpuPhase(Phase &phase);
     void runCpuPhase(Phase &phase, std::vector<std::string> *errors);
     void drain(const char *what = "drain");
-
-    /**
-     * `--shards 0`: after the calibration drain (the first drain that
-     * executed quanta single-worker), feeds the engine's counters to
-     * the cost model and retunes the worker pool (DESIGN.md §16).
-     */
-    void autoTuneShards();
 
     /** Writes one CKPT_<label>@<tick>.snap at the current drain point. */
     void writeCheckpoint(const RunControl &ctl,
@@ -317,21 +287,14 @@ class System
                               bool *gpu_cold, bool *back_cold,
                               bool *llc_remap) const;
 
-    SimPerf::Sources perfSources();
     void registerComponentStats();
 
     SystemConfig cfg;
     EnergyModel energyModel;
     report::StatsRegistry registry;
 
-    /** @{ `--shards 0` auto-tune state (see autoTuneShards()). */
-    bool _autoShards = false; //!< cfg asked for auto and engine is sharded
-    bool _autoTuned = false;  //!< decision already taken this run
-    double _autoEventsPerQuantum = 0;
-    /** @} */
-
     /** Declared before every component: they hold queue references. */
-    std::unique_ptr<ShardEngine> engine;
+    EventQueue eq;
     SimPerf perf;
     Mesh mesh;
     Fabric fabric;
@@ -342,8 +305,8 @@ class System
     std::unique_ptr<ProtocolChecker> _checker;
     std::unique_ptr<Watchdog> _watchdog;
 
-    /** One backend per LLC bank, on that bank's queue; declared
-     *  before the banks, which hold references into it. */
+    /** One backend per LLC bank; declared before the banks, which
+     *  hold references into it. */
     std::vector<std::unique_ptr<MemBackend>> memBackends;
     std::vector<std::unique_ptr<LlcBank>> llcBanks;
     std::vector<GpuNode> gpus;

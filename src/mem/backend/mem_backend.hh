@@ -16,9 +16,8 @@
  *    *later reads*.  This is what makes every backend trivially
  *    deterministic and snapshotable: write cost is arithmetic on
  *    plain counters, never a live event.
- *  - One backend instance serves one LLC bank and schedules only on
- *    that bank's event queue, so sharded runs stay byte-identical to
- *    serial ones (DESIGN.md section 13).
+ *  - One backend instance serves one LLC bank, and its timing state
+ *    is that bank's alone (DESIGN.md section 13).
  *  - snapshot()/restore() run at drain points only.  The LLC
  *    guarantees no fill is outstanding there (no pending read
  *    completions to capture); pending-write bookkeeping is plain

@@ -10,13 +10,18 @@
  * destination object's receive() method.  It also owns the address
  * interleaving of the NUCA LLC (line-granularity, bank = line % 16,
  * one bank per node, per Table 2).
+ *
+ * Sends are staged per source node and routed once per tick, by a
+ * PriInternal flush event, in source-node order (each node's
+ * messages in send order).  Routing order decides which packet gets
+ * a contended channel first, so this order is part of the
+ * simulator's deterministic results (DESIGN.md §10).
  */
 
 #ifndef STASHSIM_MEM_FABRIC_HH
 #define STASHSIM_MEM_FABRIC_HH
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
@@ -49,7 +54,11 @@ class MemObject
 class Fabric
 {
   public:
-    explicit Fabric(Mesh &mesh) : mesh(mesh), objects(mesh.numNodes()) {}
+    explicit Fabric(Mesh &mesh)
+        : mesh(mesh), eq(mesh.eventQueue()), objects(mesh.numNodes()),
+          staged(mesh.numNodes())
+    {
+    }
 
     /** Registers @p obj as the @p unit at @p node. */
     void registerObject(NodeId node, Unit unit, MemObject *obj);
@@ -67,33 +76,17 @@ class Fabric
         return NodeId((line_pa / lineBytes) % mesh.numNodes());
     }
 
-    /** Sends @p msg from @p src to the @p unit at @p dst. */
+    /**
+     * Sends @p msg from @p src to the @p unit at @p dst: stages it in
+     * @p src's mailbox and makes sure a flush event is pending for
+     * the current tick.
+     */
     void send(NodeId src, NodeId dst, Unit unit, Msg msg);
 
     /**
-     * Binds the per-node event queues and switches sends to the
-     * canonical deferred path: a send is staged in a per-source
-     * mailbox at the sender's current tick, and flushStaged() later
-     * routes every staged message in canonical (tick, src-node,
-     * per-src order) order.  Routing order is what channel
-     * reservations (and therefore packet timing) depend on, so
-     * fixing it canonically makes serial and sharded runs take
-     * identical reservations — the heart of the cross-mode
-     * determinism contract (DESIGN.md section 10).
-     *
-     * In serial mode (@p sharded false) every entry of @p queues is
-     * the same queue and the Fabric keeps itself flushed by
-     * scheduling a PriInternal event at each staging tick.  In
-     * sharded mode the engine calls flushStaged() at every quantum
-     * barrier instead.  An unbound Fabric (unit tests) routes
-     * immediately at send time.
-     */
-    void bindQueues(std::vector<EventQueue *> queues, bool sharded);
-
-    /**
-     * Routes and schedules every staged message in canonical order.
-     * Single-threaded: runs at a tick boundary (serial) or a quantum
-     * barrier with all shard workers parked (sharded).
+     * Routes every staged message, source nodes in order and each
+     * node's messages in send order, and schedules the deliveries.
+     * The per-tick flush event calls this.
      */
     void flushStaged();
 
@@ -119,8 +112,7 @@ class Fabric
     std::uint64_t
     inFlight(MsgType t) const
     {
-        return _sent[unsigned(t)].load(std::memory_order_relaxed) -
-               _delivered[unsigned(t)].load(std::memory_order_relaxed);
+        return _sent[unsigned(t)] - _delivered[unsigned(t)];
     }
 
     /** Total messages sent but not yet delivered. */
@@ -132,23 +124,15 @@ class Fabric
     /** True when no staged message awaits a flush (drain invariant). */
     bool stagedEmpty() const;
 
-    /** @{ Flush-path counters (tests + perf triage).  A flush with
-     * nothing staged counts in none of them; the three path counters
-     * partition flushCount(). */
+    /** Flushes that routed at least one message (perf triage). */
     std::uint64_t flushCount() const { return _flushes; }
-    std::uint64_t flushSingleSource() const { return _flushSingleSource; }
-    std::uint64_t flushUniformTick() const { return _flushUniformTick; }
-    std::uint64_t flushMerged() const { return _flushMerged; }
-    /** Defensive fallback: per-source ticks arrived out of order. */
-    std::uint64_t flushResorted() const { return _flushResorted; }
-    /** @} */
 
     /**
      * Serializes the sent/delivered counters.  Structural state
-     * (object registrations, bound queues) is rebuilt by constructing
-     * the System; staged mailboxes are empty at every drain point and
-     * the serial-mode flush arm always resolves within the staging
-     * tick, so neither needs serializing.
+     * (object registrations) is rebuilt by constructing the System;
+     * staged mailboxes are empty at every drain point and the flush
+     * arm always resolves within the staging tick, so neither needs
+     * serializing.
      */
     void snapshot(SnapshotWriter &w) const;
 
@@ -168,59 +152,32 @@ class Fabric
     /** Hands one (possibly perturbed) message to the send path. */
     void dispatch(NodeId src, NodeId dst, MemObject *target, Msg msg);
 
-    /** Routes one staged message and schedules its delivery. */
-    void deliverStaged(NodeId src, Staged &e);
-
-    /** Serial mode: ensures a flush event is pending for tick @p t. */
+    /** Ensures a flush event is pending for tick @p t. */
     void armFlush(Tick t);
 
     Mesh &mesh;
+    EventQueue &eq; //!< the mesh's queue
     /** Registered objects, indexed [node][unit]; null where none. */
     std::vector<std::array<MemObject *, numUnits>> objects;
     std::vector<NodeId> coreNodes;
 
     /**
-     * One source node's staging arena.  The entries vector is a bump
-     * arena in the allocator sense: cleared (not deallocated) at
-     * every flush, so after warm-up a quantum's staging does no heap
-     * allocation at all — messages bump-append into retained
-     * capacity.  `ordered` tracks whether ticks are non-decreasing in
-     * staging order; a source's queue time never runs backwards, so
-     * it stays true in practice and flushStaged() can merge the
-     * mailboxes without sorting (DESIGN.md section 16).
+     * Per-source-node mailboxes.  Each is cleared (not deallocated)
+     * at every flush, so after warm-up staging does no heap
+     * allocation: messages append into retained capacity.
      */
-    struct Mailbox
-    {
-        std::vector<Staged> entries;
-        bool ordered = true;
-    };
-
-    /** Empty until bindQueues(): immediate (legacy) send path. */
-    std::vector<EventQueue *> tileQueues;
-    bool shardedMode = false;
-    std::vector<Mailbox> staged; //!< per source node
+    std::vector<std::vector<Staged>> staged;
 
     static constexpr Tick noFlush = ~Tick{0};
     Tick flushArmedFor = noFlush;
 
-    /** Merge scratch (one cursor per source); capacity retained. */
-    std::vector<std::size_t> cursors;
-
     std::uint64_t _flushes = 0;
-    std::uint64_t _flushSingleSource = 0;
-    std::uint64_t _flushUniformTick = 0;
-    std::uint64_t _flushMerged = 0;
-    std::uint64_t _flushResorted = 0;
 
     FaultInjector *injector = nullptr;
     DropFilter dropFilter;
     std::uint64_t droppedMsgs = 0;
-    /**
-     * Commutative counters, atomic because sharded tiles send and
-     * receive concurrently; totals are order-independent.
-     */
-    std::array<std::atomic<std::uint64_t>, numMsgTypes> _sent{};
-    std::array<std::atomic<std::uint64_t>, numMsgTypes> _delivered{};
+    std::array<std::uint64_t, numMsgTypes> _sent{};
+    std::array<std::uint64_t, numMsgTypes> _delivered{};
 };
 
 } // namespace stashsim

@@ -14,27 +14,22 @@ MainMemory::MainMemory()
 {
     // Typical quick-scale working sets touch a few hundred lines;
     // reserving up front keeps the hot-path inserts rehash-free.
-    for (Stripe &s : stripes)
-        s.lines.reserve(64);
+    lines.reserve(64 * 64);
 }
 
 LineData
 MainMemory::readLine(PhysAddr line_pa) const
 {
     sim_assert(line_pa % lineBytes == 0);
-    Stripe &s = stripeOf(line_pa);
-    std::lock_guard<std::mutex> g(s.mu);
-    auto it = s.lines.find(line_pa);
-    return it == s.lines.end() ? LineData{} : it->second;
+    auto it = lines.find(line_pa);
+    return it == lines.end() ? LineData{} : it->second;
 }
 
 void
 MainMemory::writeLine(PhysAddr line_pa, WordMask mask, const LineData &d)
 {
     sim_assert(line_pa % lineBytes == 0);
-    Stripe &s = stripeOf(line_pa);
-    std::lock_guard<std::mutex> g(s.mu);
-    LineData &line = s.lines[line_pa];
+    LineData &line = lines[line_pa];
     for (unsigned w = 0; w < wordsPerLine; ++w) {
         if (mask & wordBit(w))
             line.w[w] = d.w[w];
@@ -45,21 +40,15 @@ std::uint32_t
 MainMemory::readWord(PhysAddr pa) const
 {
     sim_assert(pa % wordBytes == 0);
-    const PhysAddr line_pa = lineBase(pa);
-    Stripe &s = stripeOf(line_pa);
-    std::lock_guard<std::mutex> g(s.mu);
-    auto it = s.lines.find(line_pa);
-    return it == s.lines.end() ? 0 : it->second.w[lineWord(pa)];
+    auto it = lines.find(lineBase(pa));
+    return it == lines.end() ? 0 : it->second.w[lineWord(pa)];
 }
 
 void
 MainMemory::writeWord(PhysAddr pa, std::uint32_t value)
 {
     sim_assert(pa % wordBytes == 0);
-    const PhysAddr line_pa = lineBase(pa);
-    Stripe &s = stripeOf(line_pa);
-    std::lock_guard<std::mutex> g(s.mu);
-    s.lines[line_pa].w[lineWord(pa)] = value;
+    lines[lineBase(pa)].w[lineWord(pa)] = value;
 }
 
 void
@@ -69,11 +58,8 @@ MainMemory::snapshot(SnapshotWriter &w) const
     // touched, never on insertion order; sorting by line address makes
     // the serialized form canonical so byte-identical simulated state
     // yields byte-identical snapshots.
-    std::vector<std::pair<PhysAddr, LineData>> all;
-    for (const Stripe &s : stripes) {
-        std::lock_guard<std::mutex> g(s.mu);
-        all.insert(all.end(), s.lines.begin(), s.lines.end());
-    }
+    std::vector<std::pair<PhysAddr, LineData>> all(lines.begin(),
+                                                   lines.end());
     std::sort(all.begin(), all.end(),
               [](const auto &a, const auto &b) { return a.first < b.first; });
     w.u64(all.size());
@@ -87,10 +73,7 @@ MainMemory::snapshot(SnapshotWriter &w) const
 void
 MainMemory::restore(SnapshotReader &r)
 {
-    for (Stripe &s : stripes) {
-        std::lock_guard<std::mutex> g(s.mu);
-        s.lines.clear();
-    }
+    lines.clear();
     const std::uint64_t n = r.u64();
     for (std::uint64_t i = 0; i < n; ++i) {
         const PhysAddr pa = r.u64();
@@ -98,21 +81,14 @@ MainMemory::restore(SnapshotReader &r)
         LineData line;
         for (unsigned j = 0; j < wordsPerLine; ++j)
             line.w[j] = r.u32();
-        Stripe &s = stripeOf(pa);
-        std::lock_guard<std::mutex> g(s.mu);
-        s.lines.emplace(pa, line);
+        lines.emplace(pa, line);
     }
 }
 
 std::size_t
 MainMemory::linesTouched() const
 {
-    std::size_t n = 0;
-    for (const Stripe &s : stripes) {
-        std::lock_guard<std::mutex> g(s.mu);
-        n += s.lines.size();
-    }
-    return n;
+    return lines.size();
 }
 
 } // namespace stashsim

@@ -8,13 +8,6 @@
  * on first touch), so arbitrarily placed workload data costs only
  * what it uses.
  *
- * The image is striped by line address into independently locked
- * sub-maps: the LLC banks own disjoint address slices, but in sharded
- * mode they populate the sparse store concurrently, and an
- * unordered_map cannot take inserts from two threads.  The final map
- * contents depend only on which lines were touched, never on order,
- * so striping does not affect determinism.
- *
  * DRAM traffic does not cross the mesh in this model (the paper's
  * Figure 5d counts NoC flit crossings; memory-controller links are
  * outside that accounting), and DRAM access energy is likewise
@@ -24,7 +17,6 @@
 #ifndef STASHSIM_MEM_MAIN_MEMORY_HH
 #define STASHSIM_MEM_MAIN_MEMORY_HH
 
-#include <mutex>
 #include <unordered_map>
 
 #include "mem/line.hh"
@@ -66,21 +58,7 @@ class MainMemory
     std::size_t linesTouched() const;
 
   private:
-    static constexpr std::size_t numStripes = 64;
-
-    struct Stripe
-    {
-        std::unordered_map<PhysAddr, LineData> lines;
-        mutable std::mutex mu;
-    };
-
-    Stripe &
-    stripeOf(PhysAddr line_pa) const
-    {
-        return stripes[(line_pa / lineBytes) % numStripes];
-    }
-
-    mutable Stripe stripes[numStripes];
+    std::unordered_map<PhysAddr, LineData> lines;
 };
 
 } // namespace stashsim

@@ -42,7 +42,6 @@ PhysAddr
 PageTable::translate(Addr va)
 {
     const Addr vpage = pageBase(va);
-    std::lock_guard<std::mutex> g(mu);
     auto it = vToP.find(vpage);
     if (it == vToP.end()) {
         const PhysAddr ppage =
@@ -62,7 +61,6 @@ bool
 PageTable::lookup(Addr va, PhysAddr *pa) const
 {
     const Addr vpage = pageBase(va);
-    std::lock_guard<std::mutex> g(mu);
     auto it = vToP.find(vpage);
     if (it == vToP.end())
         return false;
@@ -74,7 +72,6 @@ bool
 PageTable::reverse(PhysAddr pa, Addr *va) const
 {
     const PhysAddr ppage = pa & ~PhysAddr{pageBytes - 1};
-    std::lock_guard<std::mutex> g(mu);
     auto it = pToV.find(ppage);
     if (it == pToV.end())
         return false;
@@ -85,7 +82,6 @@ PageTable::reverse(PhysAddr pa, Addr *va) const
 void
 PageTable::snapshot(SnapshotWriter &w) const
 {
-    std::lock_guard<std::mutex> g(mu);
     std::vector<std::pair<Addr, PhysAddr>> pairs(vToP.begin(), vToP.end());
     std::sort(pairs.begin(), pairs.end());
     w.u64(pairs.size());
@@ -98,7 +94,6 @@ PageTable::snapshot(SnapshotWriter &w) const
 void
 PageTable::restore(SnapshotReader &r)
 {
-    std::lock_guard<std::mutex> g(mu);
     vToP.clear();
     pToV.clear();
     const std::uint64_t n = r.u64();

@@ -10,14 +10,13 @@
  * (physical-to-virtual) translation honest: it cannot be faked by
  * arithmetic on the physical address.  Unlike bump ("first-touch
  * order") allocation, the assignment depends only on the page itself,
- * so serial and sharded runs — which first-touch pages in different
- * orders — produce identical address maps.
+ * so a page's physical address never depends on which component
+ * touched it first (a workload's init, a CPU or a GPU access).
  */
 
 #ifndef STASHSIM_MEM_PAGE_TABLE_HH
 #define STASHSIM_MEM_PAGE_TABLE_HH
 
-#include <mutex>
 #include <unordered_map>
 
 #include "sim/types.hh"
@@ -30,8 +29,7 @@ class SnapshotReader;
 
 /**
  * Virtual-to-physical page mapping with order-independent,
- * hash-assigned physical pages.  Thread-safe: shards translate
- * concurrently on TLB misses.
+ * hash-assigned physical pages.
  */
 class PageTable
 {
@@ -55,12 +53,7 @@ class PageTable
     bool reverse(PhysAddr pa, Addr *va) const;
 
     /** Number of mapped pages. */
-    std::size_t
-    numPages() const
-    {
-        std::lock_guard<std::mutex> g(mu);
-        return vToP.size();
-    }
+    std::size_t numPages() const { return vToP.size(); }
 
     /** Serializes the mapping, sorted by virtual page. */
     void snapshot(SnapshotWriter &w) const;
@@ -71,7 +64,6 @@ class PageTable
   private:
     std::unordered_map<Addr, PhysAddr> vToP; //!< page -> page base
     std::unordered_map<PhysAddr, Addr> pToV;
-    mutable std::mutex mu;
 };
 
 } // namespace stashsim

@@ -45,20 +45,6 @@ struct MeshParams
      * per flit crossing, this only affects serialization time.
      */
     unsigned flitsPerCycle = 4;
-
-    /**
-     * Lower bound on any packet's send-to-delivery latency, in ticks:
-     * even a same-node message pays one router pipeline traversal
-     * plus one flit group on the ejection port.  This is the sharded
-     * engine's conservative lookahead — within a quantum of this
-     * length no shard can observe another shard's sends, so shards
-     * may advance that far without synchronizing.
-     */
-    Tick
-    minLatencyTicks() const
-    {
-        return (routerCycles + linkCycles) * gpuClockPeriod;
-    }
 };
 
 /**
@@ -70,6 +56,9 @@ class Mesh
     using DeliverFn = std::function<void()>;
 
     Mesh(EventQueue &eq, const MeshParams &p);
+
+    /** The queue deliveries are scheduled on. */
+    EventQueue &eventQueue() const { return eq; }
 
     unsigned numNodes() const { return params.width * params.height; }
 
@@ -93,12 +82,11 @@ class Mesh
     /**
      * Times a packet injected at @p send_tick: walks the XY route,
      * reserves every traversed channel, charges traffic counters, and
-     * returns the arrival tick (>= send_tick + params.minLatencyTicks())
-     * without scheduling anything.  The Fabric's canonical flush path
-     * uses this so it can route packets in a fixed global order and
-     * place the delivery on the destination tile's queue itself.
-     * NOT thread-safe: callers serialize (flushes run single-threaded
-     * at tick/quantum boundaries).
+     * returns the arrival tick (at least one router pipeline plus one
+     * flit group after @p send_tick) without scheduling anything.
+     * The Fabric's per-tick flush uses this to route its staged
+     * packets in source-node order and schedule the deliveries
+     * itself.
      */
     Tick route(NodeId src, NodeId dst, unsigned payload_bytes,
                MsgClass cls, Tick send_tick);

@@ -180,6 +180,7 @@ struct Parser
 {
     const std::string &text;
     std::size_t pos = 0;
+    unsigned depth = 0; //!< arrays/objects currently open
     std::string err;
 
     explicit Parser(const std::string &t) : text(t) {}
@@ -306,6 +307,54 @@ struct Parser
         return true;
     }
 
+    /** The rest of an array, after its '['. */
+    bool
+    parseArray(JsonValue &out)
+    {
+        out = JsonValue::array();
+        skipWs();
+        if (consume(']'))
+            return true;
+        while (true) {
+            JsonValue item;
+            if (!parseValue(item))
+                return false;
+            out.push(std::move(item));
+            if (consume(','))
+                continue;
+            if (consume(']'))
+                return true;
+            return fail("expected ',' or ']'");
+        }
+    }
+
+    /** The rest of an object, after its '{'. */
+    bool
+    parseObject(JsonValue &out)
+    {
+        out = JsonValue::object();
+        skipWs();
+        if (consume('}'))
+            return true;
+        while (true) {
+            skipWs();
+            std::string key;
+            if (!parseString(key))
+                return false;
+            if (!consume(':'))
+                return fail("expected ':'");
+            JsonValue member;
+            if (!parseValue(member))
+                return false;
+            out[key] = std::move(member);
+            if (consume(','))
+                continue;
+            if (consume('}'))
+                return true;
+            return fail("expected ',' or '}'");
+        }
+    }
+
     bool
     parseValue(JsonValue &out)
     {
@@ -326,47 +375,17 @@ struct Parser
             out = JsonValue{std::move(s)};
             return true;
         }
-        if (c == '[') {
-            ++pos;
-            out = JsonValue::array();
-            skipWs();
-            if (consume(']'))
-                return true;
-            while (true) {
-                JsonValue item;
-                if (!parseValue(item))
-                    return false;
-                out.push(std::move(item));
-                if (consume(','))
-                    continue;
-                if (consume(']'))
-                    return true;
-                return fail("expected ',' or ']'");
+        if (c == '[' || c == '{') {
+            if (depth == JsonValue::maxParseDepth) {
+                return fail("nesting deeper than " +
+                            std::to_string(JsonValue::maxParseDepth) +
+                            " levels");
             }
-        }
-        if (c == '{') {
             ++pos;
-            out = JsonValue::object();
-            skipWs();
-            if (consume('}'))
-                return true;
-            while (true) {
-                skipWs();
-                std::string key;
-                if (!parseString(key))
-                    return false;
-                if (!consume(':'))
-                    return fail("expected ':'");
-                JsonValue member;
-                if (!parseValue(member))
-                    return false;
-                out[key] = std::move(member);
-                if (consume(','))
-                    continue;
-                if (consume('}'))
-                    return true;
-                return fail("expected ',' or '}'");
-            }
+            ++depth;
+            const bool ok = c == '[' ? parseArray(out) : parseObject(out);
+            --depth;
+            return ok;
         }
         // Number.
         std::size_t start = pos;

@@ -132,8 +132,17 @@ class JsonValue
     std::string dump() const;
 
     /**
+     * Deepest array/object nesting parse() accepts.  The simulator's
+     * own documents nest fewer than ten levels; the bound keeps a
+     * hostile file (a farm lease of 200,000 '[') from overflowing the
+     * recursive-descent parser's stack.
+     */
+    static constexpr unsigned maxParseDepth = 256;
+
+    /**
      * Parses @p text into @p out.
-     * @return false (with a message in @p err) on malformed input.
+     * @return false (with a message in @p err) on malformed input,
+     * including nesting deeper than maxParseDepth.
      */
     static bool parse(const std::string &text, JsonValue &out,
                       std::string &err);

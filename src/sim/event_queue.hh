@@ -215,11 +215,11 @@ class EventQueue
         PriDefault = 0,
         PriStats = 10, //!< end-of-phase bookkeeping after everything
         /**
-         * Engine bookkeeping (e.g. the Fabric's per-tick NoC flush in
-         * serial mode).  Runs after every model event of the tick and
-         * is excluded from eventsExecuted(), so serial and sharded
-         * runs — which have no such events — report identical event
-         * counts in the deterministic artifacts.
+         * Bookkeeping outside the model (the Fabric's per-tick NoC
+         * flush, the watchdog's polls).  Runs after every model event
+         * of the tick and is excluded from eventsExecuted() and
+         * lastEventTick(), so the deterministic event counts and the
+         * drain-end time describe the model alone.
          */
         PriInternal = std::numeric_limits<int>::max(),
     };
@@ -234,21 +234,21 @@ class EventQueue
     Tick curTick() const { return _curTick; }
 
     /**
-     * Tick of the most recently executed event (0 before any).
-     * Unlike curTick(), a bounded run() does not advance this, so a
-     * sharded engine can tell "real" simulated progress apart from
-     * quantum-bound bookkeeping when aligning shard clocks.
+     * Tick of the most recently executed model event (0 before any).
+     * Unlike curTick(), neither a bounded run() nor a PriInternal
+     * event advances this, so after a drain it is the tick the model
+     * actually finished at.
      */
     Tick lastEventTick() const { return _lastEventTick; }
 
     /**
      * Force-sets the current time on an EMPTY queue (forward or
-     * backward, but never before lastEventTick()).  The sharded
-     * engine uses this at drain completion to align every shard's
-     * clock to the global last-event tick: a bounded run() on an idle
-     * shard advances curTick to the quantum bound, which may overshoot
-     * the serial drain time that controller-context code (phase
-     * boundaries, next-phase scheduling) must observe.
+     * backward, but never before lastEventTick()).  Restore uses it
+     * to move a fresh queue to the checkpoint tick, and the driver
+     * uses it at drain completion to move the clock back to
+     * lastEventTick() when a trailing watchdog poll ran past it, so
+     * controller-context code (phase boundaries, next-phase
+     * scheduling) observes the tick the model finished at.
      */
     void setTime(Tick t);
 

@@ -1,36 +1,19 @@
 #include "sim/simperf.hh"
 
-#include "sim/log.hh"
-
 namespace stashsim
 {
 
-SimPerf::SimPerf(Sources sources) : src(std::move(sources))
+SimPerf::SimPerf(const EventQueue &eq) : eq(eq)
 {
-    sim_assert(src.events && src.tick);
     runBegin();
-}
-
-SimPerf::SimPerf(const EventQueue &eq)
-    : SimPerf(Sources{
-          [&eq] { return eq.eventsExecuted(); },
-          [&eq] { return eq.curTick(); },
-          [&eq] {
-              return QueueShape{eq.peakLiveEvents(),
-                                eq.poolChunksAllocated(),
-                                eq.wheelInserts(), eq.farInserts()};
-          },
-          nullptr, // no engine breakdown for a bare queue
-      })
-{
 }
 
 void
 SimPerf::runBegin()
 {
     start = HostClock::now();
-    eventsAtStart = src.events();
-    tickAtStart = src.tick();
+    eventsAtStart = eq.eventsExecuted();
+    tickAtStart = eq.curTick();
     open = false;
     phases.clear();
 }
@@ -51,7 +34,7 @@ SimPerf::phaseBegin(const char *, Tick)
 {
     open = true;
     openStart = HostClock::now();
-    openEvents = src.events();
+    openEvents = eq.eventsExecuted();
 }
 
 void
@@ -62,7 +45,7 @@ SimPerf::phaseEnd(const char *name, Tick)
     open = false;
     SimPerfPhase &p = phaseTotals(name);
     ++p.count;
-    p.events += src.events() - openEvents;
+    p.events += eq.eventsExecuted() - openEvents;
     p.hostSeconds +=
         std::chrono::duration<double>(HostClock::now() - openStart)
             .count();
@@ -72,13 +55,11 @@ SimPerfSummary
 SimPerf::summary() const
 {
     SimPerfSummary s;
-    s.events = src.events() - eventsAtStart;
-    s.simTicks = src.tick() - tickAtStart;
+    s.events = eq.eventsExecuted() - eventsAtStart;
+    s.simTicks = eq.curTick() - tickAtStart;
     s.hostSeconds = hostSecondsNow();
-    if (src.shape)
-        s.shape = src.shape();
-    if (src.engine)
-        s.engine = src.engine();
+    s.shape = QueueShape{eq.peakLiveEvents(), eq.poolChunksAllocated(),
+                         eq.wheelInserts(), eq.farInserts()};
     s.phases = phases;
     return s;
 }
@@ -93,7 +74,7 @@ SimPerf::hostSecondsNow() const
 double
 SimPerf::eventsNow() const
 {
-    return double(src.events() - eventsAtStart);
+    return double(eq.eventsExecuted() - eventsAtStart);
 }
 
 double
@@ -107,7 +88,7 @@ double
 SimPerf::ticksPerHostSecNow() const
 {
     const double secs = hostSecondsNow();
-    return secs > 0 ? double(src.tick() - tickAtStart) / secs : 0;
+    return secs > 0 ? double(eq.curTick() - tickAtStart) / secs : 0;
 }
 
 } // namespace stashsim

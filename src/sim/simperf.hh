@@ -5,16 +5,14 @@
  * The simulator's own performance — how fast the host executes
  * simulated events — was previously guessed from wall-clock runs of
  * the bench suite.  SimPerf measures it: attached to the driver's
- * phase-hub EventQueue as a PhaseListener, it samples host time
- * (steady_clock) and the engine's cumulative event counter at every
- * phase boundary, and aggregates per-phase-name totals plus whole-run
- * events/sec and sim-ticks per host-second.
+ * EventQueue as a PhaseListener, it samples host time (steady_clock)
+ * and the queue's cumulative event counter at every phase boundary,
+ * and aggregates per-phase-name totals plus whole-run events/sec and
+ * sim-ticks per host-second.
  *
- * The counters are read through sampler functions, not a fixed queue
- * reference: a serial run samples its one EventQueue, a sharded run
- * samples the ShardEngine's per-tile aggregate.  Queue-shape counters
- * (peak live events, pool chunks, wheel vs far-heap insert split) ride
- * along so queue tuning is measured rather than guessed.
+ * Queue-shape counters (peak live events, pool chunks, wheel vs
+ * far-heap insert split) ride along so queue tuning is measured
+ * rather than guessed.
  *
  * The System driver owns one SimPerf per run and copies its summary
  * into RunResult::perf; stashbench rolls the per-run summaries into
@@ -30,12 +28,10 @@
 
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "sim/event_queue.hh"
-#include "sim/shard_engine.hh"
 #include "sim/types.hh"
 
 namespace stashsim
@@ -50,10 +46,7 @@ struct SimPerfPhase
     double hostSeconds = 0;   //!< host wall-clock spent inside them
 };
 
-/**
- * Event-pool/queue-shape snapshot (lifetime counters; sharded runs
- * aggregate across tiles — peak is a max, the rest are sums).
- */
+/** Event-pool/queue-shape snapshot (lifetime counters). */
 struct QueueShape
 {
     std::uint64_t peakLiveEvents = 0;
@@ -69,10 +62,6 @@ struct SimPerfSummary
     Tick simTicks = 0;        //!< simulated ticks covered by the run
     double hostSeconds = 0;   //!< host wall-clock of the whole run
     QueueShape shape;         //!< queue-shape counters at summary time
-    /** Engine drain-loop wall-clock split (exec vs barrier vs flush,
-     * per-shard lanes); zero-valued for serial engines except
-     * execNs.  Host timings, so BENCH_simperf.json only. */
-    EngineBreakdown engine;
     std::vector<SimPerfPhase> phases; //!< first-seen name order
 
     double
@@ -89,23 +78,11 @@ struct SimPerfSummary
 };
 
 /**
- * Measures one simulation engine; see file comment.
+ * Measures one event queue; see file comment.
  */
 class SimPerf : public PhaseListener
 {
   public:
-    /** Counter sources; called only from controller context. */
-    struct Sources
-    {
-        std::function<std::uint64_t()> events;
-        std::function<Tick()> tick;
-        std::function<QueueShape()> shape; //!< may be null
-        std::function<EngineBreakdown()> engine; //!< may be null
-    };
-
-    explicit SimPerf(Sources sources);
-
-    /** Convenience: measures a single queue directly. */
     explicit SimPerf(const EventQueue &eq);
 
     /**
@@ -147,7 +124,7 @@ class SimPerf : public PhaseListener
 
     SimPerfPhase &phaseTotals(const char *name);
 
-    Sources src;
+    const EventQueue &eq;
     HostClock::time_point start;
     std::uint64_t eventsAtStart = 0;
     Tick tickAtStart = 0;

@@ -111,7 +111,7 @@ namespace
  * and tagged with the DeltaGroup it belongs to, or `tagBase` for base
  * fields that no declared delta may ever change.
  *
- * cfg.shards and cfg.verify are intentionally not walked; see the
+ * cfg.verify is intentionally not walked; see the
  * snapshotConfigHash() declaration comment.
  */
 constexpr int tagBase = -1;

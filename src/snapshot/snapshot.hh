@@ -61,10 +61,8 @@ std::uint32_t crc32(const void *data, std::size_t n);
 
 /**
  * Hash of every SystemConfig field that shapes simulated state.
- * `shards` is deliberately excluded — serial and sharded engines are
- * byte-identical by contract, so a serially-taken checkpoint may be
- * restored under any shard count — as is `verify`, whose instruments
- * contribute only an optional snapshot section.
+ * `verify` is deliberately excluded: its instruments contribute only
+ * an optional snapshot section.
  */
 std::uint64_t snapshotConfigHash(const SystemConfig &cfg);
 

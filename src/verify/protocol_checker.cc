@@ -90,7 +90,6 @@ ProtocolChecker::fail(const char *context)
 void
 ProtocolChecker::onStore(PhysAddr pa, std::uint32_t value)
 {
-    std::lock_guard<std::recursive_mutex> g(mu);
     ++_storesSeen;
     golden[pa] = value;
     opaque.erase(pa);
@@ -99,7 +98,6 @@ ProtocolChecker::onStore(PhysAddr pa, std::uint32_t value)
 void
 ProtocolChecker::onOpaqueStore(PhysAddr pa)
 {
-    std::lock_guard<std::recursive_mutex> g(mu);
     golden.erase(pa);
     opaque.insert(pa);
 }
@@ -108,7 +106,6 @@ void
 ProtocolChecker::onFill(const char *unit, CoreId core, PhysAddr pa,
                         std::uint32_t value)
 {
-    std::lock_guard<std::recursive_mutex> g(mu);
     if (opaque.count(pa))
         return;
     auto it = golden.find(pa);
@@ -132,7 +129,6 @@ void
 ProtocolChecker::onSelfInvalidate(const char *unit, CoreId core,
                                   std::uint64_t addr, WordState prior)
 {
-    std::lock_guard<std::recursive_mutex> g(mu);
     if (prior != WordState::Registered)
         return;
     std::ostringstream os;
@@ -146,7 +142,6 @@ ProtocolChecker::onSelfInvalidate(const char *unit, CoreId core,
 void
 ProtocolChecker::onDirtyDataUnderflow(CoreId core, unsigned idx)
 {
-    std::lock_guard<std::recursive_mutex> g(mu);
     std::ostringstream os;
     os << "#DirtyData underflow: stash of core " << core
        << ", map entry " << idx
@@ -162,7 +157,6 @@ ProtocolChecker::onDirtyDataUnderflow(CoreId core, unsigned idx)
 void
 ProtocolChecker::audit(const char *when)
 {
-    std::lock_guard<std::recursive_mutex> g(mu);
     ++_auditsRun;
     const std::size_t before = violations.size();
 
@@ -325,7 +319,6 @@ ProtocolChecker::audit(const char *when)
 void
 ProtocolChecker::checkFinalMemory(const MainMemory &mem)
 {
-    std::lock_guard<std::recursive_mutex> g(mu);
     const std::size_t before = violations.size();
     for (const auto &[pa, value] : golden) {
         if (opaque.count(pa))
@@ -346,7 +339,6 @@ ProtocolChecker::checkFinalMemory(const MainMemory &mem)
 void
 ProtocolChecker::snapshot(SnapshotWriter &w) const
 {
-    std::lock_guard<std::recursive_mutex> g(mu);
     w.u64(_storesSeen);
     w.u64(_fillsChecked);
     w.u64(_auditsRun);
@@ -368,7 +360,6 @@ ProtocolChecker::snapshot(SnapshotWriter &w) const
 void
 ProtocolChecker::restore(SnapshotReader &r)
 {
-    std::lock_guard<std::recursive_mutex> g(mu);
     _storesSeen = r.u64();
     _fillsChecked = r.u64();
     _auditsRun = r.u64();

@@ -45,7 +45,6 @@
 #define STASHSIM_VERIFY_PROTOCOL_CHECKER_HH
 
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -148,16 +147,6 @@ class ProtocolChecker
   private:
     void violation(std::string what);
     [[noreturn]] void fail(const char *context);
-
-    /**
-     * Serializes the transition hooks: sharded tiles commit stores
-     * and fills concurrently, and the golden image is one shared
-     * map.  Recursive because fail() flushes diagnostic hooks —
-     * including the checker's own dump — while a hook holds the
-     * lock.  The checker is a debug instrument; the serialization
-     * cost is accepted (and zero when the checker is not attached).
-     */
-    mutable std::recursive_mutex mu;
 
     struct PrivateUnit
     {

@@ -35,18 +35,13 @@ Watchdog::beginPhase(const char *what)
     phaseName = what;
     lastProgress = progressCount();
     stalls = 0;
-    armed = true;
-    if (externalChecks)
-        nextCheckAt = 0;
-    else
-        armCheck();
+    armCheck();
 }
 
 void
 Watchdog::endPhase()
 {
     ++generation;
-    armed = false;
 }
 
 void
@@ -67,46 +62,22 @@ Watchdog::check(std::uint64_t gen)
 {
     if (gen != generation)
         return; // stale: armed for an earlier phase
-    observe(eq.size());
-    // Re-arm only while the simulation is still doing something; an
-    // empty queue means the drain is complete (or the driver will
-    // report a hang).
-    if (eq.size() > 0)
-        armCheck();
-}
-
-void
-Watchdog::barrierCheck(Tick now, std::size_t pending)
-{
-    if (!armed)
-        return;
-    if (nextCheckAt == 0) {
-        // First barrier of the phase establishes the cadence; the
-        // watchdog has no tick source of its own in external mode.
-        nextCheckAt = now + cfg.watchdogCheckTicks;
-        return;
-    }
-    if (now < nextCheckAt)
-        return;
-    nextCheckAt = now + cfg.watchdogCheckTicks;
-    observe(pending);
-}
-
-void
-Watchdog::observe(std::size_t pending)
-{
-    const std::uint64_t progress = progressCount();
-    if (progress != lastProgress) {
-        lastProgress = progress;
+    if (_progress != lastProgress) {
+        lastProgress = _progress;
         stalls = 0;
     } else if (++stalls >= cfg.watchdogStallChecks) {
         std::ostringstream os;
         os << "no forward progress in phase '" << phaseName << "' for "
            << stalls << " consecutive checks ("
            << stalls * cfg.watchdogCheckTicks << " ticks); "
-           << pending << " events still pending (livelock?)";
+           << eq.size() << " events still pending (livelock?)";
         trip(os.str());
     }
+    // Re-arm only while the simulation is still doing something; an
+    // empty queue means the drain is complete (or the driver will
+    // report a hang).
+    if (eq.size() > 0)
+        armCheck();
 }
 
 void
@@ -119,7 +90,6 @@ Watchdog::reportHang(const std::string &why)
 void
 Watchdog::trip(const std::string &why)
 {
-    armed = false;
     // fatal() flushes the diagnostic hooks (including ours) before
     // throwing, so the dump precedes the failure.
     fatal("watchdog: ", why);

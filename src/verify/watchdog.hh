@@ -23,7 +23,6 @@
 #ifndef STASHSIM_VERIFY_WATCHDOG_HH
 #define STASHSIM_VERIFY_WATCHDOG_HH
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
@@ -58,30 +57,8 @@ class Watchdog : public PhaseListener
     /** Registers the dump run on any panic/fatal and on a trip. */
     void setDumpFn(DumpFn fn) { dumpFn = std::move(fn); }
 
-    /**
-     * Progress tick: a unit retired work (instruction, op, line).
-     * Relaxed atomic — sharded tiles report concurrently and only
-     * the total matters (it is compared, never ordered).
-     */
-    void progress() { _progress.fetch_add(1, std::memory_order_relaxed); }
-
-    /**
-     * Switches the watchdog to externally driven checks: beginPhase()
-     * stops arming periodic check events on the queue, and the
-     * sharded engine's quantum-barrier hook calls barrierCheck()
-     * instead.  Quantum boundaries are the sharded run's coherent
-     * global drain points: every worker is parked, so the watchdog
-     * sees a consistent snapshot of all tiles.
-     */
-    void setExternalChecks(bool on) { externalChecks = on; }
-
-    /**
-     * Quantum-barrier check (external mode): runs the same stall
-     * logic as the event-based check once per watchdogCheckTicks of
-     * simulated time.  @p now is the quantum end tick, @p pending the
-     * global pending-event count across all tiles.
-     */
-    void barrierCheck(Tick now, std::size_t pending);
+    /** Progress tick: a unit retired work (instruction, op, line). */
+    void progress() { ++_progress; }
 
     /** Arms the watchdog for one phase/drain named @p what. */
     void beginPhase(const char *what);
@@ -104,17 +81,11 @@ class Watchdog : public PhaseListener
      */
     [[noreturn]] void reportHang(const std::string &why);
 
-    std::uint64_t
-    progressCount() const
-    {
-        return _progress.load(std::memory_order_relaxed);
-    }
+    std::uint64_t progressCount() const { return _progress; }
 
   private:
     void armCheck();
     void check(std::uint64_t gen);
-    /** Shared stall accounting; @p pending for the trip message. */
-    void observe(std::size_t pending);
     [[noreturn]] void trip(const std::string &why);
 
     EventQueue &eq;
@@ -122,14 +93,11 @@ class Watchdog : public PhaseListener
     DumpFn dumpFn;
     std::size_t hookId = 0;
 
-    std::atomic<std::uint64_t> _progress{0};
+    std::uint64_t _progress = 0;
     std::uint64_t lastProgress = 0;
     unsigned stalls = 0;
-    bool externalChecks = false;
-    Tick nextCheckAt = 0; //!< external mode: next check due (0 = init)
     /** Invalidates check events armed for earlier phases. */
     std::uint64_t generation = 0;
-    bool armed = false;
     std::string phaseName;
 };
 

@@ -6,7 +6,7 @@
  * every draw is counted, and the stream position serializes into
  * snapshots exactly like the fault injector's RNG (DESIGN.md §11), so
  * a workload generated from (spec, seed) is bit-identical no matter
- * where — serial, sharded, restored mid-sweep, or on a farm worker.
+ * where — fresh, restored mid-sweep, or on a farm worker.
  */
 
 #ifndef STASHSIM_WORKLOADS_SYNTHETIC_SYNTH_ENGINE_HH

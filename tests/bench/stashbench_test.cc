@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -373,15 +372,12 @@ TEST(StashbenchSchemaTest, SimperfDocumentRecordsEngineShape)
     const BenchInfo *bench = findBench("fig5");
     ASSERT_NE(bench, nullptr);
     SimperfCollector simperf;
-    simperf.shards = 4;
     BenchContext ctx;
     ctx.scale = workloads::Scale::Smoke;
-    ctx.shards = 4;
     ctx.simperf = &simperf;
     bench->run(ctx);
 
     const JsonValue doc = simperf.toJson("smoke", 1.0);
-    EXPECT_EQ(doc.find("shards")->asNumber(), 4);
     for (const JsonValue *obj :
          {doc.find("totals"), &doc.find("benches")->at(0)}) {
         const JsonValue *shape = obj->find("queueShape");
@@ -394,133 +390,13 @@ TEST(StashbenchSchemaTest, SimperfDocumentRecordsEngineShape)
 }
 
 /**
- * The `--shards N` artifact-parity contract at the bench level: the
- * fig5 document produced by the sharded engine must be byte-identical
- * to the serial one (same dump(), hence same file bytes).
- */
-TEST(StashbenchParityTest, Fig5ArtifactIsByteIdenticalAcrossEngines)
-{
-    const BenchInfo *bench = findBench("fig5");
-    ASSERT_NE(bench, nullptr);
-
-    BenchContext serialCtx;
-    serialCtx.scale = workloads::Scale::Smoke;
-    serialCtx.shards = 1;
-    const JsonValue serialDoc = bench->run(serialCtx);
-
-    BenchContext shardedCtx;
-    shardedCtx.scale = workloads::Scale::Smoke;
-    shardedCtx.shards = 4;
-    const JsonValue shardedDoc = bench->run(shardedCtx);
-
-    EXPECT_TRUE(allRunsValidated(serialDoc));
-    EXPECT_TRUE(allRunsValidated(shardedDoc));
-    EXPECT_EQ(serialDoc.dump(), shardedDoc.dump());
-}
-
-/**
- * The same parity contract for the seeded synthetic generators: their
- * RNG streams are drawn at build time, so the sharded engine must
- * reproduce the serial document byte for byte.
- */
-TEST(StashbenchParityTest, SynthArtifactIsByteIdenticalAcrossEngines)
-{
-    const BenchInfo *bench = findBench("synth");
-    ASSERT_NE(bench, nullptr);
-
-    BenchContext serialCtx;
-    serialCtx.scale = workloads::Scale::Smoke;
-    serialCtx.shards = 1;
-    const JsonValue serialDoc = bench->run(serialCtx);
-
-    BenchContext shardedCtx;
-    shardedCtx.scale = workloads::Scale::Smoke;
-    shardedCtx.shards = 4;
-    const JsonValue shardedDoc = bench->run(shardedCtx);
-
-    EXPECT_TRUE(allRunsValidated(serialDoc));
-    EXPECT_TRUE(allRunsValidated(shardedDoc));
-    EXPECT_EQ(serialDoc.dump(), shardedDoc.dump());
-}
-
-/**
- * The scaling bench's document: its own schema (stashsim-scaling-v1),
- * one run per shard-count candidate {1, 2, 4, ..., min(tiles, hw)},
- * and the parity contract re-checked per point ("validated" includes
- * the sharded-counters-match-serial comparison).  Wall-clock fields
- * are host-dependent, so only their presence and signs are asserted.
- */
-TEST(StashbenchSchemaTest, ScalingDocumentIsValid)
-{
-    const JsonValue doc = runBenchThroughFile("scaling");
-    EXPECT_EQ(doc.find("schema")->asString(), "stashsim-scaling-v1");
-    EXPECT_EQ(doc.find("bench")->asString(), "scaling");
-    EXPECT_EQ(doc.find("scale")->asString(), "smoke");
-    EXPECT_EQ(doc.find("config")->asString(), "Stash");
-    ASSERT_NE(doc.find("workloads"), nullptr);
-    EXPECT_EQ(doc.find("workloads")->size(), 2u);
-    const double tiles = doc.find("tiles")->asNumber();
-    EXPECT_GT(tiles, 1);
-    const double hw = doc.find("hwThreads")->asNumber();
-    EXPECT_GE(hw, 1);
-
-    // Expected candidate count: {1} plus powers of two up to and
-    // including min(tiles, hw) when that exceeds 1.
-    const unsigned maxK =
-        unsigned(std::min(tiles, hw) < 1 ? 1 : std::min(tiles, hw));
-    std::size_t expect = 1;
-    for (unsigned k = 2; k < maxK; k *= 2)
-        ++expect;
-    if (maxK > 1)
-        ++expect;
-
-    const JsonValue *runs = doc.find("runs");
-    ASSERT_NE(runs, nullptr);
-    ASSERT_TRUE(runs->isArray());
-    ASSERT_EQ(runs->size(), expect);
-    for (std::size_t i = 0; i < runs->size(); ++i) {
-        const JsonValue &point = runs->at(i);
-        ASSERT_NE(point.find("shards"), nullptr);
-        EXPECT_TRUE(point.find("validated")->asBool())
-            << "shards=" << point.find("shards")->asNumber();
-        EXPECT_GT(point.find("events")->asNumber(), 0);
-        EXPECT_GT(point.find("simTicks")->asNumber(), 0);
-        EXPECT_GT(point.find("hostSeconds")->asNumber(), 0);
-        EXPECT_GT(point.find("eventsPerSec")->asNumber(), 0);
-        ASSERT_NE(point.find("quanta"), nullptr);
-        ASSERT_NE(point.find("quantaPerSec"), nullptr);
-        EXPECT_GT(point.find("speedup")->asNumber(), 0);
-
-        const JsonValue *eng = point.find("engine");
-        ASSERT_NE(eng, nullptr);
-        for (const char *f :
-             {"execNs", "barrierWaitNs", "flushNs", "quanta"})
-            ASSERT_NE(eng->find(f), nullptr) << f;
-        ASSERT_NE(point.find("lanes"), nullptr);
-        EXPECT_TRUE(point.find("lanes")->isArray());
-
-        const JsonValue *perWl = point.find("perWorkload");
-        ASSERT_NE(perWl, nullptr);
-        ASSERT_EQ(perWl->size(), 2u);
-        for (std::size_t w = 0; w < perWl->size(); ++w) {
-            EXPECT_TRUE(perWl->at(w).find("validated")->asBool());
-            EXPECT_GT(perWl->at(w).find("events")->asNumber(), 0);
-        }
-    }
-    // The first point is the serial reference, its own speedup unit.
-    EXPECT_EQ(runs->at(0).find("shards")->asNumber(), 1);
-    EXPECT_DOUBLE_EQ(runs->at(0).find("speedup")->asNumber(), 1.0);
-}
-
-/**
  * Benches excluded from the deterministic default artifact set: the
- * scaling bench (host wall-clock) and the synthspace bench (keeps
- * farm/sample state under --out).  Every other bench still defaults.
+ * synthspace bench (keeps farm/sample state under --out).  Every
+ * other bench still defaults.
  */
-TEST(StashbenchSchemaTest, ScalingBenchIsExplicitOnly)
+TEST(StashbenchSchemaTest, SynthspaceBenchIsExplicitOnly)
 {
-    const std::set<std::string> explicitOnly = {"scaling",
-                                               "synthspace"};
+    const std::set<std::string> explicitOnly = {"synthspace"};
     for (const std::string &name : explicitOnly) {
         const BenchInfo *b = findBench(name);
         ASSERT_NE(b, nullptr) << name;

@@ -33,13 +33,12 @@ TEST(BenchArgsTest, GoodNumbersParse)
 {
     BenchArgs a;
     std::string err;
-    ASSERT_TRUE(parse({"--jobs", "8", "--shards", "4",
+    ASSERT_TRUE(parse({"--jobs", "8",
                        "--checkpoint-every", "1000000",
                        "--lease-ttl", "90", "--max-attempts", "2"},
                       a, err))
         << err;
     EXPECT_EQ(a.jobs, 8u);
-    EXPECT_EQ(a.shards, 4u);
     EXPECT_EQ(a.checkpointEvery, 1000000u);
     EXPECT_EQ(a.leaseTtlSec, 90u);
     EXPECT_EQ(a.maxAttempts, 2u);
@@ -78,11 +77,6 @@ TEST_P(BadNumbers, RejectedNamingFlagAndValue)
 }
 
 const BadNumberCase badNumberCases[] = {
-    {"ShardsAlpha", "--shards", "abc"},
-    {"ShardsTrailing", "--shards", "4x"},
-    {"ShardsNegative", "--shards", "-1"},
-    {"ShardsEmpty", "--shards", ""},
-    {"ShardsOverflow", "--shards", "4294967296"},
     {"JobsAlpha", "--jobs", "many"},
     {"JobsHexRejected", "--jobs", "0x10"},
     {"CheckpointAlpha", "--checkpoint-every", "soon"},

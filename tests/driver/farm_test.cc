@@ -79,7 +79,6 @@ grid(std::atomic<int> *builds = nullptr)
         s.workload = "Reuse";
         s.org = org;
         s.scale = workloads::Scale::Smoke;
-        s.shards = 1;
         if (builds) {
             s.make = [builds](const workloads::WorkloadParams &p) {
                 builds->fetch_add(1, std::memory_order_relaxed);
@@ -122,7 +121,6 @@ farmOpts(const std::string &dir, const std::string &worker,
 {
     SweepOptions opts;
     opts.threads = 1;
-    opts.shardsPerRun = 1;
     opts.progress = progress;
     opts.stateDir = dir;
     opts.checkpointEveryTicks = 1;
@@ -260,6 +258,65 @@ TEST(FarmProtocolTest, CorruptLeaseIsQuarantinedThenReclaimed)
               farm::ClaimStatus::Claimed);
 }
 
+TEST(FarmProtocolTest, OutOfRangeLeaseAttemptIsQuarantined)
+{
+    // Each parses as JSON but holds a number an unsigned attempt
+    // count may not be cast from: negative, fractional, one past the
+    // largest unsigned, far beyond any integer type.
+    const char *const attempts[] = {"-1", "1.5", "4294967296",
+                                    "1e300"};
+    for (const char *attempt : attempts) {
+        const std::string dir = freshDir("farm_attempt_range");
+        {
+            std::ofstream os(farm::leasePath(dir, "spec"));
+            os << "{\"schema\": \"stashsim-farm-lease-v1\", "
+                  "\"worker\": \"w9\", \"pid\": 1, "
+                  "\"heartbeatMs\": 1, \"attempt\": "
+               << attempt << ", \"released\": true}";
+        }
+        farm::Lease l;
+        l.worker = "untouched";
+        EXPECT_FALSE(farm::readLease(farm::leasePath(dir, "spec"), l))
+            << attempt;
+        EXPECT_EQ(l.worker, "untouched") << attempt;
+        // Like any unreadable lease: quarantined, then claimed fresh.
+        EXPECT_EQ(farm::tryClaim(dir, "spec", workerCfg("w0")).status,
+                  farm::ClaimStatus::Busy)
+            << attempt;
+        EXPECT_EQ(
+            filesWithPrefix(dir + "/QUARANTINE", "LEASE_").size(), 1u)
+            << attempt;
+        const farm::ClaimResult r =
+            farm::tryClaim(dir, "spec", workerCfg("w0"));
+        EXPECT_EQ(r.status, farm::ClaimStatus::Claimed) << attempt;
+        EXPECT_EQ(r.attempt, 1u) << attempt;
+    }
+}
+
+TEST(FarmProtocolTest, ObjectValuedFailedErrorsAreRejected)
+{
+    const std::string dir = freshDir("farm_failed_object");
+    {
+        std::ofstream os(farm::failedPath(dir, "spec"));
+        os << "{\"attempts\":2,\"errors\":{\"a\":\"b\"}}";
+    }
+    unsigned attempts = 7;
+    std::vector<std::string> errors = {"untouched"};
+    EXPECT_FALSE(farm::loadFailed(dir, "spec", attempts, errors));
+    EXPECT_EQ(attempts, 7u);
+    EXPECT_EQ(errors, std::vector<std::string>{"untouched"});
+
+    // The same document with an array of strings is accepted.
+    {
+        std::ofstream os(farm::failedPath(dir, "spec"),
+                         std::ios::trunc);
+        os << "{\"attempts\":2,\"errors\":[\"a\",\"b\"]}";
+    }
+    ASSERT_TRUE(farm::loadFailed(dir, "spec", attempts, errors));
+    EXPECT_EQ(attempts, 2u);
+    EXPECT_EQ(errors, (std::vector<std::string>{"a", "b"}));
+}
+
 TEST(FarmProtocolTest, DoneReleaseRemovesOnlyOwnLease)
 {
     const std::string dir = freshDir("farm_done");
@@ -300,7 +357,6 @@ TEST(FarmSweepTest, TwoWorkersDrainOneSweepByteIdentical)
     // Serial single-worker reference.
     SweepOptions serialOpts;
     serialOpts.threads = 1;
-    serialOpts.shardsPerRun = 1;
     const auto reference = SweepDriver(serialOpts).run(grid());
     for (const RunRecord &rec : reference)
         ASSERT_TRUE(rec.result.validated) << rec.spec.label();
@@ -336,7 +392,6 @@ TEST(FarmSweepTest, FailingSpecIsRetriedThenQuarantined)
     bad.workload = "Reuse";
     bad.org = MemOrg::Stash;
     bad.scale = workloads::Scale::Smoke;
-    bad.shards = 1;
     bad.labelOverride = "doomed";
     bad.make = [&attempts](const workloads::WorkloadParams &) ->
         Workload {
@@ -477,7 +532,6 @@ TEST(FarmSweepTest, MidRunInterruptDropsResumableCheckpoint)
     spec.workload = "Reuse";
     spec.org = MemOrg::Stash;
     spec.scale = workloads::Scale::Smoke;
-    spec.shards = 1;
 
     const RunResult full = runSpec(spec);
     ASSERT_TRUE(full.validated);

@@ -208,7 +208,7 @@ TEST(SampleCampaignTest, UndeclaredDeltaIsFatalNamingBothHashes)
         "with config hash " +
         hex(out.sampledFrom.configHash) + " but this system's is " +
         hex(snapshotConfigHash(deltaCfg)) +
-        " (always-excepted fields: shards, verify); undeclared "
+        " (always-excepted fields: verify); undeclared "
         "config delta in group(s) 'gpu' (" +
         deltaGroupFields(DeltaGroup::Gpu) +
         ") — a sampled restore must declare every changed group";

@@ -43,17 +43,17 @@ serializeRecords(const std::vector<RunRecord> &records)
 
 TEST(SweepDriverTest, ThreadsForClampsToWorkAndHardware)
 {
-    EXPECT_EQ(SweepDriver({1, 1, nullptr}).threadsFor(8), 1u);
-    EXPECT_EQ(SweepDriver({4, 1, nullptr}).threadsFor(2), 2u);
-    EXPECT_EQ(SweepDriver({4, 1, nullptr}).threadsFor(0), 1u);
-    EXPECT_GE(SweepDriver({0, 1, nullptr}).threadsFor(8), 1u);
+    EXPECT_EQ(SweepDriver({1, nullptr}).threadsFor(8), 1u);
+    EXPECT_EQ(SweepDriver({4, nullptr}).threadsFor(2), 2u);
+    EXPECT_EQ(SweepDriver({4, nullptr}).threadsFor(0), 1u);
+    EXPECT_GE(SweepDriver({0, nullptr}).threadsFor(8), 1u);
 }
 
 TEST(SweepDriverTest, ReturnsRecordsInSpecOrder)
 {
     const std::vector<RunSpec> specs = smallGrid();
     const std::vector<RunRecord> records =
-        SweepDriver({2, 1, nullptr}).run(specs);
+        SweepDriver({2, nullptr}).run(specs);
     ASSERT_EQ(records.size(), specs.size());
     for (std::size_t i = 0; i < specs.size(); ++i)
         EXPECT_EQ(records[i].spec.label(), specs[i].label());
@@ -66,9 +66,9 @@ TEST(SweepDriverTest, ReturnsRecordsInSpecOrder)
 TEST(SweepDriverTest, ParallelSweepMatchesSerialByteForByte)
 {
     const std::vector<RunRecord> serial =
-        SweepDriver({1, 1, nullptr}).run(smallGrid());
+        SweepDriver({1, nullptr}).run(smallGrid());
     const std::vector<RunRecord> parallel =
-        SweepDriver({4, 1, nullptr}).run(smallGrid());
+        SweepDriver({4, nullptr}).run(smallGrid());
     for (const RunRecord &rec : serial)
         ASSERT_TRUE(rec.result.validated) << rec.spec.label();
     EXPECT_EQ(serializeRecords(serial), serializeRecords(parallel));
@@ -82,7 +82,7 @@ TEST(SweepDriverTest, CapturesFailuresWithoutAbortingTheSweep)
     specs.insert(specs.begin() + 1, bad);
 
     const std::vector<RunRecord> records =
-        SweepDriver({2, 1, nullptr}).run(specs);
+        SweepDriver({2, nullptr}).run(specs);
     ASSERT_EQ(records.size(), specs.size());
     EXPECT_FALSE(records[1].result.validated);
     ASSERT_FALSE(records[1].result.errors.empty());
@@ -100,7 +100,7 @@ TEST(SweepDriverTest, CapturesNonStandardExceptionsToo)
     specs[1].instrument = [](System &) { throw 42; };
 
     const std::vector<RunRecord> records =
-        SweepDriver({2, 1, nullptr}).run(specs);
+        SweepDriver({2, nullptr}).run(specs);
     ASSERT_EQ(records.size(), specs.size());
     EXPECT_FALSE(records[1].result.validated);
     ASSERT_FALSE(records[1].result.errors.empty());
@@ -115,7 +115,7 @@ TEST(SweepDriverTest, ProgressStreamReportsEveryRun)
     std::ostringstream progress;
     std::vector<RunSpec> specs = smallGrid();
     specs.resize(2);
-    SweepDriver({1, 1, &progress}).run(specs);
+    SweepDriver({1, &progress}).run(specs);
     const std::string text = progress.str();
     EXPECT_NE(text.find("[1/2]"), std::string::npos);
     EXPECT_NE(text.find("[2/2]"), std::string::npos);

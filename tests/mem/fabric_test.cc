@@ -2,8 +2,7 @@
  * @file
  * Unit tests for the Fabric's (node, unit) addressing, requester
  * return routing, LLC interleaving, in-flight accounting, and the
- * bound serial-mode auto-flush path that the sharded engine's
- * determinism contract builds on.
+ * per-tick flush that routes staged sends in source-node order.
  */
 
 #include <gtest/gtest.h>
@@ -129,26 +128,22 @@ TEST(FabricTest, TracksInFlightPerType)
 }
 
 /**
- * The bound serial path: sends are staged per source node and an
- * internal per-tick flush event routes them in canonical
- * (tick, src node, send order) order.  Deliveries must still arrive,
- * and in src-major order for same-tick sends.
+ * Sends are staged per source node and an internal per-tick flush
+ * event routes them in (src node, send order) order.  Deliveries must
+ * still arrive, and in src-major order for same-tick sends.
  */
 TEST(FabricTest, BoundSerialModeFlushesStagedSendsAutomatically)
 {
     EventQueue eq;
     Mesh mesh(eq, defaultParams());
     Fabric fabric(mesh);
-    fabric.bindQueues(
-        std::vector<EventQueue *>(mesh.numNodes(), &eq),
-        /*sharded=*/false);
 
     Sink sink;
     fabric.registerObject(0, Unit::Llc, &sink);
 
     // Stage two same-tick sends from different sources, higher source
-    // id first: the canonical flush must route node 2's before node
-    // 5's regardless of send order.  Equal path lengths, so arrival
+    // id first: the flush must route node 2's before node 5's
+    // regardless of send order.  Equal path lengths, so arrival
     // order follows routing (ejection-channel reservation) order.
     eq.schedule(100, [&] {
         fabric.send(5, 0, Unit::Llc, makeMsg(MsgType::WbReq, 0x100));
@@ -168,9 +163,6 @@ TEST(FabricTest, ArmsOneFlushEventPerTick)
     EventQueue eq;
     Mesh mesh(eq, defaultParams());
     Fabric fabric(mesh);
-    fabric.bindQueues(
-        std::vector<EventQueue *>(mesh.numNodes(), &eq),
-        /*sharded=*/false);
 
     Sink sink;
     fabric.registerObject(3, Unit::Llc, &sink);
@@ -188,28 +180,24 @@ TEST(FabricTest, ArmsOneFlushEventPerTick)
 }
 
 /**
- * Serial flushes run at the staging tick, so every entry shares one
- * tick: multiple sources take the src-major uniform-tick path and a
- * lone source takes the single-source path.  Neither merges or sorts.
+ * Flushes run at the staging tick, so every entry shares one tick:
+ * one flush per staging tick, routing sources in node order.
  */
 TEST(FabricTest, SerialFlushesTakeTheSortFreeFastPaths)
 {
     EventQueue eq;
     Mesh mesh(eq, defaultParams());
     Fabric fabric(mesh);
-    fabric.bindQueues(
-        std::vector<EventQueue *>(mesh.numNodes(), &eq),
-        /*sharded=*/false);
 
     Sink sink;
     fabric.registerObject(0, Unit::Llc, &sink);
 
-    // Tick 100: two sources, one tick -> uniform-tick path.
+    // Tick 100: two sources, one flush.
     eq.schedule(100, [&] {
         fabric.send(5, 0, Unit::Llc, makeMsg(MsgType::WbReq, 0x100));
         fabric.send(2, 0, Unit::Llc, makeMsg(MsgType::WbReq, 0x200));
     });
-    // Tick 900: one source -> single-source path.
+    // Tick 900: one source, a second flush.
     eq.schedule(900, [&] {
         fabric.send(7, 0, Unit::Llc, makeMsg(MsgType::ReadReq));
     });
@@ -219,148 +207,6 @@ TEST(FabricTest, SerialFlushesTakeTheSortFreeFastPaths)
     EXPECT_EQ(sink.received[0].linePA, 0x200u); // src 2 before src 5
     EXPECT_EQ(sink.received[1].linePA, 0x100u);
     EXPECT_EQ(fabric.flushCount(), 2u);
-    EXPECT_EQ(fabric.flushUniformTick(), 1u);
-    EXPECT_EQ(fabric.flushSingleSource(), 1u);
-    EXPECT_EQ(fabric.flushMerged(), 0u);
-    EXPECT_EQ(fabric.flushResorted(), 0u);
-}
-
-/**
- * Sharded-style flush (manual flushStaged at a "barrier") with one
- * source staged across several ticks: the staging order is already
- * canonical, so the single-source path delivers without sorting.
- */
-TEST(FabricTest, SingleSourceMultiTickFlushSkipsTheMerge)
-{
-    EventQueue src;  // node 2's shard queue
-    EventQueue dst;  // every other node (incl. destination 3)
-    Mesh mesh(dst, defaultParams());
-    Fabric fabric(mesh);
-    std::vector<EventQueue *> queues(mesh.numNodes(), &dst);
-    queues[2] = &src;
-    fabric.bindQueues(queues, /*sharded=*/true);
-
-    Sink sink;
-    fabric.registerObject(3, Unit::Llc, &sink);
-
-    src.schedule(40, [&] {
-        fabric.send(2, 3, Unit::Llc, makeMsg(MsgType::WbReq, 0x40));
-    });
-    src.schedule(90, [&] {
-        fabric.send(2, 3, Unit::Llc, makeMsg(MsgType::WbReq, 0x90));
-    });
-    src.run();
-    // Sharded mode never self-flushes: both sends are still staged.
-    EXPECT_TRUE(sink.received.empty());
-    EXPECT_FALSE(fabric.stagedEmpty());
-
-    fabric.flushStaged();
-    EXPECT_TRUE(fabric.stagedEmpty());
-    dst.run();
-
-    ASSERT_EQ(sink.received.size(), 2u);
-    EXPECT_EQ(sink.received[0].linePA, 0x40u);
-    EXPECT_EQ(sink.received[1].linePA, 0x90u);
-    EXPECT_EQ(fabric.flushCount(), 1u);
-    EXPECT_EQ(fabric.flushSingleSource(), 1u);
-    EXPECT_EQ(fabric.flushUniformTick(), 0u);
-    EXPECT_EQ(fabric.flushMerged(), 0u);
-    EXPECT_EQ(fabric.flushResorted(), 0u);
-}
-
-/**
- * Several sources staged at different ticks: the k-way cursor merge
- * must interleave the mailboxes into global (tick, src) order.  Both
- * sources sit one hop from the destination, so equal route latency
- * makes delivery order mirror the canonical staging order.
- */
-TEST(FabricTest, MergedFlushInterleavesSourcesByTick)
-{
-    EventQueue srcA; // node 4 (one hop west of node 5)
-    EventQueue srcB; // node 1 (one hop north of node 5)
-    EventQueue dst;  // everything else, incl. destination 5
-    Mesh mesh(dst, defaultParams());
-    Fabric fabric(mesh);
-    std::vector<EventQueue *> queues(mesh.numNodes(), &dst);
-    queues[4] = &srcA;
-    queues[1] = &srcB;
-    fabric.bindQueues(queues, /*sharded=*/true);
-
-    Sink sink;
-    fabric.registerObject(5, Unit::Llc, &sink);
-
-    // Stage at controller context by advancing the empty queues'
-    // clocks directly; ticks interleave across the two sources.
-    srcB.setTime(50);
-    fabric.send(1, 5, Unit::Llc, makeMsg(MsgType::WbReq, 0xB1));
-    srcA.setTime(100);
-    fabric.send(4, 5, Unit::Llc, makeMsg(MsgType::WbReq, 0xA1));
-    srcA.setTime(200);
-    fabric.send(4, 5, Unit::Llc, makeMsg(MsgType::WbReq, 0xA2));
-    srcB.setTime(300);
-    fabric.send(1, 5, Unit::Llc, makeMsg(MsgType::WbReq, 0xB2));
-
-    fabric.flushStaged();
-    EXPECT_TRUE(fabric.stagedEmpty());
-    dst.run();
-
-    ASSERT_EQ(sink.received.size(), 4u);
-    EXPECT_EQ(sink.received[0].linePA, 0xB1u);
-    EXPECT_EQ(sink.received[1].linePA, 0xA1u);
-    EXPECT_EQ(sink.received[2].linePA, 0xA2u);
-    EXPECT_EQ(sink.received[3].linePA, 0xB2u);
-    EXPECT_EQ(fabric.flushCount(), 1u);
-    EXPECT_EQ(fabric.flushMerged(), 1u);
-    EXPECT_EQ(fabric.flushSingleSource(), 0u);
-    EXPECT_EQ(fabric.flushUniformTick(), 0u);
-    EXPECT_EQ(fabric.flushResorted(), 0u);
-
-    // The arena retains capacity across flushes: a second staging
-    // round on the same mailboxes must not count as resorted.
-    srcA.setTime(400);
-    fabric.send(4, 5, Unit::Llc, makeMsg(MsgType::WbReq, 0xA3));
-    fabric.flushStaged();
-    dst.run();
-    EXPECT_EQ(sink.received.size(), 5u);
-    EXPECT_EQ(fabric.flushSingleSource(), 1u);
-    EXPECT_EQ(fabric.flushResorted(), 0u);
-}
-
-/**
- * Defensive resort fallback: if a source's staging ticks ever run
- * backwards (no current send path does this), the flush detects the
- * unordered mailbox, stable-sorts it, and still delivers in canonical
- * tick order.
- */
-TEST(FabricTest, OutOfOrderStagingTriggersTheResortFallback)
-{
-    EventQueue src; // node 2's shard queue
-    EventQueue dst;
-    Mesh mesh(dst, defaultParams());
-    Fabric fabric(mesh);
-    std::vector<EventQueue *> queues(mesh.numNodes(), &dst);
-    queues[2] = &src;
-    fabric.bindQueues(queues, /*sharded=*/true);
-
-    Sink sink;
-    fabric.registerObject(3, Unit::Llc, &sink);
-
-    // setTime on an empty queue may move backward (down to
-    // lastEventTick), which lets us forge a tick that runs backwards.
-    src.setTime(100);
-    fabric.send(2, 3, Unit::Llc, makeMsg(MsgType::WbReq, 0x100));
-    src.setTime(50);
-    fabric.send(2, 3, Unit::Llc, makeMsg(MsgType::WbReq, 0x50));
-
-    fabric.flushStaged();
-    dst.run();
-
-    ASSERT_EQ(sink.received.size(), 2u);
-    EXPECT_EQ(sink.received[0].linePA, 0x50u);
-    EXPECT_EQ(sink.received[1].linePA, 0x100u);
-    EXPECT_EQ(fabric.flushResorted(), 1u);
-    EXPECT_EQ(fabric.flushCount(), 1u);
-    EXPECT_EQ(fabric.flushSingleSource(), 1u);
 }
 
 } // namespace

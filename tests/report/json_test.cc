@@ -87,6 +87,31 @@ TEST(JsonValueTest, ParseRejectsMalformedInput)
     EXPECT_FALSE(err.empty());
 }
 
+TEST(JsonValueTest, ParseRejectsDeepNesting)
+{
+    JsonValue v;
+    std::string err;
+    // A farm lease of 200,000 '[' is a parse error, not a stack overflow.
+    EXPECT_FALSE(JsonValue::parse(std::string(200000, '['), v, err));
+    EXPECT_NE(err.find("nesting"), std::string::npos) << err;
+
+    // The bound itself is accepted, one level more is not, for arrays
+    // and objects alike.
+    const unsigned max = JsonValue::maxParseDepth;
+    const std::string atMax =
+        std::string(max, '[') + std::string(max, ']');
+    EXPECT_TRUE(JsonValue::parse(atMax, v, err)) << err;
+    const std::string beyond = "[" + atMax + "]";
+    EXPECT_FALSE(JsonValue::parse(beyond, v, err));
+
+    std::string objects;
+    for (unsigned i = 0; i <= max; ++i)
+        objects += "{\"k\": ";
+    objects += "1" + std::string(max + 1, '}');
+    EXPECT_FALSE(JsonValue::parse(objects, v, err));
+    EXPECT_NE(err.find("nesting"), std::string::npos) << err;
+}
+
 TEST(JsonValueTest, FindOnNonObjectReturnsNull)
 {
     JsonValue arr = JsonValue::array();

@@ -508,7 +508,7 @@ TEST(EventQueueTest, SetTimeRealignsAnEmptyQueue)
     eq.run(200);
     EXPECT_EQ(eq.curTick(), 200u);
 
-    // Rewind to the last-event tick (the sharded engine's alignment),
+    // Rewind to the last-event tick (the drain-end realignment),
     // then forward; both directions keep scheduling functional.
     eq.setTime(50);
     EXPECT_EQ(eq.curTick(), 50u);

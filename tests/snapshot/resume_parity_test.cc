@@ -4,10 +4,9 @@
  * restored into a fresh System must finish with results
  * byte-identical to an uninterrupted run — every stats counter, the
  * energy breakdown, the deterministic SimPerf counters, and the final
- * memory image.  Also covered: restoring a serially-taken checkpoint
- * under a sharded engine, the verify instruments staying armed across
- * the restore boundary, and the rejection diagnostics for mismatched
- * configurations and workloads.
+ * memory image.  Also covered: the verify instruments staying armed
+ * across the restore boundary, and the rejection diagnostics for
+ * mismatched configurations and workloads.
  */
 
 #include <gtest/gtest.h>
@@ -82,7 +81,6 @@ baseSpec(workloads::Scale scale = workloads::Scale::Smoke)
     spec.workload = "Reuse"; // multi-phase: warmup, kernels, readback
     spec.org = MemOrg::Stash;
     spec.scale = scale;
-    spec.shards = 1;
     return spec;
 }
 
@@ -146,40 +144,6 @@ TEST(ResumeParityTest, RestoredRunFinishesByteIdentical)
                 << "end-state image diverged restoring from tick "
                 << tick;
         }
-    }
-}
-
-TEST(ResumeParityTest, ShardedRestoreOfSerialCheckpoint)
-{
-    const std::string dir = freshDir("restore_sharded");
-    std::vector<std::uint8_t> refImage;
-    RunSpec ref = baseSpec();
-    ref.checkpointEveryTicks = 1;
-    ref.checkpointDir = dir;
-    captureEndImage(ref, &refImage);
-    const RunResult full = runSpec(ref);
-    ASSERT_TRUE(full.validated);
-
-    const auto ckpts = checkpointsIn(dir);
-    ASSERT_FALSE(ckpts.empty());
-    RunSpec res = baseSpec();
-    res.shards = 4;
-    res.restoreFrom = ckpts.back().second;
-    std::vector<std::uint8_t> resImage;
-    captureEndImage(res, &resImage);
-    const RunResult resumed = runSpec(res);
-    EXPECT_EQ(fingerprint(full), fingerprint(resumed));
-
-    // The engine section legitimately differs across modes
-    // (per-tile queue-shape counters); every model-state section must
-    // be byte-identical.
-    SnapshotReader a(refImage), b(resImage);
-    ASSERT_EQ(a.sectionNames(), b.sectionNames());
-    for (const std::string &name : a.sectionNames()) {
-        if (name == "engine")
-            continue;
-        EXPECT_EQ(a.sectionData(name), b.sectionData(name))
-            << "section " << name;
     }
 }
 
@@ -330,20 +294,15 @@ TEST(ResumeParityTest, FixedBackendIsTheDefaultSpelledExplicitly)
 {
     // `--backend fixed` is the seed's memory model made explicit: a
     // run selecting it must be indistinguishable from a run that
-    // never mentions a backend — under the serial engine and under
-    // --shards 4 alike (the end-to-end CLI analogue is ci.sh's cmp
-    // of the BENCH_fig5.json artifacts).
+    // never mentions a backend (the end-to-end CLI analogue is
+    // ci.sh's cmp of the BENCH_fig5.json artifacts).
     const RunSpec plain = baseSpec();
     RunSpec fixed = baseSpec();
     fixed.backend = MemBackendKind::Fixed;
-    RunSpec fixedSharded = baseSpec();
-    fixedSharded.backend = MemBackendKind::Fixed;
-    fixedSharded.shards = 4;
 
     const RunResult a = runSpec(plain);
     ASSERT_TRUE(a.validated);
     EXPECT_EQ(fingerprint(a), fingerprint(runSpec(fixed)));
-    EXPECT_EQ(fingerprint(a), fingerprint(runSpec(fixedSharded)));
 }
 
 TEST(ResumeParityTest, EveryMemBackendRestoresByteIdentical)

@@ -49,7 +49,6 @@ grid(std::atomic<int> *builds)
         s.workload = "Reuse"; // multi-phase: every run checkpoints
         s.org = org;
         s.scale = workloads::Scale::Smoke;
-        s.shards = 1;
         s.make = [builds](const workloads::WorkloadParams &p) {
             builds->fetch_add(1, std::memory_order_relaxed);
             return workloads::WorkloadFactory::instance().make(
@@ -101,7 +100,6 @@ stateOpts(const std::string &dir, std::ostream *progress)
 {
     SweepOptions opts;
     opts.threads = 1;
-    opts.shardsPerRun = 1;
     opts.progress = progress;
     opts.stateDir = dir;
     opts.checkpointEveryTicks = 1;

@@ -48,27 +48,29 @@ ls -l "${artifacts}"/BENCH_*.json
 echo "=== quick artifacts vs scripts/quick_artifacts.sha256 ==="
 (cd "${artifacts}" && sha256sum -c "${root}/scripts/quick_artifacts.sha256")
 
-# Checkpoint/restore parity, end to end through the CLI: run three
+# Checkpoint/restore parity, end to end through the CLI: run four
 # quick benches dropping checkpoints at every eligible phase
 # boundary, then delete the cached RESULT_* artifacts so --restore is
 # forced to re-finish every run from a mid-run CKPT_* snapshot.  The
-# resumed artifacts must be byte-identical.
+# resumed artifacts must be byte-identical.  fig6 is the bench whose
+# L1s park accesses for every reason: fig5 waits only for MSHRs, and
+# ablation_replication and synth never wait in the L1.
 snapdir="${root}/build/bench-artifacts-snapshot"
-echo "=== checkpoint/restore parity (fig5, ablation_replication, synth) ==="
+echo "=== checkpoint/restore parity (fig5, ablation_replication, synth, fig6) ==="
 rm -rf "${snapdir}"
 mkdir -p "${snapdir}"
 "${root}/build/bench/stashbench" --quick --jobs "${jobs}" \
     --checkpoint-every 1 --out "${snapdir}" \
-    fig5 ablation_replication synth
-for name in fig5 ablation_replication synth; do
+    fig5 ablation_replication synth fig6
+for name in fig5 ablation_replication synth fig6; do
     mv "${snapdir}/BENCH_${name}.json" \
        "${snapdir}/BENCH_${name}.ref.json"
     rm "${snapdir}/checkpoints/${name}"/RESULT_*.snap
 done
 "${root}/build/bench/stashbench" --quick --jobs "${jobs}" \
     --restore "${snapdir}/checkpoints" --out "${snapdir}" \
-    fig5 ablation_replication synth
-for name in fig5 ablation_replication synth; do
+    fig5 ablation_replication synth fig6
+for name in fig5 ablation_replication synth fig6; do
     cmp "${snapdir}/BENCH_${name}.ref.json" \
         "${snapdir}/BENCH_${name}.json"
 done

@@ -1,5 +1,7 @@
 #include "mem/cache.hh"
 
+#include <algorithm>
+
 #include "sim/log.hh"
 #include "snapshot/snapshot.hh"
 #include "verify/protocol_checker.hh"
@@ -16,6 +18,7 @@ L1Cache::L1Cache(EventQueue &eq, Fabric &fabric, Tlb &tlb, CoreId owner,
     sim_assert(sets > 0 && (sets & (sets - 1)) == 0);
     // Bounded by the MSHR count; never rehashes on the miss path.
     mshrs.reserve(p.mshrs);
+    wayWaiters.resize(sets);
 }
 
 unsigned
@@ -61,6 +64,7 @@ L1Cache::allocLine(PhysAddr line_pa)
     victim->data = LineData{};
     victim->lastUse = ++useClock;
     victim->pinned = false;
+    lineAllocated(line_pa);
     return victim;
 }
 
@@ -112,33 +116,33 @@ L1Cache::access(Addr line_va, WordMask mask, bool is_store,
 {
     sim_assert(line_va % lineBytes == 0);
     sim_assert(mask != 0);
-    doAccess(line_va, mask, is_store, store_data, std::move(done));
+    sim_assert(!is_store || store_data != nullptr);
+    // Physically tagged: translate on every access, once.  A parked
+    // access keeps its physical address and is not re-translated.
+    const PhysAddr line_pa = tlb.translate(line_va);
+    const Wait wait = attempt(line_pa, mask, is_store, store_data, done);
+    if (wait == Wait::None)
+        return;
+    parked.push_back(Parked{line_pa, mask, is_store, Wait::None, false,
+                            is_store ? *store_data : LineData{},
+                            std::move(done)});
+    file(firstArrival + parked.size() - 1, wait);
 }
 
-void
-L1Cache::doAccess(Addr line_va, WordMask mask, bool is_store,
-                  const LineData *store_data, AccessDone done)
+L1Cache::Wait
+L1Cache::attempt(PhysAddr line_pa, WordMask mask, bool is_store,
+                 const LineData *store_data, AccessDone &done)
 {
-    // Physically tagged: translate on every access.  Statistics are
-    // charged only when the access actually proceeds (a deferred
-    // access sits in a post-translation queue and is not re-charged
-    // on replay).
-    const PhysAddr line_pa = tlb.translate(line_va);
-
+    // Statistics are charged only when the access proceeds, so a
+    // parked access is charged once, when it finally runs.
     Line *line = findLine(line_pa);
     const Tick hit_latency = params.hitCycles * params.clockPeriod;
 
     if (is_store) {
-        sim_assert(store_data != nullptr);
         if (!line) {
             line = allocLine(line_pa);
-            if (!line) {
-                // All ways pinned: defer until an MSHR releases.
-                DeferredAccess d{line_va, mask, true, *store_data, true,
-                                 std::move(done)};
-                deferred.push_back(std::move(d));
-                return;
-            }
+            if (!line)
+                return Wait::Way;
         }
         ++_stats.tlbAccesses;
         line->lastUse = ++useClock;
@@ -176,7 +180,7 @@ L1Cache::doAccess(Addr line_va, WordMask mask, bool is_store,
         LineData snapshot = line->data;
         eq.scheduleIn(hit_latency, [done = std::move(done),
                                     snapshot]() { done(snapshot); });
-        return;
+        return Wait::None;
     }
 
     // Load path.
@@ -190,24 +194,19 @@ L1Cache::doAccess(Addr line_va, WordMask mask, bool is_store,
         LineData snapshot = line->data;
         eq.scheduleIn(hit_latency, [done = std::move(done),
                                     snapshot]() { done(snapshot); });
-        return;
+        return Wait::None;
     }
 
     if (!line) {
-        if (mshrs.size() >= params.mshrs &&
-            mshrs.find(line_pa) == mshrs.end()) {
-            deferred.push_back(
-                DeferredAccess{line_va, mask, false, LineData{}, false,
-                               std::move(done)});
-            return;
+        if (mshrs.size() >= params.mshrs) {
+            // An MSHR pins its line, so a line that is not resident
+            // has no MSHR to join.
+            sim_assert(!mshrs.contains(line_pa));
+            return Wait::Mshr;
         }
         line = allocLine(line_pa);
-        if (!line) {
-            deferred.push_back(
-                DeferredAccess{line_va, mask, false, LineData{}, false,
-                               std::move(done)});
-            return;
-        }
+        if (!line)
+            return Wait::Way;
     }
     ++_stats.tlbAccesses;
     ++_stats.loadMisses;
@@ -231,6 +230,7 @@ L1Cache::doAccess(Addr line_va, WordMask mask, bool is_store,
         fabric.send(node, fabric.nodeOfLlc(line_pa), Unit::Llc,
                     std::move(req));
     }
+    return Wait::None;
 }
 
 void
@@ -258,22 +258,123 @@ L1Cache::completeWaiters(PhysAddr line_pa, Line &line)
     if (mshr.waiters.empty()) {
         mshrs.erase(it);
         line.pinned = false;
-        replayDeferred();
+        if (!parked.empty())
+            wake(setIndex(line_pa));
+    }
+}
+
+L1Cache::Parked &
+L1Cache::waiter(std::uint64_t arrival)
+{
+    sim_assert(arrival >= firstArrival &&
+               arrival - firstArrival < parked.size());
+    return parked[arrival - firstArrival];
+}
+
+void
+L1Cache::file(std::uint64_t arrival, Wait wait)
+{
+    Parked &p = waiter(arrival);
+    p.wait = wait;
+    if (wait == Wait::Mshr)
+        mshrScan = std::min(mshrScan, arrival);
+    else
+        wayWaiters[setIndex(p.linePA)].push_back(arrival);
+    if (!p.watched) {
+        lineWaiters.emplace(p.linePA, arrival);
+        p.watched = true;
     }
 }
 
 void
-L1Cache::replayDeferred()
+L1Cache::lineAllocated(PhysAddr line_pa)
 {
-    if (deferred.empty())
+    if (lineWaiters.empty())
         return;
-    // Replay everything; unservable accesses re-defer themselves.
-    std::deque<DeferredAccess> pending;
-    pending.swap(deferred);
-    for (auto &d : pending) {
-        doAccess(d.lineVA, d.mask, d.isStore,
-                 d.hasStoreData ? &d.storeData : nullptr,
-                 std::move(d.done));
+    auto [first, last] = lineWaiters.equal_range(line_pa);
+    for (auto it = first; it != last; ++it) {
+        const std::uint64_t arrival = it->second;
+        waiter(arrival).watched = false;
+        if (arrival < lastVisited) {
+            lineResident.push_back(arrival);
+        } else if (arrival > lastVisited) {
+            // Later in this wake's order: visit it in this wake.
+            wakeHeap.push_back(arrival);
+            std::push_heap(wakeHeap.begin(), wakeHeap.end(),
+                           std::greater<>());
+        }
+        // arrival == lastVisited is the waiter allocating its own line.
+    }
+    lineWaiters.erase(first, last);
+}
+
+std::uint64_t
+L1Cache::nextMshrWaiter()
+{
+    if (mshrs.size() >= params.mshrs)
+        return noWaiter;
+    // The Wait::Mshr waiters are a subsequence of parked; skip the
+    // records that proceeded or wait for a way.
+    const std::uint64_t end = firstArrival + parked.size();
+    mshrScan = std::max(mshrScan, firstArrival + liveFrom);
+    for (; mshrScan < end; ++mshrScan) {
+        if (waiter(mshrScan).wait == Wait::Mshr)
+            return mshrScan;
+    }
+    return noWaiter;
+}
+
+void
+L1Cache::wake(unsigned set)
+{
+    // Visit, in arrival order, every waiter an MSHR release can let
+    // proceed: the released set's way waiters, the waiters whose line
+    // was allocated since they were last tried, and the MSHR waiters
+    // while an MSHR is free.  No other waiter can proceed: a set gains
+    // a way only when an MSHR in it releases, and MSHRs free only at
+    // releases.  So every access proceeds exactly when, and in the
+    // order, a replay of the whole list would let it.
+    sim_assert(lastVisited == noWaiter && wakeHeap.empty());
+    wakeHeap.swap(lineResident);
+    std::vector<std::uint64_t> &ways = wayWaiters[set];
+    wakeHeap.insert(wakeHeap.end(), ways.begin(), ways.end());
+    ways.clear();
+    std::make_heap(wakeHeap.begin(), wakeHeap.end(), std::greater<>());
+    lastVisited = 0;
+    for (;;) {
+        // The heap may name a waiter twice, or one already visited.
+        while (!wakeHeap.empty() && wakeHeap.front() <= lastVisited) {
+            std::pop_heap(wakeHeap.begin(), wakeHeap.end(),
+                          std::greater<>());
+            wakeHeap.pop_back();
+        }
+        std::uint64_t next = nextMshrWaiter();
+        if (!wakeHeap.empty())
+            next = std::min(next, wakeHeap.front());
+        if (next == noWaiter)
+            break;
+        sim_assert(next > lastVisited);
+        lastVisited = next;
+        Parked &p = waiter(next);
+        const Wait wait =
+            attempt(p.linePA, p.mask, p.isStore, &p.storeData, p.done);
+        if (wait == Wait::None)
+            p.wait = Wait::None;
+        else
+            file(next, wait);
+    }
+    lastVisited = noWaiter;
+
+    // Drop the prefix of records that proceeded once it is at least
+    // half the list, so each record is moved O(1) times.
+    while (liveFrom < parked.size() &&
+           parked[liveFrom].wait == Wait::None) {
+        ++liveFrom;
+    }
+    if (2 * liveFrom >= parked.size()) {
+        parked.erase(parked.begin(), parked.begin() + liveFrom);
+        firstArrival += liveFrom;
+        liveFrom = 0;
     }
 }
 
@@ -375,6 +476,9 @@ L1Cache::receive(const Msg &msg)
 void
 L1Cache::selfInvalidate()
 {
+    // Boundaries come after every access completed.  The wait list
+    // relies on it: freeing ways here would not wake way waiters.
+    sim_assert(parked.empty());
     for (Line &line : lines) {
         if (!line.allocated)
             continue;
@@ -448,7 +552,7 @@ L1Cache::snapshot(SnapshotWriter &w) const
     // Checkpoints happen only at drain points, where no transaction
     // is in flight by construction.
     sim_assert(mshrs.empty());
-    sim_assert(deferred.empty());
+    sim_assert(parked.empty());
     w.u32(sets);
     w.u32(params.assoc);
     w.u64(useClock);
@@ -476,7 +580,7 @@ void
 L1Cache::restore(SnapshotReader &r)
 {
     sim_assert(mshrs.empty());
-    sim_assert(deferred.empty());
+    sim_assert(parked.empty());
     r.require(r.u32() == sets, "L1 set count mismatch");
     r.require(r.u32() == params.assoc, "L1 associativity mismatch");
     useClock = r.u64();
@@ -488,8 +592,13 @@ L1Cache::restore(SnapshotReader &r)
         r.require(i < lines.size(), "L1 line index out of range");
         Line &line = lines[i];
         r.require(!line.allocated, "duplicate L1 line index");
+        const PhysAddr pa = r.u64();
+        r.require(pa % lineBytes == 0, "L1 line address not line-aligned");
+        r.require(setIndex(pa) == i / params.assoc,
+                  "L1 line stored outside its set");
+        r.require(!findLine(pa), "L1 line stored twice in its set");
         line.allocated = true;
-        line.pa = r.u64();
+        line.pa = pa;
         for (unsigned j = 0; j < wordsPerLine; ++j) {
             const std::uint8_t st = r.u8();
             r.require(st <= std::uint8_t(WordState::Registered),
@@ -499,6 +608,8 @@ L1Cache::restore(SnapshotReader &r)
         for (unsigned j = 0; j < wordsPerLine; ++j)
             line.data.w[j] = r.u32();
         line.lastUse = r.u64();
+        r.require(line.lastUse <= useClock,
+                  "L1 line used after the use clock");
     }
 }
 

@@ -21,12 +21,16 @@
  *  - Evicting a line writes back only its Registered words.
  *  - The cache serves forwarded requests for words it has registered
  *    (remote L1 hits).
+ *
+ * An access that cannot proceed (a load miss while every MSHR is
+ * busy, or any miss whose set has every way pinned by an MSHR) parks
+ * on a wait list and is woken only by an MSHR release that can let it
+ * proceed, in arrival order (DESIGN.md §9.4).
  */
 
 #ifndef STASHSIM_MEM_CACHE_HH
 #define STASHSIM_MEM_CACHE_HH
 
-#include <deque>
 #include <functional>
 #include <unordered_map>
 #include <vector>
@@ -107,11 +111,16 @@ class L1Cache : public MemObject
 
     /**
      * Serializes tags/state/data/LRU + stats.  Only valid at a drain
-     * point: no MSHRs, no deferred accesses, no pinned lines.
+     * point: no MSHRs, no parked accesses, no pinned lines.
      */
     void snapshot(SnapshotWriter &w) const;
 
-    /** Restores a drain-point checkpoint into this (same-geometry) cache. */
+    /**
+     * Restores a drain-point checkpoint into this (same-geometry)
+     * cache.  Throws SnapshotError unless each line is line-aligned,
+     * sits in the set its index names, appears once in that set, and
+     * was last used no later than the use clock.
+     */
     void restore(SnapshotReader &r);
 
   private:
@@ -137,13 +146,27 @@ class L1Cache : public MemObject
         WordMask requested = 0; //!< words asked of the LLC so far
     };
 
-    struct DeferredAccess
+    /** Why an access cannot proceed yet. */
+    enum class Wait : std::uint8_t
     {
-        Addr lineVA;
+        None, //!< it proceeded
+        Mshr, //!< a load miss while every MSHR is busy
+        Way,  //!< every way of the line's set is pinned by an MSHR
+    };
+
+    /**
+     * A parked access.  It keeps the physical line address it was
+     * translated to on arrival, as a hardware replay queue would, so
+     * waking it costs no TLB lookup.
+     */
+    struct Parked
+    {
+        PhysAddr linePA;
         WordMask mask;
         bool isStore;
+        Wait wait;            //!< None once it has proceeded
+        bool watched = false; //!< listed in lineWaiters
         LineData storeData;
-        bool hasStoreData;
         AccessDone done;
     };
 
@@ -155,9 +178,19 @@ class L1Cache : public MemObject
     void writebackWords(Line &line, WordMask mask);
     WordMask readableMask(const Line &line) const;
     void completeWaiters(PhysAddr line_pa, Line &line);
-    void replayDeferred();
-    void doAccess(Addr line_va, WordMask mask, bool is_store,
-                  const LineData *store_data, AccessDone done);
+    /**
+     * Performs the access, consuming @p done, or returns why it must
+     * wait and leaves @p done alone.
+     */
+    Wait attempt(PhysAddr line_pa, WordMask mask, bool is_store,
+                 const LineData *store_data, AccessDone &done);
+    /** @{ The wait list; waiters are named by arrival number. */
+    Parked &waiter(std::uint64_t arrival);
+    void file(std::uint64_t arrival, Wait wait);
+    void lineAllocated(PhysAddr line_pa);
+    std::uint64_t nextMshrWaiter();
+    void wake(unsigned set);
+    /** @} */
 
     EventQueue &eq;
     Fabric &fabric;
@@ -168,7 +201,34 @@ class L1Cache : public MemObject
     unsigned sets;
     std::vector<Line> lines; //!< sets x assoc, row-major
     std::unordered_map<PhysAddr, Mshr> mshrs;
-    std::deque<DeferredAccess> deferred;
+
+    /**
+     * Parked accesses in arrival order: parked[i] is arrival
+     * firstArrival + i.  Records that proceeded stay in place until
+     * the prefix before the oldest waiter is dropped.
+     */
+    std::vector<Parked> parked;
+    std::uint64_t firstArrival = 1;
+    std::size_t liveFrom = 0; //!< parked[0, liveFrom) have all proceeded
+    /** No Wait::Mshr waiter arrived before this. */
+    std::uint64_t mshrScan = 1;
+    /** Wait::Way waiters by set; emptied when an MSHR in it releases. */
+    std::vector<std::vector<std::uint64_t>> wayWaiters;
+    /** Every waiter by line, until some access allocates that line. */
+    std::unordered_multimap<PhysAddr, std::uint64_t> lineWaiters;
+    /** Waiters whose line was allocated since they were last tried. */
+    std::vector<std::uint64_t> lineResident;
+    /** Min-heap of the arrivals the current wake visits. */
+    std::vector<std::uint64_t> wakeHeap;
+    /** Arrival number that names no waiter. */
+    static constexpr std::uint64_t noWaiter = ~std::uint64_t{0};
+    /**
+     * The arrival the current wake visited last.  noWaiter outside a
+     * wake, so a waiter whose line is allocated then is visited at the
+     * next wake.
+     */
+    std::uint64_t lastVisited = noWaiter;
+
     std::uint64_t useClock = 0;
     CacheStats _stats;
     ProtocolChecker *checker = nullptr;

@@ -58,6 +58,7 @@ Tlb::restore(SnapshotReader &r)
 {
     _accesses = r.u64();
     _misses = r.u64();
+    r.require(_misses <= _accesses, "more TLB misses than accesses");
     const std::uint32_t n = r.u32();
     r.require(n <= capacity, "more TLB entries than capacity");
     lru.clear();
@@ -65,6 +66,13 @@ Tlb::restore(SnapshotReader &r)
     for (std::uint32_t i = 0; i < n; ++i) {
         const Addr vpage = r.u64();
         const PhysAddr ppage = r.u64();
+        r.require(vpage % pageBytes == 0 && ppage % pageBytes == 0,
+                  "TLB entry not page-aligned");
+        r.require(!index.contains(vpage), "duplicate TLB vpage");
+        // The page table is restored before the TLBs.
+        PhysAddr mapped = 0;
+        r.require(pageTable.lookup(vpage, &mapped) && mapped == ppage,
+                  "TLB entry disagrees with the page table");
         lru.emplace_back(vpage, ppage);
         index[vpage] = std::prev(lru.end());
     }

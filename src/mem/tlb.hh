@@ -8,6 +8,10 @@
  * the paper (footnote 8), TLB misses are not charged a timing
  * penalty: every access is charged as a hit; misses still refill from
  * the page table so the entry bookkeeping is real.
+ *
+ * The counters count lookups: one per L1 access, since an access that
+ * waits in the L1 keeps its translation (the L1 wait list), and one
+ * per probe.  They feed no artifact; checkpoints carry them.
  */
 
 #ifndef STASHSIM_MEM_TLB_HH
@@ -49,7 +53,10 @@ class Tlb
      * Restores counters and replacement state.  The one-entry MRU
      * fast path resets to "no last page": it is a host-side shortcut
      * whose hit and miss paths count identically, so warming it lazily
-     * cannot perturb any modelled counter.
+     * cannot perturb any modelled counter.  Throws SnapshotError
+     * unless every entry is a page-aligned, distinct vpage mapped as
+     * the (already restored) page table maps it, and misses do not
+     * exceed accesses.
      */
     void restore(SnapshotReader &r);
 

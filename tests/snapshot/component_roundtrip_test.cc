@@ -4,20 +4,27 @@
  * isolation, plus the whole-System double-snapshot identity: a
  * restored System must serialize back to exactly the bytes it was
  * restored from (the fixed point the resume-parity suite builds on).
+ * Hostile TLB and L1 sections, each breaking one invariant, must be
+ * rejected with a SnapshotError naming their section.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "config/system_config.hh"
 #include "core/stash_map.hh"
 #include "driver/system.hh"
+#include "mem/cache.hh"
+#include "mem/fabric.hh"
 #include "mem/main_memory.hh"
 #include "mem/page_table.hh"
 #include "mem/scratchpad.hh"
 #include "mem/tlb.hh"
+#include "noc/mesh.hh"
 #include "snapshot/snapshot.hh"
 #include "workloads/workload_factory.hh"
 
@@ -164,6 +171,161 @@ TEST(ComponentRoundTripTest, StashMap)
     SnapshotReader r(w.serialize());
     r.openSection("x");
     EXPECT_THROW(wrong.restore(r), SnapshotError);
+}
+
+/**
+ * Writes one section named @p name and restores it.  Returns the
+ * section a SnapshotError named, or "" when the restore accepted it.
+ */
+template <class WriteFn, class ReadFn>
+std::string
+restoreError(const std::string &name, WriteFn write, ReadFn read)
+{
+    SnapshotWriter w;
+    w.beginSection(name);
+    write(w);
+    w.endSection();
+    SnapshotReader r(w.serialize());
+    r.openSection(name);
+    try {
+        read(r);
+        r.closeSection();
+    } catch (const SnapshotError &e) {
+        return e.section();
+    }
+    return "";
+}
+
+/** A TLB section over two mapped pages; each test breaks one field. */
+class TlbRestoreTest : public ::testing::Test
+{
+  protected:
+    using Entries = std::vector<std::pair<Addr, PhysAddr>>;
+
+    std::string
+    restore(std::uint64_t accesses, std::uint64_t misses,
+            const Entries &entries)
+    {
+        Tlb tlb(pt, 4);
+        return restoreError(
+            "cu0.tlb",
+            [&](SnapshotWriter &w) {
+                w.u64(accesses);
+                w.u64(misses);
+                w.u32(std::uint32_t(entries.size()));
+                for (const auto &[vpage, ppage] : entries) {
+                    w.u64(vpage);
+                    w.u64(ppage);
+                }
+            },
+            [&](SnapshotReader &r) { tlb.restore(r); });
+    }
+
+    PageTable pt;
+    const Addr v1 = 0x10000, v2 = 0x20000;
+    const PhysAddr p1 = pt.translate(v1), p2 = pt.translate(v2);
+    const Entries good{{v1, p1}, {v2, p2}};
+};
+
+TEST_F(TlbRestoreTest, RejectsUnalignedPages)
+{
+    EXPECT_EQ(restore(5, 2, good), "");
+    EXPECT_EQ(restore(5, 2, {{v1 + 4, p1}, {v2, p2}}), "cu0.tlb");
+    EXPECT_EQ(restore(5, 2, {{v1, p1 + 4}, {v2, p2}}), "cu0.tlb");
+}
+
+TEST_F(TlbRestoreTest, RejectsDuplicateVpages)
+{
+    EXPECT_EQ(restore(5, 2, {{v1, p1}, {v1, p1}}), "cu0.tlb");
+}
+
+TEST_F(TlbRestoreTest, RejectsMoreMissesThanAccesses)
+{
+    EXPECT_EQ(restore(2, 2, good), "");
+    EXPECT_EQ(restore(1, 2, good), "cu0.tlb");
+}
+
+TEST_F(TlbRestoreTest, RejectsEntriesThePageTableDoesNotHold)
+{
+    // Another page's frame, and a page the table never mapped.
+    EXPECT_EQ(restore(5, 2, {{v1, p1 + 7 * pageBytes}}), "cu0.tlb");
+    EXPECT_EQ(restore(5, 2, {{v1, p1}, {0x30000, p2}}), "cu0.tlb");
+}
+
+/**
+ * An L1 section for a 1 KB, 2-way cache (8 sets): line i lives in
+ * set i / 2.  Each test breaks one field of a good section.
+ */
+class L1RestoreTest : public ::testing::Test
+{
+  protected:
+    struct Rec
+    {
+        std::uint32_t index;
+        PhysAddr pa;
+        std::uint64_t lastUse;
+    };
+
+    std::string
+    restore(std::uint64_t use_clock, const std::vector<Rec> &recs)
+    {
+        L1Cache::Params p;
+        p.bytes = 1024;
+        p.assoc = 2;
+        L1Cache l1(eq, fabric, tlb, 0, 0, p);
+        return restoreError(
+            "cu0.l1",
+            [&](SnapshotWriter &w) {
+                w.u32(8);
+                w.u32(2);
+                w.u64(use_clock);
+                writeStats(w, CacheStats{});
+                w.u32(std::uint32_t(recs.size()));
+                for (const Rec &rec : recs) {
+                    w.u32(rec.index);
+                    w.u64(rec.pa);
+                    for (unsigned j = 0; j < wordsPerLine; ++j)
+                        w.u8(std::uint8_t(WordState::Valid));
+                    for (unsigned j = 0; j < wordsPerLine; ++j)
+                        w.u32(j);
+                    w.u64(rec.lastUse);
+                }
+            },
+            [&](SnapshotReader &r) { l1.restore(r); });
+    }
+
+    EventQueue eq;
+    Mesh mesh{eq, MeshParams{}};
+    Fabric fabric{mesh};
+    PageTable pt;
+    Tlb tlb{pt, 64};
+    /** A line in set 0; base + 64 * s is in set s (mod 8). */
+    static constexpr PhysAddr base = PhysAddr{4} << 30;
+    /** Two lines in set 0 and one in set 1. */
+    const std::vector<Rec> good{
+        {0, base, 1}, {1, base + 512, 2}, {2, base + 64, 3}};
+};
+
+TEST_F(L1RestoreTest, RejectsUnalignedLines)
+{
+    EXPECT_EQ(restore(3, good), "");
+    EXPECT_EQ(restore(3, {{0, base + 4, 1}}), "cu0.l1");
+}
+
+TEST_F(L1RestoreTest, RejectsLinesOutsideTheirSet)
+{
+    // Set 1's line moved up one line, to set 2.
+    EXPECT_EQ(restore(3, {{0, base, 1}, {2, base + 128, 3}}), "cu0.l1");
+}
+
+TEST_F(L1RestoreTest, RejectsALineStoredTwiceInItsSet)
+{
+    EXPECT_EQ(restore(3, {{0, base, 1}, {1, base, 2}}), "cu0.l1");
+}
+
+TEST_F(L1RestoreTest, RejectsUseAfterTheUseClock)
+{
+    EXPECT_EQ(restore(2, good), "cu0.l1");
 }
 
 /**

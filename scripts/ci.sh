@@ -54,9 +54,12 @@ echo "=== quick artifacts vs scripts/quick_artifacts.sha256 ==="
 # forced to re-finish every run from a mid-run CKPT_* snapshot.  The
 # resumed artifacts must be byte-identical.  fig6 is the bench whose
 # L1s park accesses for every reason: fig5 waits only for MSHRs, and
-# ablation_replication and synth never wait in the L1.
+# ablation_replication and synth never wait in the L1.  fig5 and fig6
+# are also the benches here whose stashes park loads (their Stash and
+# StashG runs), so they cover the stash wait list and the VP-map
+# lookup counter it keeps in each cuN.stash section.
 snapdir="${root}/build/bench-artifacts-snapshot"
-echo "=== checkpoint/restore parity (fig5, ablation_replication, synth, fig6) ==="
+echo "=== checkpoint/restore parity (fig5, ablation_replication, synth, fig6; L1 and stash wait lists) ==="
 rm -rf "${snapdir}"
 mkdir -p "${snapdir}"
 "${root}/build/bench/stashbench" --quick --jobs "${jobs}" \

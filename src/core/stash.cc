@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <ostream>
+#include <span>
 #include <sstream>
+#include <string>
 
 #include "mem/group_by_key.hh"
 #include "sim/log.hh"
@@ -19,7 +21,7 @@ Stash::Stash(EventQueue &eq, Fabric &fabric, PageTable &pt, CoreId owner,
       data(p.bytes / wordBytes, 0),
       state(p.bytes / wordBytes, WordState::Invalid),
       chunks(p.bytes / p.chunkBytes), map(p.mapEntries),
-      vpMap(pt, p.vpEntries)
+      vpMap(pt, p.vpEntries), lineTouched(p.bytes / lineBytes, 0)
 {
     sim_assert(p.chunkBytes % lineBytes == 0 || lineBytes %
                p.chunkBytes == 0);
@@ -81,12 +83,16 @@ translateWords(VpMap &vp_map, const StashMapEntry &e, MapIndex idx,
 void
 Stash::setState(std::uint32_t w, WordState s, const char *why)
 {
-    if (traceWord(owner, w) && state[w] != s) {
+    if (state[w] == s)
+        return;
+    if (traceWord(owner, w)) {
         inform("stash core ", owner, " word ", w, " ",
                wordStateName(state[w]), " -> ", wordStateName(s),
                " (", why, ")");
     }
     state[w] = s;
+    // Wakes the parked loads on this line or copying from it.
+    lineTouched[w / wordsPerLine] = ++touchClock;
 }
 
 void
@@ -111,16 +117,12 @@ Stash::AddMapResult
 Stash::addMap(LocalAddr stash_base, const TileSpec &tile)
 {
     ++_stats.addMaps;
-    if (!tile.wellFormed())
-        fatal("AddMap: malformed tile");
-    if (stash_base % params.chunkBytes != 0)
-        fatal("AddMap: stash base must be chunk-aligned");
-    if (stash_base + tile.mappedBytes() > params.bytes)
-        fatal("AddMap: mapping exceeds stash size");
-    if (tile.globalBase % wordBytes != 0 ||
-        tile.fieldSize % wordBytes != 0 ||
-        tile.objectSize % wordBytes != 0) {
-        fatal("AddMap: tile must be word-aligned");
+    // Remapping may drop VP-map pages, rewrite entries and move
+    // allocIdx: every parked load re-tries at the next release.
+    mapTouched = ++touchClock;
+    if (const char *why = mappingError(stash_base, tile, params.bytes,
+                                       params.chunkBytes)) {
+        fatal("AddMap: ", why);
     }
 
     Cycles cost = 1;
@@ -219,6 +221,7 @@ Cycles
 Stash::chgMap(MapIndex idx, LocalAddr stash_base, const TileSpec &tile)
 {
     ++_stats.chgMaps;
+    mapTouched = ++touchClock;
     StashMapEntry &e = map.entry(idx);
     if (!e.valid)
         fatal("ChgMap: invalid map entry");
@@ -434,6 +437,22 @@ Stash::access(LocalAddr line_addr, WordMask mask, bool is_store,
     }
 
     // ----- Loads -----
+    Shortfall lacked;
+    if (tryLoad(line_addr, mask, map_idx, done, lacked))
+        return;
+    parked.push_back(
+        Parked{nextArrival++, line_addr, mask, map_idx, std::move(done)});
+    file(parked.back(), lacked);
+}
+
+bool
+Stash::tryLoad(LocalAddr line_addr, WordMask mask, MapIndex map_idx,
+               AccessDone &done, Shortfall &lacked)
+{
+    const std::uint32_t word0 = line_addr / wordBytes;
+    StashMapEntry &e = map.entry(map_idx);
+    sim_assert(e.valid);
+
     WordMask missing = 0;
     for (unsigned w = 0; w < wordsPerLine; ++w) {
         if ((mask & wordBit(w)) &&
@@ -455,7 +474,13 @@ Stash::access(LocalAddr line_addr, WordMask mask, bool is_store,
                     (old.stashBase + off) / wordBytes;
                 if (chunks[chunkOf(old_word)].allocIdx != e.reuseIdx)
                     continue; // the replica's region was reused
-                if (state[old_word] != WordState::Invalid) {
+                if (state[old_word] == WordState::Invalid) {
+                    // Not yet readable: a parked load watches it.
+                    auto &lines = lacked.replicaLines;
+                    if (lines[0] == noLine)
+                        lines[0] = old_word / wordsPerLine;
+                    lines[1] = old_word / wordsPerLine;
+                } else {
                     data[word0 + w] = data[old_word];
                     setState(word0 + w, WordState::Valid,
                              "replication-copy");
@@ -470,7 +495,7 @@ Stash::access(LocalAddr line_addr, WordMask mask, bool is_store,
         ++_stats.loadHits;
         _stats.hitWords += popcount(mask);
         complete(line_addr, std::move(done));
-        return;
+        return true;
     }
 
     // Translate the missing words and group them by physical line;
@@ -484,16 +509,14 @@ Stash::access(LocalAddr line_addr, WordMask mask, bool is_store,
         });
 
     // Miss-slot (MSHR) limit: count the new lines this access needs.
-    unsigned new_lines = 0;
     miss_lines.forEach([&](PhysAddr line_pa, WordMask, auto) {
+        lacked.missLines[lacked.numMissLines++] = line_pa;
         if (!pendingFills.contains(line_pa))
-            ++new_lines;
+            ++lacked.need;
     });
-    if (pendingFills.size() + new_lines > params.mshrs &&
-        new_lines > 0) {
-        deferred.push_back(
-            DeferredAccess{line_addr, mask, map_idx, std::move(done)});
-        return;
+    if (pendingFills.size() + lacked.need > params.mshrs &&
+        lacked.need > 0) {
+        return false;
     }
 
     ++_stats.loadMisses;
@@ -511,7 +534,10 @@ Stash::access(LocalAddr line_addr, WordMask mask, bool is_store,
     // access already requested are waited on, not fetched twice.
     std::vector<std::pair<PhysAddr, WordMask>> to_request;
     miss_lines.forEach([&](PhysAddr line_pa, WordMask m, auto recs) {
-        std::vector<PendingWord> &fills = pendingFills[line_pa];
+        auto [it, fresh] = pendingFills.try_emplace(line_pa);
+        if (fresh)
+            linePending(line_pa);
+        std::vector<PendingWord> &fills = it->second;
         WordMask inflight = 0;
         for (const PendingWord &pw : fills)
             inflight |= wordBit(pw.wordInLine);
@@ -538,6 +564,98 @@ Stash::access(LocalAddr line_addr, WordMask mask, bool is_store,
                         std::move(req));
         }
     });
+    return true;
+}
+
+// ---------------------------------------------------------------------
+// Wait list (DESIGN.md §9.4)
+// ---------------------------------------------------------------------
+
+Stash::Parked &
+Stash::parkedLoad(std::uint64_t arrival)
+{
+    auto it = std::lower_bound(
+        parked.begin(), parked.end(), arrival,
+        [](const Parked &p, std::uint64_t a) { return p.arrival < a; });
+    sim_assert(it != parked.end() && it->arrival == arrival);
+    return *it;
+}
+
+void
+Stash::file(Parked &p, const Shortfall &lacked)
+{
+    const auto lines = [](const Shortfall &s) {
+        return std::span(s.missLines.data(), s.numMissLines);
+    };
+    if (!std::ranges::equal(lines(p.lacked), lines(lacked))) {
+        unfile(p);
+        for (PhysAddr line_pa : lines(lacked))
+            missWaiters.emplace(line_pa, p.arrival);
+    }
+    p.lacked = lacked;
+    p.triedAt = touchClock;
+}
+
+void
+Stash::unfile(const Parked &p)
+{
+    for (unsigned i = 0; i < p.lacked.numMissLines; ++i) {
+        auto [first, last] = missWaiters.equal_range(p.lacked.missLines[i]);
+        for (auto it = first; it != last; ++it) {
+            if (it->second == p.arrival) {
+                missWaiters.erase(it);
+                break;
+            }
+        }
+    }
+}
+
+void
+Stash::linePending(PhysAddr line_pa)
+{
+    auto [first, last] = missWaiters.equal_range(line_pa);
+    for (auto it = first; it != last; ++it)
+        parkedLoad(it->second).linePending = true;
+}
+
+bool
+Stash::wakeDue(const Parked &p) const
+{
+    const auto touched = [&](std::uint32_t line) {
+        return line != noLine && lineTouched[line] > p.triedAt;
+    };
+    return pendingFills.size() + p.lacked.need <= params.mshrs ||
+           p.linePending || mapTouched > p.triedAt ||
+           touched(p.lineAddr / lineBytes) ||
+           touched(p.lacked.replicaLines[0]) ||
+           touched(p.lacked.replicaLines[1]);
+}
+
+void
+Stash::wake()
+{
+    // Re-try, in arrival order, every parked load whose outcome can
+    // have changed since its last try: it fits the free slots, a word
+    // of its line or replica line changed state, a miss line became
+    // pending, or a remap ran.  Any other re-try would find the same
+    // missing words, translations and replica, and at least as many
+    // new lines, so it would re-defer with no side effect.  A touch
+    // made here reaches later arrivals in this wake and earlier ones
+    // at the next release, as a replay of the whole list would.
+    // Nothing here parks a new load, so the vector does not grow.
+    for (Parked &p : parked) {
+        if (!wakeDue(p))
+            continue;
+        p.linePending = false;
+        Shortfall lacked;
+        if (tryLoad(p.lineAddr, p.mask, p.mapIdx, p.done, lacked)) {
+            unfile(p);
+            p.waiting = false;
+        } else {
+            file(p, lacked);
+        }
+    }
+    std::erase_if(parked, [](const Parked &p) { return !p.waiting; });
 }
 
 void
@@ -563,19 +681,6 @@ Stash::markDirty(std::uint32_t word, MapIndex map_idx)
             checker->onDirtyDataUnderflow(owner, ch.mapIdx);
         ++map.entry(map_idx).dirtyData;
         ch.mapIdx = map_idx;
-    }
-}
-
-void
-Stash::replayDeferred()
-{
-    if (deferred.empty())
-        return;
-    std::vector<DeferredAccess> pending;
-    pending.swap(deferred);
-    for (auto &d : pending) {
-        access(d.lineAddr, d.mask, false, nullptr, d.mapIdx,
-               std::move(d.done));
     }
 }
 
@@ -789,7 +894,8 @@ Stash::receive(const Msg &msg)
         }
         if (vec.empty()) {
             pendingFills.erase(it);
-            replayDeferred();
+            if (!parked.empty())
+                wake();
         }
         return;
       }
@@ -1036,8 +1142,19 @@ Stash::dumpState(std::ostream &os) const
 {
     os << "  stash core " << owner << ": vp-map " << vpMap.size() << "/"
        << vpMap.capacity() << " pages, " << pendingFills.size()
-       << " pending fill line(s), " << deferred.size()
-       << " deferred access(es)\n";
+       << " pending fill line(s), " << parked.size()
+       << " parked load(s)\n";
+    // The oldest parked loads: a load that never proceeds is usually
+    // among them.
+    constexpr std::size_t shown = 4;
+    for (std::size_t i = 0; i < std::min(shown, parked.size()); ++i) {
+        const Parked &p = parked[i];
+        os << "    parked #" << p.arrival << " stash line "
+           << p.lineAddr / lineBytes << " map[" << unsigned(p.mapIdx)
+           << "] need=" << p.lacked.need << " of "
+           << p.lacked.numMissLines << " miss line(s), "
+           << (wakeDue(p) ? "wake pending" : "no wake pending") << "\n";
+    }
     for (unsigned i = 0; i < map.capacity(); ++i) {
         const StashMapEntry &e = map.entry(MapIndex(i));
         if (!e.valid)
@@ -1076,10 +1193,12 @@ StashMap::snapshot(SnapshotWriter &w) const
 }
 
 void
-StashMap::restore(SnapshotReader &r)
+StashMap::restore(SnapshotReader &r, unsigned stash_bytes,
+                  unsigned chunk_bytes)
 {
     r.require(r.u32() == entries.size(), "stash-map capacity mismatch");
     tail = r.u8();
+    r.require(tail < entries.size(), "stash-map tail out of range");
     for (StashMapEntry &e : entries) {
         e.valid = r.b();
         e.pinned = r.b();
@@ -1094,6 +1213,15 @@ StashMap::restore(SnapshotReader &r)
         e.dirtyData = r.u32();
         e.reuseBit = r.b();
         e.reuseIdx = r.u8();
+        r.require(e.reuseIdx < entries.size(),
+                  "stash-map reuse index out of range");
+        if (!e.valid)
+            continue;
+        if (const char *why = mappingError(e.stashBase, e.tile,
+                                           stash_bytes, chunk_bytes)) {
+            const std::string what = std::string("stash-map entry: ") + why;
+            r.require(false, what.c_str());
+        }
     }
 }
 
@@ -1101,9 +1229,9 @@ void
 Stash::snapshot(SnapshotWriter &w) const
 {
     // Checkpoints happen only at drain points: no fill in flight, no
-    // deferred miss waiting for a slot.
+    // load parked for a slot.
     sim_assert(pendingFills.empty());
-    sim_assert(deferred.empty());
+    sim_assert(parked.empty());
     writeStats(w, _stats);
     w.u32(numWords());
     for (std::uint32_t word : data)
@@ -1125,7 +1253,7 @@ void
 Stash::restore(SnapshotReader &r)
 {
     sim_assert(pendingFills.empty());
-    sim_assert(deferred.empty());
+    sim_assert(parked.empty());
     readStats(r, _stats);
     r.require(r.u32() == numWords(), "stash size mismatch");
     for (std::uint32_t &word : data)
@@ -1142,9 +1270,14 @@ Stash::restore(SnapshotReader &r)
         c.writeback = r.b();
         c.mapIdx = r.u8();
         c.allocIdx = r.u8();
+        r.require(c.mapIdx < map.capacity(),
+                  "chunk map index out of range");
+        r.require(c.allocIdx < map.capacity() ||
+                      c.allocIdx == unmappedIndex,
+                  "chunk allocator index out of range");
     }
-    map.restore(r);
-    vpMap.restore(r);
+    map.restore(r, params.bytes, params.chunkBytes);
+    vpMap.restore(r, map.capacity());
 }
 
 } // namespace stashsim

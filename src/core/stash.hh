@@ -32,6 +32,7 @@
 #ifndef STASHSIM_CORE_STASH_HH
 #define STASHSIM_CORE_STASH_HH
 
+#include <array>
 #include <functional>
 #include <iosfwd>
 #include <memory>
@@ -164,13 +165,15 @@ class Stash : public MemObject
     void auditAccounting(
         const std::function<void(const std::string &)> &report) const;
 
-    /** Writes map-table and VP-map occupancy (watchdog dumps). */
+    /**
+     * Writes map-table and VP-map occupancy and the oldest parked
+     * loads (watchdog dumps).
+     */
     void dumpState(std::ostream &os) const;
 
     /**
      * Serializes data/state/chunks + map table + VP-map + stats.
-     * Only valid at a drain point: no pending fills or deferred
-     * misses.
+     * Only valid at a drain point: no pending fills or parked loads.
      */
     void snapshot(SnapshotWriter &w) const;
 
@@ -265,18 +268,69 @@ class Stash : public MemObject
 
     std::unordered_map<PhysAddr, std::vector<PendingWord>> pendingFills;
 
-    struct DeferredAccess
+    /** Stash line number that names no line. */
+    static constexpr std::uint32_t noLine = ~std::uint32_t{0};
+
+    /** What a load that could not get its miss slots lacked. */
+    struct Shortfall
     {
+        /** Its miss lines that were not pending: slots it needs. */
+        unsigned need = 0;
+        unsigned numMissLines = 0;
+        /** Physical lines of its missing words, ascending. */
+        std::array<PhysAddr, wordsPerLine> missLines{};
+        /**
+         * First and last stash line holding a live same-tile replica
+         * copy of a missing word that was not yet readable.
+         */
+        std::array<std::uint32_t, 2> replicaLines{noLine, noLine};
+    };
+
+    /** A load parked on the wait list (DESIGN.md §9.4). */
+    struct Parked
+    {
+        std::uint64_t arrival;
         LocalAddr lineAddr;
         WordMask mask;
         MapIndex mapIdx;
         AccessDone done;
+        Shortfall lacked{};
+        /** touchClock right after its last try. */
+        std::uint64_t triedAt = 0;
+        /** One of its miss lines became pending since its last try. */
+        bool linePending = false;
+        bool waiting = true; //!< false once it proceeded
     };
 
-    /** Load misses waiting for a free miss slot. */
-    std::vector<DeferredAccess> deferred;
+    /**
+     * Runs a mapped load, consuming @p done, or returns false, leaves
+     * @p done alone and fills @p lacked (default-constructed by the
+     * caller) when it cannot get its miss slots.  A new load and a
+     * woken one run this same code.
+     */
+    bool tryLoad(LocalAddr line_addr, WordMask mask, MapIndex map_idx,
+                 AccessDone &done, Shortfall &lacked);
 
-    void replayDeferred();
+    /** @{ The wait list. */
+    Parked &parkedLoad(std::uint64_t arrival);
+    void file(Parked &p, const Shortfall &lacked);
+    void unfile(const Parked &p);
+    void linePending(PhysAddr line_pa);
+    bool wakeDue(const Parked &p) const;
+    void wake();
+    /** @} */
+
+    /** Parked loads in arrival order. */
+    std::vector<Parked> parked;
+    std::uint64_t nextArrival = 0;
+    /** Parked loads by miss line: the arrival numbers. */
+    std::unordered_multimap<PhysAddr, std::uint64_t> missWaiters;
+    /** Bumped by every stash-line touch and every AddMap/ChgMap. */
+    std::uint64_t touchClock = 0;
+    /** Per stash line: touchClock when a word of it last changed state. */
+    std::vector<std::uint64_t> lineTouched;
+    /** touchClock at the last AddMap or ChgMap. */
+    std::uint64_t mapTouched = 0;
 
     StashStats _stats;
     ProtocolChecker *checker = nullptr;

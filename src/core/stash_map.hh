@@ -57,6 +57,35 @@ struct StashMapEntry
 };
 
 /**
+ * AddMap's argument checks (Section 3.1, footnote 4): a well-formed,
+ * word-aligned tile whose stash bytes [stash_base, stash_base +
+ * tile.mappedBytes()) start on a chunk boundary and fit a
+ * @p stash_bytes stash.  Returns what is wrong, or nullptr.
+ */
+inline const char *
+mappingError(LocalAddr stash_base, const TileSpec &tile,
+             unsigned stash_bytes, unsigned chunk_bytes)
+{
+    if (!tile.wellFormed())
+        return "malformed tile";
+    if (stash_base % chunk_bytes != 0)
+        return "stash base must be chunk-aligned";
+    // 64-bit: a hostile tile's 32-bit mappedBytes() may wrap.
+    const std::uint64_t row_bytes =
+        std::uint64_t(tile.fieldSize) * tile.rowSize;
+    if (row_bytes > stash_bytes ||
+        stash_base + row_bytes * tile.numStrides > stash_bytes) {
+        return "mapping exceeds stash size";
+    }
+    if (tile.globalBase % wordBytes != 0 ||
+        tile.fieldSize % wordBytes != 0 ||
+        tile.objectSize % wordBytes != 0) {
+        return "tile must be word-aligned";
+    }
+    return nullptr;
+}
+
+/**
  * The circular stash-map buffer.
  */
 class StashMap
@@ -103,8 +132,13 @@ class StashMap
     /** Serializes entries + tail (implemented in core/stash.cc). */
     void snapshot(SnapshotWriter &w) const;
 
-    /** Restores entries + tail from a checkpoint. */
-    void restore(SnapshotReader &r);
+    /**
+     * Restores entries + tail from a checkpoint of a stash of
+     * @p stash_bytes in @p chunk_bytes chunks; every valid entry must
+     * pass AddMap's checks.
+     */
+    void restore(SnapshotReader &r, unsigned stash_bytes,
+                 unsigned chunk_bytes);
 
     /** Count of valid entries (for tests/telemetry). */
     unsigned

@@ -95,7 +95,7 @@ VpMap::snapshot(SnapshotWriter &w) const
 }
 
 void
-VpMap::restore(SnapshotReader &r)
+VpMap::restore(SnapshotReader &r, unsigned map_entries)
 {
     _accesses = r.u64();
     tlb.clear();
@@ -106,8 +106,18 @@ VpMap::restore(SnapshotReader &r)
         const Addr vpage = r.u64();
         const PhysAddr ppage = r.u64();
         const MapIndex idx = r.u8();
-        tlb.emplace(vpage, Entry{ppage, idx});
-        rtlb.emplace(ppage, vpage);
+        r.require(vpage % pageBytes == 0 && ppage % pageBytes == 0,
+                  "VP-map entry not page-aligned");
+        r.require(idx < map_entries,
+                  "VP-map entry names no stash-map entry");
+        r.require(tlb.emplace(vpage, Entry{ppage, idx}).second,
+                  "duplicate VP-map vpage");
+        r.require(rtlb.emplace(ppage, vpage).second,
+                  "duplicate VP-map ppage");
+        // The page table is restored before the stashes.
+        PhysAddr mapped = 0;
+        r.require(pageTable.lookup(vpage, &mapped) && mapped == ppage,
+                  "VP-map entry disagrees with the page table");
     }
 }
 

@@ -100,9 +100,12 @@ class VpMap
     /**
      * Restores the TLB and rebuilds the RTLB as its exact inverse
      * (install/release maintain the two in lock-step, so the inverse
-     * is the complete RTLB state).
+     * is the complete RTLB state).  Each entry must be page-aligned,
+     * name one of @p map_entries stash-map entries, hold a vpage and
+     * a ppage no other entry holds, and agree with the (already
+     * restored) page table.
      */
-    void restore(SnapshotReader &r);
+    void restore(SnapshotReader &r, unsigned map_entries);
 
   private:
     struct Entry

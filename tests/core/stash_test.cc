@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/stash.hh"
@@ -43,7 +45,7 @@ class StashBench : public ::testing::Test
             fabric->registerObject(n, Unit::Llc, llc.back().get());
         }
         stash = std::make_unique<Stash>(eq, *fabric, pageTable, 0,
-                                        NodeId(0), Stash::Params{});
+                                        NodeId(0), stashParams());
         fabric->registerObject(NodeId(0), Unit::Stash, stash.get());
         fabric->registerCore(0, NodeId(0));
 
@@ -54,6 +56,8 @@ class StashBench : public ::testing::Test
         fabric->registerObject(NodeId(1), Unit::L1, cache.get());
         fabric->registerCore(1, NodeId(1));
     }
+
+    virtual Stash::Params stashParams() const { return {}; }
 
     /** The standard AoS field tile: 4 B of every 64 B object. */
     TileSpec
@@ -421,6 +425,374 @@ TEST_F(StashBench, AddMapValidatesArguments)
     TileSpec huge = aosTile(gbase, 16 * 1024);
     EXPECT_THROW(stash->addMap(0, huge), std::runtime_error);
 }
+
+/**
+ * Wait-list tests: a stash with two miss slots, fed loads without
+ * draining the queue between them.  In the AoS tile every stash word
+ * lives on its own memory line, so a load of k missing words needs k
+ * miss lines.
+ */
+class StashWaitList : public StashBench
+{
+  protected:
+    Stash::Params
+    stashParams() const override
+    {
+        Stash::Params p;
+        p.mshrs = 2;
+        return p;
+    }
+
+    struct Completion
+    {
+        char name;
+        Tick tick;
+        Counter loadMisses; //!< loads that had proceeded by then
+        LineData data;
+    };
+
+    /** Non-blocking load of stash @p words, all on one stash line. */
+    void
+    submit(char name, std::initializer_list<unsigned> words, MapIndex idx)
+    {
+        WordMask mask = 0;
+        for (unsigned w : words)
+            mask |= wordBit(w % wordsPerLine);
+        const LocalAddr line = *words.begin() / wordsPerLine * lineBytes;
+        stash->access(line, mask, false, nullptr, idx,
+                      [this, name](const LineData &d) {
+                          log.push_back(Completion{
+                              name, eq.curTick(),
+                              stash->stats().loadMisses, d});
+                      });
+    }
+
+    /** Non-blocking store of @p v to stash word @p w. */
+    void
+    store(unsigned w, std::uint32_t v, MapIndex idx)
+    {
+        LineData d;
+        d.w[w % wordsPerLine] = v;
+        stash->access(w / wordsPerLine * lineBytes, wordBit(w % wordsPerLine),
+                      true, &d, idx, [](const LineData &) {});
+    }
+
+    const Completion &
+    at(char name) const
+    {
+        for (const Completion &c : log) {
+            if (c.name == name)
+                return c;
+        }
+        ADD_FAILURE() << name << " never completed";
+        static const Completion never{};
+        return never;
+    }
+
+    std::string
+    order() const
+    {
+        std::string o;
+        for (const Completion &c : log)
+            o += c.name;
+        return o;
+    }
+
+    std::vector<Completion> log;
+};
+
+TEST_F(StashWaitList, LaterOneLineLoadPassesEarlierTwoLineLoad)
+{
+    initField(gbase, 64);
+    const MapIndex m = stash->addMap(0, aosTile(gbase, 64)).idx;
+    submit('a', {0}, m);
+    submit('b', {16}, m);
+    submit('c', {32, 33}, m); // needs both slots
+    submit('d', {48}, m);     // needs one
+    EXPECT_EQ(stash->stats().loadMisses, 2u) << "c and d park";
+    eq.run();
+
+    // The first release frees one slot: d fits, c does not.  c
+    // proceeds once the second slot frees too.
+    ASSERT_EQ(order().size(), 4u);
+    EXPECT_EQ(log[0].loadMisses, 3u) << "d proceeded at the first release";
+    EXPECT_LT(at('d').tick, at('c').tick);
+    EXPECT_EQ(at('c').loadMisses, 4u);
+    EXPECT_EQ(at('c').data.w[0], 132u);
+    EXPECT_EQ(at('c').data.w[1], 133u);
+    EXPECT_EQ(at('d').data.w[0], 148u);
+}
+
+TEST_F(StashWaitList, ParkedLoadProceedsOnceItsLinesArePending)
+{
+    initField(gbase, 64);
+    const MapIndex m = stash->addMap(0, aosTile(gbase, 64)).idx;
+    // A second tile over the same objects, one word further in: its
+    // word 32 shares a memory line with the first tile's word 32.
+    TileSpec next = aosTile(gbase + 4, 64);
+    const MapIndex n = stash->addMap(1024, next).idx;
+    submit('a', {0}, m);
+    submit('b', {16}, m);
+    submit('e', {256 + 32}, n); // memory line X, parks
+    submit('c', {32}, m);       // memory line X too, parks
+
+    // At the first release e takes the free slot and requests X; c
+    // then needs no new line and proceeds in the same release.
+    while (stash->stats().loadMisses == 2 && eq.runOne()) {
+    }
+    EXPECT_EQ(stash->stats().loadMisses, 4u);
+    eq.run();
+    ASSERT_EQ(order().size(), 4u);
+    EXPECT_EQ(at('c').data.w[0], 132u);
+}
+
+TEST_F(StashWaitList, SuppliedWordsCompleteAsAHitAtTheNextRelease)
+{
+    initField(gbase, 64);
+    const MapIndex m = stash->addMap(0, aosTile(gbase, 64)).idx;
+    submit('a', {0}, m);
+    submit('d', {32}, m);
+    // c needs word 0 (in flight for a) and two new lines: it parks
+    // and needs both slots.
+    submit('c', {0, 1, 2}, m);
+    // Stores supply c's other two words while it waits.
+    store(1, 7001, m);
+    store(2, 7002, m);
+    eq.run();
+
+    // a's fill, the first release, supplies word 0; at that release c
+    // finds every word readable and hits.
+    ASSERT_EQ(order(), "acd");
+    EXPECT_EQ(at('c').tick, at('a').tick);
+    EXPECT_EQ(stash->stats().loadMisses, 2u);
+    EXPECT_EQ(stash->stats().loadHits, 1u);
+    EXPECT_EQ(at('c').data.w[0], 100u);
+    EXPECT_EQ(at('c').data.w[1], 7001u);
+    EXPECT_EQ(at('c').data.w[2], 7002u);
+}
+
+TEST_F(StashWaitList, ParkedReplicaLoadCopiesAWordThatBecameValid)
+{
+    initField(gbase, 32);
+    const TileSpec t = aosTile(gbase, 32);
+    const MapIndex m1 = stash->addMap(0, t).idx;
+    const MapIndex m2 = stash->addMap(1024, t).idx; // replica of m1
+    ASSERT_TRUE(stash->mapTable().entry(m2).reuseBit);
+    submit('x', {0}, m1);
+    submit('y', {1}, m1);
+    // c's replica words 0 and 1 are in flight, 2 and 3 need new lines.
+    submit('c', {256, 257, 258, 259}, m2);
+
+    // At each of x's and y's releases c copies the replica word that
+    // fill made Valid; it proceeds once both slots are free.
+    while (stash->stats().replicationHits == 0 &&
+           stash->stats().loadMisses == 2 && eq.runOne()) {
+    }
+    EXPECT_EQ(stash->stats().replicationHits, 1u);
+    EXPECT_EQ(stash->stats().loadMisses, 2u) << "c is still parked";
+    eq.run();
+    ASSERT_EQ(order(), "xyc");
+    EXPECT_EQ(stash->stats().replicationHits, 2u);
+    EXPECT_EQ(at('c').loadMisses, 3u);
+    for (unsigned w = 0; w < 4; ++w)
+        EXPECT_EQ(at('c').data.w[w], 100 + w);
+}
+
+/** Two map entries, so AddMap recycles the unpinned one. */
+class StashWaitListTwoMaps : public StashWaitList
+{
+  protected:
+    Stash::Params
+    stashParams() const override
+    {
+        Stash::Params p = StashWaitList::stashParams();
+        p.mapEntries = 2;
+        return p;
+    }
+};
+
+TEST_F(StashWaitListTwoMaps, RemapDropsAPageAParkedLoadReinstalls)
+{
+    initField(gbase, 32);
+    const Addr page = pageBase(gbase);
+    const MapIndex m = stash->addMap(0, aosTile(gbase, 32)).idx;
+    // Another tile on the same page becomes the page's latest user.
+    const MapIndex other =
+        stash->addMap(1024, aosTile(gbase + 2048, 16)).idx;
+    stash->releaseMap(other);
+    submit('a', {16}, m);
+    submit('b', {17}, m);
+    submit('c', {0, 1}, m); // needs both slots
+    // Recycling the other entry drops the shared page.
+    stash->addMap(2048, aosTile(gbase + 0x10000, 16));
+    EXPECT_FALSE(stash->vpMapTable().contains(page));
+
+    // At the first release c still lacks a slot, but its re-try
+    // translates its words again and re-installs the page.
+    while (!stash->vpMapTable().contains(page) &&
+           stash->stats().loadMisses == 2 && eq.runOne()) {
+    }
+    EXPECT_EQ(stash->stats().loadMisses, 2u) << "c is still parked";
+    EXPECT_TRUE(stash->vpMapTable().contains(page));
+    eq.run();
+    ASSERT_EQ(order().size(), 3u);
+    EXPECT_EQ(at('c').data.w[0], 100u);
+    EXPECT_EQ(at('c').data.w[1], 101u);
+}
+
+TEST_F(StashWaitList, VpMapCountsOnlyTheRetriesTheWaitListMakes)
+{
+    initField(gbase, 256);
+    const MapIndex m = stash->addMap(0, aosTile(gbase, 256)).idx;
+    const std::uint64_t lookups = stash->vpMapTable().accesses();
+    const Counter counted = stash->stats().vpMapAccesses;
+    // Each load on its own stash line, so no fill touches another
+    // load's line.
+    constexpr unsigned loads = 12;
+    for (unsigned i = 0; i < loads; ++i)
+        submit(char('a' + i), {i * wordsPerLine + i % 3}, m);
+    eq.run();
+
+    ASSERT_EQ(order().size(), loads);
+    // Two proceed on arrival; each of the other ten is translated
+    // when it parks and once more at the release it proceeds at.
+    EXPECT_EQ(stash->stats().vpMapAccesses - counted, loads);
+    EXPECT_EQ(stash->vpMapTable().accesses() - lookups, 2 * loads - 2);
+}
+
+TEST_F(StashWaitList, DumpNamesTheOldestParkedLoads)
+{
+    fabric->setTestDropFilter([](NodeId, NodeId, const Msg &msg) {
+        return msg.type == MsgType::ReadResp;
+    });
+    const MapIndex m = stash->addMap(0, aosTile(gbase, 64)).idx;
+    submit('a', {0}, m);
+    submit('b', {16}, m);
+    submit('c', {32, 33}, m);
+    submit('d', {48}, m);
+    store(49, 1, m); // touches d's line: its wake is due
+    eq.run();
+    EXPECT_TRUE(log.empty());
+
+    std::ostringstream os;
+    stash->dumpState(os);
+    const std::string dump = os.str();
+    EXPECT_NE(dump.find("2 pending fill line(s), 2 parked load(s)"),
+              std::string::npos)
+        << dump;
+    EXPECT_NE(dump.find("parked #0 stash line 2 map[0] need=2 of 2 miss "
+                        "line(s), no wake pending"),
+              std::string::npos)
+        << dump;
+    EXPECT_NE(dump.find("parked #1 stash line 3 map[0] need=1 of 1 miss "
+                        "line(s), wake pending"),
+              std::string::npos)
+        << dump;
+}
+
+/**
+ * Property: seeded bursts of non-blocking loads through the 2-slot
+ * stash, on a mapping and its same-tile replica, return what memory
+ * holds and drain.  Between bursts the stash stores through the
+ * older mapping and the peer L1 stores without waiting, so
+ * registrations move and InvReqs reach lines with parked loads.
+ * Each burst reads only words no store of its round is writing.
+ */
+class StashWaitListProperty : public StashWaitList,
+                              public ::testing::WithParamInterface<unsigned>
+{
+};
+
+TEST_P(StashWaitListProperty, RandomBurstsReturnMemoryValues)
+{
+    std::uint64_t seed = GetParam();
+    auto rng = [&seed]() {
+        seed = seed * 6364136223846793005ull + 1442695040888963407ull;
+        return unsigned(seed >> 33);
+    };
+
+    constexpr unsigned elements = 64;
+    initField(gbase, elements);
+    std::vector<std::uint32_t> ref(elements);
+    for (unsigned i = 0; i < elements; ++i)
+        ref[i] = 100 + i;
+    const TileSpec t = aosTile(gbase, elements);
+    const MapIndex older = stash->addMap(0, t).idx;
+    const MapIndex replica = stash->addMap(1024, t).idx;
+    ASSERT_TRUE(stash->mapTable().entry(replica).reuseBit);
+
+    struct Read
+    {
+        unsigned element;
+        bool done = false;
+        std::uint32_t got = 0;
+    };
+    for (unsigned round = 0; round < 12; ++round) {
+        std::vector<bool> written(elements, false);
+        for (unsigned k = 0; k < 6; ++k) {
+            const unsigned i = rng() % elements;
+            const std::uint32_t v = rng();
+            stashStore(LocalAddr(i * wordBytes), v, older);
+            ref[i] = v;
+        }
+        unsigned cpu_stores = 0, cpu_done = 0;
+        for (unsigned k = 0; k < 4; ++k) {
+            const unsigned i = rng() % elements;
+            const std::uint32_t v = rng();
+            LineData d;
+            d.w[lineWord(gbase + i * 64)] = v;
+            cache->access(gbase + i * 64, wordBit(lineWord(gbase + i * 64)),
+                          true, &d,
+                          [&cpu_done](const LineData &) { ++cpu_done; });
+            ++cpu_stores;
+            ref[i] = v;
+            written[i] = true;
+        }
+        // A kernel boundary: Valid copies, possibly stale, drop.
+        stash->endKernel();
+
+        std::vector<Read> reads;
+        reads.reserve(32);
+        for (unsigned k = 0; k < 24; ++k) {
+            // One or two words of one stash line, so no load needs
+            // more lines than the stash has slots.
+            const unsigned line = rng() % (elements / wordsPerLine);
+            const unsigned w0 = line * wordsPerLine + rng() % wordsPerLine;
+            const unsigned w1 = line * wordsPerLine + rng() % wordsPerLine;
+            if (written[w0] || written[w1])
+                continue;
+            const bool via_replica = rng() % 2 == 0;
+            const LocalAddr base = via_replica ? 1024 : 0;
+            const std::size_t first = reads.size();
+            reads.push_back(Read{w0});
+            if (w1 != w0)
+                reads.push_back(Read{w1});
+            const std::size_t last = reads.size();
+            stash->access(base + line * lineBytes,
+                          WordMask(wordBit(w0 % wordsPerLine) |
+                                   wordBit(w1 % wordsPerLine)),
+                          false, nullptr, via_replica ? replica : older,
+                          [&reads, first, last](const LineData &d) {
+                              for (std::size_t r = first; r < last; ++r) {
+                                  reads[r].got =
+                                      d.w[reads[r].element % wordsPerLine];
+                                  reads[r].done = true;
+                              }
+                          });
+        }
+        eq.run();
+        EXPECT_EQ(cpu_done, cpu_stores) << "round " << round;
+        for (const Read &r : reads) {
+            ASSERT_TRUE(r.done)
+                << "round " << round << " element " << r.element;
+            EXPECT_EQ(r.got, ref[r.element])
+                << "round " << round << " element " << r.element;
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, StashWaitListProperty,
+                         ::testing::Values(1u, 2u, 3u, 17u, 99u));
 
 /** Parameterized sweep: loads/stores across tile geometries. */
 struct StashShape

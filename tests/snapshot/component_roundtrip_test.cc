@@ -4,8 +4,8 @@
  * isolation, plus the whole-System double-snapshot identity: a
  * restored System must serialize back to exactly the bytes it was
  * restored from (the fixed point the resume-parity suite builds on).
- * Hostile TLB and L1 sections, each breaking one invariant, must be
- * rejected with a SnapshotError naming their section.
+ * Hostile TLB, L1 and stash sections, each breaking one invariant,
+ * must be rejected with a SnapshotError naming their section.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "config/system_config.hh"
+#include "core/stash.hh"
 #include "core/stash_map.hh"
 #include "driver/system.hh"
 #include "mem/cache.hh"
@@ -153,7 +154,7 @@ TEST(ComponentRoundTripTest, StashMap)
 
     StashMap b(8);
     roundTrip([&](SnapshotWriter &w) { a.snapshot(w); },
-              [&](SnapshotReader &r) { b.restore(r); });
+              [&](SnapshotReader &r) { b.restore(r, 16 * 1024, 64); });
     EXPECT_EQ(b.tailIndex(), a.tailIndex());
     EXPECT_EQ(b.numValid(), 1u);
     const StashMapEntry &f = b.entry(i0);
@@ -170,7 +171,7 @@ TEST(ComponentRoundTripTest, StashMap)
     w.endSection();
     SnapshotReader r(w.serialize());
     r.openSection("x");
-    EXPECT_THROW(wrong.restore(r), SnapshotError);
+    EXPECT_THROW(wrong.restore(r, 16 * 1024, 64), SnapshotError);
 }
 
 /**
@@ -326,6 +327,195 @@ TEST_F(L1RestoreTest, RejectsALineStoredTwiceInItsSet)
 TEST_F(L1RestoreTest, RejectsUseAfterTheUseClock)
 {
     EXPECT_EQ(restore(2, good), "cu0.l1");
+}
+
+/**
+ * A stash section for a 1 KB stash (16 chunks, 8 map entries, 4
+ * VP-map pages): entry 0 maps a 32-word AoS tile at stash byte 0 and
+ * owns chunks 0-1, and the VP-map holds the tile's one page.  Each
+ * test breaks one field of this good image.
+ */
+class StashRestoreTest : public ::testing::Test
+{
+  protected:
+    struct ChunkRec
+    {
+        MapIndex mapIdx;
+        MapIndex allocIdx;
+    };
+
+    struct VpRec
+    {
+        Addr vpage;
+        PhysAddr ppage;
+        MapIndex idx;
+    };
+
+    StashRestoreTest()
+    {
+        chunks.assign(16, ChunkRec{0, unmappedIndex});
+        chunks[0].allocIdx = chunks[1].allocIdx = 0;
+        entries.resize(8);
+        StashMapEntry &e = entries[0];
+        e.valid = true;
+        e.tile.globalBase = gbase;
+        e.tile.fieldSize = 4;
+        e.tile.objectSize = 64;
+        e.tile.rowSize = 32;
+        vp = {{gbase, pt.translate(gbase), 0}};
+    }
+
+    std::string
+    restore()
+    {
+        Stash::Params p;
+        p.bytes = 1024;
+        p.mapEntries = 8;
+        p.vpEntries = 4;
+        Stash stash(eq, fabric, pt, 0, 0, p);
+        return restoreError(
+            "cu0.stash",
+            [&](SnapshotWriter &w) {
+                writeStats(w, StashStats{});
+                w.u32(256);
+                for (unsigned i = 0; i < 256; ++i)
+                    w.u32(i);
+                for (unsigned i = 0; i < 256; ++i)
+                    w.u8(std::uint8_t(WordState::Invalid));
+                w.u32(std::uint32_t(chunks.size()));
+                for (const ChunkRec &c : chunks) {
+                    w.b(false);
+                    w.b(false);
+                    w.u8(c.mapIdx);
+                    w.u8(c.allocIdx);
+                }
+                w.u32(std::uint32_t(entries.size()));
+                w.u8(tail);
+                for (const StashMapEntry &e : entries) {
+                    w.b(e.valid);
+                    w.b(e.pinned);
+                    w.u32(e.stashBase);
+                    w.u64(e.tile.globalBase);
+                    w.u32(e.tile.fieldSize);
+                    w.u32(e.tile.objectSize);
+                    w.u32(e.tile.rowSize);
+                    w.u32(e.tile.strideSize);
+                    w.u32(e.tile.numStrides);
+                    w.b(e.tile.isCoherent);
+                    w.u32(e.dirtyData);
+                    w.b(e.reuseBit);
+                    w.u8(e.reuseIdx);
+                }
+                w.u64(7); // VP-map lookups
+                w.u32(std::uint32_t(vp.size()));
+                for (const VpRec &v : vp) {
+                    w.u64(v.vpage);
+                    w.u64(v.ppage);
+                    w.u8(v.idx);
+                }
+            },
+            [&](SnapshotReader &r) { stash.restore(r); });
+    }
+
+    static constexpr Addr gbase = 0x200000;
+    EventQueue eq;
+    Mesh mesh{eq, MeshParams{}};
+    Fabric fabric{mesh};
+    PageTable pt;
+    std::vector<ChunkRec> chunks;
+    std::uint8_t tail = 1;
+    std::vector<StashMapEntry> entries;
+    std::vector<VpRec> vp;
+};
+
+TEST_F(StashRestoreTest, RejectsTailPastCapacity)
+{
+    EXPECT_EQ(restore(), "");
+    tail = 8;
+    EXPECT_EQ(restore(), "cu0.stash");
+}
+
+TEST_F(StashRestoreTest, RejectsReuseIndexPastCapacity)
+{
+    entries[3].reuseIdx = 8;
+    EXPECT_EQ(restore(), "cu0.stash");
+}
+
+TEST_F(StashRestoreTest, RejectsMalformedTiles)
+{
+    entries[0].tile.fieldSize = 0;
+    EXPECT_EQ(restore(), "cu0.stash");
+}
+
+TEST_F(StashRestoreTest, RejectsTilesThatAreNotWordAligned)
+{
+    entries[0].tile.globalBase = gbase + 2;
+    EXPECT_EQ(restore(), "cu0.stash");
+}
+
+TEST_F(StashRestoreTest, RejectsStashBasesThatAreNotChunkAligned)
+{
+    entries[0].stashBase = 32;
+    EXPECT_EQ(restore(), "cu0.stash");
+}
+
+TEST_F(StashRestoreTest, RejectsMappingsPastTheStash)
+{
+    entries[0].stashBase = 1024 - 64; // 128 mapped bytes
+    EXPECT_EQ(restore(), "cu0.stash");
+    // 4 B x 2^30 objects: a 32-bit mappedBytes() wraps to 0.
+    entries[0].stashBase = 0;
+    entries[0].tile.rowSize = 1u << 30;
+    EXPECT_EQ(restore(), "cu0.stash");
+}
+
+TEST_F(StashRestoreTest, RejectsChunkMapIndexPastCapacity)
+{
+    chunks[5].mapIdx = 8;
+    EXPECT_EQ(restore(), "cu0.stash");
+}
+
+TEST_F(StashRestoreTest, RejectsChunkAllocatorPastCapacity)
+{
+    chunks[5].allocIdx = 8;
+    EXPECT_EQ(restore(), "cu0.stash");
+}
+
+TEST_F(StashRestoreTest, RejectsVpMapPagesThatAreNotPageAligned)
+{
+    vp[0].ppage += 4;
+    EXPECT_EQ(restore(), "cu0.stash");
+    vp[0] = {gbase + 4, pt.translate(gbase), 0};
+    EXPECT_EQ(restore(), "cu0.stash");
+}
+
+TEST_F(StashRestoreTest, RejectsVpMapEntriesNamingNoMapEntry)
+{
+    vp[0].idx = 8;
+    EXPECT_EQ(restore(), "cu0.stash");
+}
+
+TEST_F(StashRestoreTest, RejectsDuplicateVpMapVpages)
+{
+    vp.push_back(vp[0]);
+    EXPECT_EQ(restore(), "cu0.stash");
+}
+
+TEST_F(StashRestoreTest, RejectsDuplicateVpMapPpages)
+{
+    const Addr other = gbase + 0x10000;
+    pt.translate(other);
+    vp.push_back({other, vp[0].ppage, 0});
+    EXPECT_EQ(restore(), "cu0.stash");
+}
+
+TEST_F(StashRestoreTest, RejectsVpMapPagesThePageTableDoesNotHold)
+{
+    // Another page's frame, and a page the table never mapped.
+    vp[0].ppage += 7 * pageBytes;
+    EXPECT_EQ(restore(), "cu0.stash");
+    vp[0] = {gbase + 0x40000, pt.translate(gbase) + 0x40000, 0};
+    EXPECT_EQ(restore(), "cu0.stash");
 }
 
 /**

@@ -4,8 +4,8 @@
 # and under ThreadSanitizer — then run the quick-scale benches, check
 # the artifacts against the committed manifest, exercise the
 # checkpoint/restore, multi-process farm crash-safety, memory-backend,
-# trace and sampling paths, and check that EXPERIMENTS.md has not
-# drifted from the committed artifacts.
+# trace and sampling paths, and check the full-scale artifacts
+# against their manifest and EXPERIMENTS.md against them.
 #
 # Usage: scripts/ci.sh [jobs]
 set -eu
@@ -242,6 +242,15 @@ full="${root}/build/bench-artifacts-full"
 echo "=== stashbench full scale + EXPERIMENTS.md drift check ==="
 mkdir -p "${full}"
 "${root}/build/bench/stashbench" --jobs "${jobs}" --out "${full}"
+
+# Full-scale golden: only full-scale runs evict LLC lines, so every
+# deterministic full-scale artifact must also match its manifest byte
+# for byte (EXPERIMENTS.md below shows two decimals).  Regenerate it
+# only with the quick manifest, for the same reason:
+#   cd "${full}" && ls BENCH_*.json | grep -v BENCH_simperf.json |
+#       xargs sha256sum > "${root}/scripts/full_artifacts.sha256"
+echo "=== full-scale artifacts vs scripts/full_artifacts.sha256 ==="
+(cd "${full}" && sha256sum -c "${root}/scripts/full_artifacts.sha256")
 "${root}/build/bench/stashbench" --out "${full}" \
     --render-md "${root}/EXPERIMENTS.md"
 git -C "${root}" diff --exit-code -- EXPERIMENTS.md || {
@@ -251,4 +260,4 @@ git -C "${root}" diff --exit-code -- EXPERIMENTS.md || {
     exit 1
 }
 
-echo "=== CI passed (plain + ASan/UBSan + TSan + quick benches + manifest + checkpoint/restore + farm + backends + trace + sampling) ==="
+echo "=== CI passed (plain + ASan/UBSan + TSan + quick benches + manifests + checkpoint/restore + farm + backends + trace + sampling + full scale) ==="

@@ -61,6 +61,16 @@ System::System(const SystemConfig &cfg, const EnergyParams &energy)
         fatal("more cores than mesh nodes");
     if (cfg.llcBanks != cfg.numNodes())
         fatal("this system places one LLC bank per mesh node");
+    const std::uint64_t llcSets =
+        cfg.llcAssoc == 0
+            ? 0
+            : cfg.llcBankBytes / (std::uint64_t(lineBytes) * cfg.llcAssoc);
+    if (llcSets == 0 || (llcSets & (llcSets - 1)) != 0) {
+        fatal("LLC geometry: llcBankBytes ", cfg.llcBankBytes,
+              " and llcAssoc ", cfg.llcAssoc, " give ", llcSets,
+              " sets of ", lineBytes, " B lines; the set count must be "
+              "a nonzero power of two");
+    }
 
     // LLC banks: one per node, each with its own memory-backend
     // instance (the backend's timing knobs — dramCycles included —

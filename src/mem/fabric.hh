@@ -69,6 +69,14 @@ class Fabric
     /** Mesh node of core @p core. */
     NodeId nodeOfCore(CoreId core) const;
 
+    /** True when core @p core is registered and its node has a @p unit. */
+    bool
+    coreHasUnit(CoreId core, Unit unit) const
+    {
+        return core < coreNodes.size() && coreNodes[core] < objects.size() &&
+               objects[coreNodes[core]][unsigned(unit)] != nullptr;
+    }
+
     /** Mesh node holding the LLC bank for line @p line_pa. */
     NodeId
     nodeOfLlc(PhysAddr line_pa) const

@@ -54,8 +54,11 @@ invalidateAndAck(Fabric &fabric, NodeId node, const Msg &req,
 LlcBank::LlcBank(EventQueue &eq, Fabric &fabric, MemBackend &backend,
                  NodeId node, const Params &p)
     : eq(eq), fabric(fabric), backend(backend), node(node), params(p),
-      sets(p.bankBytes / (lineBytes * p.assoc)), lines(sets * p.assoc)
+      sets(unsigned(p.bankBytes / (std::uint64_t(lineBytes) * p.assoc))),
+      tags(std::size_t(sets) * p.assoc), used(sets),
+      bodies(tags.size())
 {
+    // System::System reports a bad geometry as a fatal config error.
     sim_assert(sets > 0 && (sets & (sets - 1)) == 0);
 }
 
@@ -70,25 +73,39 @@ LlcBank::setIndex(PhysAddr pa) const
 LlcBank::Line *
 LlcBank::findLine(PhysAddr line_pa)
 {
-    Line *base = &lines[setIndex(line_pa) * params.assoc];
-    for (unsigned w = 0; w < params.assoc; ++w) {
-        if (base[w].allocated && base[w].pa == line_pa)
-            return &base[w];
+    const unsigned set = setIndex(line_pa);
+    const std::size_t base = std::size_t(set) * params.assoc;
+    for (std::size_t i = base; i < base + used[set]; ++i) {
+        if (tags[i] == line_pa)
+            return bodies[i];
     }
     return nullptr;
+}
+
+LlcBank::Line &
+LlcBank::addWay(unsigned set, PhysAddr line_pa)
+{
+    const std::size_t i = std::size_t(set) * params.assoc + used[set]++;
+    tags[i] = line_pa;
+    bodies[i] = &store.emplace_back();
+    return *bodies[i];
 }
 
 LlcBank::Line *
 LlcBank::allocLine(PhysAddr line_pa)
 {
-    Line *base = &lines[setIndex(line_pa) * params.assoc];
-    Line *victim = nullptr;
-    for (unsigned w = 0; w < params.assoc; ++w) {
-        Line &l = base[w];
-        if (!l.allocated) {
-            victim = &l;
-            break;
-        }
+    const unsigned set = setIndex(line_pa);
+    if (used[set] < params.assoc) {
+        // No way is freed during a run, so the set's free ways are
+        // [used, assoc) and the first of them is the one to take.
+        Line &line = addWay(set, line_pa);
+        line.lastUse = ++useClock;
+        return &line;
+    }
+    const std::size_t base = std::size_t(set) * params.assoc;
+    std::size_t victim = tags.size();
+    for (std::size_t i = base; i < base + params.assoc; ++i) {
+        const Line &l = *bodies[i];
         if (l.fillPending)
             continue;
         if (l.inService > 0) {
@@ -106,34 +123,31 @@ LlcBank::allocLine(PhysAddr line_pa)
         }
         if (has_registered)
             continue; // never evict the registry's only pointer
-        if (!victim || l.lastUse < victim->lastUse)
-            victim = &l;
+        if (victim == tags.size() || l.lastUse < bodies[victim]->lastUse)
+            victim = i;
     }
-    if (!victim) {
+    if (victim == tags.size()) {
         panic("LLC bank ", node, ": set full of registered lines; the "
               "workload working set exceeds what this model supports");
     }
-    if (victim->allocated) {
-        if (victim->dirty) {
-            LineData d;
-            WordMask m = 0;
-            for (unsigned w = 0; w < wordsPerLine; ++w) {
-                d.w[w] = victim->words[w].data;
-                m |= wordBit(w);
-            }
-            backend.writeLine(victim->pa, m, d);
-            ++_stats.memWrites;
+    Line &line = *bodies[victim];
+    if (line.dirty) {
+        LineData d;
+        WordMask m = 0;
+        for (unsigned w = 0; w < wordsPerLine; ++w) {
+            d.w[w] = line.words[w].data;
+            m |= wordBit(w);
         }
+        backend.writeLine(tags[victim], m, d);
+        ++_stats.memWrites;
     }
-    victim->allocated = true;
-    victim->pa = line_pa;
-    victim->words.fill(WordEntry{});
-    victim->dirty = false;
-    victim->lastUse = ++useClock;
-    victim->fillPending = false;
-    victim->waiting.clear();
-    victim->inService = 0;
-    return victim;
+    // The victim is idle (no fill, no waiter, not in service), so
+    // only its registry, dirty bit and LRU stamp need resetting.
+    tags[victim] = line_pa;
+    line.words.fill(WordEntry{});
+    line.dirty = false;
+    line.lastUse = ++useClock;
+    return &line;
 }
 
 void
@@ -358,9 +372,9 @@ LlcBank::serveWb(const Msg &msg, Line &line)
 void
 LlcBank::flushDirtyToMemory()
 {
-    for (Line &line : lines) {
-        if (!line.allocated || !line.dirty)
-            continue;
+    forEachLine([&](std::size_t, PhysAddr pa, Line &line) {
+        if (!line.dirty)
+            return;
         LineData d;
         WordMask m = 0;
         for (unsigned w = 0; w < wordsPerLine; ++w) {
@@ -370,9 +384,9 @@ LlcBank::flushDirtyToMemory()
             }
         }
         if (m)
-            backend.writeLineFunctional(line.pa, m, d);
+            backend.writeLineFunctional(pa, m, d);
         line.dirty = false;
-    }
+    });
 }
 
 void
@@ -380,23 +394,23 @@ LlcBank::forEachDirectoryWord(
     const std::function<void(PhysAddr, WordState, std::uint32_t, CoreId,
                              bool, unsigned)> &fn) const
 {
-    for (const Line &line : lines) {
-        if (!line.allocated || line.fillPending)
-            continue;
+    forEachLine([&](std::size_t, PhysAddr pa, const Line &line) {
+        if (line.fillPending)
+            return;
         for (unsigned w = 0; w < wordsPerLine; ++w) {
             const WordEntry &we = line.words[w];
-            fn(line.pa + PhysAddr(w) * wordBytes, we.state, we.data,
+            fn(pa + PhysAddr(w) * wordBytes, we.state, we.data,
                we.owner, we.ownerIsStash, we.mapIdx);
         }
-    }
+    });
 }
 
 std::size_t
 LlcBank::pendingFillLines() const
 {
     std::size_t n = 0;
-    for (const Line &line : lines)
-        n += line.allocated && line.fillPending ? 1 : 0;
+    for (const Line &line : store)
+        n += line.fillPending ? 1 : 0;
     return n;
 }
 
@@ -417,21 +431,15 @@ LlcBank::snapshot(SnapshotWriter &w) const
     w.u32(params.assoc);
     w.u64(useClock);
     writeStats(w, _stats);
-    std::uint32_t allocated = 0;
-    for (const Line &line : lines)
-        allocated += line.allocated ? 1 : 0;
-    w.u32(allocated);
-    for (std::size_t i = 0; i < lines.size(); ++i) {
-        const Line &line = lines[i];
-        if (!line.allocated)
-            continue;
+    w.u32(std::uint32_t(store.size()));
+    forEachLine([&](std::size_t i, PhysAddr pa, const Line &line) {
         // Drain points have no fill in flight, no parked requests,
         // and no bank access between accept and serve.
         sim_assert(!line.fillPending);
         sim_assert(line.waiting.empty());
         sim_assert(line.inService == 0);
         w.u32(std::uint32_t(i));
-        w.u64(line.pa);
+        w.u64(pa);
         w.b(line.dirty);
         w.u64(line.lastUse);
         for (const WordEntry &we : line.words) {
@@ -441,7 +449,7 @@ LlcBank::snapshot(SnapshotWriter &w) const
             w.b(we.ownerIsStash);
             w.u8(we.mapIdx);
         }
-    }
+    });
 }
 
 void
@@ -456,42 +464,43 @@ LlcBank::restore(SnapshotReader &r, bool remap)
     }
     useClock = r.u64();
     readStats(r, _stats);
-    lines.assign(lines.size(), Line{});
+    used.assign(sets, 0);
+    store.clear();
     const std::uint32_t allocated = r.u32();
     for (std::uint32_t k = 0; k < allocated; ++k) {
         const std::uint32_t savedIdx = r.u32();
-        r.require(savedIdx < savedSets * savedAssoc,
+        r.require(savedIdx < std::uint64_t(savedSets) * savedAssoc,
                   "LLC line index out of range");
         const PhysAddr pa = r.u64();
-        Line *line;
+        r.require(pa % lineBytes == 0,
+                  "LLC line address not line-aligned");
+        r.require(fabric.nodeOfLlc(pa) == node,
+                  "LLC line homed at another bank");
+        r.require(!findLine(pa), "LLC line stored twice");
+        const unsigned set = setIndex(pa);
         if (remap) {
             // Declared geometry delta: re-derive the set from the
             // line's address under the live geometry and take a free
             // way there.  Relative lastUse order is preserved, so the
             // LRU ordering of lines that land in the same new set is
             // the warmed one.
-            Line *base = &lines[setIndex(pa) * params.assoc];
-            line = nullptr;
-            for (unsigned w = 0; w < params.assoc; ++w) {
-                if (!base[w].allocated) {
-                    line = &base[w];
-                    break;
-                }
-            }
-            r.require(line != nullptr,
+            r.require(used[set] < params.assoc,
                       "LLC geometry delta: warmed footprint "
                       "overflows a set of the new geometry");
         } else {
-            r.require(savedIdx < lines.size(),
-                      "LLC line index out of range");
-            line = &lines[savedIdx];
-            r.require(!line->allocated, "duplicate LLC line index");
+            // snapshot() writes each set's ways from way 0 up, with
+            // no gap: the only layout a run can reach.
+            r.require(savedIdx / params.assoc == set,
+                      "LLC line stored outside its set");
+            r.require(savedIdx % params.assoc == used[set],
+                      "LLC set's ways not stored from way 0 up");
         }
-        line->allocated = true;
-        line->pa = pa;
-        line->dirty = r.b();
-        line->lastUse = r.u64();
-        for (WordEntry &we : line->words) {
+        Line &line = addWay(set, pa);
+        line.dirty = r.b();
+        line.lastUse = r.u64();
+        r.require(line.lastUse <= useClock,
+                  "LLC line used after the use clock");
+        for (WordEntry &we : line.words) {
             const std::uint8_t st = r.u8();
             r.require(st <= std::uint8_t(WordState::Registered),
                       "bad word state");
@@ -500,6 +509,13 @@ LlcBank::restore(SnapshotReader &r, bool remap)
             we.owner = r.u32();
             we.ownerIsStash = r.b();
             we.mapIdx = r.u8();
+            r.require(we.state != WordState::Registered ||
+                          fabric.coreHasUnit(we.owner,
+                                             we.ownerIsStash
+                                                 ? Unit::Stash
+                                                 : Unit::L1),
+                      "LLC word registered to an owner the fabric "
+                      "cannot reach");
         }
     }
 }

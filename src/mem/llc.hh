@@ -14,16 +14,28 @@
  * Banks are interleaved at line granularity across all 16 mesh nodes
  * (NUCA); a bank access costs `accessCycles`, a miss adds whatever
  * the bank's memory backend charges (src/mem/backend — flat DRAM by
- * default, STT-MRAM or an SCM DRAM-cache by configuration).  Victims with live registrations are never selected (the
- * directory state is the only pointer to the owner's data); with the
- * paper's 4 MB LLC and the evaluated working sets this never
- * constrains the replacement policy in practice, and we panic loudly
- * if a set ever fills with registered lines.
+ * default, STT-MRAM or an SCM DRAM-cache by configuration).  Victims
+ * with live registrations are never selected (the directory state is
+ * the only pointer to the owner's data); with the paper's 4 MB LLC
+ * and the evaluated working sets this never constrains the
+ * replacement policy in practice, and we panic loudly if a set ever
+ * fills with registered lines.
+ *
+ * The bank is sparse: a flat tag array and a per-set count of
+ * allocated ways, with each line's body created on the line's first
+ * fill.  A run touches a small fraction of the 4 MB, so construction,
+ * flushes, snapshots and teardown visit only the lines it filled.
+ * Capacity and replacement are those of the full array: a way, once
+ * allocated, stays allocated, so a set's allocated ways are always
+ * ways [0, used) and a miss takes the next one until the set is full
+ * (DESIGN.md §9.4).
  */
 
 #ifndef STASHSIM_MEM_LLC_HH
 #define STASHSIM_MEM_LLC_HH
 
+#include <cstddef>
+#include <deque>
 #include <vector>
 
 #include "mem/backend/mem_backend.hh"
@@ -101,7 +113,11 @@ class LlcBank : public MemObject
      * bank's live geometry: each line's set is re-derived from its
      * physical address and the line takes a free way there.  A set
      * overflow (the new geometry cannot hold the warmed footprint)
-     * is a structured SnapshotError, not silent dropping.
+     * is a structured SnapshotError, not silent dropping, as is any
+     * line that is unaligned, homed at another bank, stored twice,
+     * out of its set or way order, used after the use clock, or
+     * registered to an owner the fabric cannot reach (DESIGN.md
+     * §11.6).
      */
     void restore(SnapshotReader &r, bool remap = false);
 
@@ -117,10 +133,9 @@ class LlcBank : public MemObject
         std::uint8_t mapIdx = 0;
     };
 
+    /** An allocated line's body; its address lives in `tags`. */
     struct Line
     {
-        bool allocated = false;
-        PhysAddr pa = 0;
         std::array<WordEntry, wordsPerLine> words{};
         bool dirty = false;
         std::uint64_t lastUse = 0;
@@ -138,6 +153,21 @@ class LlcBank : public MemObject
     unsigned setIndex(PhysAddr pa) const;
     Line *findLine(PhysAddr line_pa);
     Line *allocLine(PhysAddr line_pa);
+    /** Takes way used[set] of @p set for @p line_pa, with a new body. */
+    Line &addWay(unsigned set, PhysAddr line_pa);
+
+    /** fn(index, pa, line) per allocated line, in (set, way) order. */
+    template <class Fn>
+    void
+    forEachLine(Fn fn) const
+    {
+        for (unsigned s = 0; s < sets; ++s) {
+            const std::size_t base = std::size_t(s) * params.assoc;
+            for (std::size_t i = base; i < base + used[s]; ++i)
+                fn(i, tags[i], *bodies[i]);
+        }
+    }
+
     void process(const Msg &msg);
     void serveRead(const Msg &msg, Line &line);
     void serveReg(const Msg &msg, Line &line);
@@ -149,7 +179,14 @@ class LlcBank : public MemObject
     NodeId node;
     Params params;
     unsigned sets;
-    std::vector<Line> lines;
+    /** Line address of each (set, way), index set * assoc + way. */
+    std::vector<PhysAddr> tags;
+    /** Allocated ways per set: ways [0, used[set]) hold lines. */
+    std::vector<unsigned> used;
+    /** Body of each allocated (set, way), same index as `tags`. */
+    std::vector<Line *> bodies;
+    /** Every body, in allocation order; a deque never moves one. */
+    std::deque<Line> store;
     std::uint64_t useClock = 0;
     LlcStats _stats;
 };

@@ -7,8 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <stdexcept>
+#include <string>
 
 #include "driver/system.hh"
+#include "workloads/workload_factory.hh"
 
 namespace stashsim
 {
@@ -38,6 +41,36 @@ TEST(SystemTest, RejectsOversubscribedMesh)
     cfg.numGpuCus = 10;
     cfg.numCpuCores = 10;
     EXPECT_THROW(System sys(cfg), std::runtime_error);
+}
+
+TEST(SystemTest, RejectsLlcGeometryWithoutPowerOfTwoSets)
+{
+    SystemConfig cfg = SystemConfig::microbenchmarkDefault();
+    cfg.llcAssoc = 3; // 256 KB / (3 x 64 B) = 1,365 sets
+    try {
+        System sys(cfg);
+        FAIL() << "a 1,365-set LLC bank was accepted";
+    } catch (const std::runtime_error &e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("llcBankBytes 262144"), std::string::npos);
+        EXPECT_NE(msg.find("llcAssoc 3"), std::string::npos);
+        EXPECT_NE(msg.find("1365 sets"), std::string::npos);
+    }
+}
+
+TEST(SystemTest, RunsAOneSetLlc)
+{
+    // 4,096 ways of 64 B fill a 256 KB bank: one set per bank.
+    SystemConfig cfg = SystemConfig::microbenchmarkDefault();
+    cfg.llcAssoc = 4096;
+    workloads::WorkloadParams params;
+    params.org = cfg.memOrg;
+    params.cpuCores = cfg.numCpuCores;
+    params.scale = workloads::Scale::Smoke;
+    System sys(cfg);
+    const RunResult res = sys.run(
+        workloads::WorkloadFactory::instance().make("Reuse", params));
+    EXPECT_TRUE(res.validated);
 }
 
 TEST(SystemTest, TableTwoPresetsMatchPaper)

@@ -4,9 +4,9 @@
  * the latency contract of each model, completion-time sampling,
  * STT-MRAM write-pausing and read-port stalls, the SCM DRAM-cache's
  * hit/miss/spill paths and channel serialization, snapshot round
- * trips of each backend's internal state, and the LLC bank's
+ * trips of each backend's internal state, the LLC bank's
  * accept/serve invariant (an in-service line is never an eviction
- * victim).
+ * victim), and the LLC's victim scan, dirty writebacks and flush.
  */
 
 #include <gtest/gtest.h>
@@ -451,6 +451,165 @@ TEST(LlcBankInvariantTest, InServiceLineIsNotAnEvictionVictim)
     EXPECT_EQ(sink.got[2].data.w[0], 0xa0u);
     EXPECT_EQ(sink.got[3].linePA, C);
     EXPECT_EQ(sink.got[3].data.w[0], 0xc0u);
+}
+
+/**
+ * A one-set, 4-way LLC bank at node 0 whose replies go to core 0's
+ * L1 at node 0.  line(k) is the k-th line homed at node 0, and word 0
+ * of it holds 0xa0 + k in memory, so a fifth distinct line evicts.
+ */
+class LlcVictimTest : public ::testing::Test
+{
+  protected:
+    LlcVictimTest()
+    {
+        fabric.registerObject(NodeId(0), Unit::L1, &sink);
+        fabric.registerCore(0, NodeId(0));
+        for (unsigned k = 0; k < 6; ++k)
+            mem.writeWord(line(k), 0xa0 + k);
+    }
+
+    static LlcBank::Params
+    params()
+    {
+        LlcBank::Params p;
+        p.assoc = 4;
+        p.bankBytes = lineBytes * p.assoc;
+        return p;
+    }
+
+    static PhysAddr line(unsigned k) { return 0x10000 + k * 0x400; }
+
+    static PhysAddr
+    word(PhysAddr line_pa, unsigned w)
+    {
+        return line_pa + PhysAddr(w) * wordBytes;
+    }
+
+    /** A @p type for @p mask of @p pa from core 0's L1.  A writeback
+     *  stores 0x11 * (w + 1) in word w. */
+    static Msg
+    request(MsgType type, PhysAddr pa, WordMask mask = fullLineMask)
+    {
+        Msg m;
+        m.type = type;
+        m.requester = 0;
+        m.requesterUnit = Unit::L1;
+        m.linePA = pa;
+        m.mask = mask;
+        for (unsigned w = 0; w < wordsPerLine; ++w)
+            m.data.w[w] = 0x11 * (w + 1);
+        return m;
+    }
+
+    /** Sends request(...) to the bank and runs the queue dry. */
+    void
+    send(MsgType type, PhysAddr pa, WordMask mask = fullLineMask)
+    {
+        bank.receive(request(type, pa, mask));
+        eq.run();
+    }
+
+    void read(PhysAddr pa) { send(MsgType::ReadReq, pa); }
+
+    /** Resident lines, in the bank's (set, way) order. */
+    std::vector<PhysAddr>
+    resident() const
+    {
+        std::vector<PhysAddr> lines;
+        bank.forEachDirectoryWord(
+            [&](PhysAddr pa, WordState, std::uint32_t, CoreId, bool,
+                unsigned) {
+                if (lineWord(pa) == 0)
+                    lines.push_back(pa);
+            });
+        return lines;
+    }
+
+    EventQueue eq;
+    MainMemory mem;
+    Mesh mesh{eq, MeshParams{}};
+    Fabric fabric{mesh};
+    std::unique_ptr<MemBackend> backend =
+        makeMemBackend(MemBackendConfig{}, eq, mem, gpuClockPeriod);
+    LlcBank bank{eq, fabric, *backend, NodeId(0), params()};
+    RespSink sink;
+};
+
+TEST_F(LlcVictimTest, EvictsLeastRecentlyUsedFirst)
+{
+    const PhysAddr A = line(0), B = line(1), C = line(2), D = line(3),
+                   E = line(4), F = line(5);
+    for (PhysAddr pa : {A, B, C, D})
+        read(pa);
+    read(A); // hit: B is now the LRU line
+    read(E);
+    EXPECT_EQ(resident(), (std::vector<PhysAddr>{A, E, C, D}));
+    read(F);
+    EXPECT_EQ(resident(), (std::vector<PhysAddr>{A, E, F, D}));
+    EXPECT_EQ(bank.stats().fills, 6u);
+    EXPECT_EQ(bank.stats().memWrites, 0u);
+}
+
+TEST_F(LlcVictimTest, WritesADirtyVictimBackOnceWithEveryWord)
+{
+    const PhysAddr A = line(0);
+    send(MsgType::WbReq, A, wordBit(3));
+    // Memory moves behind the bank's back: the victim's writeback
+    // must overwrite it with the bank's copy of every word.
+    mem.writeWord(word(A, 5), 0xdead);
+    for (unsigned k = 1; k <= 4; ++k)
+        read(line(k)); // the fourth evicts A, the LRU line
+    EXPECT_EQ(resident(),
+              (std::vector<PhysAddr>{line(4), line(1), line(2), line(3)}));
+    EXPECT_EQ(bank.stats().memWrites, 1u);
+    EXPECT_EQ(mem.readWord(word(A, 0)), 0xa0u);
+    EXPECT_EQ(mem.readWord(word(A, 3)), 0x44u);
+    EXPECT_EQ(mem.readWord(word(A, 5)), 0u);
+
+    read(line(5)); // evicts line(1), which is clean
+    EXPECT_EQ(bank.stats().memWrites, 1u);
+}
+
+TEST_F(LlcVictimTest, PassesOverALineHoldingARegisteredWord)
+{
+    const PhysAddr A = line(0);
+    send(MsgType::RegReq, A, wordBit(2)); // A: oldest, registered
+    for (unsigned k = 1; k <= 3; ++k)
+        read(line(k));
+    read(line(4));
+    EXPECT_EQ(resident(),
+              (std::vector<PhysAddr>{A, line(4), line(2), line(3)}))
+        << "B, the next-oldest line, is the victim";
+    EXPECT_EQ(bank.ownerOf(word(A, 2)), 0u);
+}
+
+TEST_F(LlcVictimTest, FlushWritesOnlyValidWordsOfDirtyLines)
+{
+    const PhysAddr A = line(0), B = line(1);
+    send(MsgType::WbReq, A, wordBit(0)); // A dirty, word 0 = 0x11
+    send(MsgType::RegReq, A, wordBit(1)); // word 1 held by core 0
+    read(B);                              // B clean
+    mem.writeWord(word(A, 1), 0x77);
+    mem.writeWord(word(A, 2), 0x88);
+    mem.writeWord(word(B, 0), 0x99);
+
+    bank.flushDirtyToMemory();
+    EXPECT_EQ(mem.readWord(word(A, 0)), 0x11u);
+    EXPECT_EQ(mem.readWord(word(A, 1)), 0x77u) << "registered word";
+    EXPECT_EQ(mem.readWord(word(A, 2)), 0u) << "valid word of a dirty line";
+    EXPECT_EQ(mem.readWord(word(B, 0)), 0x99u) << "clean line";
+    EXPECT_EQ(bank.stats().memWrites, 0u);
+}
+
+TEST_F(LlcVictimTest, PendingFillLinesCountsAFillInFlight)
+{
+    EXPECT_EQ(bank.pendingFillLines(), 0u);
+    bank.receive(request(MsgType::ReadReq, line(0)));
+    EXPECT_EQ(bank.pendingFillLines(), 1u);
+    eq.run();
+    EXPECT_EQ(bank.pendingFillLines(), 0u);
+    EXPECT_EQ(bank.stats().fills, 1u);
 }
 
 } // namespace

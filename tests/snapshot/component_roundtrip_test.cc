@@ -4,13 +4,15 @@
  * isolation, plus the whole-System double-snapshot identity: a
  * restored System must serialize back to exactly the bytes it was
  * restored from (the fixed point the resume-parity suite builds on).
- * Hostile TLB, L1 and stash sections, each breaking one invariant,
- * must be rejected with a SnapshotError naming their section.
+ * Hostile TLB, L1, LLC and stash sections, each breaking one
+ * invariant, must be rejected with a SnapshotError naming their
+ * section.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -19,8 +21,10 @@
 #include "core/stash.hh"
 #include "core/stash_map.hh"
 #include "driver/system.hh"
+#include "mem/backend/mem_backend.hh"
 #include "mem/cache.hh"
 #include "mem/fabric.hh"
+#include "mem/llc.hh"
 #include "mem/main_memory.hh"
 #include "mem/page_table.hh"
 #include "mem/scratchpad.hh"
@@ -106,6 +110,102 @@ TEST(ComponentRoundTripTest, TlbKeepsCountersAndReplacementOrder)
     EXPECT_EQ(b.misses(), missesBefore + 1);
     b.translate(0x3000);
     EXPECT_EQ(b.misses(), missesBefore + 1) << "0x3000 was evicted";
+}
+
+/** A unit that accepts and drops every message. */
+struct NullUnit : MemObject
+{
+    void receive(const Msg &) override {}
+};
+
+/** Every line an LLC bank holds, in its (set, way) order. */
+std::vector<PhysAddr>
+residentLines(const LlcBank &bank)
+{
+    std::vector<PhysAddr> lines;
+    bank.forEachDirectoryWord(
+        [&](PhysAddr pa, WordState, std::uint32_t, CoreId, bool,
+            unsigned) {
+            if (lineWord(pa) == 0)
+                lines.push_back(pa);
+        });
+    return lines;
+}
+
+/** One LLC bank's snapshot as a full serialized image. */
+std::vector<std::uint8_t>
+llcBytes(const LlcBank &bank)
+{
+    SnapshotWriter w;
+    w.beginSection("x");
+    bank.snapshot(w);
+    w.endSection();
+    return w.serialize();
+}
+
+TEST(ComponentRoundTripTest, LlcBankKeepsLinesAndReplacementOrder)
+{
+    EventQueue eq;
+    MainMemory mem;
+    Mesh mesh(eq, MeshParams{});
+    Fabric fabric(mesh);
+    NullUnit l1;
+    fabric.registerObject(NodeId(0), Unit::L1, &l1);
+    fabric.registerCore(0, NodeId(0));
+    auto backendA =
+        makeMemBackend(MemBackendConfig{}, eq, mem, gpuClockPeriod);
+    auto backendB =
+        makeMemBackend(MemBackendConfig{}, eq, mem, gpuClockPeriod);
+
+    // Two sets of two ways at node 0: node-0 lines alternate between
+    // the sets every 1 KB.
+    LlcBank::Params p;
+    p.assoc = 2;
+    p.bankBytes = 2 * p.assoc * lineBytes;
+    LlcBank a(eq, fabric, *backendA, NodeId(0), p);
+    auto send = [&](LlcBank &bank, MsgType type, PhysAddr pa) {
+        Msg m;
+        m.type = type;
+        m.requester = 0;
+        m.requesterUnit = Unit::L1;
+        m.linePA = pa;
+        m.mask = fullLineMask;
+        bank.receive(m);
+        eq.run();
+    };
+    const PhysAddr l0 = 0x10000, l1a = 0x10800, l2 = 0x11000,
+                   l3 = 0x11800; // set 0
+    const PhysAddr m0 = 0x10400, m1 = 0x10c00, m2 = 0x11400,
+                   m3 = 0x11c00; // set 1
+
+    send(a, MsgType::ReadReq, l0);
+    send(a, MsgType::ReadReq, l1a);
+    send(a, MsgType::ReadReq, m0);
+    send(a, MsgType::ReadReq, m1);
+    send(a, MsgType::ReadReq, l0);  // hit: l1a is set 0's LRU line
+    send(a, MsgType::ReadReq, l2);  // evicts l1a from way 1
+    send(a, MsgType::WbReq, l2);    // l2 dirty
+    send(a, MsgType::ReadReq, l0);  // hit: l2 (way 1) is LRU
+    send(a, MsgType::ReadReq, m2);  // evicts m0 from way 0
+    send(a, MsgType::ReadReq, m1);  // hit: m2 (way 0) is LRU
+    ASSERT_EQ(a.stats().fills, 6u);
+    ASSERT_EQ(residentLines(a), (std::vector<PhysAddr>{l0, l2, m2, m1}));
+
+    LlcBank b(eq, fabric, *backendB, NodeId(0), p);
+    roundTrip([&](SnapshotWriter &w) { a.snapshot(w); },
+              [&](SnapshotReader &r) { b.restore(r); });
+    EXPECT_EQ(llcBytes(b), llcBytes(a));
+
+    // The next miss in each set evicts the same (LRU) victim in both
+    // banks, and only the dirty one is written back.
+    for (LlcBank *bank : {&a, &b}) {
+        send(*bank, MsgType::ReadReq, l3);
+        send(*bank, MsgType::ReadReq, m3);
+        EXPECT_EQ(residentLines(*bank),
+                  (std::vector<PhysAddr>{l0, l3, m3, m1}));
+        EXPECT_EQ(bank->stats().memWrites, 1u);
+    }
+    EXPECT_EQ(llcBytes(b), llcBytes(a));
 }
 
 TEST(ComponentRoundTripTest, Scratchpad)
@@ -327,6 +427,136 @@ TEST_F(L1RestoreTest, RejectsALineStoredTwiceInItsSet)
 TEST_F(L1RestoreTest, RejectsUseAfterTheUseClock)
 {
     EXPECT_EQ(restore(2, good), "cu0.l1");
+}
+
+/**
+ * An `llc0` section for a 1 KB, 2-way bank at node 0 (8 sets): a
+ * line homed at node 0 lies in set (pa / 1 KB) % 8, and index i
+ * names set i / 2, way i % 2.  Core 0 has an L1 at node 0 and no
+ * stash.  Each test breaks one field of a good section, on the exact
+ * path and, where the check applies there too, on the remap path of
+ * a declared geometry delta.
+ */
+class LlcRestoreTest : public ::testing::Test
+{
+  protected:
+    struct Rec
+    {
+        std::uint32_t index;
+        PhysAddr pa;
+        std::uint64_t lastUse;
+        CoreId owner = invalidCore; //!< word 0's registrant, if any
+        bool ownerIsStash = false;
+    };
+
+    LlcRestoreTest()
+    {
+        fabric.registerObject(NodeId(0), Unit::L1, &l1);
+        fabric.registerCore(0, NodeId(0));
+    }
+
+    std::string
+    restore(std::uint64_t use_clock, const std::vector<Rec> &recs,
+            bool remap = false)
+    {
+        LlcBank::Params p;
+        p.bankBytes = 1024;
+        p.assoc = 2;
+        LlcBank bank(eq, fabric, *backend, NodeId(0), p);
+        return restoreError(
+            "llc0",
+            [&](SnapshotWriter &w) {
+                w.u32(8);
+                w.u32(2);
+                w.u64(use_clock);
+                writeStats(w, LlcStats{});
+                w.u32(std::uint32_t(recs.size()));
+                for (const Rec &rec : recs) {
+                    w.u32(rec.index);
+                    w.u64(rec.pa);
+                    w.b(false);
+                    w.u64(rec.lastUse);
+                    for (unsigned j = 0; j < wordsPerLine; ++j) {
+                        const bool reg =
+                            j == 0 && rec.owner != invalidCore;
+                        w.u8(std::uint8_t(reg ? WordState::Registered
+                                              : WordState::Valid));
+                        w.u32(j);
+                        w.u32(reg ? rec.owner : invalidCore);
+                        w.b(reg && rec.ownerIsStash);
+                        w.u8(0);
+                    }
+                }
+            },
+            [&](SnapshotReader &r) { bank.restore(r, remap); });
+    }
+
+    EventQueue eq;
+    MainMemory mem;
+    Mesh mesh{eq, MeshParams{}};
+    Fabric fabric{mesh};
+    NullUnit l1;
+    std::unique_ptr<MemBackend> backend =
+        makeMemBackend(MemBackendConfig{}, eq, mem, gpuClockPeriod);
+    /** A node-0 line in set 0; base + 1 KB * s is in set s (mod 8). */
+    static constexpr PhysAddr base = PhysAddr{4} << 30;
+    /** Two lines in set 0, the first registered to core 0's L1, and
+     *  one in set 1. */
+    const std::vector<Rec> good{
+        {0, base, 1, 0}, {1, base + 8192, 2}, {2, base + 1024, 3}};
+};
+
+TEST_F(LlcRestoreTest, RejectsUnalignedLines)
+{
+    EXPECT_EQ(restore(3, good), "");
+    EXPECT_EQ(restore(3, good, true), "");
+    EXPECT_EQ(restore(3, {{0, base + 4, 1}}), "llc0");
+    EXPECT_EQ(restore(3, {{0, base + 4, 1}}, true), "llc0");
+}
+
+TEST_F(LlcRestoreTest, RejectsLinesHomedAtAnotherBank)
+{
+    // One line up is node 1's, in the same set.
+    EXPECT_EQ(restore(3, {{0, base + 64, 1}}), "llc0");
+    EXPECT_EQ(restore(3, {{0, base + 64, 1}}, true), "llc0");
+}
+
+TEST_F(LlcRestoreTest, RejectsLinesOutsideTheirSet)
+{
+    // Set 1's line moved up 1 KB, to set 2.  The remap path derives
+    // the set from the address, so it accepts the line.
+    const std::vector<Rec> moved{{0, base, 1}, {2, base + 2048, 3}};
+    EXPECT_EQ(restore(3, moved), "llc0");
+    EXPECT_EQ(restore(3, moved, true), "");
+}
+
+TEST_F(LlcRestoreTest, RejectsALineStoredTwice)
+{
+    const std::vector<Rec> twice{{0, base, 1}, {1, base, 2}};
+    EXPECT_EQ(restore(3, twice), "llc0");
+    EXPECT_EQ(restore(3, twice, true), "llc0");
+}
+
+TEST_F(LlcRestoreTest, RejectsWaysNotStoredFromWayZeroUp)
+{
+    // A set whose only line sits in way 1, and a set whose way 1
+    // comes before its way 0.
+    EXPECT_EQ(restore(3, {{1, base, 1}}), "llc0");
+    EXPECT_EQ(restore(3, {{1, base + 8192, 2}, {0, base, 1}}), "llc0");
+}
+
+TEST_F(LlcRestoreTest, RejectsUseAfterTheUseClock)
+{
+    EXPECT_EQ(restore(2, good), "llc0");
+    EXPECT_EQ(restore(2, good, true), "llc0");
+}
+
+TEST_F(LlcRestoreTest, RejectsRegistrationsTheFabricCannotReach)
+{
+    // Core 99 was never registered; core 0 has no stash.
+    EXPECT_EQ(restore(3, {{0, base, 1, 99}}), "llc0");
+    EXPECT_EQ(restore(3, {{0, base, 1, 0, true}}), "llc0");
+    EXPECT_EQ(restore(3, {{0, base, 1, 99}}, true), "llc0");
 }
 
 /**

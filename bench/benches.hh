@@ -100,10 +100,6 @@ struct BenchContext
     MemBackendKind backend = MemBackendKind::Fixed;
     /** Sweep progress stream; nullptr = silent. */
     std::ostream *progress = nullptr;
-    /** Artifact directory (CLI --out); benches that keep implicit
-     *  state (synthspace's sample farm) root it here when no
-     *  explicit stateDir was given. */
-    std::string outDir = ".";
     /** When nonempty, write per-run Chrome traces into this dir. */
     std::string traceDir;
     /** Include the full flattened stats map in every run object. */
@@ -140,12 +136,6 @@ struct BenchInfo
     /** One-line description for --list. */
     const char *desc;
     report::JsonValue (*run)(const BenchContext &);
-    /**
-     * False = explicit-only: the bench runs when named on the command
-     * line but is excluded from the all-bench default selection (the
-     * synthspace bench: it keeps farm state under --out).
-     */
-    bool defaultRun = true;
 };
 
 /** Every bench, in EXPERIMENTS.md order. */

@@ -28,7 +28,6 @@ report::JsonValue runAblationTranslationLatency(const BenchContext &ctx);
 report::JsonValue runAblationSparsitySweep(const BenchContext &ctx);
 report::JsonValue runMemBackend(const BenchContext &ctx);
 report::JsonValue runSynth(const BenchContext &ctx);
-report::JsonValue runSynthspace(const BenchContext &ctx);
 
 const std::vector<BenchInfo> &
 benchList()
@@ -88,14 +87,6 @@ benchList()
          "6 synthetic workload variants x scratchGD/cache/stash on "
          "the 15-CU machine",
          runSynth},
-        {"synthspace",
-         "Sampled SynthMix parameter space: warm once per point, "
-         "fan organizations out from the checkpoint (explicit-only)",
-         "smoke quick full",
-         "5 ro/rw mix points x identity/scratchGD/stash deltas, "
-         "each point warmed once (DESIGN.md §17); run by "
-         "name only — it keeps farm state under --out",
-         runSynthspace, /*defaultRun=*/false},
     };
     return benches;
 }

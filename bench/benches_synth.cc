@@ -16,8 +16,6 @@
 
 #include "benches.hh"
 
-#include "driver/sample.hh"
-#include "sim/log.hh"
 #include "workloads/synthetic/synth_workloads.hh"
 #include "workloads/synthetic/trace_replay.hh"
 
@@ -157,120 +155,6 @@ runSynth(const BenchContext &ctx)
                    "stashOverCacheCycles");
     addCycleRatios(doc, records, names, MemOrg::ScratchGD,
                    MemOrg::Cache, "scratchGDOverCacheCycles");
-    return doc;
-}
-
-/**
- * The sampled parameter-space sweep: five points along the SynthMix
- * read-only/read-write axis, each warmed ONCE under the Cache
- * baseline and fanned out across the organization deltas from that
- * single checkpoint (src/driver/sample.hh).  A classic sweep pays
- * 15 warmups for this grid; the sampled one pays 5 — and the whole
- * campaign is farm-dispatched, so any number of stashbench processes
- * pointed at the same state dir drain it together.
- */
-report::JsonValue
-runSynthspace(const BenchContext &ctx)
-{
-    struct Point
-    {
-        const char *name;
-        unsigned ro, rw;
-    };
-    const std::vector<Point> points = {
-        {"SynthMix-ro70", 70, 15}, {"SynthMix-ro55", 55, 22},
-        {"SynthMix-mix", 40, 30},  {"SynthMix-rw55", 22, 55},
-        {"SynthMix-rw70", 15, 70},
-    };
-    // identity keeps the Cache baseline; the org deltas are
-    // gpu-group, so every interval restores byte-exactly against its
-    // unsampled twin (tests/driver/sample_test.cc).
-    const char *deltaList = "identity,org:ScratchGD,org:Stash";
-
-    report::JsonValue doc = benchDoc(ctx, "synthspace",
-                                     findBench("synthspace")->title);
-    doc["baseline"] = memOrgName(MemOrg::Cache);
-    report::JsonValue nameArr = report::JsonValue::array();
-    std::vector<std::string> names;
-    for (const Point &p : points) {
-        nameArr.push(p.name);
-        names.push_back(p.name);
-    }
-    doc["workloads"] = std::move(nameArr);
-    doc["deltas"] = deltaList;
-
-    const std::string stateRoot =
-        (ctx.stateDir.empty() ? ctx.outDir + "/samplestate"
-                              : ctx.stateDir) +
-        "/synthspace";
-
-    std::vector<RunRecord> all;
-    report::JsonValue pointArr = report::JsonValue::array();
-    report::JsonValue runs = report::JsonValue::array();
-    for (const Point &p : points) {
-        if (ctx.stop && ctx.stop->load(std::memory_order_relaxed))
-            break;
-        SampleRequest req;
-        req.workload = p.name;
-        req.org = MemOrg::Cache;
-        req.scale = ctx.scale;
-        req.config = SystemConfig::applicationDefault();
-        const unsigned ro = p.ro, rw = p.rw;
-        req.make = [ro, rw](const workloads::WorkloadParams &wp) {
-            SynthConfig cfg = workloads::scaledSynthConfig(wp);
-            cfg.mixRoPct = ro;
-            cfg.mixRwPct = rw;
-            return workloads::makeSynthMix(cfg);
-        };
-        std::string err;
-        if (!parseSampleDeltas(deltaList, req.deltas, err))
-            fatal("synthspace: ", err);
-        req.stateDir = stateRoot;
-        req.threads = ctx.jobs;
-        req.workerId = ctx.workerId;
-        req.leaseTtlMs = ctx.leaseTtlMs;
-        req.maxAttempts = ctx.maxAttempts;
-        req.checkpointEveryTicks = Tick(ctx.checkpointEvery);
-        req.progress = ctx.progress;
-        req.stop = ctx.stop;
-
-        SampleOutcome out = runSample(req);
-        if (ctx.simperf) {
-            ctx.simperf->add("synthspace", out.runs);
-            ctx.simperf->recovery.add(out.counters);
-        }
-        report::JsonValue pt = report::JsonValue::object();
-        pt["workload"] = p.name;
-        report::JsonValue params = report::JsonValue::object();
-        params["roPct"] = double(p.ro);
-        params["rwPct"] = double(p.rw);
-        pt["params"] = std::move(params);
-        pt["warmValidated"] = out.warm.result.validated;
-        report::JsonValue prov = report::JsonValue::object();
-        prov["checkpoint"] = out.sampledFrom.checkpoint;
-        prov["tick"] = double(out.sampledFrom.tick);
-        prov["phaseCursor"] = double(out.sampledFrom.phaseCursor);
-        pt["sampledFrom"] = std::move(prov);
-        pointArr.push(std::move(pt));
-
-        for (std::size_t i = 0; i < out.runs.size(); ++i) {
-            report::JsonValue run =
-                runToJson(out.runs[i], ctx.components);
-            run["delta"] = req.deltas[i].name;
-            report::JsonValue rp = report::JsonValue::object();
-            rp["roPct"] = double(p.ro);
-            rp["rwPct"] = double(p.rw);
-            run["params"] = std::move(rp);
-            runs.push(std::move(run));
-            all.push_back(out.runs[i]);
-        }
-    }
-    doc["points"] = std::move(pointArr);
-    doc["runs"] = std::move(runs);
-    addCycleRatios(doc, all, names, MemOrg::Stash, MemOrg::Cache,
-                   "stashOverCacheCycles");
-    addCycleRatios(doc, all, names, MemOrg::ScratchGD, MemOrg::Cache,
-                   "scratchGDOverCacheCycles");
     return doc;
 }
 

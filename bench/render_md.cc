@@ -419,144 +419,6 @@ renderSynth(std::ostream &os, const JsonValue &doc)
           "`--trace-replay FILE` (`BENCH_replay.json`).\n\n";
 }
 
-/** Loads an optional BENCH_<name>.json; false (no error) if absent
- *  or not carrying @p schemaName. */
-bool
-loadOptionalDoc(const std::string &dir, const std::string &bench,
-                const char *schemaName, JsonValue &doc)
-{
-    std::ifstream is(dir + "/BENCH_" + bench + ".json");
-    if (!is)
-        return false;
-    std::stringstream ss;
-    ss << is.rdbuf();
-    std::string parse_err;
-    const JsonValue *schema = nullptr;
-    return JsonValue::parse(ss.str(), doc, parse_err) &&
-           (schema = doc.find("schema")) != nullptr &&
-           schema->asString() == schemaName;
-}
-
-/**
- * Sampled-simulation section: the artifact is explicit-only
- * (`stashbench --sample` keeps farm state under --out),
- * so the committed EXPERIMENTS.md carries a stub unless
- * BENCH_sample.json is present at render time.
- */
-void
-renderSample(std::ostream &os, const std::string &dir)
-{
-    os << "## Sampled simulation (`stashbench --sample`)\n\n";
-
-    JsonValue doc;
-    if (!loadOptionalDoc(dir, "sample", "stashsim-sample-v1", doc)) {
-        os << "Sampled simulation warms a workload once, snapshots "
-              "at the declared\nmeasurement boundary, and fans the "
-              "measured interval out from that one\ncheckpoint "
-              "across a set of declared config deltas (`DESIGN.md` "
-              "§17).\nThe artifact carries farm/restore provenance, "
-              "so it is excluded from\nthe deterministic default "
-              "set. Generate and re-render with:\n\n"
-              "```sh\nbuild/bench/stashbench --quick --out <dir> "
-              "--sample\n```\n\n";
-        return;
-    }
-
-    const JsonValue &from = *doc.find("sampledFrom");
-    os << "Workload `" << doc.find("workload")->asString() << "`, "
-       << doc.find("scale")->asString()
-       << " scale: every measured interval below restored the same "
-          "warm\ncheckpoint `"
-       << from.find("checkpoint")->asString() << "` (tick "
-       << std::uint64_t(from.find("tick")->asNumber())
-       << ", config hash `" << from.find("configHash")->asString()
-       << "`,\nbase hash `" << from.find("baseHash")->asString()
-       << "`). Deltas must declare the config group they\nchange; "
-          "undeclared deltas are rejected at restore "
-          "(`DESIGN.md` §17).\n\n"
-       << "| delta | groups | declared | validated | gpuCycles | "
-          "energy (pJ) |\n|---|---|---|---|---:|---:|\n";
-
-    const JsonValue *deltas = doc.find("deltas");
-    const JsonValue *runs = doc.find("runs");
-    for (std::size_t i = 0; runs && i < runs->size(); ++i) {
-        const JsonValue &run = runs->at(i);
-        std::string groups = "—", declared = "yes";
-        if (deltas && i < deltas->size()) {
-            const JsonValue &d = deltas->at(i);
-            const JsonValue *g = d.find("groups");
-            std::string acc;
-            for (std::size_t j = 0; g && j < g->size(); ++j)
-                acc += (j ? ", " : "") + g->at(j).asString();
-            if (!acc.empty())
-                groups = acc;
-            declared = d.find("declared")->asBool() ? "yes" : "no";
-        }
-        os << "| `" << run.find("delta")->asString() << "` | "
-           << groups << " | " << declared << " | "
-           << (run.find("validated")->asBool() ? "yes" : "**no**")
-           << " | "
-           << std::uint64_t(run.find("gpuCycles")->asNumber())
-           << " | "
-           << fmt(run.find("energy")->find("total")->asNumber(),
-                  "%.0f")
-           << " |\n";
-    }
-    os << "\nGPU-group deltas restore a pristine GPU from a CPU-only "
-          "warmup, so their\nsampled intervals are byte-identical to "
-          "uninterrupted twin runs\n(`--sample-unsampled`); backend/"
-          "LLC deltas carry warm state across and\nare validated "
-          "structurally instead "
-          "(`tests/driver/sample_test.cc`).\n\n";
-}
-
-/**
- * Synthspace section: the explicit-only `stashbench synthspace`
- * bench sweeps the SynthMix ro/rw parameter space, warming each
- * point once and fanning organizations out from its checkpoint.
- */
-void
-renderSynthspace(std::ostream &os, const std::string &dir)
-{
-    os << "## Sampled SynthMix parameter space "
-          "(`stashbench synthspace`)\n\n";
-
-    JsonValue doc;
-    if (!loadOptionalDoc(dir, "synthspace", "stashsim-bench-v1",
-                         doc)) {
-        os << "The synthspace bench maps the synthetic generator's "
-              "ro/rw parameter\nspace through the sampling driver: "
-              "each mix point is warmed once and the\nStash / "
-              "ScratchGD organizations fan out from its checkpoint "
-              "through the\nlease-based farm. Explicit-only (it "
-              "keeps farm state under --out); run\nwith:\n\n"
-              "```sh\nbuild/bench/stashbench --quick --out <dir> "
-              "synthspace\n```\n\n";
-        return;
-    }
-
-    os << "Each ro/rw mix point warmed once (Cache organization), "
-          "then measured\nintervals fanned out per organization from "
-          "its checkpoint. Execution\ntime over Cache:\n\n"
-          "| mix point | Stash / Cache | ScratchGD / Cache |\n"
-          "|---|---:|---:|\n";
-    const JsonValue *stash = doc.find("stashOverCacheCycles");
-    const JsonValue *gd = doc.find("scratchGDOverCacheCycles");
-    auto cell = [&](const JsonValue *per, const std::string &key) {
-        const JsonValue *v = per ? per->find(key) : nullptr;
-        return v ? fmt(v->asNumber()) : std::string("—");
-    };
-    std::vector<std::string> names = stringList(doc, "workloads");
-    names.push_back("average");
-    for (const std::string &wl : names) {
-        os << "| " << (wl == "average" ? "**average**" : wl) << " | "
-           << cell(stash, wl) << " | " << cell(gd, wl) << " |\n";
-    }
-    os << "\nEvery row reused exactly one warm checkpoint per point "
-          "(provenance in\n`BENCH_synthspace.json` under `points[]."
-          "sampledFrom`).\n\n";
-}
-
 void
 renderStaticTail(std::ostream &os)
 {
@@ -649,8 +511,6 @@ renderExperimentsMd(const std::string &dir, std::ostream &os,
     renderAblations(os);
     renderMemBackend(os, memback);
     renderSynth(os, synth);
-    renderSample(os, dir);
-    renderSynthspace(os, dir);
     renderStaticTail(os);
     return true;
 }

@@ -22,7 +22,6 @@
 #include "benches.hh"
 #include "driver/bench_args.hh"
 #include "driver/farm.hh"
-#include "driver/sample.hh"
 #include "driver/sweep.hh"
 #include "mem/backend/mem_backend.hh"
 #include "workloads/workload_factory.hh"
@@ -228,99 +227,6 @@ traceReplayMain(const BenchArgs &args)
     return ok ? 0 : 1;
 }
 
-/**
- * --sample / --sample-unsampled: warm once, fan measured intervals
- * out from that one checkpoint across the delta list (DESIGN.md §17),
- * writing BENCH_sample.json.  Farm state defaults to
- * <out>/samplestate; --farm/--restore point the campaign at a shared
- * state directory instead, with the usual lease semantics.
- */
-int
-sampleMain(const BenchArgs &args)
-{
-    SampleRequest req;
-    req.workload = args.sampleWorkload;
-    if (!workloads::WorkloadFactory::instance().find(req.workload)) {
-        std::fprintf(stderr,
-                     "stashbench: unknown workload '%s' for "
-                     "--sample-workload (--list shows the choices)\n",
-                     req.workload.c_str());
-        return 2;
-    }
-    if (!memOrgFromName(args.sampleOrg, req.org)) {
-        std::fprintf(stderr,
-                     "stashbench: unknown memory organization '%s' "
-                     "for --sample-org\n",
-                     args.sampleOrg.c_str());
-        return 2;
-    }
-    std::string err;
-    if (!parseSampleDeltas(args.sampleDeltas, req.deltas, err)) {
-        std::fprintf(stderr, "stashbench: --sample-deltas: %s\n",
-                     err.c_str());
-        return 2;
-    }
-    req.scale = args.scale;
-    req.intervalPhases = args.sampleInterval;
-    req.unsampled = args.sampleUnsampled;
-    req.threads = args.jobs;
-    req.checkpointEveryTicks = Tick(args.checkpointEvery);
-    req.progress = &std::cerr;
-    req.stop = &g_stop;
-    req.workerId = args.workerId;
-    req.leaseTtlMs = args.leaseTtlSec * 1000;
-    req.maxAttempts = args.maxAttempts;
-    if (!args.farmDir.empty())
-        req.stateDir = args.farmDir;
-    else if (!args.restoreDir.empty())
-        req.stateDir = args.restoreDir;
-    else
-        req.stateDir = args.outDir + "/samplestate";
-    std::signal(SIGINT, stopHandler);
-    std::signal(SIGTERM, stopHandler);
-
-    SampleOutcome out;
-    try {
-        out = runSample(req);
-    } catch (const std::exception &e) {
-        std::fprintf(stderr, "stashbench: sample: %s\n", e.what());
-        return 1;
-    }
-    if (out.counters.interrupted) {
-        std::fprintf(stderr,
-                     "stashbench: sample interrupted; state saved in "
-                     "%s — resumable (exit %d)\n",
-                     req.stateDir.c_str(), farm::interruptedExitCode);
-        return farm::interruptedExitCode;
-    }
-    if (!out.warm.result.validated ||
-        !out.warm.result.errors.empty()) {
-        std::fprintf(stderr, "stashbench: sample warm stage failed");
-        for (const std::string &e : out.warm.result.errors)
-            std::fprintf(stderr, "\n  %s", e.c_str());
-        std::fprintf(stderr, "\n");
-        return 1;
-    }
-
-    const report::JsonValue doc = sampleToJson(req, out);
-    const std::string path = args.outDir + "/BENCH_sample.json";
-    std::ofstream os(path);
-    if (!os) {
-        std::fprintf(stderr, "stashbench: cannot write %s\n",
-                     path.c_str());
-        return 1;
-    }
-    doc.write(os);
-    os << "\n";
-    const bool ok = allRunsValidated(doc);
-    std::fprintf(stderr,
-                 "wrote %s (%zu delta%s from %s)%s\n", path.c_str(),
-                 out.runs.size(), out.runs.size() == 1 ? "" : "s",
-                 out.sampledFrom.checkpoint.c_str(),
-                 ok ? "" : " (FAILED validation)");
-    return ok ? 0 : 1;
-}
-
 int
 renderMarkdown(const BenchArgs &args)
 {
@@ -400,9 +306,6 @@ main(int argc, char **argv)
                      "the source\n");
         return 2;
     }
-    // Sampled simulation is its own flow, like the trace modes.
-    if (args.sample || args.sampleUnsampled)
-        return sampleMain(args);
     // --render-md alone renders from existing artifacts; with bench
     // names it refreshes those artifacts first.
     if (!args.renderMd.empty() && args.benches.empty())
@@ -410,12 +313,8 @@ main(int argc, char **argv)
 
     std::vector<const BenchInfo *> selected;
     if (args.benches.empty()) {
-        // Explicit-only benches (synthspace: keeps farm state under
-        // --out) run only when named.
-        for (const BenchInfo &b : benchList()) {
-            if (b.defaultRun)
-                selected.push_back(&b);
-        }
+        for (const BenchInfo &b : benchList())
+            selected.push_back(&b);
     } else {
         for (const std::string &name : args.benches) {
             const BenchInfo *b = findBench(name);
@@ -436,7 +335,6 @@ main(int argc, char **argv)
     if (!resolveBackend(args, ctx))
         return 2;
     ctx.progress = &std::cerr;
-    ctx.outDir = args.outDir;
     ctx.traceDir = args.traceDir;
     ctx.components = args.components;
     SimperfCollector simperf;

@@ -3,9 +3,9 @@
 # times — plain, under AddressSanitizer + UndefinedBehaviorSanitizer,
 # and under ThreadSanitizer — then run the quick-scale benches, check
 # the artifacts against the committed manifest, exercise the
-# checkpoint/restore, multi-process farm crash-safety, memory-backend,
-# trace and sampling paths, and check the full-scale artifacts
-# against their manifest and EXPERIMENTS.md against them.
+# checkpoint/restore, multi-process farm crash-safety, memory-backend
+# and trace paths, and check the full-scale artifacts against their
+# manifest and EXPERIMENTS.md against them.
 #
 # Usage: scripts/ci.sh [jobs]
 set -eu
@@ -190,44 +190,6 @@ if "${root}/build/bench/stashbench" --trace-from SynthMix \
 fi
 echo "malformed trace and bad flag combinations rejected"
 
-# Sampling leg: warm once, fan measured intervals out from the one
-# checkpoint (DESIGN.md §17).  Three checks: the sampled quick-scale
-# sweep completes validated over gpu-group deltas; its artifact is
-# byte-identical to the uninterrupted --sample-unsampled twin; and an
-# undeclared delta is rejected with the structured config-hash
-# diagnostic and a failing exit code.
-sampledir="${root}/build/bench-artifacts-sample"
-twindir="${root}/build/bench-artifacts-sample-twin"
-echo "=== stashbench --sample (warm-once fan-out + unsampled twin parity) ==="
-rm -rf "${sampledir}" "${twindir}"
-mkdir -p "${sampledir}" "${twindir}"
-sample_deltas="identity,local:32,org:Cache,org:ScratchGD"
-"${root}/build/bench/stashbench" --quick --jobs "${jobs}" \
-    --sample --sample-deltas "${sample_deltas}" --out "${sampledir}"
-"${root}/build/bench/stashbench" --quick --jobs "${jobs}" \
-    --sample-unsampled --sample-deltas "${sample_deltas}" \
-    --out "${twindir}"
-cmp "${sampledir}/BENCH_sample.json" "${twindir}/BENCH_sample.json"
-echo "sampled artifact is byte-identical to the unsampled twin"
-rejectdir="${root}/build/bench-artifacts-sample-reject"
-rm -rf "${rejectdir}"
-mkdir -p "${rejectdir}"
-reject_rc=0
-"${root}/build/bench/stashbench" --quick --jobs "${jobs}" \
-    --sample --sample-deltas "identity,undeclared:org:Cache" \
-    --max-attempts 1 --out "${rejectdir}" \
-    > "${rejectdir}/reject.log" 2>&1 || reject_rc=$?
-if [ "${reject_rc}" -eq 0 ]; then
-    echo "undeclared sample delta should have failed the run" >&2
-    exit 1
-fi
-grep -q "snapshot configuration hash mismatch" \
-    "${rejectdir}/reject.log"
-grep -q "undeclared config delta in group(s) 'gpu'" \
-    "${rejectdir}/reject.log"
-echo "undeclared delta rejected with the structured diagnostic"
-ls -l "${sampledir}/BENCH_sample.json"
-
 # Surface the host-throughput numbers (events/sec per bench and the
 # suite aggregate) directly in the CI log, so every run leaves a
 # measured perf trajectory next to the archived artifact.
@@ -260,4 +222,4 @@ git -C "${root}" diff --exit-code -- EXPERIMENTS.md || {
     exit 1
 }
 
-echo "=== CI passed (plain + ASan/UBSan + TSan + quick benches + manifests + checkpoint/restore + farm + backends + trace + sampling + full scale) ==="
+echo "=== CI passed (plain + ASan/UBSan + TSan + quick benches + manifests + checkpoint/restore + farm + backends + trace + full scale) ==="

@@ -24,20 +24,6 @@ memOrgName(MemOrg org)
     }
 }
 
-bool
-memOrgFromName(const std::string &name, MemOrg &out)
-{
-    for (MemOrg org :
-         {MemOrg::Scratch, MemOrg::ScratchG, MemOrg::ScratchGD,
-          MemOrg::Cache, MemOrg::Stash, MemOrg::StashG}) {
-        if (name == memOrgName(org)) {
-            out = org;
-            return true;
-        }
-    }
-    return false;
-}
-
 const char *
 memBackendName(MemBackendKind kind)
 {

@@ -30,9 +30,6 @@ enum class MemOrg
 /** Printable name of a memory organization. */
 const char *memOrgName(MemOrg org);
 
-/** Parses a memOrgName(); false when @p name is not an organization. */
-bool memOrgFromName(const std::string &name, MemOrg &out);
-
 /** True for the configurations that use a stash. */
 constexpr bool
 usesStash(MemOrg org)

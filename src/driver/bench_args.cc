@@ -169,28 +169,6 @@ BenchArgs::parse(int argc, char **argv, BenchArgs &out,
             if (!needsValue(i, argc, a, err))
                 return false;
             out.traceFrom = argv[++i];
-        } else if (std::strcmp(a, "--sample") == 0) {
-            out.sample = true;
-        } else if (std::strcmp(a, "--sample-workload") == 0) {
-            if (!needsValue(i, argc, a, err))
-                return false;
-            out.sampleWorkload = argv[++i];
-        } else if (std::strcmp(a, "--sample-org") == 0) {
-            if (!needsValue(i, argc, a, err))
-                return false;
-            out.sampleOrg = argv[++i];
-        } else if (std::strcmp(a, "--sample-interval") == 0) {
-            if (!needsValue(i, argc, a, err))
-                return false;
-            if (!parseUnsigned(a, argv[++i], out.sampleInterval,
-                               err))
-                return false;
-        } else if (std::strcmp(a, "--sample-deltas") == 0) {
-            if (!needsValue(i, argc, a, err))
-                return false;
-            out.sampleDeltas = argv[++i];
-        } else if (std::strcmp(a, "--sample-unsampled") == 0) {
-            out.sampleUnsampled = true;
         } else if (std::strcmp(a, "--json") == 0) {
             out.json = true;
         } else if (std::strcmp(a, "--list") == 0) {
@@ -274,37 +252,6 @@ BenchArgs::usage(const char *prog)
            "and exit\n"
            "  --trace-record FILE write a stashtrace-v1 trace to "
            "FILE\n"
-           "  --sample            sampled simulation: warm the base "
-           "spec once, then\n"
-           "                      fan measured intervals out from "
-           "that one checkpoint\n"
-           "                      across --sample-deltas, writing "
-           "BENCH_sample.json\n"
-           "                      (farm state in <out>/samplestate "
-           "unless --farm)\n"
-           "  --sample-workload W base workload to warm (default "
-           "Reuse)\n"
-           "  --sample-org NAME   base memory organization (default "
-           "Stash)\n"
-           "  --sample-interval N measured phases per interval "
-           "(default 0 = to\n"
-           "                      completion)\n"
-           "  --sample-deltas L   comma-separated deltas: identity, "
-           "local:<kb>,\n"
-           "                      org:<Name>, backend:<name>, "
-           "llcassoc:<n>,\n"
-           "                      llckb:<kb>; an 'undeclared:' "
-           "prefix applies the\n"
-           "                      change without declaring it — the "
-           "restore must\n"
-           "                      reject it (default identity,"
-           "local:32,org:Cache,\n"
-           "                      org:ScratchGD)\n"
-           "  --sample-unsampled  run the uninterrupted twin of the "
-           "same campaign\n"
-           "                      (each delta from tick 0; the "
-           "parity reference\n"
-           "                      for gpu-group deltas)\n"
            "  --trace-from NAME   record workload NAME (built at "
            "--scale, cache org)\n"
            "                      into --trace-record FILE instead "

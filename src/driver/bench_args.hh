@@ -79,24 +79,6 @@ struct BenchArgs
      * simulating anything.
      */
     std::string traceFrom;
-    /** @{
-     * Sampled simulation (--sample, src/driver/sample.hh): warm the
-     * base spec once, then fan measured intervals out from that one
-     * checkpoint across the delta list, writing BENCH_sample.json.
-     * --sample-unsampled runs the uninterrupted twin of the same
-     * campaign (the parity reference).  Deltas and the org are
-     * validated by the binary, not here — the parser stays
-     * string-only like --backend.
-     */
-    bool sample = false;
-    std::string sampleWorkload = "Reuse";
-    std::string sampleOrg = "Stash";
-    /** Measured phases per interval; 0 = run to completion. */
-    unsigned sampleInterval = 0;
-    std::string sampleDeltas =
-        "identity,local:32,org:Cache,org:ScratchGD";
-    bool sampleUnsampled = false;
-    /** @} */
     /** --list emits machine-readable JSON instead of the table. */
     bool json = false;
     bool help = false;

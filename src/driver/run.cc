@@ -72,9 +72,6 @@ runSpec(const RunSpec &spec)
     ctl.checkpointLabel = artifactLabel(spec.label()) + "-" +
                           workloads::scaleName(spec.scale);
     ctl.restoreFrom = spec.restoreFrom;
-    ctl.measurePhases = spec.measurePhases;
-    ctl.boundarySnapshotPath = spec.boundarySnapshotPath;
-    ctl.restoreDeltas = spec.restoreDeltas;
     ctl.interrupt = spec.interrupt;
     RunResult r = sys.run(std::move(wl), ctl);
     if (spec.finish)

@@ -79,24 +79,6 @@ struct RunSpec
     std::string restoreFrom;
 
     /**
-     * Measured phases past the warmup boundary to run before stopping
-     * (RunControl::measurePhases); the default runs to completion, 0
-     * is a warm-only run.  Early-stopped runs report
-     * RunResult::truncated.
-     */
-    std::uint32_t measurePhases = runControlAllPhases;
-    /**
-     * When set, write a snapshot to exactly this path at the warmup
-     * boundary (RunControl::boundarySnapshotPath).
-     */
-    std::string boundarySnapshotPath;
-    /**
-     * Declared measured-region delta groups for the restore
-     * (RunControl::restoreDeltas, DESIGN.md §17).
-     */
-    DeltaMask restoreDeltas = 0;
-
-    /**
      * Cooperative interrupt flag (RunControl::interrupt).  When it
      * goes true the run stops at its next phase boundary: a final
      * checkpoint is written (when @ref checkpointDir is set) and

@@ -74,7 +74,6 @@ saveResultCache(const std::string &path, const RunSpec &spec,
     w.workload = runStateLabel(spec);
     w.beginSection("result");
     w.b(r.validated);
-    w.b(r.truncated);
     w.u64(r.gpuCycles);
     w.u64(r.perf.events);
     w.u64(r.perf.simTicks);
@@ -122,7 +121,6 @@ loadResultCache(const std::string &path, const RunSpec &spec,
         r.verifyAllSections();
         r.openSection("result");
         out.validated = r.b();
-        out.truncated = r.b();
         out.gpuCycles = Cycles(r.u64());
         out.perf = SimPerfSummary{};
         out.perf.events = r.u64();
@@ -515,10 +513,6 @@ SweepDriver::run(std::vector<RunSpec> specs,
                     claim.reclaimed) {
                     // Retries and takeovers resume from the dead
                     // attempt's checkpoints just like --resume does.
-                    // A spec that came in with its own restoreFrom (a
-                    // SampleDriver's warm boundary snapshot) keeps it
-                    // unless a newer mid-run checkpoint exists — the
-                    // checkpoint is strictly further along.
                     const std::string ckpt = latestCheckpoint(
                         opts.stateDir, records[i].spec, cfg,
                         opts.progress, progressMutex, cnt, cntMutex);

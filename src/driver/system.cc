@@ -1,6 +1,5 @@
 #include "driver/system.hh"
 
-#include <algorithm>
 #include <atomic>
 #include <ios>
 #include <ostream>
@@ -18,21 +17,6 @@ namespace stashsim
 namespace
 {
 
-std::atomic<std::uint64_t> g_boundarySnapshotWrites{0};
-
-/** True when every counter of stats-struct @p s is zero. */
-template <class S>
-bool
-statsAllZero(const S &s)
-{
-    bool zero = true;
-    S::visit(s, [&zero](const char *, const Counter &c) {
-        if (c != 0)
-            zero = false;
-    });
-    return zero;
-}
-
 MeshParams
 meshParamsOf(const SystemConfig &cfg)
 {
@@ -46,12 +30,6 @@ meshParamsOf(const SystemConfig &cfg)
 }
 
 } // namespace
-
-std::uint64_t
-boundarySnapshotWrites()
-{
-    return g_boundarySnapshotWrites.load(std::memory_order_relaxed);
-}
 
 System::System(const SystemConfig &cfg, const EnergyParams &energy)
     : cfg(cfg), energyModel(energy), perf(eq),
@@ -368,7 +346,7 @@ System::run(Workload wl, const RunControl &ctl)
                   "workload '", sr.workload(), "', not '", wl.name,
                   "'");
         }
-        restoreSnapshot(sr, ctl.restoreDeltas);
+        restoreSnapshot(sr);
         sr.openSection("run");
         firstPhase = sr.u32();
         sr.require(firstPhase == sr.phaseCursor(),
@@ -393,15 +371,6 @@ System::run(Workload wl, const RunControl &ctl)
         wl.init(fm);
     }
 
-    // Where the run stops: the warmup boundary plus the measured
-    // interval, clamped to the workload's own end.
-    std::size_t stopAfter = wl.phases.size();
-    if (ctl.measurePhases != runControlAllPhases) {
-        stopAfter = std::min<std::size_t>(
-            wl.phases.size(),
-            std::size_t(wl.warmupPhases) + ctl.measurePhases);
-    }
-
     for (std::size_t p = firstPhase; p < wl.phases.size(); ++p) {
         Phase &phase = wl.phases[p];
         switch (phase.kind) {
@@ -415,19 +384,6 @@ System::run(Workload wl, const RunControl &ctl)
         if (p + 1 == wl.warmupPhases) {
             baseline = statsSnapshot();
             baselineCaptured = true;
-            if (!ctl.boundarySnapshotPath.empty()) {
-                // The measurement-boundary snapshot a SampleDriver
-                // fans measured intervals out from (DESIGN.md §17).
-                writeSnapshotFile(ctl.boundarySnapshotPath, wl,
-                                  std::uint32_t(p + 1), true,
-                                  baseline);
-                g_boundarySnapshotWrites.fetch_add(
-                    1, std::memory_order_relaxed);
-            }
-        }
-        if (p + 1 >= stopAfter && p + 1 < wl.phases.size()) {
-            r.truncated = true;
-            break;
         }
         if (checkpointing && p + 1 < wl.phases.size() &&
             eq.curTick() >= lastCkpt + ctl.checkpointEveryTicks) {
@@ -470,27 +426,23 @@ System::run(Workload wl, const RunControl &ctl)
     r.gpuCycles = r.stats.gpuCycles;
 
     // Flush every private memory so the functional image is complete,
-    // then validate.  A truncated run skips both: the workload is
-    // deliberately incomplete, so its validator would only report
-    // the missing phases.
-    if (!r.truncated) {
-        for (auto &g : gpus) {
-            g.l1->flushAll();
-            if (g.stash)
-                g.stash->flushAll();
-        }
-        for (auto &c : cpus)
-            c.l1->flushAll();
-        drain("final flush");
-        for (auto &b : llcBanks)
-            b->flushDirtyToMemory();
-        if (_checker)
-            _checker->checkFinalMemory(mem);
+    // then validate.
+    for (auto &g : gpus) {
+        g.l1->flushAll();
+        if (g.stash)
+            g.stash->flushAll();
+    }
+    for (auto &c : cpus)
+        c.l1->flushAll();
+    drain("final flush");
+    for (auto &b : llcBanks)
+        b->flushDirtyToMemory();
+    if (_checker)
+        _checker->checkFinalMemory(mem);
 
-        if (wl.validate) {
-            if (!wl.validate(fm, r.errors))
-                r.validated = false;
-        }
+    if (wl.validate) {
+        if (!wl.validate(fm, r.errors))
+            r.validated = false;
     }
     if (!r.errors.empty())
         r.validated = false;
@@ -593,56 +545,9 @@ System::dumpDiagnostics(std::ostream &os) const
     }
 }
 
-bool
-System::deltaSupported(DeltaGroup g) const
-{
-    switch (g) {
-      case DeltaGroup::Gpu: {
-        // The GPU-side restore path under a gpu delta is "construct
-        // fresh, skip the saved cu sections" — legal only while the
-        // GPU side has done nothing: every GPU-side counter zero
-        // (CPU-only warmup, the sampling contract's boundary shape).
-        const SystemStats s = statsSnapshot();
-        return statsAllZero(s.gpu) && statsAllZero(s.gpuL1) &&
-               statsAllZero(s.scratch) && statsAllZero(s.stash) &&
-               statsAllZero(s.dma);
-      }
-      case DeltaGroup::MemBackend:
-        for (const auto &b : memBackends) {
-            if (!b->deltaSafe())
-                return false;
-        }
-        return true;
-      case DeltaGroup::Llc:
-        // The remap path re-derives placement mechanically; its only
-        // failure mode (set overflow) is checked at restore time.
-        return true;
-    }
-    return false;
-}
-
 void
 System::saveSnapshot(SnapshotWriter &w) const
 {
-    // Delta-group identity (DESIGN.md §17): the base hash, each
-    // group's sub-hash, and whether the state being saved tolerates
-    // dropping that group.  Restores whose full hash mismatches
-    // consult this section to decide legality.
-    {
-        w.beginSection("cfgid");
-        w.u32(1); // cfgid payload version
-        w.u64(snapshotConfigHash(cfg));
-        w.u64(snapshotConfigBaseHash(cfg));
-        w.u32(numDeltaGroups);
-        for (unsigned gi = 0; gi < numDeltaGroups; ++gi) {
-            const DeltaGroup g = DeltaGroup(gi);
-            w.str(deltaGroupName(g));
-            w.u64(snapshotConfigGroupHash(cfg, g));
-            w.b(deltaSupported(g));
-        }
-        w.endSection();
-    }
-
     // Event-queue clock and observability counters.
     {
         w.beginSection("engine");
@@ -739,108 +644,15 @@ System::saveSnapshot(SnapshotWriter &w) const
 }
 
 void
-System::validateConfigDeltas(SnapshotReader &r, DeltaMask declared,
-                             bool *gpu_cold, bool *back_cold,
-                             bool *llc_remap) const
+System::restoreSnapshot(SnapshotReader &r)
 {
     const std::uint64_t want = snapshotConfigHash(cfg);
-    // The structured diagnostic every mismatch path shares: both hash
-    // values plus the fields excepted from hashing altogether.
-    const std::string prefix = logFormat(
-        "snapshot configuration hash mismatch: snapshot was taken "
-        "with config hash 0x",
-        std::hex, r.configHash(), " but this system's is 0x", want,
-        std::dec, " (always-excepted fields: verify)");
-
-    if (!r.hasSection("cfgid")) {
-        fatal(prefix, "; the snapshot carries no 'cfgid' section, so "
-              "restore requires the identical configuration");
+    if (r.configHash() != want) {
+        fatal("snapshot configuration hash mismatch: snapshot was "
+              "taken with config hash 0x", std::hex, r.configHash(),
+              " but this system's is 0x", want, std::dec,
+              " (always-excepted fields: verify)");
     }
-
-    r.openSection("cfgid");
-    r.require(r.u32() == 1, "unsupported cfgid payload version");
-    r.require(r.u64() == r.configHash(),
-              "cfgid full hash disagrees with the manifest");
-    const std::uint64_t snapBase = r.u64();
-    const std::uint32_t ngroups = r.u32();
-    struct GroupRec
-    {
-        std::string name;
-        std::uint64_t hash;
-        bool supported;
-    };
-    std::vector<GroupRec> recs;
-    recs.reserve(ngroups);
-    for (std::uint32_t i = 0; i < ngroups; ++i) {
-        GroupRec rec;
-        rec.name = r.str();
-        rec.hash = r.u64();
-        rec.supported = r.b();
-        recs.push_back(std::move(rec));
-    }
-    r.closeSection();
-
-    if (snapshotConfigBaseHash(cfg) != snapBase) {
-        fatal(prefix, "; fields outside every delta group differ — "
-              "no delta declaration can restore across a base-field "
-              "change");
-    }
-
-    std::string undeclared, unsupported;
-    for (const GroupRec &rec : recs) {
-        DeltaGroup g;
-        if (!deltaGroupFromName(rec.name, g)) {
-            fatal(prefix, "; snapshot declares delta group '",
-                  rec.name, "' unknown to this build");
-        }
-        if (snapshotConfigGroupHash(cfg, g) == rec.hash)
-            continue;
-        if (!(declared & deltaBit(g))) {
-            if (!undeclared.empty())
-                undeclared += "; ";
-            undeclared += "'" + rec.name + "' (" +
-                          deltaGroupFields(g) + ")";
-            continue;
-        }
-        if (!rec.supported) {
-            if (!unsupported.empty())
-                unsupported += ", ";
-            unsupported += "'" + rec.name + "'";
-            continue;
-        }
-        switch (g) {
-          case DeltaGroup::Gpu:
-            *gpu_cold = true;
-            break;
-          case DeltaGroup::MemBackend:
-            *back_cold = true;
-            break;
-          case DeltaGroup::Llc:
-            *llc_remap = true;
-            break;
-        }
-    }
-    if (!undeclared.empty()) {
-        fatal(prefix, "; undeclared config delta in group(s) ",
-              undeclared, " — a sampled restore must declare every "
-              "changed group");
-    }
-    if (!unsupported.empty()) {
-        fatal(prefix, "; declared delta group(s) ", unsupported,
-              " cannot restore from this checkpoint: the saved state "
-              "is not quiescent for the group");
-    }
-}
-
-void
-System::restoreSnapshot(SnapshotReader &r, DeltaMask declared)
-{
-    // Matching full hashes restore exactly, declared deltas or not;
-    // only a mismatch takes the delta-validation path.
-    bool gpuCold = false, backCold = false, llcRemap = false;
-    if (r.configHash() != snapshotConfigHash(cfg))
-        validateConfigDeltas(r, declared, &gpuCold, &backCold,
-                             &llcRemap);
 
     {
         r.openSection("engine");
@@ -871,57 +683,43 @@ System::restoreSnapshot(SnapshotReader &r, DeltaMask declared)
 
     for (std::size_t i = 0; i < llcBanks.size(); ++i) {
         r.openSection("llc" + std::to_string(i));
-        llcBanks[i]->restore(r, llcRemap);
+        llcBanks[i]->restore(r);
         r.closeSection();
     }
 
     for (std::size_t i = 0; i < memBackends.size(); ++i) {
         r.openSection("memback" + std::to_string(i));
-        if (backCold) {
-            // Declared membackend delta: the saved timing state
-            // belongs to another model — keep this backend cold but
-            // carry the accumulated counters forward.
-            memBackends[i]->restoreCarriedStats(r);
-        } else {
-            memBackends[i]->restore(r);
-        }
+        memBackends[i]->restore(r);
         r.closeSection();
     }
 
-    // Declared gpu delta: the saved cu sections describe another
-    // GPU-side topology (possibly other component kinds entirely);
-    // they are skipped wholesale and the freshly-constructed GPU side
-    // stays pristine — legal because the cfgid supported flag proved
-    // the GPU had done nothing at save time.
-    if (!gpuCold) {
-        for (std::size_t i = 0; i < gpus.size(); ++i) {
-            const std::string p = "cu" + std::to_string(i);
-            GpuNode &g = gpus[i];
-            r.openSection(p + ".tlb");
-            g.tlb->restore(r);
-            r.closeSection();
-            r.openSection(p + ".l1");
-            g.l1->restore(r);
-            r.closeSection();
-            if (g.spad) {
-                r.openSection(p + ".scratch");
-                g.spad->restore(r);
-                r.closeSection();
-            }
-            if (g.stash) {
-                r.openSection(p + ".stash");
-                g.stash->restore(r);
-                r.closeSection();
-            }
-            if (g.dma) {
-                r.openSection(p + ".dma");
-                g.dma->restore(r);
-                r.closeSection();
-            }
-            r.openSection(p + ".core");
-            g.cu->restore(r);
+    for (std::size_t i = 0; i < gpus.size(); ++i) {
+        const std::string p = "cu" + std::to_string(i);
+        GpuNode &g = gpus[i];
+        r.openSection(p + ".tlb");
+        g.tlb->restore(r);
+        r.closeSection();
+        r.openSection(p + ".l1");
+        g.l1->restore(r);
+        r.closeSection();
+        if (g.spad) {
+            r.openSection(p + ".scratch");
+            g.spad->restore(r);
             r.closeSection();
         }
+        if (g.stash) {
+            r.openSection(p + ".stash");
+            g.stash->restore(r);
+            r.closeSection();
+        }
+        if (g.dma) {
+            r.openSection(p + ".dma");
+            g.dma->restore(r);
+            r.closeSection();
+        }
+        r.openSection(p + ".core");
+        g.cu->restore(r);
+        r.closeSection();
     }
 
     for (std::size_t i = 0; i < cpus.size(); ++i) {
@@ -960,11 +758,11 @@ System::restoreSnapshot(SnapshotReader &r, DeltaMask declared)
 }
 
 void
-System::writeSnapshotFile(const std::string &path,
-                          const Workload &wl,
-                          std::uint32_t next_phase,
-                          bool baseline_captured,
-                          const SystemStats &baseline) const
+System::writeCheckpoint(const RunControl &ctl,
+                        const Workload &wl,
+                        std::uint32_t next_phase,
+                        bool baseline_captured,
+                        const SystemStats &baseline) const
 {
     SnapshotWriter w;
     w.configHash = snapshotConfigHash(cfg);
@@ -984,16 +782,7 @@ System::writeSnapshotFile(const std::string &path,
         wl.snapshotState(w);
         w.endSection();
     }
-    w.writeFile(path);
-}
 
-void
-System::writeCheckpoint(const RunControl &ctl,
-                        const Workload &wl,
-                        std::uint32_t next_phase,
-                        bool baseline_captured,
-                        const SystemStats &baseline) const
-{
     const std::string label =
         ctl.checkpointLabel.empty() ? wl.name : ctl.checkpointLabel;
     std::string path = ctl.checkpointDir;
@@ -1001,8 +790,7 @@ System::writeCheckpoint(const RunControl &ctl,
         path += '/';
     path += "CKPT_" + label + "@" + std::to_string(eq.curTick()) +
             ".snap";
-    writeSnapshotFile(path, wl, next_phase, baseline_captured,
-                      baseline);
+    w.writeFile(path);
 }
 
 } // namespace stashsim

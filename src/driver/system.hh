@@ -60,22 +60,12 @@ class ProtocolChecker;
 class Watchdog;
 
 /**
- * Process-wide count of warmup-boundary snapshots written via
- * RunControl::boundarySnapshotPath — the "snapshot-build counter" the
- * sampled-simulation tests use to prove one warmup served N deltas.
- */
-std::uint64_t boundarySnapshotWrites();
-
-/**
  * Checkpoint/restore policy for one run (src/snapshot).  Checkpoints
  * are taken only at phase-end drain points, where every event queue
  * is empty and all in-flight memory activity has resolved — the only
  * moments the component state is serializable without also capturing
  * live event callbacks.
  */
-/** RunControl::measurePhases value meaning "run to completion". */
-constexpr std::uint32_t runControlAllPhases = 0xffffffffu;
-
 struct RunControl
 {
     /**
@@ -90,32 +80,6 @@ struct RunControl
     std::string checkpointLabel;
     /** Path of a snapshot to resume from (empty: run from tick 0). */
     std::string restoreFrom;
-
-    /**
-     * Measured phases to run past the warmup boundary before stopping
-     * (the sampled-simulation interval length, DESIGN.md §17).  The
-     * default runs every phase; 0 stops exactly at the boundary (a
-     * warm-only run).  A run stopped early reports
-     * RunResult::truncated and skips the final flush + validation
-     * (the workload is deliberately incomplete).
-     */
-    std::uint32_t measurePhases = runControlAllPhases;
-
-    /**
-     * When set, the run writes a full snapshot to exactly this path
-     * at the warmup boundary — the measurement boundary a
-     * SampleDriver fans measured intervals out from — and bumps the
-     * process-wide boundarySnapshotWrites() counter.
-     */
-    std::string boundarySnapshotPath;
-
-    /**
-     * Declared measured-region delta groups (DESIGN.md §17): the
-     * snapshot at @ref restoreFrom may then legally differ from this
-     * system's configuration in exactly these groups.  Undeclared
-     * deltas stay fatal with the structured diagnostic.
-     */
-    DeltaMask restoreDeltas = 0;
 
     /**
      * Cooperative interrupt flag (signal handlers set it).  Checked
@@ -153,11 +117,6 @@ struct RunResult
      * and stay out of the deterministic artifacts.
      */
     SimPerfSummary perf;
-    /**
-     * True when RunControl::measurePhases stopped the run before the
-     * workload's final phase; such a run skipped final validation.
-     */
-    bool truncated = false;
 };
 
 /**
@@ -192,13 +151,10 @@ class System
     /**
      * Restores every component section into this freshly-constructed
      * System.  fatal()s when the snapshot's configuration hash does
-     * not match this system's configuration — unless the mismatch is
-     * confined to @p declared delta groups the snapshot's own
-     * "cfgid" section marks restorable, in which case the affected
-     * components take their delta-tolerant paths (GPU side cold, mem
-     * backend carried-stats, LLC geometry remap; DESIGN.md §17).
+     * not match this system's configuration: a checkpoint restores
+     * only into the machine that wrote it.
      */
-    void restoreSnapshot(SnapshotReader &r, DeltaMask declared = 0);
+    void restoreSnapshot(SnapshotReader &r);
 
     /** Aggregated statistics so far (tests may call mid-run). */
     SystemStats statsSnapshot() const;
@@ -265,27 +221,6 @@ class System
                          std::uint32_t next_phase,
                          bool baseline_captured,
                          const SystemStats &baseline) const;
-
-    /** Full snapshot + run/workload sections to an explicit path. */
-    void writeSnapshotFile(const std::string &path,
-                           const Workload &wl,
-                           std::uint32_t next_phase,
-                           bool baseline_captured,
-                           const SystemStats &baseline) const;
-
-    /** "cfgid" supported flag: group @p g droppable right now? */
-    bool deltaSupported(DeltaGroup g) const;
-
-    /**
-     * Full-hash mismatch path of restoreSnapshot(): validates the
-     * mismatch against @p declared and the snapshot's cfgid section,
-     * fatal()ing with the structured diagnostic on any undeclared or
-     * unsupported delta; on success sets which delta-tolerant restore
-     * paths apply.
-     */
-    void validateConfigDeltas(SnapshotReader &r, DeltaMask declared,
-                              bool *gpu_cold, bool *back_cold,
-                              bool *llc_remap) const;
 
     void registerComponentStats();
 

@@ -5,7 +5,6 @@
 #include "mem/backend/sttmram_backend.hh"
 #include "mem/main_memory.hh"
 #include "sim/log.hh"
-#include "snapshot/snapshot.hh"
 
 namespace stashsim
 {
@@ -15,17 +14,6 @@ MemBackend::writeLineFunctional(PhysAddr line_pa, WordMask mask,
                                 const LineData &d)
 {
     mem.writeLine(line_pa, mask, d);
-}
-
-void
-MemBackend::restoreCarriedStats(SnapshotReader &r)
-{
-    // Every backend's snapshot() writes its stats block first, so the
-    // carried counters parse identically regardless of which backend
-    // kind wrote the section; the model-specific remainder belongs to
-    // the old timing state and is dropped.
-    readStats(r, _stats);
-    r.skipRemaining();
 }
 
 const std::vector<MemBackendInfo> &

@@ -88,24 +88,6 @@ class MemBackend
     /** Restores a drain-point checkpoint (same backend config). */
     virtual void restore(SnapshotReader &r) = 0;
 
-    /**
-     * Declared `membackend` config delta (DESIGN.md §17): carries the
-     * accumulated stats out of the saved section (every backend
-     * writes its stats first) and discards the rest — the restoring
-     * backend keeps its freshly-constructed ("cold") timing state.
-     */
-    void restoreCarriedStats(SnapshotReader &r);
-
-    /**
-     * True when this backend's timing state at the current drain
-     * point is droppable without changing future behavior — i.e. a
-     * checkpoint taken here may be restored under a different
-     * backend via restoreCarriedStats().  Backends with pending
-     * future work (queued STT writes) or warmed internal caches
-     * (SCM's DRAM-cache tags) must say no.
-     */
-    virtual bool deltaSafe() const { return true; }
-
   protected:
     MemBackend(MemBackendKind kind, EventQueue &eq, MainMemory &mem,
                Tick clock_period)

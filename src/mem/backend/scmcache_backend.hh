@@ -42,17 +42,6 @@ class ScmCacheBackend : public MemBackend
     void snapshot(SnapshotWriter &w) const override;
     void restore(SnapshotReader &r) override;
 
-    /**
-     * The DRAM-cache tags are warmed timing state a carried-stats
-     * restore would silently discard; safe only while still empty
-     * and with both channels idle.
-     */
-    bool deltaSafe() const override
-    {
-        return residentLines() == 0 && dramBusyUntil <= eq.curTick() &&
-               scmBusyUntil <= eq.curTick();
-    }
-
     /** Valid DRAM-cache lines (tests). */
     std::size_t residentLines() const;
     /** Dirty DRAM-cache lines (tests). */

@@ -41,12 +41,6 @@ class SttMramBackend : public MemBackend
     void snapshot(SnapshotWriter &w) const override;
     void restore(SnapshotReader &r) override;
 
-    /** Safe to drop only when no write completion is still pending. */
-    bool deltaSafe() const override
-    {
-        return writeDone.empty() || writeDone.back() <= eq.curTick();
-    }
-
     /** Writes still draining (after completed ones age out). */
     std::size_t pendingWrites() const;
 

@@ -453,15 +453,10 @@ LlcBank::snapshot(SnapshotWriter &w) const
 }
 
 void
-LlcBank::restore(SnapshotReader &r, bool remap)
+LlcBank::restore(SnapshotReader &r)
 {
-    const std::uint32_t savedSets = r.u32();
-    const std::uint32_t savedAssoc = r.u32();
-    if (!remap) {
-        r.require(savedSets == sets, "LLC set count mismatch");
-        r.require(savedAssoc == params.assoc,
-                  "LLC associativity mismatch");
-    }
+    r.require(r.u32() == sets, "LLC set count mismatch");
+    r.require(r.u32() == params.assoc, "LLC associativity mismatch");
     useClock = r.u64();
     readStats(r, _stats);
     used.assign(sets, 0);
@@ -469,7 +464,7 @@ LlcBank::restore(SnapshotReader &r, bool remap)
     const std::uint32_t allocated = r.u32();
     for (std::uint32_t k = 0; k < allocated; ++k) {
         const std::uint32_t savedIdx = r.u32();
-        r.require(savedIdx < std::uint64_t(savedSets) * savedAssoc,
+        r.require(savedIdx < std::uint64_t(sets) * params.assoc,
                   "LLC line index out of range");
         const PhysAddr pa = r.u64();
         r.require(pa % lineBytes == 0,
@@ -478,23 +473,12 @@ LlcBank::restore(SnapshotReader &r, bool remap)
                   "LLC line homed at another bank");
         r.require(!findLine(pa), "LLC line stored twice");
         const unsigned set = setIndex(pa);
-        if (remap) {
-            // Declared geometry delta: re-derive the set from the
-            // line's address under the live geometry and take a free
-            // way there.  Relative lastUse order is preserved, so the
-            // LRU ordering of lines that land in the same new set is
-            // the warmed one.
-            r.require(used[set] < params.assoc,
-                      "LLC geometry delta: warmed footprint "
-                      "overflows a set of the new geometry");
-        } else {
-            // snapshot() writes each set's ways from way 0 up, with
-            // no gap: the only layout a run can reach.
-            r.require(savedIdx / params.assoc == set,
-                      "LLC line stored outside its set");
-            r.require(savedIdx % params.assoc == used[set],
-                      "LLC set's ways not stored from way 0 up");
-        }
+        // snapshot() writes each set's ways from way 0 up, with no
+        // gap: the only layout a run can reach.
+        r.require(savedIdx / params.assoc == set,
+                  "LLC line stored outside its set");
+        r.require(savedIdx % params.assoc == used[set],
+                  "LLC set's ways not stored from way 0 up");
         Line &line = addWay(set, pa);
         line.dirty = r.b();
         line.lastUse = r.u64();

@@ -106,20 +106,14 @@ class LlcBank : public MemObject
     void snapshot(SnapshotWriter &w) const;
 
     /**
-     * Restores a drain-point checkpoint.  With @p remap false the
-     * snapshot must come from an identical-geometry bank (the default
-     * exact path).  With @p remap true — a declared `llc` config delta
-     * (DESIGN.md §17) — the saved lines are re-inserted under this
-     * bank's live geometry: each line's set is re-derived from its
-     * physical address and the line takes a free way there.  A set
-     * overflow (the new geometry cannot hold the warmed footprint)
-     * is a structured SnapshotError, not silent dropping, as is any
-     * line that is unaligned, homed at another bank, stored twice,
-     * out of its set or way order, used after the use clock, or
-     * registered to an owner the fabric cannot reach (DESIGN.md
-     * §11.6).
+     * Restores a drain-point checkpoint of an identical-geometry bank.
+     * A section from another geometry, or with any line that is
+     * unaligned, homed at another bank, stored twice, out of its set
+     * or way order, used after the use clock, or registered to an
+     * owner the fabric cannot reach, is a structured SnapshotError
+     * (DESIGN.md §11.6).
      */
-    void restore(SnapshotReader &r, bool remap = false);
+    void restore(SnapshotReader &r);
 
   private:
     /** Per-word registry entry. */

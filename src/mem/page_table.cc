@@ -39,13 +39,18 @@ mixVpage(Addr vpage)
 } // namespace
 
 PhysAddr
+PageTable::physPageOf(Addr vpage)
+{
+    return physBase + (mixVpage(vpage) & slotMask) * pageBytes;
+}
+
+PhysAddr
 PageTable::translate(Addr va)
 {
     const Addr vpage = pageBase(va);
     auto it = vToP.find(vpage);
     if (it == vToP.end()) {
-        const PhysAddr ppage =
-            physBase + (mixVpage(vpage) & slotMask) * pageBytes;
+        const PhysAddr ppage = physPageOf(vpage);
         auto [pit, fresh] = pToV.emplace(ppage, vpage);
         if (!fresh && pit->second != vpage) {
             fatal("page table: physical slot collision (vpage 0x",
@@ -100,8 +105,15 @@ PageTable::restore(SnapshotReader &r)
     for (std::uint64_t i = 0; i < n; ++i) {
         const Addr v = r.u64();
         const PhysAddr p = r.u64();
-        vToP.emplace(v, p);
-        pToV.emplace(p, v);
+        r.require(v == pageBase(v),
+                  "page table virtual page not page-aligned");
+        r.require(p == physPageOf(v),
+                  "page table physical page is not the virtual page's "
+                  "slot");
+        r.require(vToP.emplace(v, p).second,
+                  "page table virtual page stored twice");
+        r.require(pToV.emplace(p, v).second,
+                  "page table physical page stored twice");
     }
 }
 

@@ -55,10 +55,18 @@ class PageTable
     /** Number of mapped pages. */
     std::size_t numPages() const { return vToP.size(); }
 
+    /** The physical page translate() assigns to page @p vpage. */
+    static PhysAddr physPageOf(Addr vpage);
+
     /** Serializes the mapping, sorted by virtual page. */
     void snapshot(SnapshotWriter &w) const;
 
-    /** Replaces the mapping (both directions) from a checkpoint. */
+    /**
+     * Replaces the mapping (both directions) from a checkpoint.  A
+     * virtual page that is unaligned or stored twice, or a physical
+     * page that is not the one physPageOf() assigns or is stored
+     * twice, is a structured SnapshotError (DESIGN.md §11.6).
+     */
     void restore(SnapshotReader &r);
 
   private:

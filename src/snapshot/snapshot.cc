@@ -104,76 +104,6 @@ crc32(const void *data, std::size_t n)
 namespace
 {
 
-/**
- * Single source of truth for the config-hash field walk.  Every field
- * is visited in the fixed historical order (so the full hash stays
- * value-compatible with snapshots written before delta groups existed)
- * and tagged with the DeltaGroup it belongs to, or `tagBase` for base
- * fields that no declared delta may ever change.
- *
- * cfg.verify is intentionally not walked; see the
- * snapshotConfigHash() declaration comment.
- */
-constexpr int tagBase = -1;
-
-template <class F>
-void
-walkConfigHash(const SystemConfig &cfg, F &&field)
-{
-    constexpr int gpu = int(DeltaGroup::Gpu);
-    constexpr int back = int(DeltaGroup::MemBackend);
-    constexpr int llc = int(DeltaGroup::Llc);
-    field(tagBase, snapshotVersion);
-    field(tagBase, cfg.meshWidth);
-    field(tagBase, cfg.meshHeight);
-    field(tagBase, cfg.numGpuCus);
-    field(tagBase, cfg.numCpuCores);
-    field(gpu, std::uint64_t(cfg.memOrg));
-    // l1* is shared between the CPU and GPU sides, so it stays base:
-    // the CPU L1s carry warmed state a gpu-group delta must not touch.
-    field(tagBase, cfg.l1Bytes);
-    field(tagBase, cfg.l1Assoc);
-    field(tagBase, cfg.l1Mshrs);
-    field(tagBase, cfg.l1HitCycles);
-    field(gpu, cfg.localBytes);
-    field(gpu, cfg.localBanks);
-    field(gpu, cfg.stashMapEntries);
-    // vpMapEntries sizes the CPU TLBs too — base for the same reason.
-    field(tagBase, cfg.vpMapEntries);
-    field(gpu, cfg.stashChunkBytes);
-    field(gpu, cfg.mapsPerThreadBlock);
-    field(gpu, cfg.stashTranslationCycles);
-    field(gpu, cfg.localHitCycles);
-    field(gpu, cfg.stashReplicationOpt ? 1 : 0);
-    // llcBanks is structural (one bank per mesh node) — base.
-    field(tagBase, cfg.llcBanks);
-    field(llc, cfg.llcBankBytes);
-    field(llc, cfg.llcAssoc);
-    field(llc, cfg.llcBankCycles);
-    field(tagBase, cfg.routerCycles);
-    field(tagBase, cfg.linkCycles);
-    field(tagBase, cfg.nocFlitsPerCycle);
-    // The memory backend's identity and every one of its knobs: a
-    // checkpoint taken against one backing-store model must never
-    // restore into another without the membackend delta declared.
-    field(back, std::uint64_t(cfg.memBackend.kind));
-    field(back, cfg.memBackend.dramCycles);
-    field(back, cfg.memBackend.sttReadCycles);
-    field(back, cfg.memBackend.sttWriteCycles);
-    field(back, cfg.memBackend.sttWriteQueue);
-    field(back, cfg.memBackend.scmCacheLines);
-    field(back, cfg.memBackend.scmCacheAssoc);
-    field(back, cfg.memBackend.scmHitCycles);
-    field(back, cfg.memBackend.scmHitOccupancy);
-    field(back, cfg.memBackend.scmReadCycles);
-    field(back, cfg.memBackend.scmWriteCycles);
-    field(back, cfg.memBackend.scmOccupancy);
-    field(gpu, cfg.warpSize);
-    field(gpu, cfg.maxResidentTbsPerCu);
-    field(gpu, cfg.maxWarpsPerCu);
-    field(tagBase, cfg.cpuOutstanding);
-}
-
 struct Fnv1a
 {
     std::uint64_t h = 0xcbf29ce484222325ull; // FNV-1a offset basis
@@ -193,78 +123,56 @@ struct Fnv1a
 std::uint64_t
 snapshotConfigHash(const SystemConfig &cfg)
 {
+    // The fields in their fixed historical order, so the hash keeps
+    // its value for every snapshot written so far.  cfg.verify is
+    // intentionally not mixed in; see the declaration comment.
     Fnv1a f;
-    walkConfigHash(cfg, [&f](int, auto v) { f.mix(std::uint64_t(v)); });
+    f.mix(snapshotVersion);
+    f.mix(cfg.meshWidth);
+    f.mix(cfg.meshHeight);
+    f.mix(cfg.numGpuCus);
+    f.mix(cfg.numCpuCores);
+    f.mix(std::uint64_t(cfg.memOrg));
+    f.mix(cfg.l1Bytes);
+    f.mix(cfg.l1Assoc);
+    f.mix(cfg.l1Mshrs);
+    f.mix(cfg.l1HitCycles);
+    f.mix(cfg.localBytes);
+    f.mix(cfg.localBanks);
+    f.mix(cfg.stashMapEntries);
+    f.mix(cfg.vpMapEntries);
+    f.mix(cfg.stashChunkBytes);
+    f.mix(cfg.mapsPerThreadBlock);
+    f.mix(cfg.stashTranslationCycles);
+    f.mix(cfg.localHitCycles);
+    f.mix(cfg.stashReplicationOpt ? 1 : 0);
+    f.mix(cfg.llcBanks);
+    f.mix(cfg.llcBankBytes);
+    f.mix(cfg.llcAssoc);
+    f.mix(cfg.llcBankCycles);
+    f.mix(cfg.routerCycles);
+    f.mix(cfg.linkCycles);
+    f.mix(cfg.nocFlitsPerCycle);
+    // The memory backend's identity and every one of its knobs: a
+    // checkpoint taken against one backing-store model must never
+    // restore into another.
+    f.mix(std::uint64_t(cfg.memBackend.kind));
+    f.mix(cfg.memBackend.dramCycles);
+    f.mix(cfg.memBackend.sttReadCycles);
+    f.mix(cfg.memBackend.sttWriteCycles);
+    f.mix(cfg.memBackend.sttWriteQueue);
+    f.mix(cfg.memBackend.scmCacheLines);
+    f.mix(cfg.memBackend.scmCacheAssoc);
+    f.mix(cfg.memBackend.scmHitCycles);
+    f.mix(cfg.memBackend.scmHitOccupancy);
+    f.mix(cfg.memBackend.scmReadCycles);
+    f.mix(cfg.memBackend.scmWriteCycles);
+    f.mix(cfg.memBackend.scmOccupancy);
+    f.mix(cfg.warpSize);
+    f.mix(cfg.maxResidentTbsPerCu);
+    f.mix(cfg.maxWarpsPerCu);
+    f.mix(cfg.cpuOutstanding);
     return f.h;
-}
-
-std::uint64_t
-snapshotConfigBaseHash(const SystemConfig &cfg)
-{
-    Fnv1a f;
-    walkConfigHash(cfg, [&f](int tag, auto v) {
-        if (tag == tagBase)
-            f.mix(std::uint64_t(v));
-    });
-    return f.h;
-}
-
-std::uint64_t
-snapshotConfigGroupHash(const SystemConfig &cfg, DeltaGroup g)
-{
-    Fnv1a f;
-    walkConfigHash(cfg, [&f, g](int tag, auto v) {
-        if (tag == int(g))
-            f.mix(std::uint64_t(v));
-    });
-    return f.h;
-}
-
-const char *
-deltaGroupName(DeltaGroup g)
-{
-    switch (g) {
-      case DeltaGroup::Gpu:
-        return "gpu";
-      case DeltaGroup::MemBackend:
-        return "membackend";
-      case DeltaGroup::Llc:
-        return "llc";
-    }
-    return "?";
-}
-
-const char *
-deltaGroupFields(DeltaGroup g)
-{
-    switch (g) {
-      case DeltaGroup::Gpu:
-        return "memOrg, localBytes, localBanks, stashMapEntries, "
-               "stashChunkBytes, mapsPerThreadBlock, "
-               "stashTranslationCycles, localHitCycles, "
-               "stashReplicationOpt, warpSize, maxResidentTbsPerCu, "
-               "maxWarpsPerCu";
-      case DeltaGroup::MemBackend:
-        return "memBackend.kind, dramCycles, sttReadCycles, "
-               "sttWriteCycles, sttWriteQueue, scmCacheLines, "
-               "scmCacheAssoc, scmHitCycles, scmHitOccupancy, "
-               "scmReadCycles, scmWriteCycles, scmOccupancy";
-      case DeltaGroup::Llc:
-        return "llcBankBytes, llcAssoc, llcBankCycles";
-    }
-    return "?";
-}
-
-bool
-deltaGroupFromName(const std::string &name, DeltaGroup &out)
-{
-    for (unsigned i = 0; i < numDeltaGroups; ++i) {
-        if (name == deltaGroupName(DeltaGroup(i))) {
-            out = DeltaGroup(i);
-            return true;
-        }
-    }
-    return false;
 }
 
 // --- SnapshotWriter ----------------------------------------------------
@@ -530,13 +438,6 @@ SnapshotReader::closeSection()
     current.clear();
     cursor = 0;
     limit = 0;
-}
-
-void
-SnapshotReader::skipRemaining()
-{
-    sim_assert(!current.empty());
-    cursor = limit;
 }
 
 std::uint8_t

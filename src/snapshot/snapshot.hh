@@ -67,50 +67,6 @@ std::uint32_t crc32(const void *data, std::size_t n);
 std::uint64_t snapshotConfigHash(const SystemConfig &cfg);
 
 /**
- * Measured-region delta groups (DESIGN.md §17): named sets of
- * SystemConfig fields a sampled-simulation restore may legally change
- * relative to the warmed checkpoint, each with its own sub-hash.
- * Every field outside all groups is "base"; a base mismatch is always
- * fatal at restore.
- */
-enum class DeltaGroup : unsigned
-{
-    Gpu = 0,        //!< GPU-side organization/geometry/timing
-    MemBackend = 1, //!< backing-store model identity + every knob
-    Llc = 2,        //!< LLC bank geometry and access latency
-};
-
-constexpr unsigned numDeltaGroups = 3;
-
-/** Bitmask over DeltaGroup; bit i set = group i declared changeable. */
-using DeltaMask = std::uint32_t;
-
-constexpr DeltaMask
-deltaBit(DeltaGroup g)
-{
-    return DeltaMask(1) << unsigned(g);
-}
-
-constexpr DeltaMask
-deltaMaskAll()
-{
-    return (DeltaMask(1) << numDeltaGroups) - 1;
-}
-
-/** Stable lowercase group name ("gpu", "membackend", "llc"). */
-const char *deltaGroupName(DeltaGroup g);
-/** Comma-separated SystemConfig field names covered by group @p g. */
-const char *deltaGroupFields(DeltaGroup g);
-/** Parses a deltaGroupName(); returns false when unknown. */
-bool deltaGroupFromName(const std::string &name, DeltaGroup &out);
-
-/** snapshotConfigHash() restricted to fields outside every group. */
-std::uint64_t snapshotConfigBaseHash(const SystemConfig &cfg);
-/** snapshotConfigHash() restricted to the fields of group @p g. */
-std::uint64_t snapshotConfigGroupHash(const SystemConfig &cfg,
-                                      DeltaGroup g);
-
-/**
  * Accumulates named sections of typed little-endian values and
  * serializes them behind a manifest + CRC-carrying section table.
  */
@@ -210,14 +166,6 @@ class SnapshotReader
     bool b() { return u8() != 0; }
     std::string str();
     /** @} */
-
-    /**
-     * Discards the unread remainder of the open section, so
-     * closeSection() succeeds without interpreting it.  For restores
-     * that deliberately drop a component's saved state (e.g. a
-     * cold-structure restore under a declared config delta).
-     */
-    void skipRemaining();
 
     /** Throws SnapshotError(@e current section, @p what) when !cond. */
     void require(bool cond, const char *what) const;

@@ -8,13 +8,11 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
 
 #include "benches.hh"
-#include "driver/sample.hh"
 #include "mem/backend/mem_backend.hh"
 #include "workloads/workload_factory.hh"
 
@@ -386,175 +384,6 @@ TEST(StashbenchSchemaTest, SimperfDocumentRecordsEngineShape)
         EXPECT_GT(shape->find("poolChunks")->asNumber(), 0);
         EXPECT_GT(shape->find("wheelInserts")->asNumber(), 0);
         ASSERT_NE(shape->find("farInserts"), nullptr);
-    }
-}
-
-/**
- * Benches excluded from the deterministic default artifact set: the
- * synthspace bench (keeps farm/sample state under --out).  Every
- * other bench still defaults.
- */
-TEST(StashbenchSchemaTest, SynthspaceBenchIsExplicitOnly)
-{
-    const std::set<std::string> explicitOnly = {"synthspace"};
-    for (const std::string &name : explicitOnly) {
-        const BenchInfo *b = findBench(name);
-        ASSERT_NE(b, nullptr) << name;
-        EXPECT_FALSE(b->defaultRun) << name;
-    }
-    std::size_t defaulted = 0;
-    for (const BenchInfo &b : benchList()) {
-        if (b.defaultRun)
-            ++defaulted;
-        else
-            EXPECT_NE(explicitOnly.count(b.name), 0u) << b.name;
-    }
-    EXPECT_EQ(defaulted, benchList().size() - explicitOnly.size());
-}
-
-/**
- * The stashsim-sample-v1 document behind `stashbench --sample`: the
- * provenance block names the one warm checkpoint every interval
- * restored, the deltas array mirrors the request, and every run
- * object carries the standard bench fields plus delta/truncated.
- */
-TEST(StashbenchSchemaTest, SampleDocumentIsValid)
-{
-    const std::string dir =
-        ::testing::TempDir() + "bench_sample_schema";
-    std::filesystem::remove_all(dir);
-
-    SampleRequest req;
-    req.workload = "Reuse";
-    req.org = MemOrg::Stash;
-    req.scale = workloads::Scale::Smoke;
-    req.stateDir = dir;
-    req.threads = 1;
-    std::string err;
-    ASSERT_TRUE(parseSampleDeltas("identity,local:32,org:Cache",
-                                  req.deltas, err))
-        << err;
-    const SampleOutcome out = runSample(req);
-    JsonValue doc = sampleToJson(req, out);
-
-    // Round-trip through a file exactly as the CLI writes it.
-    const std::string path = dir + "/BENCH_sample.json";
-    {
-        std::ofstream os(path);
-        doc.write(os);
-        os << "\n";
-    }
-    std::ifstream is(path);
-    std::stringstream ss;
-    ss << is.rdbuf();
-    JsonValue back;
-    ASSERT_TRUE(JsonValue::parse(ss.str(), back, err)) << err;
-    EXPECT_EQ(back.dump(), doc.dump());
-
-    EXPECT_EQ(back.find("schema")->asString(), "stashsim-sample-v1");
-    EXPECT_EQ(back.find("bench")->asString(), "sample");
-    EXPECT_FALSE(back.find("title")->asString().empty());
-    EXPECT_EQ(back.find("scale")->asString(), "smoke");
-    EXPECT_EQ(back.find("workload")->asString(), "Reuse");
-    EXPECT_EQ(back.find("baseConfig")->asString(), "Stash");
-    EXPECT_EQ(back.find("intervalPhases")->asNumber(), 0);
-
-    const JsonValue *prov = back.find("sampledFrom");
-    ASSERT_NE(prov, nullptr);
-    EXPECT_NE(prov->find("checkpoint")->asString().find("WARM_"),
-              std::string::npos);
-    EXPECT_EQ(prov->find("workload")->asString(), "Reuse");
-    EXPECT_EQ(prov->find("config")->asString(), "Stash");
-    EXPECT_GT(prov->find("tick")->asNumber(), 0);
-    EXPECT_EQ(prov->find("phaseCursor")->asNumber(),
-              prov->find("warmupPhases")->asNumber());
-    // The hash identity is rendered as hex strings (u64-safe).
-    EXPECT_EQ(prov->find("configHash")->asString().rfind("0x", 0),
-              0u);
-    EXPECT_EQ(prov->find("baseHash")->asString().rfind("0x", 0), 0u);
-
-    const JsonValue *deltas = back.find("deltas");
-    ASSERT_NE(deltas, nullptr);
-    ASSERT_EQ(deltas->size(), 3u);
-    EXPECT_EQ(deltas->at(0).find("name")->asString(), "identity");
-    EXPECT_EQ(deltas->at(0).find("kind")->asString(), "identity");
-    EXPECT_EQ(deltas->at(0).find("groups")->size(), 0u);
-    EXPECT_TRUE(deltas->at(0).find("declared")->asBool());
-    EXPECT_EQ(deltas->at(1).find("groups")->at(0).asString(), "gpu");
-    EXPECT_EQ(deltas->at(2).find("name")->asString(), "org:Cache");
-
-    const JsonValue *runs = back.find("runs");
-    ASSERT_NE(runs, nullptr);
-    ASSERT_EQ(runs->size(), 3u);
-    for (std::size_t i = 0; i < runs->size(); ++i) {
-        checkRunObject(runs->at(i));
-        const JsonValue &run = runs->at(i);
-        EXPECT_EQ(run.find("delta")->asString(),
-                  deltas->at(i).find("name")->asString());
-        ASSERT_NE(run.find("truncated"), nullptr);
-        EXPECT_FALSE(run.find("truncated")->asBool())
-            << "intervalPhases=0 runs each interval to completion";
-    }
-    EXPECT_TRUE(allRunsValidated(back));
-    // The delta'd orgs land in the run's config field.
-    EXPECT_EQ(runs->at(0).find("config")->asString(), "Stash");
-    EXPECT_EQ(runs->at(2).find("config")->asString(), "Cache");
-}
-
-/**
- * The synthspace bench: stashsim-bench-v1 with sampling provenance
- * per mix point — 5 points x 3 deltas, each point warmed exactly
- * once (the per-point sampledFrom blocks name their checkpoints).
- */
-TEST(StashbenchSchemaTest, SynthspaceDocumentIsValid)
-{
-    const std::string dir =
-        ::testing::TempDir() + "bench_synthspace_schema";
-    std::filesystem::remove_all(dir);
-
-    BenchContext ctx;
-    ctx.scale = workloads::Scale::Smoke;
-    ctx.stateDir = dir;
-    const BenchInfo *bench = findBench("synthspace");
-    ASSERT_NE(bench, nullptr);
-    const JsonValue doc = bench->run(ctx);
-
-    EXPECT_EQ(doc.find("schema")->asString(), "stashsim-bench-v1");
-    EXPECT_EQ(doc.find("bench")->asString(), "synthspace");
-    EXPECT_EQ(doc.find("baseline")->asString(), "Cache");
-    ASSERT_NE(doc.find("workloads"), nullptr);
-    ASSERT_EQ(doc.find("workloads")->size(), 5u);
-
-    const JsonValue *points = doc.find("points");
-    ASSERT_NE(points, nullptr);
-    ASSERT_EQ(points->size(), 5u);
-    for (std::size_t i = 0; i < points->size(); ++i) {
-        const JsonValue &p = points->at(i);
-        EXPECT_TRUE(p.find("warmValidated")->asBool());
-        const JsonValue *params = p.find("params");
-        ASSERT_NE(params, nullptr);
-        EXPECT_NE(params->find("roPct"), nullptr);
-        EXPECT_NE(params->find("rwPct"), nullptr);
-        const JsonValue *prov = p.find("sampledFrom");
-        ASSERT_NE(prov, nullptr);
-        EXPECT_NE(prov->find("checkpoint")->asString().find("WARM_"),
-                  std::string::npos);
-        EXPECT_GT(prov->find("tick")->asNumber(), 0);
-    }
-
-    const JsonValue *runs = doc.find("runs");
-    ASSERT_NE(runs, nullptr);
-    ASSERT_EQ(runs->size(), 15u);
-    for (std::size_t i = 0; i < runs->size(); ++i) {
-        checkRunObject(runs->at(i));
-        ASSERT_NE(runs->at(i).find("delta"), nullptr);
-    }
-    EXPECT_TRUE(allRunsValidated(doc));
-    for (const char *label :
-         {"stashOverCacheCycles", "scratchGDOverCacheCycles"}) {
-        const JsonValue *ratios = doc.find(label);
-        ASSERT_NE(ratios, nullptr) << label;
-        EXPECT_GT(ratios->find("average")->asNumber(), 0) << label;
     }
 }
 

@@ -25,7 +25,6 @@
 #include <unistd.h>
 
 #include "driver/farm.hh"
-#include "driver/sample.hh"
 #include "driver/sweep.hh"
 #include "workloads/workload_factory.hh"
 
@@ -554,43 +553,28 @@ TEST(FarmSweepTest, MidRunInterruptDropsResumableCheckpoint)
     EXPECT_EQ(full.energy.total(), resumed.energy.total());
 }
 
-TEST(FarmSweepTest, KilledSampleWorkerIsReclaimedByteIdentical)
+TEST(FarmSweepTest, KilledWorkerIsReclaimedByteIdentical)
 {
-    // Pristine single-process reference campaign.
-    SampleRequest ref;
-    ref.workload = "Reuse";
-    ref.org = MemOrg::Stash;
-    ref.scale = workloads::Scale::Smoke;
-    ref.threads = 1;
-    ref.stateDir = freshDir("farm_sample_ref");
-    std::string err;
-    ASSERT_TRUE(parseSampleDeltas("identity,local:32,org:Cache",
-                                  ref.deltas, err))
-        << err;
-    const SampleOutcome refOut = runSample(ref);
-    ASSERT_TRUE(refOut.warm.result.validated);
-    ASSERT_EQ(refOut.runs.size(), 3u);
-    for (const RunRecord &rec : refOut.runs)
+    // Serial single-worker reference.
+    SweepOptions serialOpts;
+    serialOpts.threads = 1;
+    const auto reference = SweepDriver(serialOpts).run(grid());
+    for (const RunRecord &rec : reference)
         ASSERT_TRUE(rec.result.validated) << rec.spec.label();
-    const std::string refJson = sampleToJson(ref, refOut).dump();
 
-    // A worker process SIGKILLs itself mid-interval: the decorate
-    // hook plants a finish callback on the second delta, so the child
-    // dies after simulating it but before its result settles — the
-    // lease is still held, heartbeat and all.
-    SampleRequest req = ref;
-    req.stateDir = freshDir("farm_sample_crash");
+    // A worker process SIGKILLs itself mid-sweep: the second spec's
+    // finish callback raises it, so the child dies after simulating
+    // that spec but before its result settles — the lease is still
+    // held, heartbeat and all.
+    const std::string dir = freshDir("farm_kill");
     const pid_t pid = ::fork();
     ASSERT_GE(pid, 0);
     if (pid == 0) {
-        SampleRequest victim = req;
-        victim.decorate = [](std::size_t i, RunSpec &s) {
-            if (i == 1)
-                s.finish = [](System &, const RunResult &) {
-                    ::raise(SIGKILL);
-                };
+        std::vector<RunSpec> specs = grid();
+        specs[1].finish = [](System &, const RunResult &) {
+            ::raise(SIGKILL);
         };
-        runSample(victim);
+        SweepDriver(farmOpts(dir, "victim")).run(specs);
         ::_exit(0); // not reached
     }
     int status = 0;
@@ -598,11 +582,10 @@ TEST(FarmSweepTest, KilledSampleWorkerIsReclaimedByteIdentical)
     ASSERT_TRUE(WIFSIGNALED(status));
     ASSERT_EQ(WTERMSIG(status), SIGKILL);
 
-    // Exactly the killed interval's lease survives, un-released, in
-    // the fan-out stage's state dir.  Rewind its heartbeat past the
-    // TTL so the surviving worker reclaims it immediately.
-    const std::string measureDir = req.stateDir + "/measure";
-    const auto leases = filesWithPrefix(measureDir, "LEASE_");
+    // Exactly the killed spec's lease survives, un-released.  Rewind
+    // its heartbeat past the TTL so the surviving worker reclaims it
+    // immediately.
+    const auto leases = filesWithPrefix(dir, "LEASE_");
     ASSERT_EQ(leases.size(), 1u);
     {
         std::ofstream os(leases[0], std::ios::trunc);
@@ -611,17 +594,16 @@ TEST(FarmSweepTest, KilledSampleWorkerIsReclaimedByteIdentical)
               "\"attempt\": 1, \"released\": false}";
     }
 
-    // The surviving worker drains the campaign: warm checkpoint and
-    // the settled intervals serve from cache, the orphaned interval
-    // is reclaimed and rerun, and the artifact is byte-identical to
-    // the never-crashed run.
-    const SampleOutcome out = runSample(req);
-    ASSERT_EQ(out.runs.size(), 3u);
-    for (const RunRecord &rec : out.runs)
-        EXPECT_TRUE(rec.result.validated) << rec.spec.label();
-    EXPECT_GE(out.counters.reclaimedLeases, 1u);
-    EXPECT_TRUE(filesWithPrefix(measureDir, "LEASE_").empty());
-    EXPECT_EQ(sampleToJson(req, out).dump(), refJson);
+    // The surviving worker drains the sweep: the settled spec serves
+    // from cache, the orphaned one is reclaimed and rerun from its
+    // checkpoints, and the last runs fresh — all byte-identical to
+    // the never-crashed reference.
+    SweepCounters counters;
+    const auto out =
+        SweepDriver(farmOpts(dir, "survivor")).run(grid(), &counters);
+    EXPECT_EQ(fingerprints(reference), fingerprints(out));
+    EXPECT_GE(counters.reclaimedLeases, 1u);
+    EXPECT_TRUE(filesWithPrefix(dir, "LEASE_").empty());
 }
 
 } // namespace

@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <filesystem>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -250,20 +251,45 @@ TEST(ResumeParityTest, ConfigMismatchIsRejectedWithDiagnostic)
     ASSERT_TRUE(runSpec(ref).validated);
     const auto ckpts = checkpointsIn(dir);
     ASSERT_FALSE(ckpts.empty());
+    const std::string ckpt = ckpts.back().second;
 
-    RunSpec res = baseSpec();
-    SystemConfig other = SystemConfig::microbenchmarkDefault();
-    other.memOrg = MemOrg::Stash;
-    other.l1Bytes *= 2;
-    res.config = other;
-    res.restoreFrom = ckpts.back().second;
-    try {
-        runSpec(res);
-        FAIL() << "config-hash mismatch must be fatal";
-    } catch (const std::runtime_error &e) {
-        EXPECT_NE(std::string(e.what()).find("configuration hash"),
-                  std::string::npos)
-            << e.what();
+    // A checkpoint restores only into the machine that wrote it: a
+    // change to any hashed field, GPU side, memory backend or LLC
+    // alike, is the one structured fatal naming both hashes.
+    const std::vector<std::pair<const char *,
+                                std::function<void(SystemConfig &)>>>
+        changes = {
+            {"l1Bytes", [](SystemConfig &c) { c.l1Bytes *= 2; }},
+            {"memOrg", [](SystemConfig &c) { c.memOrg = MemOrg::Cache; }},
+            {"memBackend.kind",
+             [](SystemConfig &c) {
+                 c.memBackend.kind = MemBackendKind::SttMram;
+             }},
+            {"llcAssoc", [](SystemConfig &c) { c.llcAssoc *= 2; }},
+        };
+    for (const auto &[field, change] : changes) {
+        RunSpec res = baseSpec();
+        SystemConfig other = resolveRunConfig(res);
+        change(other);
+        res.config = other;
+        res.org = other.memOrg;
+        res.restoreFrom = ckpt;
+        std::ostringstream want;
+        want << "snapshot configuration hash mismatch: snapshot was "
+                "taken with config hash 0x"
+             << std::hex << SnapshotReader::fromFile(ckpt).configHash()
+             << " but this system's is 0x"
+             << snapshotConfigHash(other)
+             << " (always-excepted fields: verify)";
+        try {
+            runSpec(res);
+            ADD_FAILURE() << field << ": config-hash mismatch must be "
+                                      "fatal";
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find(want.str()),
+                      std::string::npos)
+                << field << ": " << e.what();
+        }
     }
 }
 

@@ -4,8 +4,9 @@
 # and under ThreadSanitizer — then run the quick-scale benches, check
 # the artifacts against the committed manifest, exercise the
 # checkpoint/restore, multi-process farm crash-safety, memory-backend
-# and trace paths, and check the full-scale artifacts against their
-# manifest and EXPERIMENTS.md against them.
+# and trace paths, smoke-run hostbench against its recorded digests,
+# and check the full-scale artifacts against their manifest and
+# EXPERIMENTS.md against them.
 #
 # Usage: scripts/ci.sh [jobs]
 set -eu
@@ -190,6 +191,38 @@ if "${root}/build/bench/stashbench" --trace-from SynthMix \
 fi
 echo "malformed trace and bad flag combinations rejected"
 
+# hostbench smoke leg: build and run the host-cost benchmark that
+# gates perf changes, one traced pass per workload, plus
+# synth-irregular at a second seed.  hostbench exits 1 when a run fails
+# or a timed pass simulates different counts than its untimed pass.
+# Each grid's digest folds every run's simulated counts, so it must
+# match the value recorded here; change one only in a change that
+# means to alter simulated behaviour.
+echo "=== hostbench smoke (one traced pass per workload; digests) ==="
+while read -r workload seed digest; do
+    if ! out="$(cd "${root}" && python3 hostbench/run.py \
+        --workload "${workload}" --seed "${seed}" --seconds 1 --trace 1)"
+    then
+        printf '%s\n' "${out}"
+        echo "hostbench ${workload} seed ${seed} failed" >&2
+        exit 1
+    fi
+    printf '%s\n' "${out}" | tail -n 1
+    got="$(printf '%s\n' "${out}" |
+        awk -v w="${workload}" '$1 == "digest" && $2 == w { print $3 }')"
+    if [ "${got}" != "${digest}" ]; then
+        echo "hostbench ${workload} seed ${seed}: digest ${got}," \
+             "want ${digest}" >&2
+        exit 1
+    fi
+    echo "hostbench ${workload} seed ${seed}: digest ${got} as recorded"
+done <<EOF
+micro-1cu 1 0b5d376e3613d87e
+apps-15cu 1 accd8022b9899fc7
+synth-irregular 1 aff865e35a93f7f6
+synth-irregular 2 a7d14d9416436cde
+EOF
+
 # Surface the host-throughput numbers (events/sec per bench and the
 # suite aggregate) directly in the CI log, so every run leaves a
 # measured perf trajectory next to the archived artifact.
@@ -222,4 +255,4 @@ git -C "${root}" diff --exit-code -- EXPERIMENTS.md || {
     exit 1
 }
 
-echo "=== CI passed (plain + ASan/UBSan + TSan + quick benches + manifests + checkpoint/restore + farm + backends + trace + full scale) ==="
+echo "=== CI passed (plain + ASan/UBSan + TSan + quick benches + manifests + checkpoint/restore + farm + backends + trace + hostbench + full scale) ==="

@@ -525,24 +525,27 @@ Stash::tryLoad(LocalAddr line_addr, WordMask mask, MapIndex map_idx,
     _stats.missWords += popcount(missing);
     _stats.vpMapAccesses += popcount(missing);
 
-    auto waiter = std::make_shared<Waiter>();
-    waiter->remaining = popcount(missing);
-    waiter->lineAddr = line_addr;
-    waiter->done = std::move(done);
+    const std::uint32_t waiter = waiters.take();
+    Waiter &wt = waiters[waiter];
+    wt.remaining = popcount(missing);
+    wt.lineAddr = line_addr;
+    wt.done = std::move(done);
 
     // Merge with in-flight fills (MSHR behaviour): words another
     // access already requested are waited on, not fetched twice.
-    std::vector<std::pair<PhysAddr, WordMask>> to_request;
+    const std::size_t queued = toRequest.size();
     miss_lines.forEach([&](PhysAddr line_pa, WordMask m, auto recs) {
-        auto [it, fresh] = pendingFills.try_emplace(line_pa);
-        if (fresh)
+        auto it = pendingFills.find(line_pa);
+        if (it == pendingFills.end()) {
+            it = addPendingFill(line_pa);
             linePending(line_pa);
+        }
         std::vector<PendingWord> &fills = it->second;
         WordMask inflight = 0;
         for (const PendingWord &pw : fills)
             inflight |= wordBit(pw.wordInLine);
         if (m & ~inflight)
-            to_request.emplace_back(line_pa, WordMask(m & ~inflight));
+            toRequest.emplace_back(line_pa, WordMask(m & ~inflight));
         // Each record carries exactly one word bit.
         for (const auto &r : recs) {
             fills.push_back(PendingWord{
@@ -551,71 +554,70 @@ Stash::tryLoad(LocalAddr line_addr, WordMask mask, MapIndex map_idx,
     });
 
     const Tick xlat = params.translationCycles * params.clockPeriod;
-    eq.scheduleIn(xlat, [this, to_request = std::move(to_request)]() {
-        for (const auto &[line_pa, m] : to_request) {
-            Msg req;
-            req.type = MsgType::ReadReq;
-            req.requester = owner;
-            req.requesterUnit = Unit::Stash;
-            req.linePA = line_pa;
-            req.mask = m;
-            req.wordsOnly = true; // compact: only the useful words
-            fabric.send(node, fabric.nodeOfLlc(line_pa), Unit::Llc,
-                        std::move(req));
-        }
+    eq.scheduleIn(xlat, [this, n = toRequest.size() - queued]() {
+        sendReadReqs(n);
     });
     return true;
+}
+
+Stash::PendingFills::iterator
+Stash::addPendingFill(PhysAddr line_pa)
+{
+    if (spareFills.empty())
+        return pendingFills.try_emplace(line_pa).first;
+    PendingFills::node_type fill = std::move(spareFills.back());
+    spareFills.pop_back();
+    sim_assert(fill.mapped().empty());
+    fill.key() = line_pa;
+    return pendingFills.insert(std::move(fill)).position;
+}
+
+void
+Stash::sendReadReqs(std::size_t n)
+{
+    sim_assert(toRequestHead + n <= toRequest.size());
+    for (std::size_t i = toRequestHead; i < toRequestHead + n; ++i) {
+        const auto [line_pa, m] = toRequest[i];
+        Msg req;
+        req.type = MsgType::ReadReq;
+        req.requester = owner;
+        req.requesterUnit = Unit::Stash;
+        req.linePA = line_pa;
+        req.mask = m;
+        req.wordsOnly = true; // compact: only the useful words
+        fabric.send(node, fabric.nodeOfLlc(line_pa), Unit::Llc,
+                    std::move(req));
+    }
+    toRequestHead += n;
+    // Drop the sent prefix once it is half the queue, so each entry
+    // is moved O(1) times.
+    if (2 * toRequestHead >= toRequest.size()) {
+        toRequest.erase(toRequest.begin(),
+                        toRequest.begin() + std::ptrdiff_t(toRequestHead));
+        toRequestHead = 0;
+    }
 }
 
 // ---------------------------------------------------------------------
 // Wait list (DESIGN.md §9.4)
 // ---------------------------------------------------------------------
 
-Stash::Parked &
-Stash::parkedLoad(std::uint64_t arrival)
-{
-    auto it = std::lower_bound(
-        parked.begin(), parked.end(), arrival,
-        [](const Parked &p, std::uint64_t a) { return p.arrival < a; });
-    sim_assert(it != parked.end() && it->arrival == arrival);
-    return *it;
-}
-
 void
 Stash::file(Parked &p, const Shortfall &lacked)
 {
-    const auto lines = [](const Shortfall &s) {
-        return std::span(s.missLines.data(), s.numMissLines);
-    };
-    if (!std::ranges::equal(lines(p.lacked), lines(lacked))) {
-        unfile(p);
-        for (PhysAddr line_pa : lines(lacked))
-            missWaiters.emplace(line_pa, p.arrival);
-    }
     p.lacked = lacked;
     p.triedAt = touchClock;
 }
 
 void
-Stash::unfile(const Parked &p)
-{
-    for (unsigned i = 0; i < p.lacked.numMissLines; ++i) {
-        auto [first, last] = missWaiters.equal_range(p.lacked.missLines[i]);
-        for (auto it = first; it != last; ++it) {
-            if (it->second == p.arrival) {
-                missWaiters.erase(it);
-                break;
-            }
-        }
-    }
-}
-
-void
 Stash::linePending(PhysAddr line_pa)
 {
-    auto [first, last] = missWaiters.equal_range(line_pa);
-    for (auto it = first; it != last; ++it)
-        parkedLoad(it->second).linePending = true;
+    for (Parked &p : parked) {
+        const std::span lines(p.lacked.missLines.data(),
+                              p.lacked.numMissLines);
+        if (p.waiting && std::ranges::find(lines, line_pa) != lines.end())
+            p.linePending = true;
+    }
 }
 
 bool
@@ -649,7 +651,6 @@ Stash::wake()
         p.linePending = false;
         Shortfall lacked;
         if (tryLoad(p.lineAddr, p.mask, p.mapIdx, p.done, lacked)) {
-            unfile(p);
             p.waiting = false;
         } else {
             file(p, lacked);
@@ -828,10 +829,11 @@ Stash::flushAll()
         writebackChunk(c);
 }
 
-std::vector<std::uint32_t>
-Stash::resolveVa(Addr va, MapIndex hint, bool all_aliases) const
+std::span<const std::uint32_t>
+Stash::resolveVa(Addr va, MapIndex hint, bool all_aliases)
 {
-    std::vector<std::uint32_t> words;
+    std::vector<std::uint32_t> &words = aliases;
+    words.clear();
     auto try_entry = [&](MapIndex i) {
         const StashMapEntry &e = map.entry(i);
         if (!e.valid)
@@ -884,16 +886,18 @@ Stash::receive(const Msg &msg)
                             msg.data.w[pw->wordInLine]);
                     }
                 }
-                Waiter &waiter = *pw->waiter;
-                if (--waiter.remaining == 0)
+                Waiter &waiter = waiters[pw->waiter];
+                if (--waiter.remaining == 0) {
                     complete(waiter.lineAddr, std::move(waiter.done));
+                    waiters.release(pw->waiter);
+                }
                 pw = vec.erase(pw);
             } else {
                 ++pw;
             }
         }
         if (vec.empty()) {
-            pendingFills.erase(it);
+            spareFills.push_back(pendingFills.extract(it));
             if (!parked.empty())
                 wake();
         }
@@ -1232,6 +1236,8 @@ Stash::snapshot(SnapshotWriter &w) const
     // load parked for a slot.
     sim_assert(pendingFills.empty());
     sim_assert(parked.empty());
+    sim_assert(waiters.live() == 0);
+    sim_assert(toRequestHead == toRequest.size());
     writeStats(w, _stats);
     w.u32(numWords());
     for (std::uint32_t word : data)

@@ -35,7 +35,7 @@
 #include <array>
 #include <functional>
 #include <iosfwd>
-#include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -46,6 +46,7 @@
 #include "mem/fabric.hh"
 #include "mem/page_table.hh"
 #include "sim/event_queue.hh"
+#include "sim/slot_pool.hh"
 #include "sim/stats.hh"
 
 namespace stashsim
@@ -191,6 +192,7 @@ class Stash : public MemObject
         MapIndex allocIdx = unmappedIndex;
     };
 
+    /** A load that missed, until its last missing word fills. */
     struct Waiter
     {
         unsigned remaining = 0;
@@ -202,7 +204,7 @@ class Stash : public MemObject
     {
         std::uint32_t stashWord;
         unsigned wordInLine;
-        std::shared_ptr<Waiter> waiter;
+        std::uint32_t waiter; //!< its load, in `waiters`
     };
 
     unsigned numWords() const { return unsigned(data.size()); }
@@ -230,8 +232,8 @@ class Stash : public MemObject
      * valid entries are searched.  Replicated mappings can yield
      * several copies.
      */
-    std::vector<std::uint32_t> resolveVa(Addr va, MapIndex hint,
-                                         bool allAliases = false) const;
+    std::span<const std::uint32_t> resolveVa(Addr va, MapIndex hint,
+                                             bool allAliases = false);
 
     /** Registers @p mask of line @p line_pa for map entry @p idx. */
     void sendRegReq(PhysAddr line_pa, WordMask mask, MapIndex idx);
@@ -266,7 +268,28 @@ class Stash : public MemObject
     StashMap map;
     VpMap vpMap;
 
-    std::unordered_map<PhysAddr, std::vector<PendingWord>> pendingFills;
+    using PendingFills =
+        std::unordered_map<PhysAddr, std::vector<PendingWord>>;
+    /** The miss lines in flight, each with the words it will fill. */
+    PendingFills pendingFills;
+    /**
+     * Nodes of released miss lines, kept with their vectors' capacity
+     * for the next miss line.
+     */
+    std::vector<PendingFills::node_type> spareFills;
+    /** Loads waiting for fills. */
+    SlotPool<Waiter> waiters;
+    /**
+     * Miss lines to request, with their words, once their load's
+     * translation completes, in the order the loads missed.  Every
+     * translation takes the same delay at the same priority, so the
+     * translation events fire in that order too, and each takes its
+     * load's entries from the front.
+     */
+    std::vector<std::pair<PhysAddr, WordMask>> toRequest;
+    std::size_t toRequestHead = 0;
+    /** The stash words resolveVa() found last. */
+    std::vector<std::uint32_t> aliases;
 
     /** Stash line number that names no line. */
     static constexpr std::uint32_t noLine = ~std::uint32_t{0};
@@ -311,10 +334,15 @@ class Stash : public MemObject
     bool tryLoad(LocalAddr line_addr, WordMask mask, MapIndex map_idx,
                  AccessDone &done, Shortfall &lacked);
 
+    /** A new miss line's pendingFills entry, from a spare node if any. */
+    PendingFills::iterator addPendingFill(PhysAddr line_pa);
+
+    /** Sends the next @p n queued miss-line requests. */
+    void sendReadReqs(std::size_t n);
+
     /** @{ The wait list. */
-    Parked &parkedLoad(std::uint64_t arrival);
     void file(Parked &p, const Shortfall &lacked);
-    void unfile(const Parked &p);
+    /** Flags the parked loads that missed on @p line_pa. */
     void linePending(PhysAddr line_pa);
     bool wakeDue(const Parked &p) const;
     void wake();
@@ -323,8 +351,6 @@ class Stash : public MemObject
     /** Parked loads in arrival order. */
     std::vector<Parked> parked;
     std::uint64_t nextArrival = 0;
-    /** Parked loads by miss line: the arrival numbers. */
-    std::unordered_multimap<PhysAddr, std::uint64_t> missWaiters;
     /** Bumped by every stash-line touch and every AddMap/ChgMap. */
     std::uint64_t touchClock = 0;
     /** Per stash line: touchClock when a word of it last changed state. */

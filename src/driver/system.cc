@@ -57,6 +57,7 @@ System::System(const SystemConfig &cfg, const EnergyParams &energy)
     lp.bankBytes = cfg.llcBankBytes;
     lp.assoc = cfg.llcAssoc;
     lp.accessCycles = cfg.llcBankCycles;
+    lp.stashMapEntries = cfg.stashMapEntries;
     for (NodeId n = 0; n < cfg.numNodes(); ++n) {
         memBackends.push_back(
             makeMemBackend(cfg.memBackend, eq, mem, gpuClockPeriod));

@@ -265,6 +265,8 @@ ComputeUnit::checkKernelDone()
         return;
     }
     kernelActive = false;
+    // Every warp finished, so every line access completed.
+    sim_assert(lineReqs.live() == 0);
 
     // Kernel boundary: the stash self-invalidates Valid words (keeps
     // Registered), and the L1 self-invalidates per DeNovo.
@@ -493,6 +495,7 @@ ComputeUnit::execMemLines(WarpCtx &warp, const WarpOp &op)
 
     // Coalesce the lanes by line; a record's payload is its lane and
     // store value.  Stash ops address the block's 32-bit local space.
+    sim_assert(op.addrs.size() <= warp.acc.size());
     GroupByKey<Addr, std::pair<unsigned, std::uint32_t>> lines;
     for (unsigned lane = 0; lane < op.addrs.size(); ++lane) {
         const Addr a =
@@ -507,27 +510,24 @@ ComputeUnit::execMemLines(WarpCtx &warp, const WarpOp &op)
     lines.forEach([&](Addr, WordMask, auto) { ++warp.pendingMem; });
     const std::uint64_t seq = ++warp.memSeq;
     lines.forEach([&](Addr line, WordMask mask, auto lanes) {
+        // The line's record maps each loading lane to its word; the
+        // completion carries only the record's index.
+        const std::uint32_t req = lineReqs.take();
+        LineReq &r = lineReqs[req];
+        r = LineReq{&warp, seq};
         LineData store;
-        std::vector<std::pair<unsigned, unsigned>> loads; // lane, word
-        for (const auto &r : lanes) {
+        for (const auto &rec : lanes) {
             // Each record carries exactly one word bit.
-            const unsigned w = unsigned(std::countr_zero(r.bits));
-            if (is_store)
-                store.w[w] = r.payload.second;
-            else
-                loads.emplace_back(r.payload.first, w);
-        }
-        auto done = [this, &warp, loads = std::move(loads),
-                     seq](const LineData &d) {
-            for (const auto &[lane, w] : loads) {
-                if (seq >= warp.accSeq[lane]) {
-                    warp.acc[lane] = d.w[w];
-                    warp.accSeq[lane] = seq;
-                }
+            const unsigned w = unsigned(std::countr_zero(rec.bits));
+            const unsigned lane = rec.payload.first;
+            if (is_store) {
+                store.w[w] = rec.payload.second;
+            } else {
+                r.loadLanes |= std::uint32_t{1} << lane;
+                r.laneWord[lane] = std::uint8_t(w);
             }
-            if (--warp.pendingMem == 0)
-                unblock(warp);
-        };
+        }
+        auto done = [this, req](const LineData &d) { finishLine(req, d); };
         const LineData *store_data = is_store ? &store : nullptr;
         if (to_stash) {
             stash->access(LocalAddr(line), mask, is_store, store_data,
@@ -536,6 +536,23 @@ ComputeUnit::execMemLines(WarpCtx &warp, const WarpOp &op)
             l1->access(line, mask, is_store, store_data, std::move(done));
         }
     });
+}
+
+void
+ComputeUnit::finishLine(std::uint32_t req, const LineData &d)
+{
+    LineReq &r = lineReqs[req];
+    WarpCtx &warp = *r.warp;
+    for (std::uint32_t lanes = r.loadLanes; lanes; lanes &= lanes - 1) {
+        const unsigned lane = unsigned(std::countr_zero(lanes));
+        if (r.seq >= warp.accSeq[lane]) {
+            warp.acc[lane] = d.w[r.laneWord[lane]];
+            warp.accSeq[lane] = r.seq;
+        }
+    }
+    lineReqs.release(req);
+    if (--warp.pendingMem == 0)
+        unblock(warp);
 }
 
 void
@@ -587,6 +604,7 @@ ComputeUnit::snapshot(SnapshotWriter &w) const
     sim_assert(!kernelActive);
     sim_assert(blocks.empty());
     sim_assert(warps.empty());
+    sim_assert(lineReqs.live() == 0);
     writeStats(w, _stats);
     w.u32(allocPtr);
     w.u32(std::uint32_t(freeLocalSpace.size()));
@@ -604,13 +622,16 @@ ComputeUnit::restore(SnapshotReader &r)
     sim_assert(warps.empty());
     readStats(r, _stats);
     allocPtr = r.u32();
-    freeLocalSpace.clear();
-    const std::uint32_t n = r.u32();
-    for (std::uint32_t i = 0; i < n; ++i) {
-        const LocalAddr base = r.u32();
-        const std::uint32_t bytes = r.u32();
-        freeLocalSpace.emplace_back(base, bytes);
-    }
+    r.require(allocPtr == 0 || allocPtr < cfg.localBytes,
+              "local allocation pointer past the local space");
+    // Between kernels every block has freed its local space, so the
+    // free list is the one interval the constructor makes.
+    r.require(r.u32() == 1, "local free list is not one interval");
+    const LocalAddr base = r.u32();
+    const std::uint32_t bytes = r.u32();
+    r.require(base == 0 && bytes == cfg.localBytes,
+              "local free list is not the whole local space");
+    freeLocalSpace.assign(1, {base, bytes});
 }
 
 } // namespace stashsim

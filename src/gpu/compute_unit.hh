@@ -19,6 +19,8 @@
 #ifndef STASHSIM_GPU_COMPUTE_UNIT_HH
 #define STASHSIM_GPU_COMPUTE_UNIT_HH
 
+#include <array>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -30,6 +32,7 @@
 #include "mem/dma_engine.hh"
 #include "mem/scratchpad.hh"
 #include "sim/event_queue.hh"
+#include "sim/slot_pool.hh"
 #include "sim/stats.hh"
 
 namespace stashsim
@@ -72,7 +75,11 @@ class ComputeUnit
      */
     void snapshot(SnapshotWriter &w) const;
 
-    /** Restores an inter-kernel checkpoint. */
+    /**
+     * Restores an inter-kernel checkpoint.  Throws SnapshotError
+     * unless the free list is the whole local space, one interval,
+     * and the allocation pointer lies inside it.
+     */
     void restore(SnapshotReader &r);
 
   private:
@@ -106,6 +113,19 @@ class ComputeUnit
         bool draining = false; //!< waiting on DMA stores
     };
 
+    /**
+     * One line access of a global or stash op, from issue to
+     * completion, held in the CU's pool: the completion names it by
+     * index.
+     */
+    struct LineReq
+    {
+        WarpCtx *warp = nullptr;
+        std::uint64_t seq = 0; //!< the op's issue sequence in its warp
+        std::uint32_t loadLanes = 0; //!< lanes that load a word of it
+        std::array<std::uint8_t, 32> laneWord{}; //!< each such lane's word
+    };
+
     bool warpReady(const WarpCtx &w) const;
     void scheduleTick();
     void tick();
@@ -114,6 +134,8 @@ class ComputeUnit
     /** Global and stash ops: one L1 or stash access per line. */
     void execMemLines(WarpCtx &warp, const WarpOp &op);
     void execMemLocal(WarpCtx &warp, const WarpOp &op);
+    /** Completes line access @p req with the line image @p d. */
+    void finishLine(std::uint32_t req, const LineData &d);
     void unblock(WarpCtx &warp);
     void onWarpFinished(WarpCtx &warp);
     void tryLaunchBlocks();
@@ -140,6 +162,8 @@ class ComputeUnit
     bool kernelActive = false;
     Tick kernelStart = 0;
     Counter instrAtKernelStart = 0;
+
+    SlotPool<LineReq> lineReqs;
 
     /** Free intervals of the local (scratchpad/stash) space. */
     std::vector<std::pair<LocalAddr, std::uint32_t>> freeLocalSpace;

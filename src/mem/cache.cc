@@ -16,9 +16,8 @@ L1Cache::L1Cache(EventQueue &eq, Fabric &fabric, Tlb &tlb, CoreId owner,
       lines(sets * p.assoc)
 {
     sim_assert(sets > 0 && (sets & (sets - 1)) == 0);
-    // Bounded by the MSHR count; never rehashes on the miss path.
-    mshrs.reserve(p.mshrs);
     wayWaiters.resize(sets);
+    lineWaiters.resize(sets);
 }
 
 unsigned
@@ -63,7 +62,6 @@ L1Cache::allocLine(PhysAddr line_pa)
     victim->st.fill(WordState::Invalid);
     victim->data = LineData{};
     victim->lastUse = ++useClock;
-    victim->pinned = false;
     lineAllocated(line_pa);
     return victim;
 }
@@ -198,12 +196,10 @@ L1Cache::attempt(PhysAddr line_pa, WordMask mask, bool is_store,
     }
 
     if (!line) {
-        if (mshrs.size() >= params.mshrs) {
-            // An MSHR pins its line, so a line that is not resident
-            // has no MSHR to join.
-            sim_assert(!mshrs.contains(line_pa));
+        // An MSHR pins its line, so a line that is not resident has
+        // no MSHR to join.
+        if (mshrs.live() >= params.mshrs)
             return Wait::Mshr;
-        }
         line = allocLine(line_pa);
         if (!line)
             return Wait::Way;
@@ -213,9 +209,14 @@ L1Cache::attempt(PhysAddr line_pa, WordMask mask, bool is_store,
     _stats.hitWords += popcount(WordMask(mask & ~missing));
     _stats.missWords += popcount(missing);
     line->lastUse = ++useClock;
-    line->pinned = true;
 
-    Mshr &mshr = mshrs[line_pa];
+    // The first miss on the line takes an MSHR slot; a released slot
+    // has no waiters and no requested words.
+    if (!line->pinned) {
+        line->pinned = true;
+        line->mshr = mshrs.take();
+    }
+    Mshr &mshr = mshrs[line->mshr];
     mshr.waiters.push_back(Waiter{mask, std::move(done)});
     const WordMask to_request = missing & ~mshr.requested;
     if (to_request) {
@@ -236,10 +237,9 @@ L1Cache::attempt(PhysAddr line_pa, WordMask mask, bool is_store,
 void
 L1Cache::completeWaiters(PhysAddr line_pa, Line &line)
 {
-    auto it = mshrs.find(line_pa);
-    if (it == mshrs.end())
+    if (!line.pinned)
         return;
-    Mshr &mshr = it->second;
+    Mshr &mshr = mshrs[line.mshr];
     const WordMask present = readableMask(line);
     const Tick hit_latency = params.hitCycles * params.clockPeriod;
 
@@ -256,7 +256,8 @@ L1Cache::completeWaiters(PhysAddr line_pa, Line &line)
         }
     }
     if (mshr.waiters.empty()) {
-        mshrs.erase(it);
+        mshr.requested = 0;
+        mshrs.release(line.mshr);
         line.pinned = false;
         if (!parked.empty())
             wake(setIndex(line_pa));
@@ -281,7 +282,7 @@ L1Cache::file(std::uint64_t arrival, Wait wait)
     else
         wayWaiters[setIndex(p.linePA)].push_back(arrival);
     if (!p.watched) {
-        lineWaiters.emplace(p.linePA, arrival);
+        lineWaiters[setIndex(p.linePA)].push_back(arrival);
         p.watched = true;
     }
 }
@@ -289,12 +290,20 @@ L1Cache::file(std::uint64_t arrival, Wait wait)
 void
 L1Cache::lineAllocated(PhysAddr line_pa)
 {
-    if (lineWaiters.empty())
-        return;
-    auto [first, last] = lineWaiters.equal_range(line_pa);
-    for (auto it = first; it != last; ++it) {
-        const std::uint64_t arrival = it->second;
-        waiter(arrival).watched = false;
+    // The set's list holds waiters of its other lines too; the order
+    // they are found in does not matter, as they are visited by
+    // arrival number.
+    std::vector<std::uint64_t> &watching = lineWaiters[setIndex(line_pa)];
+    for (std::size_t i = 0; i < watching.size();) {
+        const std::uint64_t arrival = watching[i];
+        Parked &p = waiter(arrival);
+        if (p.linePA != line_pa) {
+            ++i;
+            continue;
+        }
+        p.watched = false;
+        watching[i] = watching.back();
+        watching.pop_back();
         if (arrival < lastVisited) {
             lineResident.push_back(arrival);
         } else if (arrival > lastVisited) {
@@ -305,13 +314,12 @@ L1Cache::lineAllocated(PhysAddr line_pa)
         }
         // arrival == lastVisited is the waiter allocating its own line.
     }
-    lineWaiters.erase(first, last);
 }
 
 std::uint64_t
 L1Cache::nextMshrWaiter()
 {
-    if (mshrs.size() >= params.mshrs)
+    if (mshrs.live() >= params.mshrs)
         return noWaiter;
     // The Wait::Mshr waiters are a subsequence of parked; skip the
     // records that proceeded or wait for a way.
@@ -394,11 +402,8 @@ L1Cache::receive(const Msg &msg)
         // registration is still in flight (transiently stale at the
         // LLC); demanded words are race-free under the DRF discipline.
         WordMask demanded = 0;
-        if (checker) {
-            auto mit = mshrs.find(msg.linePA);
-            if (mit != mshrs.end())
-                demanded = mit->second.requested;
-        }
+        if (checker && line->pinned)
+            demanded = mshrs[line->mshr].requested;
         for (unsigned w = 0; w < wordsPerLine; ++w) {
             if (!(msg.mask & wordBit(w)))
                 continue;
@@ -551,7 +556,7 @@ L1Cache::snapshot(SnapshotWriter &w) const
 {
     // Checkpoints happen only at drain points, where no transaction
     // is in flight by construction.
-    sim_assert(mshrs.empty());
+    sim_assert(mshrs.live() == 0);
     sim_assert(parked.empty());
     w.u32(sets);
     w.u32(params.assoc);
@@ -579,7 +584,7 @@ L1Cache::snapshot(SnapshotWriter &w) const
 void
 L1Cache::restore(SnapshotReader &r)
 {
-    sim_assert(mshrs.empty());
+    sim_assert(mshrs.live() == 0);
     sim_assert(parked.empty());
     r.require(r.u32() == sets, "L1 set count mismatch");
     r.require(r.u32() == params.assoc, "L1 associativity mismatch");

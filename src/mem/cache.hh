@@ -31,14 +31,15 @@
 #ifndef STASHSIM_MEM_CACHE_HH
 #define STASHSIM_MEM_CACHE_HH
 
+#include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "mem/coherence/denovo.hh"
 #include "mem/fabric.hh"
 #include "mem/tlb.hh"
 #include "sim/event_queue.hh"
+#include "sim/slot_pool.hh"
 #include "sim/stats.hh"
 
 namespace stashsim
@@ -132,6 +133,7 @@ class L1Cache : public MemObject
         LineData data;
         std::uint64_t lastUse = 0;
         bool pinned = false; //!< an MSHR targets this line
+        std::uint32_t mshr = 0; //!< that MSHR's slot, while pinned
     };
 
     struct Waiter
@@ -140,6 +142,10 @@ class L1Cache : public MemObject
         AccessDone done;
     };
 
+    /**
+     * A miss in flight: a slot of the MSHR pool, named by its pinned
+     * line.  A released slot has no waiters and no requested words.
+     */
     struct Mshr
     {
         std::vector<Waiter> waiters;
@@ -200,7 +206,12 @@ class L1Cache : public MemObject
     Params params;
     unsigned sets;
     std::vector<Line> lines; //!< sets x assoc, row-major
-    std::unordered_map<PhysAddr, Mshr> mshrs;
+    /**
+     * The MSHRs in flight.  A load that misses words of a resident
+     * line takes a slot even when `params.mshrs` are busy, so the pool
+     * can outgrow the MSHR count.
+     */
+    SlotPool<Mshr> mshrs;
 
     /**
      * Parked accesses in arrival order: parked[i] is arrival
@@ -214,8 +225,11 @@ class L1Cache : public MemObject
     std::uint64_t mshrScan = 1;
     /** Wait::Way waiters by set; emptied when an MSHR in it releases. */
     std::vector<std::vector<std::uint64_t>> wayWaiters;
-    /** Every waiter by line, until some access allocates that line. */
-    std::unordered_multimap<PhysAddr, std::uint64_t> lineWaiters;
+    /**
+     * Every waiter by its line's set, until some access allocates
+     * that line.
+     */
+    std::vector<std::vector<std::uint64_t>> lineWaiters;
     /** Waiters whose line was allocated since they were last tried. */
     std::vector<std::uint64_t> lineResident;
     /** Min-heap of the arrivals the current wake visits. */

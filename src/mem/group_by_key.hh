@@ -6,7 +6,8 @@
  * in std::map order, since message order fixes the event order.  The
  * first 32 records (a warp's lanes, two lines' words) live in the
  * object, more on the heap; sorting by (key, insertion order) keeps
- * each key's payloads in order.
+ * each key's payloads in order.  The records are sorted once, however
+ * often they are visited.
  */
 
 #ifndef STASHSIM_MEM_GROUP_BY_KEY_HH
@@ -48,6 +49,7 @@ class GroupByKey
         else
             spill.push_back(rec);
         ++n;
+        sorted = false;
     }
 
     /**
@@ -60,9 +62,13 @@ class GroupByKey
     forEach(F &&f)
     {
         Record *r = n <= inlineRecords ? local.data() : spill.data();
-        std::sort(r, r + n, [](const Record &a, const Record &b) {
-            return a.key < b.key || (!(b.key < a.key) && a.seq < b.seq);
-        });
+        if (!sorted) {
+            std::sort(r, r + n, [](const Record &a, const Record &b) {
+                return a.key < b.key ||
+                       (!(b.key < a.key) && a.seq < b.seq);
+            });
+            sorted = true;
+        }
         for (std::size_t i = 0, j = 0; i < n; i = j) {
             WordMask mask = 0;
             for (; j < n && !(r[i].key < r[j].key); ++j)
@@ -77,6 +83,7 @@ class GroupByKey
     std::array<Record, inlineRecords> local;
     std::vector<Record> spill;
     std::size_t n = 0;
+    bool sorted = true;
 };
 
 } // namespace stashsim

@@ -70,40 +70,44 @@ LlcBank::setIndex(PhysAddr pa) const
     return unsigned((pa / lineBytes / 16) & (sets - 1));
 }
 
-LlcBank::Line *
-LlcBank::findLine(PhysAddr line_pa)
+std::size_t
+LlcBank::findWay(PhysAddr line_pa) const
 {
     const unsigned set = setIndex(line_pa);
     const std::size_t base = std::size_t(set) * params.assoc;
     for (std::size_t i = base; i < base + used[set]; ++i) {
         if (tags[i] == line_pa)
-            return bodies[i];
+            return i;
     }
-    return nullptr;
+    return noWay;
 }
 
-LlcBank::Line &
+std::size_t
 LlcBank::addWay(unsigned set, PhysAddr line_pa)
 {
     const std::size_t i = std::size_t(set) * params.assoc + used[set]++;
+    if (store.empty() || store.back().size() == chunkLines) {
+        store.emplace_back();
+        store.back().reserve(chunkLines);
+    }
     tags[i] = line_pa;
-    bodies[i] = &store.emplace_back();
-    return *bodies[i];
+    bodies[i] = &store.back().emplace_back();
+    return i;
 }
 
-LlcBank::Line *
-LlcBank::allocLine(PhysAddr line_pa)
+std::size_t
+LlcBank::allocWay(PhysAddr line_pa)
 {
     const unsigned set = setIndex(line_pa);
     if (used[set] < params.assoc) {
         // No way is freed during a run, so the set's free ways are
         // [used, assoc) and the first of them is the one to take.
-        Line &line = addWay(set, line_pa);
-        line.lastUse = ++useClock;
-        return &line;
+        const std::size_t i = addWay(set, line_pa);
+        bodies[i]->lastUse = ++useClock;
+        return i;
     }
     const std::size_t base = std::size_t(set) * params.assoc;
-    std::size_t victim = tags.size();
+    std::size_t victim = noWay;
     for (std::size_t i = base; i < base + params.assoc; ++i) {
         const Line &l = *bodies[i];
         if (l.fillPending)
@@ -111,7 +115,7 @@ LlcBank::allocLine(PhysAddr line_pa)
         if (l.inService > 0) {
             // A request accepted this line and its bank access is in
             // flight; evicting it now would break the accept/serve
-            // invariant process() relies on.
+            // invariant serve() relies on.
             continue;
         }
         bool has_registered = false;
@@ -123,10 +127,10 @@ LlcBank::allocLine(PhysAddr line_pa)
         }
         if (has_registered)
             continue; // never evict the registry's only pointer
-        if (victim == tags.size() || l.lastUse < bodies[victim]->lastUse)
+        if (victim == noWay || l.lastUse < bodies[victim]->lastUse)
             victim = i;
     }
-    if (victim == tags.size()) {
+    if (victim == noWay) {
         panic("LLC bank ", node, ": set full of registered lines; the "
               "workload working set exceeds what this model supports");
     }
@@ -147,82 +151,101 @@ LlcBank::allocLine(PhysAddr line_pa)
     line.words.fill(WordEntry{});
     line.dirty = false;
     line.lastUse = ++useClock;
-    return &line;
+    return victim;
 }
 
 void
 LlcBank::receive(const Msg &msg)
 {
-    Line *line = findLine(msg.linePA);
-    if (line && line->fillPending) {
-        line->waiting.push_back(msg);
+    // The line is looked up once per message: a body never moves,
+    // and a line with a fill pending or a request in service is never
+    // a victim, so its way still names it when the fill lands or the
+    // bank access ends.
+    std::size_t way = findWay(msg.linePA);
+    if (way != noWay && bodies[way]->fillPending) {
+        waiting.push_back(msg);
         return;
     }
-    if (!line) {
-        line = allocLine(msg.linePA);
-        line->fillPending = true;
-        line->waiting.push_back(msg);
-        const PhysAddr pa = msg.linePA;
+    if (way == noWay) {
+        way = allocWay(msg.linePA);
+        bodies[way]->fillPending = true;
+        waiting.push_back(msg);
         // The backend completes with the memory image as of the
-        // completion tick and charges its own model's latency
-        // (fillPending lines are never victims, so the line is still
-        // here when the fill lands).
-        backend.readLine(pa, [this, pa](const LineData &d) {
-            Line *l = findLine(pa);
-            sim_assert(l && l->fillPending);
-            for (unsigned w = 0; w < wordsPerLine; ++w) {
-                l->words[w].state = WordState::Valid;
-                l->words[w].data = d.w[w];
-            }
-            l->fillPending = false;
-            ++_stats.fills;
-            std::vector<Msg> pending;
-            pending.swap(l->waiting);
-            for (const Msg &m : pending)
-                process(m);
+        // completion tick and charges its own model's latency.
+        backend.readLine(msg.linePA, [this, way](const LineData &d) {
+            fillDone(way, d);
         });
         return;
     }
-    process(msg);
+    process(msg, way);
 }
 
 void
-LlcBank::process(const Msg &msg)
+LlcBank::fillDone(std::size_t way, const LineData &d)
+{
+    Line &line = *bodies[way];
+    sim_assert(line.fillPending);
+    for (unsigned w = 0; w < wordsPerLine; ++w) {
+        line.words[w].state = WordState::Valid;
+        line.words[w].data = d.w[w];
+    }
+    line.fillPending = false;
+    ++_stats.fills;
+    // Accept the requests queued behind this fill, in arrival order;
+    // the others keep theirs.
+    const PhysAddr pa = tags[way];
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < waiting.size(); ++i) {
+        if (waiting[i].linePA == pa)
+            process(waiting[i], way);
+        else
+            waiting[kept++] = waiting[i];
+    }
+    waiting.resize(kept);
+}
+
+void
+LlcBank::process(const Msg &msg, std::size_t way)
 {
     // Bank access latency, then serve.  The line cannot be evicted
     // between accept and serve: marking it in-service takes it out of
-    // allocLine()'s victim pool (a concurrent fill allocation in the
+    // allocWay()'s victim pool (a concurrent fill allocation in the
     // same set would otherwise be able to evict it while its lastUse
-    // is still stale).  The serve callback asserts the invariant.
-    {
-        Line *accepted = findLine(msg.linePA);
-        sim_assert(accepted && !accepted->fillPending);
-        ++accepted->inService;
+    // is still stale).  serve() asserts the invariant.
+    Line &line = *bodies[way];
+    sim_assert(tags[way] == msg.linePA && !line.fillPending);
+    ++line.inService;
+    auto access = [this, msg, way]() { serve(msg, way); };
+    static_assert(sizeof(access) <= EventQueue::Callback::inlineBytes,
+                  "a bank access must not allocate");
+    eq.scheduleIn(params.accessCycles * params.clockPeriod,
+                  std::move(access));
+}
+
+void
+LlcBank::serve(const Msg &m, std::size_t way)
+{
+    Line &line = *bodies[way];
+    sim_assert(tags[way] == m.linePA && line.inService > 0);
+    --line.inService;
+    line.lastUse = ++useClock;
+    ++_stats.accesses;
+    switch (m.type) {
+      case MsgType::ReadReq:
+      case MsgType::FwdRetry:
+      case MsgType::DmaReadReq:
+        serveRead(m, line);
+        break;
+      case MsgType::RegReq:
+        serveReg(m, line);
+        break;
+      case MsgType::WbReq:
+      case MsgType::DmaWriteReq:
+        serveWb(m, line);
+        break;
+      default:
+        panic("LLC received unexpected ", msgTypeName(m.type));
     }
-    Msg m = msg;
-    eq.scheduleIn(params.accessCycles * params.clockPeriod, [this, m]() {
-        Line *line = findLine(m.linePA);
-        sim_assert(line && line->inService > 0);
-        --line->inService;
-        line->lastUse = ++useClock;
-        ++_stats.accesses;
-        switch (m.type) {
-          case MsgType::ReadReq:
-          case MsgType::FwdRetry:
-          case MsgType::DmaReadReq:
-            serveRead(m, *line);
-            break;
-          case MsgType::RegReq:
-            serveReg(m, *line);
-            break;
-          case MsgType::WbReq:
-          case MsgType::DmaWriteReq:
-            serveWb(m, *line);
-            break;
-          default:
-            panic("LLC received unexpected ", msgTypeName(m.type));
-        }
-    });
 }
 
 void
@@ -409,18 +432,19 @@ std::size_t
 LlcBank::pendingFillLines() const
 {
     std::size_t n = 0;
-    for (const Line &line : store)
+    forEachLine([&](std::size_t, PhysAddr, const Line &line) {
         n += line.fillPending ? 1 : 0;
+    });
     return n;
 }
 
 CoreId
 LlcBank::ownerOf(PhysAddr pa)
 {
-    Line *line = findLine(lineBase(pa));
-    if (!line)
+    const std::size_t way = findWay(lineBase(pa));
+    if (way == noWay)
         return invalidCore;
-    const WordEntry &we = line->words[lineWord(pa)];
+    const WordEntry &we = bodies[way]->words[lineWord(pa)];
     return we.state == WordState::Registered ? we.owner : invalidCore;
 }
 
@@ -431,12 +455,15 @@ LlcBank::snapshot(SnapshotWriter &w) const
     w.u32(params.assoc);
     w.u64(useClock);
     writeStats(w, _stats);
-    w.u32(std::uint32_t(store.size()));
+    std::uint32_t allocated = 0;
+    for (unsigned n : used)
+        allocated += n;
+    w.u32(allocated);
+    // Drain points have no fill in flight, no parked requests, and no
+    // bank access between accept and serve.
+    sim_assert(waiting.empty());
     forEachLine([&](std::size_t i, PhysAddr pa, const Line &line) {
-        // Drain points have no fill in flight, no parked requests,
-        // and no bank access between accept and serve.
         sim_assert(!line.fillPending);
-        sim_assert(line.waiting.empty());
         sim_assert(line.inService == 0);
         w.u32(std::uint32_t(i));
         w.u64(pa);
@@ -471,7 +498,7 @@ LlcBank::restore(SnapshotReader &r)
                   "LLC line address not line-aligned");
         r.require(fabric.nodeOfLlc(pa) == node,
                   "LLC line homed at another bank");
-        r.require(!findLine(pa), "LLC line stored twice");
+        r.require(findWay(pa) == noWay, "LLC line stored twice");
         const unsigned set = setIndex(pa);
         // snapshot() writes each set's ways from way 0 up, with no
         // gap: the only layout a run can reach.
@@ -479,7 +506,7 @@ LlcBank::restore(SnapshotReader &r)
                   "LLC line stored outside its set");
         r.require(savedIdx % params.assoc == used[set],
                   "LLC set's ways not stored from way 0 up");
-        Line &line = addWay(set, pa);
+        Line &line = *bodies[addWay(set, pa)];
         line.dirty = r.b();
         line.lastUse = r.u64();
         r.require(line.lastUse <= useClock,
@@ -500,6 +527,11 @@ LlcBank::restore(SnapshotReader &r)
                                                  : Unit::L1),
                       "LLC word registered to an owner the fabric "
                       "cannot reach");
+            r.require(we.state != WordState::Registered ||
+                          !we.ownerIsStash ||
+                          we.mapIdx < params.stashMapEntries,
+                      "LLC word registered to a stash map entry past "
+                      "the map's size");
         }
     }
 }

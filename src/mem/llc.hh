@@ -28,14 +28,15 @@
  * Capacity and replacement are those of the full array: a way, once
  * allocated, stays allocated, so a set's allocated ways are always
  * ways [0, used) and a miss takes the next one until the set is full
- * (DESIGN.md §9.4).
+ * (DESIGN.md §9.4).  Bodies are created in fixed-size chunks that
+ * never move, so a message finds its line once and carries the way
+ * forward to its bank access (DESIGN.md §9.6).
  */
 
 #ifndef STASHSIM_MEM_LLC_HH
 #define STASHSIM_MEM_LLC_HH
 
 #include <cstddef>
-#include <deque>
 #include <vector>
 
 #include "mem/backend/mem_backend.hh"
@@ -62,6 +63,8 @@ class LlcBank : public MemObject
         unsigned assoc = 16;
         Cycles accessCycles = 23;
         Tick clockPeriod = gpuClockPeriod;
+        /** Entries of each stash's map: a registration names one. */
+        unsigned stashMapEntries = 64;
     };
 
     /**
@@ -110,7 +113,8 @@ class LlcBank : public MemObject
      * A section from another geometry, or with any line that is
      * unaligned, homed at another bank, stored twice, out of its set
      * or way order, used after the use clock, or registered to an
-     * owner the fabric cannot reach, is a structured SnapshotError
+     * owner the fabric cannot reach or to a stash map entry past
+     * `Params::stashMapEntries`, is a structured SnapshotError
      * (DESIGN.md §11.6).
      */
     void restore(SnapshotReader &r);
@@ -131,24 +135,31 @@ class LlcBank : public MemObject
     struct Line
     {
         std::array<WordEntry, wordsPerLine> words{};
-        bool dirty = false;
         std::uint64_t lastUse = 0;
-        bool fillPending = false;
-        std::vector<Msg> waiting; //!< requests queued behind a fill
         /**
          * Requests accepted but not yet served (between the bank
          * access being scheduled and it firing).  Such lines are
-         * never eviction victims — that is the invariant process()
-         * asserts at serve time.
+         * never eviction victims — that is the invariant serve()
+         * asserts.
          */
         unsigned inService = 0;
+        bool dirty = false;
+        /** Its fill is in flight; requests queue in `waiting`. */
+        bool fillPending = false;
     };
 
+    /** Index into `tags` that names no line. */
+    static constexpr std::size_t noWay = ~std::size_t{0};
+    /** Bodies per chunk of `store`. */
+    static constexpr std::size_t chunkLines = 16;
+
     unsigned setIndex(PhysAddr pa) const;
-    Line *findLine(PhysAddr line_pa);
-    Line *allocLine(PhysAddr line_pa);
+    /** Index (set * assoc + way) of @p line_pa's line, or noWay. */
+    std::size_t findWay(PhysAddr line_pa) const;
+    /** Allocates a line for @p line_pa, evicting if the set is full. */
+    std::size_t allocWay(PhysAddr line_pa);
     /** Takes way used[set] of @p set for @p line_pa, with a new body. */
-    Line &addWay(unsigned set, PhysAddr line_pa);
+    std::size_t addWay(unsigned set, PhysAddr line_pa);
 
     /** fn(index, pa, line) per allocated line, in (set, way) order. */
     template <class Fn>
@@ -162,7 +173,12 @@ class LlcBank : public MemObject
         }
     }
 
-    void process(const Msg &msg);
+    /** The fill of the line at @p way landed with @p d. */
+    void fillDone(std::size_t way, const LineData &d);
+    /** Accepts @p msg for the line at @p way: its bank access. */
+    void process(const Msg &msg, std::size_t way);
+    /** The bank access of @p msg at @p way ends: serve it. */
+    void serve(const Msg &msg, std::size_t way);
     void serveRead(const Msg &msg, Line &line);
     void serveReg(const Msg &msg, Line &line);
     void serveWb(const Msg &msg, Line &line);
@@ -179,8 +195,13 @@ class LlcBank : public MemObject
     std::vector<unsigned> used;
     /** Body of each allocated (set, way), same index as `tags`. */
     std::vector<Line *> bodies;
-    /** Every body, in allocation order; a deque never moves one. */
-    std::deque<Line> store;
+    /**
+     * Every body, in allocation order, in chunks of chunkLines.  A
+     * chunk reserves its capacity up front, so it never moves a body.
+     */
+    std::vector<std::vector<Line>> store;
+    /** Requests that found their line's fill pending, in arrival order. */
+    std::vector<Msg> waiting;
     std::uint64_t useClock = 0;
     LlcStats _stats;
 };

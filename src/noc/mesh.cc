@@ -99,9 +99,16 @@ Mesh::restore(SnapshotReader &r)
 {
     readStats(r, _stats);
     r.require(r.u32() == routers.size(), "router count mismatch");
-    for (Router &rt : routers)
-        for (unsigned d = 0; d < unsigned(Direction::NumDirections); ++d)
-            rt.setBusyUntil(Direction(d), r.u64());
+    for (Router &rt : routers) {
+        for (unsigned d = 0; d < unsigned(Direction::NumDirections); ++d) {
+            // At a drain point every packet has arrived, so no link
+            // is reserved past the restored engine tick.
+            const Tick busy = r.u64();
+            r.require(busy <= eq.curTick(),
+                      "router link reserved past the engine tick");
+            rt.setBusyUntil(Direction(d), busy);
+        }
+    }
 }
 
 } // namespace stashsim

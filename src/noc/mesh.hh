@@ -102,7 +102,11 @@ class Mesh
     /** Serializes traffic counters + per-router channel reservations. */
     void snapshot(SnapshotWriter &w) const;
 
-    /** Restores counters and reservations from a checkpoint. */
+    /**
+     * Restores counters and reservations from a checkpoint, after the
+     * event queue's clock.  A reservation past the queue's curTick is
+     * a SnapshotError.
+     */
     void restore(SnapshotReader &r);
 
   private:

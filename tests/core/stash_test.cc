@@ -426,6 +426,35 @@ TEST_F(StashBench, AddMapValidatesArguments)
     EXPECT_THROW(stash->addMap(0, huge), std::runtime_error);
 }
 
+TEST_F(StashBench, SameTickMissesSendTheirReadReqsInIssueOrder)
+{
+    // The read requests of a miss wait out its translation in one
+    // FIFO per stash; it is sound because every miss's translation
+    // takes the same delay, so the requests leave in issue order.
+    initField(gbase, 32);
+    const MapIndex m = stash->addMap(0, aosTile(gbase, 32)).idx;
+    std::vector<std::pair<Tick, PhysAddr>> sent;
+    fabric->setTestDropFilter([&](NodeId, NodeId, const Msg &msg) {
+        if (msg.type == MsgType::ReadReq)
+            sent.emplace_back(eq.curTick(), msg.linePA);
+        return false;
+    });
+    // Word 16 first, then word 0: issue order is not address order.
+    unsigned done = 0;
+    for (LocalAddr a : {LocalAddr(64), LocalAddr(0)}) {
+        stash->access(a, wordBit(0), false, nullptr, m,
+                      [&](const LineData &) { ++done; });
+    }
+    eq.run();
+    EXPECT_EQ(done, 2u);
+    const Tick xlat = Stash::Params{}.translationCycles * gpuClockPeriod;
+    ASSERT_EQ(sent.size(), 2u);
+    EXPECT_EQ(sent[0], std::make_pair(xlat, lineBase(pageTable.translate(
+                                                 gbase + 16 * 64))));
+    EXPECT_EQ(sent[1], std::make_pair(xlat, lineBase(pageTable.translate(
+                                                 gbase + 0 * 64))));
+}
+
 /**
  * Wait-list tests: a stash with two miss slots, fed loads without
  * draining the queue between them.  In the AoS tile every stash word

@@ -1,0 +1,210 @@
+/**
+ * @file
+ * Allocation budget of the GPU memory request path.
+ *
+ * The CU's line records, the L1's MSHR slots, the stash's fill
+ * waiters and miss-line nodes, and the LLC's line bodies and fill
+ * queue are recycled, so once a run's first GPU kernel has warmed
+ * them a memory access allocates nothing (DESIGN.md §9.6).  This
+ * binary replaces the global operator new and delete with counting
+ * versions and checks the allocations made inside every later GPU
+ * kernel phase against a budget per 1,000 simulated events.
+ */
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <atomic>
+#include <cctype>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <new>
+#include <ostream>
+#include <string>
+#include <string_view>
+
+#include "driver/system.hh"
+#include "workloads/workload_factory.hh"
+
+namespace
+{
+
+std::atomic<std::uint64_t> allocations{0};
+
+void *
+countedAlloc(std::size_t n)
+{
+    allocations.fetch_add(1, std::memory_order_relaxed);
+    if (void *p = std::malloc(n ? n : 1))
+        return p;
+    throw std::bad_alloc();
+}
+
+void *
+countedAlignedAlloc(std::size_t n, std::align_val_t al)
+{
+    allocations.fetch_add(1, std::memory_order_relaxed);
+    // aligned_alloc wants a nonzero multiple of the alignment.
+    const std::size_t a = std::size_t(al);
+    const std::size_t size = n == 0 ? a : (n + a - 1) / a * a;
+    if (void *p = std::aligned_alloc(a, size))
+        return p;
+    throw std::bad_alloc();
+}
+
+} // namespace
+
+void *operator new(std::size_t n) { return countedAlloc(n); }
+void *operator new[](std::size_t n) { return countedAlloc(n); }
+void *operator new(std::size_t n, std::align_val_t a)
+{
+    return countedAlignedAlloc(n, a);
+}
+void *operator new[](std::size_t n, std::align_val_t a)
+{
+    return countedAlignedAlloc(n, a);
+}
+void operator delete(void *p) noexcept { std::free(p); }
+void operator delete[](void *p) noexcept { std::free(p); }
+void operator delete(void *p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void *p, std::size_t) noexcept { std::free(p); }
+void operator delete(void *p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void *p, std::align_val_t) noexcept { std::free(p); }
+void
+operator delete(void *p, std::size_t, std::align_val_t) noexcept
+{
+    std::free(p);
+}
+void
+operator delete[](void *p, std::size_t, std::align_val_t) noexcept
+{
+    std::free(p);
+}
+
+namespace stashsim
+{
+namespace
+{
+
+/**
+ * Heap allocations per 1,000 events that a warm GPU kernel phase may
+ * make.  What these runs still allocate is per thread block, per first
+ * touch of a page, and pool growth on CUs a run's first kernel left
+ * cold: LUD's first kernel runs on one CU, so LUD/StashG is the
+ * highest.  Before the request path recycled its records, these runs
+ * made 490 to 2,760 per 1,000 events (DESIGN.md §9.6).
+ */
+constexpr double budgetPerKiloEvent = 50.0;
+
+/**
+ * Counts the allocations and events of every GPU kernel phase after
+ * a run's first one, when the pools are warm.
+ */
+class WarmKernelAllocations : public PhaseListener
+{
+  public:
+    explicit WarmKernelAllocations(EventQueue &eq) : eq(eq) {}
+
+    void
+    phaseBegin(const char *name, Tick) override
+    {
+        inKernel = std::string_view(name) == "gpu kernel phase";
+        allocs0 = allocations.load(std::memory_order_relaxed);
+        events0 = eq.eventsExecuted();
+    }
+
+    void
+    phaseEnd(const char *, Tick) override
+    {
+        if (!inKernel)
+            return;
+        inKernel = false;
+        if (kernels++ == 0)
+            return;
+        allocs += allocations.load(std::memory_order_relaxed) - allocs0;
+        events += eq.eventsExecuted() - events0;
+    }
+
+    EventQueue &eq;
+    bool inKernel = false;
+    unsigned kernels = 0;
+    std::uint64_t allocs0 = 0, events0 = 0;
+    std::uint64_t allocs = 0, events = 0;
+};
+
+struct BudgetRun
+{
+    const char *workload;
+    MemOrg org;
+};
+
+void
+PrintTo(const BudgetRun &b, std::ostream *os)
+{
+    *os << b.workload << "/" << memOrgName(b.org);
+}
+
+class AllocBudget : public ::testing::TestWithParam<BudgetRun>
+{
+};
+
+TEST_P(AllocBudget, WarmKernelPhasesStayWithinBudget)
+{
+    const BudgetRun &b = GetParam();
+    const auto &factory = workloads::WorkloadFactory::instance();
+    SystemConfig cfg = factory.defaultConfig(b.workload);
+    cfg.memOrg = b.org;
+    workloads::WorkloadParams p;
+    p.org = b.org;
+    p.cpuCores = cfg.numCpuCores;
+    p.scale = workloads::Scale::Quick;
+    Workload wl = factory.make(b.workload, p);
+    // A workload with one kernel (SGEMM) runs it twice: the first
+    // run warms the pools.
+    const auto gpu_phases = std::ranges::count_if(
+        wl.phases, [](const Phase &ph) { return ph.kind == Phase::Kind::Gpu; });
+    if (gpu_phases == 1) {
+        const auto gpu = std::ranges::find_if(wl.phases, [](const Phase &ph) {
+            return ph.kind == Phase::Kind::Gpu;
+        });
+        wl.phases.insert(gpu, *gpu);
+    }
+
+    System sys(cfg);
+    WarmKernelAllocations warm(sys.eventQueue());
+    sys.eventQueue().addPhaseListener(&warm);
+    const RunResult r = sys.run(std::move(wl));
+    sys.eventQueue().removePhaseListener(&warm);
+    ASSERT_TRUE(r.validated);
+
+    ASSERT_GE(warm.kernels, 2u) << "no warm kernel phase to measure";
+    ASSERT_GT(warm.events, 0u);
+    const double per_kilo_event =
+        1000.0 * double(warm.allocs) / double(warm.events);
+    std::printf("%s/%s: %u kernel phases, %llu allocations in %llu "
+                "events of the warm ones (%.2f per 1,000 events)\n",
+                b.workload, memOrgName(b.org), warm.kernels,
+                (unsigned long long)warm.allocs,
+                (unsigned long long)warm.events, per_kilo_event);
+    EXPECT_LE(per_kilo_event, budgetPerKiloEvent);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Quick, AllocBudget,
+    ::testing::Values(BudgetRun{"SGEMM", MemOrg::Stash},
+                      BudgetRun{"LUD", MemOrg::StashG},
+                      BudgetRun{"Reuse", MemOrg::Cache},
+                      BudgetRun{"SynthMix", MemOrg::Stash}),
+    [](const ::testing::TestParamInfo<BudgetRun> &info) {
+        std::string name = std::string(info.param.workload) + "_" +
+                           memOrgName(info.param.org);
+        for (char &c : name) {
+            if (!std::isalnum(static_cast<unsigned char>(c)))
+                c = '_';
+        }
+        return name;
+    });
+
+} // namespace
+} // namespace stashsim

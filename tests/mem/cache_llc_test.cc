@@ -3,7 +3,7 @@
  * Integration tests for the L1 <-> LLC DeNovo protocol: registration,
  * forwarding, invalidation, writeback, self-invalidation, and
  * eviction behaviour; the order in which the L1 wait list lets parked
- * accesses proceed; plus randomized property tests against a
+ * accesses proceed and how misses take MSHR slots; plus randomized property tests against a
  * sequential reference under data-race-free access patterns.
  */
 
@@ -420,6 +420,37 @@ TEST_F(L1WaitList, ParkedAccessesAreTranslatedOnce)
     eq.run();
     EXPECT_EQ(log.size(), accesses);
     EXPECT_EQ(tlbs.back()->accesses(), accesses);
+}
+
+TEST_F(L1WaitList, LoadMissOnAResidentUnpinnedLineTakesAnMshrPastTheLimit)
+{
+    L1Cache &l1 = addCache(tiny(1));
+    mem.writeWord(pageTable.translate(base + 68), 88);
+    submit(l1, 's', base + 64, true); // line 1 resident, not pinned
+    eq.run();
+    submit(l1, 'a', base);      // takes the only MSHR
+    submit(l1, 'r', base + 68); // misses word 1 of the resident line
+    EXPECT_EQ(l1.stats().loadMisses, 2u)
+        << "r took a second MSHR instead of waiting for one";
+    eq.run();
+    EXPECT_EQ(at('r').value, 88u);
+    EXPECT_EQ(order().size(), 3u);
+}
+
+TEST_F(L1WaitList, ReleasedMshrIsReusedWithNoWordsRequested)
+{
+    L1Cache &l1 = addCache(tiny(1));
+    mem.writeWord(pageTable.translate(base + 64), 9);
+    // Word 0 of line 0, then word 0 of line 1, through the one MSHR:
+    // line 1's miss must ask for word 0 although the slot's last
+    // miss already had.
+    submit(l1, 'a', base);
+    eq.run();
+    submit(l1, 'b', base + 64);
+    eq.run();
+    EXPECT_EQ(order(), "ab");
+    EXPECT_EQ(at('b').value, 9u);
+    EXPECT_EQ(l1.stats().loadMisses, 2u);
 }
 
 /** One randomized traffic run: its seed and its L1s. */

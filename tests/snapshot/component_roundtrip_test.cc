@@ -4,9 +4,9 @@
  * isolation, plus the whole-System double-snapshot identity: a
  * restored System must serialize back to exactly the bytes it was
  * restored from (the fixed point the resume-parity suite builds on).
- * Hostile page-table, TLB, L1, LLC and stash sections, each breaking
- * one invariant, must be rejected with a SnapshotError naming their
- * section.
+ * Hostile page-table, TLB, L1, LLC, stash, CU and NoC sections, each
+ * breaking one invariant, must be rejected with a SnapshotError naming
+ * their section.
  */
 
 #include <gtest/gtest.h>
@@ -21,6 +21,7 @@
 #include "core/stash.hh"
 #include "core/stash_map.hh"
 #include "driver/system.hh"
+#include "gpu/compute_unit.hh"
 #include "mem/backend/mem_backend.hh"
 #include "mem/cache.hh"
 #include "mem/fabric.hh"
@@ -510,7 +511,8 @@ TEST_F(L1RestoreTest, RejectsUseAfterTheUseClock)
  * An `llc0` section for a 1 KB, 2-way bank at node 0 (8 sets): a
  * line homed at node 0 lies in set (pa / 1 KB) % 8, and index i
  * names set i / 2, way i % 2.  Core 0 has an L1 at node 0 and no
- * stash.  Each test breaks one field of a good section.
+ * stash; core 1 has a stash (64 map entries) at node 1.  Each test
+ * breaks one field of a good section.
  */
 class LlcRestoreTest : public ::testing::Test
 {
@@ -522,12 +524,15 @@ class LlcRestoreTest : public ::testing::Test
         std::uint64_t lastUse;
         CoreId owner = invalidCore; //!< word 0's registrant, if any
         bool ownerIsStash = false;
+        std::uint8_t mapIdx = 0; //!< its stash-map index
     };
 
     LlcRestoreTest()
     {
         fabric.registerObject(NodeId(0), Unit::L1, &l1);
         fabric.registerCore(0, NodeId(0));
+        fabric.registerObject(NodeId(1), Unit::Stash, &stash);
+        fabric.registerCore(1, NodeId(1));
     }
 
     std::string
@@ -559,7 +564,7 @@ class LlcRestoreTest : public ::testing::Test
                         w.u32(j);
                         w.u32(reg ? rec.owner : invalidCore);
                         w.b(reg && rec.ownerIsStash);
-                        w.u8(0);
+                        w.u8(reg ? rec.mapIdx : 0);
                     }
                 }
             },
@@ -571,6 +576,7 @@ class LlcRestoreTest : public ::testing::Test
     Mesh mesh{eq, MeshParams{}};
     Fabric fabric{mesh};
     NullUnit l1;
+    NullUnit stash;
     std::unique_ptr<MemBackend> backend =
         makeMemBackend(MemBackendConfig{}, eq, mem, gpuClockPeriod);
     /** A node-0 line in set 0; base + 1 KB * s is in set s (mod 8). */
@@ -629,6 +635,94 @@ TEST_F(LlcRestoreTest, RejectsRegistrationsTheFabricCannotReach)
     // Core 99 was never registered; core 0 has no stash.
     EXPECT_EQ(restore(3, {{0, base, 1, 99}}), "llc0");
     EXPECT_EQ(restore(3, {{0, base, 1, 0, true}}), "llc0");
+}
+
+TEST_F(LlcRestoreTest, RejectsAStashMapIndexPastTheMapSize)
+{
+    EXPECT_EQ(restore(3, {{0, base, 1, 1, true, 63}}), "");
+    EXPECT_EQ(restore(3, {{0, base, 1, 1, true, 64}}), "llc0");
+}
+
+/**
+ * A `cu0.core` section for a CU with the default 16 KB of local
+ * space.  Between kernels every block has freed its space, so the
+ * free list is the one interval [0, 16 KB) and the next-fit pointer
+ * lies inside it.  Each test breaks one of them.
+ */
+class ComputeUnitRestoreTest : public ::testing::Test
+{
+  protected:
+    using FreeList = std::vector<std::pair<LocalAddr, std::uint32_t>>;
+
+    std::string
+    restore(LocalAddr alloc_ptr, const FreeList &free_list)
+    {
+        ComputeUnit cu(eq, cfg, 0, &l1, nullptr, nullptr, nullptr);
+        return restoreError(
+            "cu0.core",
+            [&](SnapshotWriter &w) {
+                writeStats(w, GpuStats{});
+                w.u32(alloc_ptr);
+                w.u32(std::uint32_t(free_list.size()));
+                for (const auto &[b, bytes] : free_list) {
+                    w.u32(b);
+                    w.u32(bytes);
+                }
+            },
+            [&](SnapshotReader &r) { cu.restore(r); });
+    }
+
+    EventQueue eq;
+    SystemConfig cfg;
+    Mesh mesh{eq, MeshParams{}};
+    Fabric fabric{mesh};
+    PageTable pt;
+    Tlb tlb{pt, 64};
+    L1Cache l1{eq, fabric, tlb, 0, NodeId(0), L1Cache::Params{}};
+    const std::uint32_t local = cfg.localBytes;
+};
+
+TEST_F(ComputeUnitRestoreTest, RejectsAFreeListThatIsNotTheWholeLocalSpace)
+{
+    EXPECT_EQ(restore(0, {{0, local}}), "");
+    // A block's space still taken, the space split in two, and free
+    // space past the local memory.
+    EXPECT_EQ(restore(0, {{1024, local - 1024}}), "cu0.core");
+    EXPECT_EQ(restore(0, {{0, 1024}, {1024, local - 1024}}), "cu0.core");
+    EXPECT_EQ(restore(0, {{0, 2 * local}}), "cu0.core");
+}
+
+TEST_F(ComputeUnitRestoreTest, RejectsAnAllocationPointerPastTheLocalSpace)
+{
+    EXPECT_EQ(restore(local - 64, {{0, local}}), "");
+    EXPECT_EQ(restore(local, {{0, local}}), "cu0.core");
+}
+
+/** A `noc` section with one link reserved until @p busy, at tick 1000. */
+std::string
+restoreMeshReservedUntil(Tick busy)
+{
+    EventQueue eq;
+    eq.schedule(1000, [] {});
+    eq.run();
+    Mesh mesh(eq, MeshParams{});
+    return restoreError(
+        "noc",
+        [&](SnapshotWriter &w) {
+            writeStats(w, NocStats{});
+            w.u32(mesh.numNodes());
+            const unsigned links =
+                mesh.numNodes() * unsigned(Direction::NumDirections);
+            for (unsigned i = 0; i < links; ++i)
+                w.u64(i == 7 ? busy : 0);
+        },
+        [&](SnapshotReader &r) { mesh.restore(r); });
+}
+
+TEST(MeshRestoreTest, RejectsAReservationPastTheEngineTick)
+{
+    EXPECT_EQ(restoreMeshReservedUntil(1000), "");
+    EXPECT_EQ(restoreMeshReservedUntil(1001), "noc");
 }
 
 /**

@@ -69,7 +69,7 @@ struct SimperfCollector
 
     /**
      * Recovery counters accumulated across every sweep (cached,
-     * resumed, reclaimed leases, quarantines, ...).  They ride here —
+     * retried, reclaimed leases, quarantines, ...).  They ride here —
      * NOT in the per-bench documents — because BENCH_<name>.json must
      * stay byte-identical between fresh, resumed, and farmed sweeps.
      */
@@ -106,15 +106,13 @@ struct BenchContext
     bool components = false;
     /** When set, sweepSpecs() reports every sweep's throughput here. */
     SimperfCollector *simperf = nullptr;
-    /** Per-run checkpoint cadence in ticks (0 = none). */
-    std::uint64_t checkpointEvery = 0;
     /**
-     * Checkpoint/resume state root; sweepSpecs() keeps each bench's
-     * state in <stateDir>/<bench> so same-named specs of different
-     * benches never collide.
+     * Result-cache state root; sweepSpecs() keeps each bench's state
+     * in <stateDir>/<bench> so same-named specs of different benches
+     * never collide.
      */
     std::string stateDir;
-    /** Resume: reuse completed results, restart from checkpoints. */
+    /** Resume: serve completed results, run the rest from tick 0. */
     bool resume = false;
     /** Farm worker id for lease files; empty = "w<pid>". */
     std::string workerId;

@@ -183,7 +183,6 @@ SimperfCollector::toJson(const char *scale, double wallSeconds) const
     // documents.
     report::JsonValue rec = report::JsonValue::object();
     rec["sweep.cachedRuns"] = double(recovery.cachedRuns);
-    rec["sweep.resumedRuns"] = double(recovery.resumedRuns);
     rec["sweep.corruptSnapshots"] = double(recovery.corruptSnapshots);
     rec["sweep.staleResults"] = double(recovery.staleResults);
     rec["sweep.quarantinedArtifacts"] =
@@ -393,10 +392,9 @@ sweepSpecs(const BenchContext &ctx, const char *bench,
     if (!ctx.stateDir.empty()) {
         // Per-bench state subdirectory: different benches run
         // same-labelled specs under different configurations, and the
-        // RESULT_/CKPT_ namespaces must not collide across them.
+        // RESULT_ namespaces must not collide across them.
         opts.stateDir = ctx.stateDir + "/" + bench;
         std::filesystem::create_directories(opts.stateDir);
-        opts.checkpointEveryTicks = Tick(ctx.checkpointEvery);
         opts.resume = ctx.resume;
         opts.workerId = ctx.workerId;
         opts.leaseTtlMs = ctx.leaseTtlMs;

@@ -395,7 +395,7 @@ renderSynth(std::ostream &os, const JsonValue &doc)
           "these, so **Cache is the\nbaseline**: the question is "
           "what DMA staging (ScratchGD) or the stash\nbuys over "
           "just caching. Seeded generators (`DESIGN.md` §14) keep "
-          "every\nrun — and every checkpoint/restore of a run — "
+          "every\nrun — in one process or on any farm worker — "
           "byte-deterministic.\n\n";
 
     os << "### Execution time (normalized to Cache)\n\n";

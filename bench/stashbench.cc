@@ -33,11 +33,10 @@ using namespace stashsim;
 using namespace stashbench;
 
 /**
- * SIGINT/SIGTERM set this; the sweep layer polls it at phase
- * boundaries, drops a final checkpoint for every in-flight run,
- * releases its leases, and the CLI exits with
- * farm::interruptedExitCode so wrappers can tell "interrupted,
- * resumable" from "failed".
+ * SIGINT/SIGTERM set this; the sweep layer stops claiming runs, lets
+ * the runs in flight finish and cache their results, and the CLI
+ * exits with farm::interruptedExitCode so wrappers can tell
+ * "interrupted, resumable" from "failed".
  */
 std::atomic<bool> g_stop{false};
 
@@ -341,9 +340,7 @@ main(int argc, char **argv)
     ctx.simperf = &simperf;
     // --farm names the shared state directory and implies resume
     // (workers serve each other's cached results); --restore names
-    // the state directory and turns resume on; --checkpoint-every
-    // alone drops state under the artifact dir so a later --restore
-    // can pick it up.
+    // the state directory and turns resume on.
     if (!args.farmDir.empty()) {
         ctx.stateDir = args.farmDir;
         ctx.resume = true;
@@ -353,10 +350,7 @@ main(int argc, char **argv)
     } else if (!args.restoreDir.empty()) {
         ctx.stateDir = args.restoreDir;
         ctx.resume = true;
-    } else if (args.checkpointEvery > 0) {
-        ctx.stateDir = args.outDir + "/checkpoints";
     }
-    ctx.checkpointEvery = args.checkpointEvery;
     ctx.stop = &g_stop;
     std::signal(SIGINT, stopHandler);
     std::signal(SIGTERM, stopHandler);
@@ -389,8 +383,8 @@ main(int argc, char **argv)
         report::JsonValue doc = b->run(ctx);
         if (g_stop.load(std::memory_order_relaxed)) {
             // Interrupted mid-sweep: the document is incomplete, so
-            // no artifact is written — the state dir already carries
-            // the final checkpoints, and rerunning with --restore (or
+            // no artifact is written — the state dir already caches
+            // every finished run, and rerunning with --restore (or
             // the same --farm dir) picks the campaign back up.
             std::fprintf(stderr,
                          "stashbench: interrupted during %s; state "

@@ -2,9 +2,9 @@
 # Tier-1 CI: configure, build, and run the full test suite three
 # times — plain, under AddressSanitizer + UndefinedBehaviorSanitizer,
 # and under ThreadSanitizer — then run the quick-scale benches, check
-# the artifacts against the committed manifest, exercise the
-# checkpoint/restore, multi-process farm crash-safety, memory-backend
-# and trace paths, smoke-run hostbench against its recorded digests,
+# the artifacts against the committed manifest, exercise the RESULT
+# cache, multi-process farm crash-safety, memory-backend and trace
+# paths, smoke-run hostbench against its recorded digests,
 # and check the full-scale artifacts against their manifest and
 # EXPERIMENTS.md against them.
 #
@@ -49,41 +49,63 @@ ls -l "${artifacts}"/BENCH_*.json
 echo "=== quick artifacts vs scripts/quick_artifacts.sha256 ==="
 (cd "${artifacts}" && sha256sum -c "${root}/scripts/quick_artifacts.sha256")
 
-# Checkpoint/restore parity, end to end through the CLI: run four
-# quick benches dropping checkpoints at every eligible phase
-# boundary, then delete the cached RESULT_* artifacts so --restore is
-# forced to re-finish every run from a mid-run CKPT_* snapshot.  The
-# resumed artifacts must be byte-identical.  fig6 is the bench whose
-# L1s park accesses for every reason: fig5 waits only for MSHRs, and
-# ablation_replication and synth never wait in the L1.  fig5 and fig6
-# are also the benches here whose stashes park loads (their Stash and
-# StashG runs), so they cover the stash wait list and the VP-map
-# lookup counter it keeps in each cuN.stash section.
-snapdir="${root}/build/bench-artifacts-snapshot"
-echo "=== checkpoint/restore parity (fig5, ablation_replication, synth, fig6; L1 and stash wait lists) ==="
-rm -rf "${snapdir}"
-mkdir -p "${snapdir}"
+# RESULT cache, end to end through the CLI: run four quick benches
+# with --restore on a fresh state directory, so every run caches its
+# result as a RESULT_*.snap, then delete every other cached result and
+# rerun with the same --restore directory.  The runs whose results
+# were deleted simulate again from tick 0 and cache their results
+# anew; every kept result must be served "(cached)" and left alone
+# (same inode: a run simulated again re-publishes its file); and every
+# artifact must be byte-identical to the first pass.  A run simulated
+# again may also show "(cached)" when another sweep thread picks up
+# its fresh result first, so the log needs at least one per kept file.
+cachedir="${root}/build/bench-artifacts-cache"
+echo "=== RESULT cache (fig5, ablation_replication, synth, fig6: serve or re-simulate) ==="
+rm -rf "${cachedir}"
+mkdir -p "${cachedir}/state"
 "${root}/build/bench/stashbench" --quick --jobs "${jobs}" \
-    --checkpoint-every 1 --out "${snapdir}" \
+    --restore "${cachedir}/state" --out "${cachedir}" \
     fig5 ablation_replication synth fig6
+total="$(ls "${cachedir}"/state/*/RESULT_*.snap | wc -l)"
 for name in fig5 ablation_replication synth fig6; do
-    mv "${snapdir}/BENCH_${name}.json" \
-       "${snapdir}/BENCH_${name}.ref.json"
-    rm "${snapdir}/checkpoints/${name}"/RESULT_*.snap
+    mv "${cachedir}/BENCH_${name}.json" \
+       "${cachedir}/BENCH_${name}.ref.json"
+    ls "${cachedir}/state/${name}"/RESULT_*.snap |
+        awk 'NR % 2 == 1' | xargs rm
 done
-"${root}/build/bench/stashbench" --quick --jobs "${jobs}" \
-    --restore "${snapdir}/checkpoints" --out "${snapdir}" \
-    fig5 ablation_replication synth fig6
+(cd "${cachedir}/state" && ls -i ./*/RESULT_*.snap) >"${cachedir}/kept"
+kept="$(wc -l <"${cachedir}/kept")"
+if ! "${root}/build/bench/stashbench" --quick --jobs "${jobs}" \
+    --restore "${cachedir}/state" --out "${cachedir}" \
+    fig5 ablation_replication synth fig6 >"${cachedir}/rerun.log" 2>&1
+then
+    cat "${cachedir}/rerun.log"
+    exit 1
+fi
 for name in fig5 ablation_replication synth fig6; do
-    cmp "${snapdir}/BENCH_${name}.ref.json" \
-        "${snapdir}/BENCH_${name}.json"
+    cmp "${cachedir}/BENCH_${name}.ref.json" \
+        "${cachedir}/BENCH_${name}.json"
 done
-echo "checkpoint-restored artifacts are byte-identical"
+(cd "${cachedir}/state" && ls -i ./*/RESULT_*.snap) >"${cachedir}/after"
+untouched="$(grep -cFx -f "${cachedir}/kept" "${cachedir}/after" || true)"
+served="$(grep -c '(cached)' "${cachedir}/rerun.log" || true)"
+recached="$(wc -l <"${cachedir}/after")"
+if [ "${kept}" -eq 0 ] || [ "${untouched}" -ne "${kept}" ] ||
+    [ "${served}" -lt "${kept}" ] || [ "${recached}" -ne "${total}" ]
+then
+    cat "${cachedir}/rerun.log"
+    echo "${kept} of ${total} results kept: ${untouched} left" \
+         "untouched, ${served} runs served (cached), ${recached}" \
+         "results cached after the rerun" >&2
+    exit 1
+fi
+echo "${kept} kept results served, the deleted ones re-simulated; artifacts are byte-identical"
 
 # Farm crash-safety, end to end: two --farm workers drain one fig5
 # sweep over a shared state dir; one is SIGKILLed mid-run (the
-# dead-worker path: its lease goes stale and is reclaimed) and one is
-# SIGTERMed (graceful: final checkpoint, lease released, exit 75
+# dead-worker path: its lease goes stale and is reclaimed, and the run
+# starts again from tick 0) and one is SIGTERMed (graceful: it stops
+# claiming runs, finishes and caches the run in flight, and exits 75
 # "interrupted, resumable").  A fresh worker with a short lease TTL
 # then finishes the campaign, and its artifact must be byte-identical
 # to an uninterrupted single-process run, with no orphaned leases.
@@ -101,12 +123,12 @@ mkdir -p "${farmref}" "${farmstate}" \
 "${root}/build/bench/stashbench" --quick --jobs "${jobs}" \
     --out "${farmref}" fig5
 "${root}/build/bench/stashbench" --quick --jobs 1 \
-    --checkpoint-every 1 --farm "${farmstate}" --worker-id w1 \
+    --farm "${farmstate}" --worker-id w1 \
     --out "${root}/build/bench-artifacts-farm-w1" fig5 \
     >/dev/null 2>&1 &
 w1_pid=$!
 "${root}/build/bench/stashbench" --quick --jobs 1 \
-    --checkpoint-every 1 --farm "${farmstate}" --worker-id w2 \
+    --farm "${farmstate}" --worker-id w2 \
     --out "${root}/build/bench-artifacts-farm-w2" fig5 \
     >/dev/null 2>&1 &
 w2_pid=$!
@@ -255,4 +277,4 @@ git -C "${root}" diff --exit-code -- EXPERIMENTS.md || {
     exit 1
 }
 
-echo "=== CI passed (plain + ASan/UBSan + TSan + quick benches + manifests + checkpoint/restore + farm + backends + trace + hostbench + full scale) ==="
+echo "=== CI passed (plain + ASan/UBSan + TSan + quick benches + manifests + RESULT cache + farm + backends + trace + hostbench + full scale) ==="

@@ -72,7 +72,7 @@ bool memBackendFromName(const std::string &name, MemBackendKind &out);
 /**
  * Backend selection plus every backend's timing knobs.  The knobs of
  * the unselected backends are inert; all of them (and the kind) fold
- * into the snapshot config hash, so a checkpoint can never restore
+ * into the snapshot config hash, so a cached result is never served
  * under a different memory system.
  */
 struct MemBackendConfig

@@ -9,7 +9,6 @@
 
 #include "mem/group_by_key.hh"
 #include "sim/log.hh"
-#include "snapshot/snapshot.hh"
 #include "verify/protocol_checker.hh"
 
 namespace stashsim
@@ -1175,115 +1174,12 @@ Stash::dumpState(std::ostream &os) const
 }
 
 void
-StashMap::snapshot(SnapshotWriter &w) const
+Stash::assertDrained() const
 {
-    w.u32(std::uint32_t(entries.size()));
-    w.u8(tail);
-    for (const StashMapEntry &e : entries) {
-        w.b(e.valid);
-        w.b(e.pinned);
-        w.u32(e.stashBase);
-        w.u64(e.tile.globalBase);
-        w.u32(e.tile.fieldSize);
-        w.u32(e.tile.objectSize);
-        w.u32(e.tile.rowSize);
-        w.u32(e.tile.strideSize);
-        w.u32(e.tile.numStrides);
-        w.b(e.tile.isCoherent);
-        w.u32(e.dirtyData);
-        w.b(e.reuseBit);
-        w.u8(e.reuseIdx);
-    }
-}
-
-void
-StashMap::restore(SnapshotReader &r, unsigned stash_bytes,
-                  unsigned chunk_bytes)
-{
-    r.require(r.u32() == entries.size(), "stash-map capacity mismatch");
-    tail = r.u8();
-    r.require(tail < entries.size(), "stash-map tail out of range");
-    for (StashMapEntry &e : entries) {
-        e.valid = r.b();
-        e.pinned = r.b();
-        e.stashBase = r.u32();
-        e.tile.globalBase = r.u64();
-        e.tile.fieldSize = r.u32();
-        e.tile.objectSize = r.u32();
-        e.tile.rowSize = r.u32();
-        e.tile.strideSize = r.u32();
-        e.tile.numStrides = r.u32();
-        e.tile.isCoherent = r.b();
-        e.dirtyData = r.u32();
-        e.reuseBit = r.b();
-        e.reuseIdx = r.u8();
-        r.require(e.reuseIdx < entries.size(),
-                  "stash-map reuse index out of range");
-        if (!e.valid)
-            continue;
-        if (const char *why = mappingError(e.stashBase, e.tile,
-                                           stash_bytes, chunk_bytes)) {
-            const std::string what = std::string("stash-map entry: ") + why;
-            r.require(false, what.c_str());
-        }
-    }
-}
-
-void
-Stash::snapshot(SnapshotWriter &w) const
-{
-    // Checkpoints happen only at drain points: no fill in flight, no
-    // load parked for a slot.
     sim_assert(pendingFills.empty());
     sim_assert(parked.empty());
     sim_assert(waiters.live() == 0);
     sim_assert(toRequestHead == toRequest.size());
-    writeStats(w, _stats);
-    w.u32(numWords());
-    for (std::uint32_t word : data)
-        w.u32(word);
-    for (WordState st : state)
-        w.u8(std::uint8_t(st));
-    w.u32(numChunks());
-    for (const Chunk &c : chunks) {
-        w.b(c.dirty);
-        w.b(c.writeback);
-        w.u8(c.mapIdx);
-        w.u8(c.allocIdx);
-    }
-    map.snapshot(w);
-    vpMap.snapshot(w);
-}
-
-void
-Stash::restore(SnapshotReader &r)
-{
-    sim_assert(pendingFills.empty());
-    sim_assert(parked.empty());
-    readStats(r, _stats);
-    r.require(r.u32() == numWords(), "stash size mismatch");
-    for (std::uint32_t &word : data)
-        word = r.u32();
-    for (WordState &st : state) {
-        const std::uint8_t v = r.u8();
-        r.require(v <= std::uint8_t(WordState::Registered),
-                  "bad word state");
-        st = WordState(v);
-    }
-    r.require(r.u32() == numChunks(), "stash chunk count mismatch");
-    for (Chunk &c : chunks) {
-        c.dirty = r.b();
-        c.writeback = r.b();
-        c.mapIdx = r.u8();
-        c.allocIdx = r.u8();
-        r.require(c.mapIdx < map.capacity(),
-                  "chunk map index out of range");
-        r.require(c.allocIdx < map.capacity() ||
-                      c.allocIdx == unmappedIndex,
-                  "chunk allocator index out of range");
-    }
-    map.restore(r, params.bytes, params.chunkBytes);
-    vpMap.restore(r, map.capacity());
 }
 
 } // namespace stashsim

@@ -173,13 +173,10 @@ class Stash : public MemObject
     void dumpState(std::ostream &os) const;
 
     /**
-     * Serializes data/state/chunks + map table + VP-map + stats.
-     * Only valid at a drain point: no pending fills or parked loads.
+     * Panics unless the stash is at a drain point: no fill in flight,
+     * no load parked for a miss slot, no line left to request.
      */
-    void snapshot(SnapshotWriter &w) const;
-
-    /** Restores a drain-point checkpoint into this (same-geometry) stash. */
-    void restore(SnapshotReader &r);
+    void assertDrained() const;
 
   private:
     struct Chunk

@@ -29,9 +29,6 @@
 namespace stashsim
 {
 
-class SnapshotWriter;
-class SnapshotReader;
-
 /** Index into the stash-map. */
 using MapIndex = std::uint8_t;
 
@@ -128,17 +125,6 @@ class StashMap
         }
         return std::nullopt;
     }
-
-    /** Serializes entries + tail (implemented in core/stash.cc). */
-    void snapshot(SnapshotWriter &w) const;
-
-    /**
-     * Restores entries + tail from a checkpoint of a stash of
-     * @p stash_bytes in @p chunk_bytes chunks; every valid entry must
-     * pass AddMap's checks.
-     */
-    void restore(SnapshotReader &r, unsigned stash_bytes,
-                 unsigned chunk_bytes);
 
     /** Count of valid entries (for tests/telemetry). */
     unsigned

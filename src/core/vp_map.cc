@@ -1,11 +1,6 @@
 #include "core/vp_map.hh"
 
-#include <algorithm>
-#include <utility>
-#include <vector>
-
 #include "sim/log.hh"
-#include "snapshot/snapshot.hh"
 
 namespace stashsim
 {
@@ -76,48 +71,6 @@ VpMap::release(MapIndex map_idx)
         } else {
             ++it;
         }
-    }
-}
-
-void
-VpMap::snapshot(SnapshotWriter &w) const
-{
-    w.u64(_accesses);
-    std::vector<std::pair<Addr, Entry>> pairs(tlb.begin(), tlb.end());
-    std::sort(pairs.begin(), pairs.end(),
-              [](const auto &a, const auto &b) { return a.first < b.first; });
-    w.u32(std::uint32_t(pairs.size()));
-    for (const auto &[vpage, e] : pairs) {
-        w.u64(vpage);
-        w.u64(e.ppage);
-        w.u8(e.lastMapIdx);
-    }
-}
-
-void
-VpMap::restore(SnapshotReader &r, unsigned map_entries)
-{
-    _accesses = r.u64();
-    tlb.clear();
-    rtlb.clear();
-    const std::uint32_t n = r.u32();
-    r.require(n <= _capacity, "more VP-map entries than capacity");
-    for (std::uint32_t i = 0; i < n; ++i) {
-        const Addr vpage = r.u64();
-        const PhysAddr ppage = r.u64();
-        const MapIndex idx = r.u8();
-        r.require(vpage % pageBytes == 0 && ppage % pageBytes == 0,
-                  "VP-map entry not page-aligned");
-        r.require(idx < map_entries,
-                  "VP-map entry names no stash-map entry");
-        r.require(tlb.emplace(vpage, Entry{ppage, idx}).second,
-                  "duplicate VP-map vpage");
-        r.require(rtlb.emplace(ppage, vpage).second,
-                  "duplicate VP-map ppage");
-        // The page table is restored before the stashes.
-        PhysAddr mapped = 0;
-        r.require(pageTable.lookup(vpage, &mapped) && mapped == ppage,
-                  "VP-map entry disagrees with the page table");
     }
 }
 

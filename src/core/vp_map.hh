@@ -24,9 +24,6 @@
 namespace stashsim
 {
 
-class SnapshotWriter;
-class SnapshotReader;
-
 /**
  * TLB + RTLB pair backing one stash.
  */
@@ -93,19 +90,6 @@ class VpMap
     std::size_t size() const { return tlb.size(); }
     std::uint64_t accesses() const { return _accesses; }
     unsigned capacity() const { return _capacity; }
-
-    /** Serializes the TLB entries (sorted) + access counter. */
-    void snapshot(SnapshotWriter &w) const;
-
-    /**
-     * Restores the TLB and rebuilds the RTLB as its exact inverse
-     * (install/release maintain the two in lock-step, so the inverse
-     * is the complete RTLB state).  Each entry must be page-aligned,
-     * name one of @p map_entries stash-map entries, hold a vpage and
-     * a ppage no other entry holds, and agree with the (already
-     * restored) page table.
-     */
-    void restore(SnapshotReader &r, unsigned map_entries);
 
   private:
     struct Entry

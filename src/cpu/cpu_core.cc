@@ -3,7 +3,6 @@
 #include <sstream>
 
 #include "sim/log.hh"
-#include "snapshot/snapshot.hh"
 #include "verify/watchdog.hh"
 
 namespace stashsim
@@ -95,17 +94,9 @@ CpuCore::onComplete(std::size_t idx, const LineData &d)
 }
 
 void
-CpuCore::snapshot(SnapshotWriter &w) const
+CpuCore::assertDrained() const
 {
     sim_assert(outstanding == 0);
-    writeStats(w, _stats);
-}
-
-void
-CpuCore::restore(SnapshotReader &r)
-{
-    sim_assert(outstanding == 0);
-    readStats(r, _stats);
 }
 
 } // namespace stashsim

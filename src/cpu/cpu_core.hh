@@ -39,9 +39,6 @@ struct CpuOp
     bool checkValue = false; //!< verify loads against `value`
 };
 
-class SnapshotWriter;
-class SnapshotReader;
-
 /**
  * One CPU core.
  */
@@ -64,14 +61,8 @@ class CpuCore
     /** Reports access completions as forward progress to @p w. */
     void setWatchdog(Watchdog *w) { watchdog = w; }
 
-    /**
-     * Serializes stats (the only state that outlives a phase; ops
-     * are consumed and no access is outstanding at a drain point).
-     */
-    void snapshot(SnapshotWriter &w) const;
-
-    /** Restores an inter-phase checkpoint. */
-    void restore(SnapshotReader &r);
+    /** Panics while an access is outstanding. */
+    void assertDrained() const;
 
   private:
     void issueNext();

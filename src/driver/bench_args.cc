@@ -118,13 +118,6 @@ BenchArgs::parse(int argc, char **argv, BenchArgs &out,
             out.renderMd = argv[++i];
         } else if (std::strcmp(a, "--components") == 0) {
             out.components = true;
-        } else if (std::strcmp(a, "--checkpoint-every") == 0) {
-            if (!needsValue(i, argc, a, err))
-                return false;
-            if (!parseNumber(a, argv[++i],
-                             0xffff'ffff'ffff'ffffull,
-                             out.checkpointEvery, err))
-                return false;
         } else if (std::strcmp(a, "--restore") == 0) {
             if (!needsValue(i, argc, a, err))
                 return false;
@@ -213,17 +206,11 @@ BenchArgs::usage(const char *prog)
            "into DIR\n"
            "  --components        include per-component counters in "
            "the JSON\n"
-           "  --checkpoint-every N\n"
-           "                      checkpoint each run every N "
-           "simulated ticks into\n"
-           "                      <out>/checkpoints (or --restore's "
-           "directory)\n"
-           "  --restore DIR       resume from the checkpoint/result "
-           "state in DIR:\n"
-           "                      completed runs are not re-simulated "
-           "and interrupted\n"
-           "                      ones restart from their latest "
-           "valid snapshot\n"
+           "  --restore DIR       cache each run's result in DIR and "
+           "serve the valid\n"
+           "                      cached results there instead of "
+           "re-simulating;\n"
+           "                      every other run starts from tick 0\n"
            "  --farm DIR          join the worker farm over DIR: "
            "runs are claimed\n"
            "                      through lease files, so any number "

@@ -48,9 +48,7 @@ struct BenchArgs
     /** When nonempty, render EXPERIMENTS-style markdown here
      *  ("-" = stdout) from the JSON artifacts in outDir. */
     std::string renderMd;
-    /** Checkpoint cadence in simulated ticks (0 = no checkpoints). */
-    std::uint64_t checkpointEvery = 0;
-    /** Resume from the checkpoint/result state in this directory. */
+    /** Resume from the cached results in this directory. */
     std::string restoreDir;
     /**
      * Farm over this state directory: claim every run through the
@@ -93,7 +91,6 @@ struct BenchArgs
      *   --out DIR
      *   --trace DIR
      *   --components
-     *   --checkpoint-every N
      *   --restore DIR
      *   --farm DIR | --worker-id S | --lease-ttl SECONDS
      *   --max-attempts N

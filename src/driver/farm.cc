@@ -414,18 +414,5 @@ LeaseGuard::releaseFailed(const std::vector<std::string> &errors)
     writeFailed(dir, label, cfg, attempt, errors);
 }
 
-void
-LeaseGuard::releaseInterrupted()
-{
-    stopHeartbeat();
-    settled = true;
-    Lease l;
-    const std::string path = leasePath(dir, label);
-    if (readLease(path, l) && l.worker == cfg.workerId) {
-        std::error_code ec;
-        std::filesystem::remove(path, ec);
-    }
-}
-
 } // namespace farm
 } // namespace stashsim

@@ -5,15 +5,15 @@
  *
  * N independent workers — threads in one process, processes on one
  * host, or hosts on a shared filesystem — drain one sweep by claiming
- * specs through atomic lease files next to the RESULT_* and CKPT_*
- * artifacts the snapshot subsystem already maintains:
+ * specs through atomic lease files next to the RESULT_* result cache
+ * the sweep already maintains:
  *
  *   LEASE_<label>.json   the spec is claimed (or was released for
  *                        retry after a failed attempt)
  *   FAILED_<label>.json  the spec exhausted its attempt budget; the
  *                        captured diagnostics ride in the file
- *   QUARANTINE/          corrupt or stale RESULT_* or CKPT_* files,
- *                        moved aside instead of silently overwritten
+ *   QUARANTINE/          corrupt or stale RESULT_* files, moved aside
+ *                        instead of silently overwritten
  *
  * A claim is atomic: the lease body is written to a hidden temp file
  * and published with a hard link, which fails if the lease already
@@ -49,7 +49,7 @@ namespace farm
 
 /** Exit code for "interrupted, resumable" (vs 1 = failed): wrappers
  *  re-launch the worker on this code and the sweep continues from the
- *  released leases and final checkpoints. */
+ *  cached results; runs that never finished start from tick 0. */
 constexpr int interruptedExitCode = 75;
 
 /** Worker identity and lease policy shared by every farm call. */
@@ -174,10 +174,6 @@ class LeaseGuard
 
     /** Budget exhausted: writes FAILED_<label>.json + removes lease. */
     void releaseFailed(const std::vector<std::string> &errors);
-
-    /** Graceful shutdown: the interrupted attempt does not count, the
-     *  lease is removed so any worker can pick the spec up fresh. */
-    void releaseInterrupted();
 
   private:
     void stopHeartbeat();

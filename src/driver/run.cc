@@ -64,16 +64,7 @@ runSpec(const RunSpec &spec)
     System sys(cfg, spec.energy);
     if (spec.instrument)
         spec.instrument(sys);
-    RunControl ctl;
-    ctl.checkpointEveryTicks = spec.checkpointEveryTicks;
-    ctl.checkpointDir = spec.checkpointDir;
-    // The scale rides in the label so a checkpoint from one input
-    // size can never restore a run at another.
-    ctl.checkpointLabel = artifactLabel(spec.label()) + "-" +
-                          workloads::scaleName(spec.scale);
-    ctl.restoreFrom = spec.restoreFrom;
-    ctl.interrupt = spec.interrupt;
-    RunResult r = sys.run(std::move(wl), ctl);
+    RunResult r = sys.run(std::move(wl));
     if (spec.finish)
         spec.finish(sys, r);
     return r;

@@ -16,7 +16,6 @@
 #ifndef STASHSIM_DRIVER_RUN_HH
 #define STASHSIM_DRIVER_RUN_HH
 
-#include <atomic>
 #include <functional>
 #include <optional>
 #include <string>
@@ -68,25 +67,6 @@ struct RunSpec
     std::string labelOverride;
 
     /**
-     * Checkpoint cadence in ticks (RunControl::checkpointEveryTicks);
-     * 0 disables.  Checkpoints land in @ref checkpointDir as
-     * CKPT_<artifact-label>-<scale>@<tick>.snap.
-     */
-    Tick checkpointEveryTicks = 0;
-    /** Directory for checkpoint snapshots. */
-    std::string checkpointDir;
-    /** Snapshot file to resume from (empty = run from tick 0). */
-    std::string restoreFrom;
-
-    /**
-     * Cooperative interrupt flag (RunControl::interrupt).  When it
-     * goes true the run stops at its next phase boundary: a final
-     * checkpoint is written (when @ref checkpointDir is set) and
-     * RunInterrupted is thrown out of runSpec().
-     */
-    const std::atomic<bool> *interrupt = nullptr;
-
-    /**
      * Called right after System construction, before the run —
      * attach instrumentation (trace sinks, checkers) here.
      */
@@ -120,10 +100,7 @@ RunResult runSpec(const RunSpec &spec);
  */
 SystemConfig resolveRunConfig(const RunSpec &spec);
 
-/**
- * File-name-safe form of a run label: '/', ' ', and '@' become '_'
- * ('@' is the checkpoint file name's tick separator).
- */
+/** File-name-safe form of a run label: '/', ' ', and '@' become '_'. */
 std::string artifactLabel(const std::string &label);
 
 } // namespace stashsim

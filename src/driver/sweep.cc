@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <exception>
 #include <filesystem>
 #include <mutex>
@@ -24,7 +23,6 @@ void
 SweepCounters::add(const SweepCounters &o)
 {
     cachedRuns += o.cachedRuns;
-    resumedRuns += o.resumedRuns;
     corruptSnapshots += o.corruptSnapshots;
     staleResults += o.staleResults;
     quarantinedArtifacts += o.quarantinedArtifacts;
@@ -37,7 +35,7 @@ SweepCounters::add(const SweepCounters &o)
 bool
 SweepCounters::any() const
 {
-    return cachedRuns || resumedRuns || corruptSnapshots ||
+    return cachedRuns || corruptSnapshots ||
            staleResults || quarantinedArtifacts || reclaimedLeases ||
            retriedRuns || failedSpecs || interrupted;
 }
@@ -47,8 +45,8 @@ namespace
 
 /**
  * The identity a spec's on-disk state carries: the artifact-safe run
- * label plus the input scale, so a quick-scale checkpoint can never
- * resume a full-scale run of the same workload.
+ * label plus the input scale, so a quick-scale result is never served
+ * for a full-scale run of the same workload.
  */
 std::string
 runStateLabel(const RunSpec &spec)
@@ -69,8 +67,6 @@ saveResultCache(const std::string &path, const RunSpec &spec,
 {
     SnapshotWriter w;
     w.configHash = snapshotConfigHash(cfg);
-    w.tick = 0;
-    w.phaseCursor = 0;
     w.workload = runStateLabel(spec);
     w.beginSection("result");
     w.b(r.validated);
@@ -142,83 +138,6 @@ loadResultCache(const std::string &path, const RunSpec &spec,
     }
 }
 
-/**
- * Latest usable CKPT_<label>@<tick>.snap for @p spec: candidates are
- * tried newest-first; one that fails structural verification or was
- * taken under a different configuration is quarantined with a
- * structured warning — the scan falls back to the previous snapshot
- * and ultimately to an empty result (run from tick 0).
- */
-std::string
-latestCheckpoint(const std::string &state_dir, const RunSpec &spec,
-                 const SystemConfig &cfg, std::ostream *progress,
-                 std::mutex &progress_mutex, SweepCounters &cnt,
-                 std::mutex &cnt_mutex)
-{
-    namespace fs = std::filesystem;
-    const std::string prefix = "CKPT_" + runStateLabel(spec) + "@";
-    const std::string suffix = ".snap";
-    std::vector<std::pair<std::uint64_t, std::string>> candidates;
-    std::error_code ec;
-    for (const auto &de : fs::directory_iterator(state_dir, ec)) {
-        const std::string name = de.path().filename().string();
-        if (name.rfind(prefix, 0) != 0 ||
-            name.size() <= prefix.size() + suffix.size() ||
-            name.compare(name.size() - suffix.size(), suffix.size(),
-                         suffix) != 0) {
-            continue;
-        }
-        const std::string tick_str =
-            name.substr(prefix.size(),
-                        name.size() - prefix.size() - suffix.size());
-        char *end = nullptr;
-        const std::uint64_t tick =
-            std::strtoull(tick_str.c_str(), &end, 10);
-        if (end == tick_str.c_str() || *end != '\0')
-            continue;
-        candidates.emplace_back(tick, de.path().string());
-    }
-    std::sort(candidates.begin(), candidates.end(),
-              std::greater<>());
-
-    const std::uint64_t want = snapshotConfigHash(cfg);
-    for (const auto &[tick, path] : candidates) {
-        bool structural = true;
-        std::string why;
-        try {
-            SnapshotReader r = SnapshotReader::fromFile(path);
-            if (r.configHash() != want) {
-                structural = false;
-                why = "<header>: configuration hash mismatch "
-                      "(stale state dir from an edited grid?)";
-            } else {
-                r.verifyAllSections();
-                return path;
-            }
-        } catch (const SnapshotError &e) {
-            why = e.section() + ": " + e.reason();
-        }
-        const bool moved = farm::quarantineFile(state_dir, path);
-        {
-            std::lock_guard<std::mutex> lock(cnt_mutex);
-            if (structural)
-                ++cnt.corruptSnapshots;
-            else
-                ++cnt.staleResults;
-            if (moved)
-                ++cnt.quarantinedArtifacts;
-        }
-        if (progress) {
-            std::lock_guard<std::mutex> lock(progress_mutex);
-            *progress << "sweep: resume: snapshot '" << path
-                      << "' unusable (section " << why << ")"
-                      << (moved ? "; quarantined" : "")
-                      << "; falling back" << std::endl;
-        }
-    }
-    return {};
-}
-
 } // namespace
 
 SweepDriver::SweepDriver(SweepOptions opts) : opts(opts) {}
@@ -273,6 +192,10 @@ SweepDriver::run(std::vector<RunSpec> specs,
         }
     };
 
+    // Set once record i holds a real result (a run, a cache serve or
+    // a FAILED verdict); every record left unset never ran.
+    std::vector<std::atomic<bool>> settled(n);
+
     // ---- stateless path: shared-index pull, no on-disk protocol ----
     std::atomic<std::size_t> next{0};
     auto statelessWorker = [&]() {
@@ -287,16 +210,8 @@ SweepDriver::run(std::vector<RunSpec> specs,
             if (i >= n)
                 return;
             RunRecord &rec = records[i];
-            RunSpec spec = rec.spec;
-            spec.interrupt = opts.stop;
             try {
-                rec.result = runSpec(spec);
-            } catch (const RunInterrupted &) {
-                rec.result.validated = false;
-                rec.result.errors.push_back("interrupted");
-                std::lock_guard<std::mutex> lock(cntMutex);
-                cnt.interrupted = true;
-                return;
+                rec.result = runSpec(rec.spec);
             } catch (const std::exception &e) {
                 // fatal() throws; keep the sweep going and surface
                 // the failure through the record.
@@ -310,6 +225,7 @@ SweepDriver::run(std::vector<RunSpec> specs,
                 rec.result.errors.push_back(
                     "unknown error (non-standard exception)");
             }
+            settled[i].store(true, std::memory_order_release);
             printRecord(rec, "");
         }
     };
@@ -340,8 +256,6 @@ SweepDriver::run(std::vector<RunSpec> specs,
                             : opts.workerId;
     baseFarm.leaseTtlMs = opts.leaseTtlMs;
     baseFarm.maxAttempts = std::max(1u, opts.maxAttempts);
-
-    std::vector<std::atomic<bool>> settled(n);
 
     // Fills record i exactly once (threads may race a cache-serve
     // against the thread that just finished simulating the spec; the
@@ -502,31 +416,13 @@ SweepDriver::run(std::vector<RunSpec> specs,
                         ++cnt.retriedRuns;
                 }
 
+                // Every attempt, retries and takeovers included,
+                // runs from tick 0.
                 farm::LeaseGuard guard(opts.stateDir, label, fc,
                                        claim.attempt);
-                RunSpec spec = records[i].spec;
-                spec.checkpointEveryTicks = opts.checkpointEveryTicks;
-                spec.checkpointDir = opts.stateDir;
-                spec.interrupt = opts.stop;
-                std::string note;
-                if (opts.resume || claim.attempt > 1 ||
-                    claim.reclaimed) {
-                    // Retries and takeovers resume from the dead
-                    // attempt's checkpoints just like --resume does.
-                    const std::string ckpt = latestCheckpoint(
-                        opts.stateDir, records[i].spec, cfg,
-                        opts.progress, progressMutex, cnt, cntMutex);
-                    if (!ckpt.empty()) {
-                        spec.restoreFrom = ckpt;
-                        note = " (resumed)";
-                        std::lock_guard<std::mutex> lock(cntMutex);
-                        ++cnt.resumedRuns;
-                    }
-                }
-
                 std::string failure;
                 try {
-                    RunResult r = runSpec(spec);
+                    RunResult r = runSpec(records[i].spec);
                     // Cache the result BEFORE releasing the lease so
                     // a peer that sees the lease disappear always
                     // finds the artifact.
@@ -544,15 +440,9 @@ SweepDriver::run(std::vector<RunSpec> specs,
                         }
                     }
                     guard.releaseDone();
-                    settle(i, std::move(r), note);
+                    settle(i, std::move(r), "");
                     progressed = true;
                     continue;
-                } catch (const RunInterrupted &) {
-                    // The run already dropped its final checkpoint;
-                    // the interrupted attempt does not count against
-                    // the budget.
-                    guard.releaseInterrupted();
-                    return interruptedExit();
                 } catch (const std::exception &e) {
                     failure = e.what();
                 } catch (...) {
@@ -634,21 +524,20 @@ SweepDriver::run(std::vector<RunSpec> specs,
             t.join();
     }
 
-    if (stateful) {
-        // An interrupted sweep leaves unsettled records; mark them so
-        // no caller mistakes a default-constructed result for a pass.
-        for (std::size_t i = 0; i < n; ++i) {
-            if (!settled[i].load(std::memory_order_acquire)) {
-                records[i].result.validated = false;
-                records[i].result.errors.push_back(
-                    "interrupted before completion");
-            }
+    // A stopped sweep leaves records that never ran; mark them so no
+    // caller mistakes a default-constructed result for a pass.
+    for (std::size_t i = 0; i < n; ++i) {
+        if (!settled[i].load(std::memory_order_acquire)) {
+            records[i].result.validated = false;
+            records[i].result.errors.push_back(
+                "interrupted before completion");
         }
+    }
+    if (stateful) {
         if (opts.progress && cnt.any()) {
             std::lock_guard<std::mutex> lock(progressMutex);
             *opts.progress
                 << "sweep: recovery: cached=" << cnt.cachedRuns
-                << " resumed=" << cnt.resumedRuns
                 << " retried=" << cnt.retriedRuns
                 << " reclaimedLeases=" << cnt.reclaimedLeases
                 << " corruptSnapshots=" << cnt.corruptSnapshots

@@ -44,9 +44,7 @@ struct SweepCounters
 {
     /** Runs served from a valid RESULT_* cache without simulating. */
     std::uint64_t cachedRuns = 0;
-    /** Runs restarted from a mid-run CKPT_* snapshot. */
-    std::uint64_t resumedRuns = 0;
-    /** RESULT_* and CKPT_* artifacts failing structural validation. */
+    /** RESULT_* artifacts failing structural validation. */
     std::uint64_t corruptSnapshots = 0;
     /** Cached artifacts whose config hash did not match the spec —
      *  a stale state dir from an edited sweep grid; rerun instead. */
@@ -78,30 +76,25 @@ struct SweepOptions
     std::ostream *progress = nullptr;
 
     /**
-     * Checkpoint/resume state directory.  When nonempty, every
-     * completed run caches its RunResult to RESULT_<label>.snap
-     * there, @ref checkpointEveryTicks makes the runs drop
-     * CKPT_<label>@<tick>.snap snapshots as they go (src/snapshot),
-     * and every spec is claimed through the farm lease protocol
+     * Result-cache state directory.  When nonempty, every completed
+     * run caches its RunResult to RESULT_<label>.snap there, and
+     * every spec is claimed through the farm lease protocol
      * (src/driver/farm.hh) before running — so any number of
      * processes pointed at the same directory drain the sweep
      * together.
      */
     std::string stateDir;
 
-    /** Per-run checkpoint cadence in ticks (0 = none). */
-    Tick checkpointEveryTicks = 0;
-
     /**
      * Resume an interrupted sweep from @ref stateDir: specs with a
      * valid RESULT_* artifact are not rerun (the cached result is
-     * returned), and the rest restart from their latest valid CKPT_*
-     * snapshot.  A truncated or corrupt snapshot is quarantined with
-     * a warning on @ref progress, falling back to the previous one
-     * and ultimately to tick 0 — resume never fails a sweep, it only
-     * saves work.  Multi-process farming requires resume (workers
-     * serve each other's results through the cache); without it the
-     * sweep is a fresh campaign that ignores pre-existing artifacts.
+     * returned), and the rest run from tick 0.  A truncated, corrupt
+     * or stale RESULT_* is quarantined with a warning on
+     * @ref progress and re-simulated — resume never fails a sweep, it
+     * only saves work.  Multi-process farming requires resume
+     * (workers serve each other's results through the cache); without
+     * it the sweep is a fresh campaign that ignores pre-existing
+     * artifacts.
      */
     bool resume = false;
 
@@ -121,10 +114,11 @@ struct SweepOptions
 
     /**
      * Cooperative stop flag (SIGINT/SIGTERM handlers set it).  When
-     * it goes true, in-flight runs drop a final checkpoint at their
-     * next phase boundary, leases are released, and run() returns
-     * early with SweepCounters::interrupted set; unfinished records
-     * are marked invalid with an "interrupted" error.
+     * it goes true, workers stop claiming specs; runs in flight
+     * finish (and, with a @ref stateDir, cache their results), and
+     * run() returns with SweepCounters::interrupted set.  Every
+     * record that never ran is marked invalid with an "interrupted
+     * before completion" error.
      */
     const std::atomic<bool> *stop = nullptr;
 };

@@ -1,12 +1,9 @@
 #include "driver/system.hh"
 
-#include <atomic>
-#include <ios>
 #include <ostream>
 #include <string>
 
 #include "sim/log.hh"
-#include "snapshot/snapshot.hh"
 #include "verify/fault_injector.hh"
 #include "verify/protocol_checker.hh"
 #include "verify/watchdog.hh"
@@ -57,7 +54,6 @@ System::System(const SystemConfig &cfg, const EnergyParams &energy)
     lp.bankBytes = cfg.llcBankBytes;
     lp.assoc = cfg.llcAssoc;
     lp.accessCycles = cfg.llcBankCycles;
-    lp.stashMapEntries = cfg.stashMapEntries;
     for (NodeId n = 0; n < cfg.numNodes(); ++n) {
         memBackends.push_back(
             makeMemBackend(cfg.memBackend, eq, mem, gpuClockPeriod));
@@ -316,11 +312,8 @@ System::runCpuPhase(Phase &phase, std::vector<std::string> *errors)
 }
 
 RunResult
-System::run(Workload wl, const RunControl &ctl)
+System::run(Workload wl)
 {
-    const bool checkpointing = ctl.checkpointEveryTicks > 0;
-    const bool restoring = !ctl.restoreFrom.empty();
-
     // A workload whose warmup covers every phase would never hit the
     // `p + 1 == warmupPhases` baseline capture below and silently
     // report raw (unreset) statistics as its measured delta.
@@ -335,44 +328,11 @@ System::run(Workload wl, const RunControl &ctl)
     perf.runBegin();
 
     FunctionalMem fm = functionalMem();
-    SystemStats baseline;
-    bool baselineCaptured = false;
-    std::size_t firstPhase = 0;
-    Tick lastCkpt = 0;
-
-    if (restoring) {
-        SnapshotReader sr = SnapshotReader::fromFile(ctl.restoreFrom);
-        if (sr.workload() != wl.name) {
-            fatal("snapshot '", ctl.restoreFrom, "' was taken from "
-                  "workload '", sr.workload(), "', not '", wl.name,
-                  "'");
-        }
-        restoreSnapshot(sr);
-        sr.openSection("run");
-        firstPhase = sr.u32();
-        sr.require(firstPhase == sr.phaseCursor(),
-                   "phase cursor disagrees with manifest");
-        baselineCaptured = sr.b();
-        readSystemStats(sr, baseline);
-        sr.closeSection();
-        if (wl.restoreState && sr.hasSection("workload")) {
-            sr.openSection("workload");
-            wl.restoreState(sr);
-            sr.closeSection();
-        }
-        lastCkpt = sr.tick();
-        // The restored event/tick counters cover the pre-checkpoint
-        // execution too; re-anchor SimPerf so perf.{events,simTicks}
-        // describe the whole logical run, exactly as an uninterrupted
-        // run would report them.
-        perf.rebase(0, 0);
-    } else if (wl.init) {
-        // wl.init built the memory image the checkpoint already
-        // carries, so a restored run must not repeat it.
+    if (wl.init)
         wl.init(fm);
-    }
 
-    for (std::size_t p = firstPhase; p < wl.phases.size(); ++p) {
+    SystemStats baseline;
+    for (std::size_t p = 0; p < wl.phases.size(); ++p) {
         Phase &phase = wl.phases[p];
         switch (phase.kind) {
           case Phase::Kind::Gpu:
@@ -382,45 +342,15 @@ System::run(Workload wl, const RunControl &ctl)
             runCpuPhase(phase, &r.errors);
             break;
         }
-        if (p + 1 == wl.warmupPhases) {
+        if (p + 1 == wl.warmupPhases)
             baseline = statsSnapshot();
-            baselineCaptured = true;
-        }
-        if (checkpointing && p + 1 < wl.phases.size() &&
-            eq.curTick() >= lastCkpt + ctl.checkpointEveryTicks) {
-            writeCheckpoint(ctl, wl, std::uint32_t(p + 1),
-                            baselineCaptured, baseline);
-            lastCkpt = eq.curTick();
-        }
-        if (ctl.interrupt && p + 1 < wl.phases.size() &&
-            ctl.interrupt->load(std::memory_order_relaxed)) {
-            // Graceful degradation: this drain point is a valid
-            // snapshot moment, so drop a final checkpoint (whatever
-            // the cadence says) and surface the interrupt — the next
-            // attempt resumes here instead of at tick 0.
-            if (!ctl.checkpointDir.empty() &&
-                eq.curTick() > lastCkpt) {
-                writeCheckpoint(ctl, wl, std::uint32_t(p + 1),
-                                baselineCaptured, baseline);
-            }
-            throw RunInterrupted(wl.name);
-        }
+        assertDrained();
     }
 
     // Snapshot the statistics before the validation flush: the flush
     // is not part of the measured execution (lazily-written stash
     // data would otherwise be charged writebacks the paper's lazy
     // policy precisely avoids).
-    // A warmup workload whose baseline never materialized (possible
-    // only via a snapshot restored past the warmup boundary with a
-    // mismatched phase structure) must not subtract a zero baseline
-    // and present warmup traffic as measured traffic.
-    if (wl.warmupPhases > 0 && !baselineCaptured) {
-        fatal("workload '", wl.name, "': warmup baseline was never "
-              "captured (resumed at phase ", firstPhase, ", warmup "
-              "boundary ", wl.warmupPhases, ", but the snapshot "
-              "carries no baseline)");
-    }
     r.stats = statsSnapshot();
     r.stats.sub(baseline);
     r.energy = energyModel.compute(r.stats);
@@ -438,6 +368,7 @@ System::run(Workload wl, const RunControl &ctl)
     drain("final flush");
     for (auto &b : llcBanks)
         b->flushDirtyToMemory();
+    assertDrained();
     if (_checker)
         _checker->checkFinalMemory(mem);
 
@@ -449,6 +380,26 @@ System::run(Workload wl, const RunControl &ctl)
         r.validated = false;
     r.perf = perf.summary();
     return r;
+}
+
+void
+System::assertDrained() const
+{
+    fabric.assertDrained();
+    for (const auto &b : llcBanks)
+        b->assertDrained();
+    for (const auto &g : gpus) {
+        g.l1->assertDrained();
+        if (g.stash)
+            g.stash->assertDrained();
+        if (g.dma)
+            g.dma->assertDrained();
+        g.cu->assertDrained();
+    }
+    for (const auto &c : cpus) {
+        c.l1->assertDrained();
+        c.core->assertDrained();
+    }
 }
 
 SystemStats
@@ -544,254 +495,6 @@ System::dumpDiagnostics(std::ostream &os) const
         if (g.stash)
             g.stash->dumpState(os);
     }
-}
-
-void
-System::saveSnapshot(SnapshotWriter &w) const
-{
-    // Event-queue clock and observability counters.
-    {
-        w.beginSection("engine");
-        const EventQueue::ClockState s = eq.clockState();
-        w.u64(s.curTick);
-        w.u64(s.lastEventTick);
-        w.u64(s.nextSeq);
-        w.u64(s.executed);
-        w.u64(s.peakLive);
-        w.u64(s.wheelInserts);
-        w.u64(s.farInserts);
-        w.endSection();
-    }
-
-    w.beginSection("mem");
-    mem.snapshot(w);
-    w.endSection();
-    w.beginSection("pagetable");
-    pageTable.snapshot(w);
-    w.endSection();
-    w.beginSection("noc");
-    mesh.snapshot(w);
-    w.endSection();
-    w.beginSection("fabric");
-    fabric.snapshot(w);
-    w.endSection();
-
-    for (std::size_t i = 0; i < llcBanks.size(); ++i) {
-        w.beginSection("llc" + std::to_string(i));
-        llcBanks[i]->snapshot(w);
-        w.endSection();
-    }
-
-    for (std::size_t i = 0; i < memBackends.size(); ++i) {
-        w.beginSection("memback" + std::to_string(i));
-        memBackends[i]->snapshot(w);
-        w.endSection();
-    }
-
-    for (std::size_t i = 0; i < gpus.size(); ++i) {
-        const std::string p = "cu" + std::to_string(i);
-        const GpuNode &g = gpus[i];
-        w.beginSection(p + ".tlb");
-        g.tlb->snapshot(w);
-        w.endSection();
-        w.beginSection(p + ".l1");
-        g.l1->snapshot(w);
-        w.endSection();
-        if (g.spad) {
-            w.beginSection(p + ".scratch");
-            g.spad->snapshot(w);
-            w.endSection();
-        }
-        if (g.stash) {
-            w.beginSection(p + ".stash");
-            g.stash->snapshot(w);
-            w.endSection();
-        }
-        if (g.dma) {
-            w.beginSection(p + ".dma");
-            g.dma->snapshot(w);
-            w.endSection();
-        }
-        w.beginSection(p + ".core");
-        g.cu->snapshot(w);
-        w.endSection();
-    }
-
-    for (std::size_t i = 0; i < cpus.size(); ++i) {
-        const std::string p = "cpu" + std::to_string(i);
-        const CpuNode &c = cpus[i];
-        w.beginSection(p + ".tlb");
-        c.tlb->snapshot(w);
-        w.endSection();
-        w.beginSection(p + ".l1");
-        c.l1->snapshot(w);
-        w.endSection();
-        w.beginSection(p + ".core");
-        c.core->snapshot(w);
-        w.endSection();
-    }
-
-    if (_checker) {
-        w.beginSection("checker");
-        _checker->snapshot(w);
-        w.endSection();
-    }
-
-    if (_injector) {
-        w.beginSection("injector");
-        _injector->snapshot(w);
-        w.endSection();
-    }
-}
-
-void
-System::restoreSnapshot(SnapshotReader &r)
-{
-    const std::uint64_t want = snapshotConfigHash(cfg);
-    if (r.configHash() != want) {
-        fatal("snapshot configuration hash mismatch: snapshot was "
-              "taken with config hash 0x", std::hex, r.configHash(),
-              " but this system's is 0x", want, std::dec,
-              " (always-excepted fields: verify)");
-    }
-
-    {
-        r.openSection("engine");
-        EventQueue::ClockState s;
-        s.curTick = r.u64();
-        s.lastEventTick = r.u64();
-        s.nextSeq = r.u64();
-        s.executed = r.u64();
-        s.peakLive = r.u64();
-        s.wheelInserts = r.u64();
-        s.farInserts = r.u64();
-        r.closeSection();
-        eq.restoreClock(s);
-    }
-
-    r.openSection("mem");
-    mem.restore(r);
-    r.closeSection();
-    r.openSection("pagetable");
-    pageTable.restore(r);
-    r.closeSection();
-    r.openSection("noc");
-    mesh.restore(r);
-    r.closeSection();
-    r.openSection("fabric");
-    fabric.restore(r);
-    r.closeSection();
-
-    for (std::size_t i = 0; i < llcBanks.size(); ++i) {
-        r.openSection("llc" + std::to_string(i));
-        llcBanks[i]->restore(r);
-        r.closeSection();
-    }
-
-    for (std::size_t i = 0; i < memBackends.size(); ++i) {
-        r.openSection("memback" + std::to_string(i));
-        memBackends[i]->restore(r);
-        r.closeSection();
-    }
-
-    for (std::size_t i = 0; i < gpus.size(); ++i) {
-        const std::string p = "cu" + std::to_string(i);
-        GpuNode &g = gpus[i];
-        r.openSection(p + ".tlb");
-        g.tlb->restore(r);
-        r.closeSection();
-        r.openSection(p + ".l1");
-        g.l1->restore(r);
-        r.closeSection();
-        if (g.spad) {
-            r.openSection(p + ".scratch");
-            g.spad->restore(r);
-            r.closeSection();
-        }
-        if (g.stash) {
-            r.openSection(p + ".stash");
-            g.stash->restore(r);
-            r.closeSection();
-        }
-        if (g.dma) {
-            r.openSection(p + ".dma");
-            g.dma->restore(r);
-            r.closeSection();
-        }
-        r.openSection(p + ".core");
-        g.cu->restore(r);
-        r.closeSection();
-    }
-
-    for (std::size_t i = 0; i < cpus.size(); ++i) {
-        const std::string p = "cpu" + std::to_string(i);
-        CpuNode &c = cpus[i];
-        r.openSection(p + ".tlb");
-        c.tlb->restore(r);
-        r.closeSection();
-        r.openSection(p + ".l1");
-        c.l1->restore(r);
-        r.closeSection();
-        r.openSection(p + ".core");
-        c.core->restore(r);
-        r.closeSection();
-    }
-
-    // The checker section is optional by design (cfg.verify is not
-    // part of the config hash): a checkpoint taken without the
-    // checker restores into a checked system with an empty golden
-    // image, which merely means pre-checkpoint stores go unaudited.
-    if (_checker && r.hasSection("checker")) {
-        r.openSection("checker");
-        _checker->restore(r);
-        r.closeSection();
-    }
-
-    // Likewise optional; when present it restores the RNG stream
-    // position, FIFO clamps, and fault counters, so the resumed run
-    // replays exactly the perturbations the uninterrupted run would
-    // have drawn.
-    if (_injector && r.hasSection("injector")) {
-        r.openSection("injector");
-        _injector->restore(r);
-        r.closeSection();
-    }
-}
-
-void
-System::writeCheckpoint(const RunControl &ctl,
-                        const Workload &wl,
-                        std::uint32_t next_phase,
-                        bool baseline_captured,
-                        const SystemStats &baseline) const
-{
-    SnapshotWriter w;
-    w.configHash = snapshotConfigHash(cfg);
-    w.tick = eq.curTick();
-    w.phaseCursor = next_phase;
-    w.workload = wl.name;
-    saveSnapshot(w);
-    w.beginSection("run");
-    w.u32(next_phase);
-    w.b(baseline_captured);
-    writeSystemStats(w, baseline);
-    w.endSection();
-    // Optional, like the checker/injector sections: present only for
-    // workloads that carry generator state worth pinning.
-    if (wl.snapshotState) {
-        w.beginSection("workload");
-        wl.snapshotState(w);
-        w.endSection();
-    }
-
-    const std::string label =
-        ctl.checkpointLabel.empty() ? wl.name : ctl.checkpointLabel;
-    std::string path = ctl.checkpointDir;
-    if (!path.empty() && path.back() != '/')
-        path += '/';
-    path += "CKPT_" + label + "@" + std::to_string(eq.curTick()) +
-            ".snap";
-    w.writeFile(path);
 }
 
 } // namespace stashsim

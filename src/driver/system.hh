@@ -23,10 +23,8 @@
 #ifndef STASHSIM_DRIVER_SYSTEM_HH
 #define STASHSIM_DRIVER_SYSTEM_HH
 
-#include <atomic>
 #include <iosfwd>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -49,7 +47,6 @@
 #include "report/stats_registry.hh"
 #include "sim/event_queue.hh"
 #include "sim/simperf.hh"
-#include "snapshot/snapshot.hh"
 #include "workloads/workload.hh"
 
 namespace stashsim
@@ -58,50 +55,6 @@ namespace stashsim
 class FaultInjector;
 class ProtocolChecker;
 class Watchdog;
-
-/**
- * Checkpoint/restore policy for one run (src/snapshot).  Checkpoints
- * are taken only at phase-end drain points, where every event queue
- * is empty and all in-flight memory activity has resolved — the only
- * moments the component state is serializable without also capturing
- * live event callbacks.
- */
-struct RunControl
-{
-    /**
-     * Write a checkpoint at the first phase boundary at least this
-     * many ticks after the previous one (0 disables checkpointing).
-     * The final phase never checkpoints: the run is about to finish.
-     */
-    Tick checkpointEveryTicks = 0;
-    /** Directory for CKPT_<label>@<tick>.snap files. */
-    std::string checkpointDir;
-    /** File-name label identifying the run (defaults to workload). */
-    std::string checkpointLabel;
-    /** Path of a snapshot to resume from (empty: run from tick 0). */
-    std::string restoreFrom;
-
-    /**
-     * Cooperative interrupt flag (signal handlers set it).  Checked
-     * at phase boundaries only — the same drain points checkpoints
-     * use.  When observed true the run writes a final checkpoint
-     * (when @ref checkpointDir is set) and throws RunInterrupted.
-     */
-    const std::atomic<bool> *interrupt = nullptr;
-};
-
-/**
- * Thrown out of System::run when RunControl::interrupt goes true: the
- * run stopped cleanly at a phase boundary after dropping a final
- * checkpoint, so it is resumable — callers must treat this as
- * "interrupted", not "failed".
- */
-class RunInterrupted : public std::runtime_error
-{
-  public:
-    explicit RunInterrupted(const std::string &workload)
-        : std::runtime_error("run interrupted: " + workload) {}
-};
 
 /** Everything a bench or test needs from one simulated run. */
 struct RunResult
@@ -132,29 +85,8 @@ class System
     System(const System &) = delete;
     System &operator=(const System &) = delete;
 
-    /**
-     * Runs @p wl and reports the results.  @p ctl may ask for
-     * periodic checkpoints and/or for the run to resume from a
-     * snapshot (taken from the same configuration and workload; the
-     * restored run then produces byte-identical artifacts to an
-     * uninterrupted one).
-     */
-    RunResult run(Workload wl, const RunControl &ctl = {});
-
-    /**
-     * Serializes every stateful component into @p w, one section per
-     * component.  Only valid at a drain point (between phases): the
-     * event queue empty, no in-flight coherence activity.
-     */
-    void saveSnapshot(SnapshotWriter &w) const;
-
-    /**
-     * Restores every component section into this freshly-constructed
-     * System.  fatal()s when the snapshot's configuration hash does
-     * not match this system's configuration: a checkpoint restores
-     * only into the machine that wrote it.
-     */
-    void restoreSnapshot(SnapshotReader &r);
+    /** Runs @p wl from tick 0 to completion and reports the results. */
+    RunResult run(Workload wl);
 
     /** Aggregated statistics so far (tests may call mid-run). */
     SystemStats statsSnapshot() const;
@@ -215,12 +147,12 @@ class System
     void runCpuPhase(Phase &phase, std::vector<std::string> *errors);
     void drain(const char *what = "drain");
 
-    /** Writes one CKPT_<label>@<tick>.snap at the current drain point. */
-    void writeCheckpoint(const RunControl &ctl,
-                         const Workload &wl,
-                         std::uint32_t next_phase,
-                         bool baseline_captured,
-                         const SystemStats &baseline) const;
+    /**
+     * Panics unless every component is quiescent: no MSHR, miss slot,
+     * parked access, DMA burst, staged message or thread block left.
+     * The driver calls it at each phase end and after the final flush.
+     */
+    void assertDrained() const;
 
     void registerComponentStats();
 

@@ -5,7 +5,6 @@
 
 #include "mem/group_by_key.hh"
 #include "sim/log.hh"
-#include "snapshot/snapshot.hh"
 #include "verify/watchdog.hh"
 
 namespace stashsim
@@ -598,40 +597,12 @@ ComputeUnit::execMemLocal(WarpCtx &warp, const WarpOp &op)
 }
 
 void
-ComputeUnit::snapshot(SnapshotWriter &w) const
+ComputeUnit::assertDrained() const
 {
-    // Checkpoints happen only between kernels.
     sim_assert(!kernelActive);
     sim_assert(blocks.empty());
     sim_assert(warps.empty());
     sim_assert(lineReqs.live() == 0);
-    writeStats(w, _stats);
-    w.u32(allocPtr);
-    w.u32(std::uint32_t(freeLocalSpace.size()));
-    for (const auto &[base, bytes] : freeLocalSpace) {
-        w.u32(base);
-        w.u32(bytes);
-    }
-}
-
-void
-ComputeUnit::restore(SnapshotReader &r)
-{
-    sim_assert(!kernelActive);
-    sim_assert(blocks.empty());
-    sim_assert(warps.empty());
-    readStats(r, _stats);
-    allocPtr = r.u32();
-    r.require(allocPtr == 0 || allocPtr < cfg.localBytes,
-              "local allocation pointer past the local space");
-    // Between kernels every block has freed its local space, so the
-    // free list is the one interval the constructor makes.
-    r.require(r.u32() == 1, "local free list is not one interval");
-    const LocalAddr base = r.u32();
-    const std::uint32_t bytes = r.u32();
-    r.require(base == 0 && bytes == cfg.localBytes,
-              "local free list is not the whole local space");
-    freeLocalSpace.assign(1, {base, bytes});
 }
 
 } // namespace stashsim

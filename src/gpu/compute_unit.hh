@@ -40,9 +40,6 @@ namespace stashsim
 
 class Watchdog;
 
-class SnapshotWriter;
-class SnapshotReader;
-
 /**
  * One GPU compute unit.
  */
@@ -69,18 +66,10 @@ class ComputeUnit
     void setWatchdog(Watchdog *w) { watchdog = w; }
 
     /**
-     * Serializes stats + the local-space allocator (free list and
-     * bump pointer persist across kernels).  Only valid between
-     * kernels: no resident blocks or warps.
+     * Panics unless the CU is between kernels: no resident blocks or
+     * warps, no line access in flight.
      */
-    void snapshot(SnapshotWriter &w) const;
-
-    /**
-     * Restores an inter-kernel checkpoint.  Throws SnapshotError
-     * unless the free list is the whole local space, one interval,
-     * and the allocation pointer lies inside it.
-     */
-    void restore(SnapshotReader &r);
+    void assertDrained() const;
 
   private:
     struct TbCtx;

@@ -1,7 +1,6 @@
 #include "mem/backend/fixed_backend.hh"
 
 #include "mem/main_memory.hh"
-#include "snapshot/snapshot.hh"
 
 namespace stashsim
 {
@@ -30,18 +29,6 @@ FixedBackend::writeLine(PhysAddr line_pa, WordMask mask,
 {
     ++_stats.writes;
     mem.writeLine(line_pa, mask, d);
-}
-
-void
-FixedBackend::snapshot(SnapshotWriter &w) const
-{
-    writeStats(w, _stats);
-}
-
-void
-FixedBackend::restore(SnapshotReader &r)
-{
-    readStats(r, _stats);
 }
 
 } // namespace stashsim

@@ -25,8 +25,6 @@ class FixedBackend : public MemBackend
     void readLine(PhysAddr line_pa, ReadCallback done) override;
     void writeLine(PhysAddr line_pa, WordMask mask,
                    const LineData &d) override;
-    void snapshot(SnapshotWriter &w) const override;
-    void restore(SnapshotReader &r) override;
 
   private:
     const Tick readTicks;

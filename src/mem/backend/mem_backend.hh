@@ -14,14 +14,10 @@
  *    immediately (LLC evictions never wait for the write), while the
  *    timing cost is folded into internal channel state that delays
  *    *later reads*.  This is what makes every backend trivially
- *    deterministic and snapshotable: write cost is arithmetic on
- *    plain counters, never a live event.
+ *    deterministic: write cost is arithmetic on plain counters,
+ *    never a live event.
  *  - One backend instance serves one LLC bank, and its timing state
  *    is that bank's alone (DESIGN.md section 13).
- *  - snapshot()/restore() run at drain points only.  The LLC
- *    guarantees no fill is outstanding there (no pending read
- *    completions to capture); pending-write bookkeeping is plain
- *    data and serializes directly.
  */
 
 #ifndef STASHSIM_MEM_BACKEND_MEM_BACKEND_HH
@@ -40,8 +36,6 @@ namespace stashsim
 {
 
 class MainMemory;
-class SnapshotReader;
-class SnapshotWriter;
 
 /**
  * Abstract backing store serving one LLC bank; see file comment for
@@ -77,16 +71,6 @@ class MemBackend
     /** Registry name ("fixed", "sttmram", "scmcache"). */
     const char *name() const { return memBackendName(_kind); }
     MemBackendKind kind() const { return _kind; }
-
-    /**
-     * Serializes the timing model's state.  Only valid at a drain
-     * point: the owning LLC bank has no fill outstanding, so no read
-     * completion is in flight.
-     */
-    virtual void snapshot(SnapshotWriter &w) const = 0;
-
-    /** Restores a drain-point checkpoint (same backend config). */
-    virtual void restore(SnapshotReader &r) = 0;
 
   protected:
     MemBackend(MemBackendKind kind, EventQueue &eq, MainMemory &mem,

@@ -4,7 +4,6 @@
 
 #include "mem/main_memory.hh"
 #include "sim/log.hh"
-#include "snapshot/snapshot.hh"
 
 namespace stashsim
 {
@@ -144,53 +143,6 @@ ScmCacheBackend::dirtyLines() const
     for (const TagEntry &e : tags)
         n += e.valid && e.dirty ? 1 : 0;
     return n;
-}
-
-void
-ScmCacheBackend::snapshot(SnapshotWriter &w) const
-{
-    writeStats(w, _stats);
-    w.u32(sets);
-    w.u32(assoc);
-    w.u64(useClock);
-    w.u64(dramBusyUntil);
-    w.u64(scmBusyUntil);
-    std::uint32_t valid = 0;
-    for (const TagEntry &e : tags)
-        valid += e.valid ? 1 : 0;
-    w.u32(valid);
-    for (std::size_t i = 0; i < tags.size(); ++i) {
-        const TagEntry &e = tags[i];
-        if (!e.valid)
-            continue;
-        w.u32(std::uint32_t(i));
-        w.u64(e.pa);
-        w.b(e.dirty);
-        w.u64(e.lastUse);
-    }
-}
-
-void
-ScmCacheBackend::restore(SnapshotReader &r)
-{
-    readStats(r, _stats);
-    r.require(r.u32() == sets, "scmcache set count mismatch");
-    r.require(r.u32() == assoc, "scmcache associativity mismatch");
-    useClock = r.u64();
-    dramBusyUntil = r.u64();
-    scmBusyUntil = r.u64();
-    tags.assign(tags.size(), TagEntry{});
-    const std::uint32_t valid = r.u32();
-    for (std::uint32_t k = 0; k < valid; ++k) {
-        const std::uint32_t i = r.u32();
-        r.require(i < tags.size(), "scmcache tag index out of range");
-        TagEntry &e = tags[i];
-        r.require(!e.valid, "duplicate scmcache tag index");
-        e.valid = true;
-        e.pa = r.u64();
-        e.dirty = r.b();
-        e.lastUse = r.u64();
-    }
 }
 
 } // namespace stashsim

@@ -17,7 +17,7 @@
  * does or does not generate, the question the memback bench asks.
  *
  * All state is the tag array plus two busy-until ticks: plain data,
- * deterministic, snapshotable at any drain point.
+ * and deterministic.
  */
 
 #ifndef STASHSIM_MEM_BACKEND_SCMCACHE_BACKEND_HH
@@ -39,8 +39,6 @@ class ScmCacheBackend : public MemBackend
     void readLine(PhysAddr line_pa, ReadCallback done) override;
     void writeLine(PhysAddr line_pa, WordMask mask,
                    const LineData &d) override;
-    void snapshot(SnapshotWriter &w) const override;
-    void restore(SnapshotReader &r) override;
 
     /** Valid DRAM-cache lines (tests). */
     std::size_t residentLines() const;

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "mem/main_memory.hh"
-#include "snapshot/snapshot.hh"
 
 namespace stashsim
 {
@@ -78,30 +77,6 @@ SttMramBackend::writeLine(PhysAddr line_pa, WordMask mask,
     const Tick start =
         writeDone.empty() ? now : std::max(now, writeDone.back());
     writeDone.push_back(start + writeTicks);
-}
-
-void
-SttMramBackend::snapshot(SnapshotWriter &w) const
-{
-    writeStats(w, _stats);
-    w.u32(std::uint32_t(writeDone.size()));
-    for (Tick t : writeDone)
-        w.u64(t);
-}
-
-void
-SttMramBackend::restore(SnapshotReader &r)
-{
-    readStats(r, _stats);
-    writeDone.clear();
-    const std::uint32_t n = r.u32();
-    Tick prev = 0;
-    for (std::uint32_t i = 0; i < n; ++i) {
-        const Tick t = r.u64();
-        r.require(t >= prev, "sttmram write queue not ascending");
-        prev = t;
-        writeDone.push_back(t);
-    }
 }
 
 } // namespace stashsim

@@ -15,8 +15,7 @@
  * shift every pending completion by their own service time (the
  * pause), and a read that finds the queue full must first wait out
  * the head write.  No write ever schedules an event, so the whole
- * model is a deque of ticks — deterministic and trivially
- * snapshotable at drain points.
+ * model is a deque of ticks, and deterministic.
  */
 
 #ifndef STASHSIM_MEM_BACKEND_STTMRAM_BACKEND_HH
@@ -38,8 +37,6 @@ class SttMramBackend : public MemBackend
     void readLine(PhysAddr line_pa, ReadCallback done) override;
     void writeLine(PhysAddr line_pa, WordMask mask,
                    const LineData &d) override;
-    void snapshot(SnapshotWriter &w) const override;
-    void restore(SnapshotReader &r) override;
 
     /** Writes still draining (after completed ones age out). */
     std::size_t pendingWrites() const;

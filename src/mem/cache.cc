@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "sim/log.hh"
-#include "snapshot/snapshot.hh"
 #include "verify/protocol_checker.hh"
 
 namespace stashsim
@@ -552,70 +551,12 @@ L1Cache::probe(Addr va)
 }
 
 void
-L1Cache::snapshot(SnapshotWriter &w) const
+L1Cache::assertDrained() const
 {
-    // Checkpoints happen only at drain points, where no transaction
-    // is in flight by construction.
     sim_assert(mshrs.live() == 0);
     sim_assert(parked.empty());
-    w.u32(sets);
-    w.u32(params.assoc);
-    w.u64(useClock);
-    writeStats(w, _stats);
-    std::uint32_t allocated = 0;
     for (const Line &line : lines)
-        allocated += line.allocated ? 1 : 0;
-    w.u32(allocated);
-    for (std::size_t i = 0; i < lines.size(); ++i) {
-        const Line &line = lines[i];
-        if (!line.allocated)
-            continue;
-        sim_assert(!line.pinned);
-        w.u32(std::uint32_t(i));
-        w.u64(line.pa);
-        for (unsigned j = 0; j < wordsPerLine; ++j)
-            w.u8(std::uint8_t(line.st[j]));
-        for (unsigned j = 0; j < wordsPerLine; ++j)
-            w.u32(line.data.w[j]);
-        w.u64(line.lastUse);
-    }
-}
-
-void
-L1Cache::restore(SnapshotReader &r)
-{
-    sim_assert(mshrs.live() == 0);
-    sim_assert(parked.empty());
-    r.require(r.u32() == sets, "L1 set count mismatch");
-    r.require(r.u32() == params.assoc, "L1 associativity mismatch");
-    useClock = r.u64();
-    readStats(r, _stats);
-    lines.assign(lines.size(), Line{});
-    const std::uint32_t allocated = r.u32();
-    for (std::uint32_t k = 0; k < allocated; ++k) {
-        const std::uint32_t i = r.u32();
-        r.require(i < lines.size(), "L1 line index out of range");
-        Line &line = lines[i];
-        r.require(!line.allocated, "duplicate L1 line index");
-        const PhysAddr pa = r.u64();
-        r.require(pa % lineBytes == 0, "L1 line address not line-aligned");
-        r.require(setIndex(pa) == i / params.assoc,
-                  "L1 line stored outside its set");
-        r.require(!findLine(pa), "L1 line stored twice in its set");
-        line.allocated = true;
-        line.pa = pa;
-        for (unsigned j = 0; j < wordsPerLine; ++j) {
-            const std::uint8_t st = r.u8();
-            r.require(st <= std::uint8_t(WordState::Registered),
-                      "bad word state");
-            line.st[j] = WordState(st);
-        }
-        for (unsigned j = 0; j < wordsPerLine; ++j)
-            line.data.w[j] = r.u32();
-        line.lastUse = r.u64();
-        r.require(line.lastUse <= useClock,
-                  "L1 line used after the use clock");
-    }
+        sim_assert(!line.allocated || !line.pinned);
 }
 
 } // namespace stashsim

@@ -46,8 +46,6 @@ namespace stashsim
 {
 
 class ProtocolChecker;
-class SnapshotWriter;
-class SnapshotReader;
 
 /**
  * One private L1 cache.
@@ -111,18 +109,10 @@ class L1Cache : public MemObject
             &fn) const;
 
     /**
-     * Serializes tags/state/data/LRU + stats.  Only valid at a drain
-     * point: no MSHRs, no parked accesses, no pinned lines.
+     * Panics unless the cache is at a drain point: no MSHRs, no
+     * parked accesses, no pinned lines.
      */
-    void snapshot(SnapshotWriter &w) const;
-
-    /**
-     * Restores a drain-point checkpoint into this (same-geometry)
-     * cache.  Throws SnapshotError unless each line is line-aligned,
-     * sits in the set its index names, appears once in that set, and
-     * was last used no later than the use clock.
-     */
-    void restore(SnapshotReader &r);
+    void assertDrained() const;
 
   private:
     struct Line

@@ -1,7 +1,6 @@
 #include "mem/dma_engine.hh"
 
 #include "sim/log.hh"
-#include "snapshot/snapshot.hh"
 #include "verify/protocol_checker.hh"
 #include "verify/watchdog.hh"
 
@@ -172,20 +171,10 @@ DmaEngine::receive(const Msg &msg)
 }
 
 void
-DmaEngine::snapshot(SnapshotWriter &w) const
-{
-    // Checkpoints happen only at drain points: every burst finished.
-    sim_assert(pending.empty());
-    sim_assert(queued.empty() && queuedHead == 0);
-    writeStats(w, _stats);
-}
-
-void
-DmaEngine::restore(SnapshotReader &r)
+DmaEngine::assertDrained() const
 {
     sim_assert(pending.empty());
     sim_assert(queued.empty() && queuedHead == 0);
-    readStats(r, _stats);
 }
 
 } // namespace stashsim

@@ -40,8 +40,6 @@ namespace stashsim
 {
 
 class ProtocolChecker;
-class SnapshotReader;
-class SnapshotWriter;
 class Watchdog;
 
 /**
@@ -80,14 +78,8 @@ class DmaEngine : public MemObject
     /** Reports per-line completions as forward progress to @p w. */
     void setWatchdog(Watchdog *w) { watchdog = w; }
 
-    /**
-     * Serializes stats (the only state that outlives a drain point:
-     * no pending lines, no queued requests).
-     */
-    void snapshot(SnapshotWriter &w) const;
-
-    /** Restores a drain-point checkpoint. */
-    void restore(SnapshotReader &r);
+    /** Panics unless every burst finished and none is queued. */
+    void assertDrained() const;
 
   private:
     struct Transfer

@@ -3,7 +3,6 @@
 #include <ostream>
 
 #include "sim/log.hh"
-#include "snapshot/snapshot.hh"
 #include "verify/fault_injector.hh"
 
 namespace stashsim
@@ -131,37 +130,11 @@ Fabric::dumpState(std::ostream &os) const
     }
 }
 
-bool
-Fabric::stagedEmpty() const
+void
+Fabric::assertDrained() const
 {
     for (const auto &box : staged)
-        if (!box.empty())
-            return false;
-    return true;
-}
-
-void
-Fabric::snapshot(SnapshotWriter &w) const
-{
-    // Checkpoints happen only at drain points, where every staged
-    // mailbox has been flushed and delivered.
-    sim_assert(stagedEmpty());
-    w.u32(numMsgTypes);
-    for (unsigned t = 0; t < numMsgTypes; ++t) {
-        w.u64(_sent[t]);
-        w.u64(_delivered[t]);
-    }
-}
-
-void
-Fabric::restore(SnapshotReader &r)
-{
-    sim_assert(stagedEmpty());
-    r.require(r.u32() == numMsgTypes, "message-type count mismatch");
-    for (unsigned t = 0; t < numMsgTypes; ++t) {
-        _sent[t] = r.u64();
-        _delivered[t] = r.u64();
-    }
+        sim_assert(box.empty());
 }
 
 } // namespace stashsim

@@ -69,14 +69,6 @@ class Fabric
     /** Mesh node of core @p core. */
     NodeId nodeOfCore(CoreId core) const;
 
-    /** True when core @p core is registered and its node has a @p unit. */
-    bool
-    coreHasUnit(CoreId core, Unit unit) const
-    {
-        return core < coreNodes.size() && coreNodes[core] < objects.size() &&
-               objects[coreNodes[core]][unsigned(unit)] != nullptr;
-    }
-
     /** Mesh node holding the LLC bank for line @p line_pa. */
     NodeId
     nodeOfLlc(PhysAddr line_pa) const
@@ -129,23 +121,11 @@ class Fabric
     /** Writes the per-type in-flight table (watchdog diagnostics). */
     void dumpState(std::ostream &os) const;
 
-    /** True when no staged message awaits a flush (drain invariant). */
-    bool stagedEmpty() const;
+    /** Panics when a staged message awaits a flush (drain invariant). */
+    void assertDrained() const;
 
     /** Flushes that routed at least one message (perf triage). */
     std::uint64_t flushCount() const { return _flushes; }
-
-    /**
-     * Serializes the sent/delivered counters.  Structural state
-     * (object registrations) is rebuilt by constructing the System;
-     * staged mailboxes are empty at every drain point and the flush
-     * arm always resolves within the staging tick, so neither needs
-     * serializing.
-     */
-    void snapshot(SnapshotWriter &w) const;
-
-    /** Restores the counters from a checkpoint. */
-    void restore(SnapshotReader &r);
 
   private:
     /** One staged (sent, not yet routed) message. */

@@ -2,7 +2,6 @@
 
 #include "mem/group_by_key.hh"
 #include "sim/log.hh"
-#include "snapshot/snapshot.hh"
 
 namespace stashsim
 {
@@ -395,7 +394,7 @@ LlcBank::serveWb(const Msg &msg, Line &line)
 void
 LlcBank::flushDirtyToMemory()
 {
-    forEachLine([&](std::size_t, PhysAddr pa, Line &line) {
+    forEachLine([&](PhysAddr pa, Line &line) {
         if (!line.dirty)
             return;
         LineData d;
@@ -417,7 +416,7 @@ LlcBank::forEachDirectoryWord(
     const std::function<void(PhysAddr, WordState, std::uint32_t, CoreId,
                              bool, unsigned)> &fn) const
 {
-    forEachLine([&](std::size_t, PhysAddr pa, const Line &line) {
+    forEachLine([&](PhysAddr pa, const Line &line) {
         if (line.fillPending)
             return;
         for (unsigned w = 0; w < wordsPerLine; ++w) {
@@ -432,10 +431,22 @@ std::size_t
 LlcBank::pendingFillLines() const
 {
     std::size_t n = 0;
-    forEachLine([&](std::size_t, PhysAddr, const Line &line) {
+    forEachLine([&](PhysAddr, const Line &line) {
         n += line.fillPending ? 1 : 0;
     });
     return n;
+}
+
+void
+LlcBank::assertDrained() const
+{
+    sim_assert(waiting.empty());
+    for (const auto &chunk : store) {
+        for (const Line &line : chunk) {
+            sim_assert(!line.fillPending);
+            sim_assert(line.inService == 0);
+        }
+    }
 }
 
 CoreId
@@ -446,94 +457,6 @@ LlcBank::ownerOf(PhysAddr pa)
         return invalidCore;
     const WordEntry &we = bodies[way]->words[lineWord(pa)];
     return we.state == WordState::Registered ? we.owner : invalidCore;
-}
-
-void
-LlcBank::snapshot(SnapshotWriter &w) const
-{
-    w.u32(sets);
-    w.u32(params.assoc);
-    w.u64(useClock);
-    writeStats(w, _stats);
-    std::uint32_t allocated = 0;
-    for (unsigned n : used)
-        allocated += n;
-    w.u32(allocated);
-    // Drain points have no fill in flight, no parked requests, and no
-    // bank access between accept and serve.
-    sim_assert(waiting.empty());
-    forEachLine([&](std::size_t i, PhysAddr pa, const Line &line) {
-        sim_assert(!line.fillPending);
-        sim_assert(line.inService == 0);
-        w.u32(std::uint32_t(i));
-        w.u64(pa);
-        w.b(line.dirty);
-        w.u64(line.lastUse);
-        for (const WordEntry &we : line.words) {
-            w.u8(std::uint8_t(we.state));
-            w.u32(we.data);
-            w.u32(we.owner);
-            w.b(we.ownerIsStash);
-            w.u8(we.mapIdx);
-        }
-    });
-}
-
-void
-LlcBank::restore(SnapshotReader &r)
-{
-    r.require(r.u32() == sets, "LLC set count mismatch");
-    r.require(r.u32() == params.assoc, "LLC associativity mismatch");
-    useClock = r.u64();
-    readStats(r, _stats);
-    used.assign(sets, 0);
-    store.clear();
-    const std::uint32_t allocated = r.u32();
-    for (std::uint32_t k = 0; k < allocated; ++k) {
-        const std::uint32_t savedIdx = r.u32();
-        r.require(savedIdx < std::uint64_t(sets) * params.assoc,
-                  "LLC line index out of range");
-        const PhysAddr pa = r.u64();
-        r.require(pa % lineBytes == 0,
-                  "LLC line address not line-aligned");
-        r.require(fabric.nodeOfLlc(pa) == node,
-                  "LLC line homed at another bank");
-        r.require(findWay(pa) == noWay, "LLC line stored twice");
-        const unsigned set = setIndex(pa);
-        // snapshot() writes each set's ways from way 0 up, with no
-        // gap: the only layout a run can reach.
-        r.require(savedIdx / params.assoc == set,
-                  "LLC line stored outside its set");
-        r.require(savedIdx % params.assoc == used[set],
-                  "LLC set's ways not stored from way 0 up");
-        Line &line = *bodies[addWay(set, pa)];
-        line.dirty = r.b();
-        line.lastUse = r.u64();
-        r.require(line.lastUse <= useClock,
-                  "LLC line used after the use clock");
-        for (WordEntry &we : line.words) {
-            const std::uint8_t st = r.u8();
-            r.require(st <= std::uint8_t(WordState::Registered),
-                      "bad word state");
-            we.state = WordState(st);
-            we.data = r.u32();
-            we.owner = r.u32();
-            we.ownerIsStash = r.b();
-            we.mapIdx = r.u8();
-            r.require(we.state != WordState::Registered ||
-                          fabric.coreHasUnit(we.owner,
-                                             we.ownerIsStash
-                                                 ? Unit::Stash
-                                                 : Unit::L1),
-                      "LLC word registered to an owner the fabric "
-                      "cannot reach");
-            r.require(we.state != WordState::Registered ||
-                          !we.ownerIsStash ||
-                          we.mapIdx < params.stashMapEntries,
-                      "LLC word registered to a stash map entry past "
-                      "the map's size");
-        }
-    }
 }
 
 } // namespace stashsim

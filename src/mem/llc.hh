@@ -24,7 +24,7 @@
  * The bank is sparse: a flat tag array and a per-set count of
  * allocated ways, with each line's body created on the line's first
  * fill.  A run touches a small fraction of the 4 MB, so construction,
- * flushes, snapshots and teardown visit only the lines it filled.
+ * flushes, drain checks and teardown visit only the lines it filled.
  * Capacity and replacement are those of the full array: a way, once
  * allocated, stays allocated, so a set's allocated ways are always
  * ways [0, used) and a miss takes the next one until the set is full
@@ -48,9 +48,6 @@
 namespace stashsim
 {
 
-class SnapshotWriter;
-class SnapshotReader;
-
 /**
  * A single LLC bank with DeNovo registry semantics.
  */
@@ -63,8 +60,6 @@ class LlcBank : public MemObject
         unsigned assoc = 16;
         Cycles accessCycles = 23;
         Tick clockPeriod = gpuClockPeriod;
-        /** Entries of each stash's map: a registration names one. */
-        unsigned stashMapEntries = 64;
     };
 
     /**
@@ -103,21 +98,10 @@ class LlcBank : public MemObject
     std::size_t pendingFillLines() const;
 
     /**
-     * Serializes tags/registry/data/LRU + stats.  Only valid at a
-     * drain point: no pending fills, no parked requests.
+     * Panics unless the bank is at a drain point: no fill pending, no
+     * parked request, no access between accept and serve.
      */
-    void snapshot(SnapshotWriter &w) const;
-
-    /**
-     * Restores a drain-point checkpoint of an identical-geometry bank.
-     * A section from another geometry, or with any line that is
-     * unaligned, homed at another bank, stored twice, out of its set
-     * or way order, used after the use clock, or registered to an
-     * owner the fabric cannot reach or to a stash map entry past
-     * `Params::stashMapEntries`, is a structured SnapshotError
-     * (DESIGN.md §11.6).
-     */
-    void restore(SnapshotReader &r);
+    void assertDrained() const;
 
   private:
     /** Per-word registry entry. */
@@ -161,7 +145,7 @@ class LlcBank : public MemObject
     /** Takes way used[set] of @p set for @p line_pa, with a new body. */
     std::size_t addWay(unsigned set, PhysAddr line_pa);
 
-    /** fn(index, pa, line) per allocated line, in (set, way) order. */
+    /** fn(pa, line) per allocated line, in (set, way) order. */
     template <class Fn>
     void
     forEachLine(Fn fn) const
@@ -169,7 +153,7 @@ class LlcBank : public MemObject
         for (unsigned s = 0; s < sets; ++s) {
             const std::size_t base = std::size_t(s) * params.assoc;
             for (std::size_t i = base; i < base + used[s]; ++i)
-                fn(i, tags[i], *bodies[i]);
+                fn(tags[i], *bodies[i]);
         }
     }
 

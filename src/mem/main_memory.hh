@@ -25,9 +25,6 @@
 namespace stashsim
 {
 
-class SnapshotWriter;
-class SnapshotReader;
-
 /**
  * The physical memory image.
  */
@@ -35,12 +32,6 @@ class MainMemory
 {
   public:
     MainMemory();
-
-    /** Serializes the sparse image, sorted by line address. */
-    void snapshot(SnapshotWriter &w) const;
-
-    /** Replaces the image with a checkpointed one. */
-    void restore(SnapshotReader &r);
 
     /** Reads the full line at physical line address @p line_pa. */
     LineData readLine(PhysAddr line_pa) const;

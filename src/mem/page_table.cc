@@ -1,12 +1,8 @@
 #include "mem/page_table.hh"
 
-#include <algorithm>
 #include <ios>
-#include <utility>
-#include <vector>
 
 #include "sim/log.hh"
-#include "snapshot/snapshot.hh"
 
 namespace stashsim
 {
@@ -82,39 +78,6 @@ PageTable::reverse(PhysAddr pa, Addr *va) const
         return false;
     *va = it->second + (pa - ppage);
     return true;
-}
-
-void
-PageTable::snapshot(SnapshotWriter &w) const
-{
-    std::vector<std::pair<Addr, PhysAddr>> pairs(vToP.begin(), vToP.end());
-    std::sort(pairs.begin(), pairs.end());
-    w.u64(pairs.size());
-    for (const auto &[v, p] : pairs) {
-        w.u64(v);
-        w.u64(p);
-    }
-}
-
-void
-PageTable::restore(SnapshotReader &r)
-{
-    vToP.clear();
-    pToV.clear();
-    const std::uint64_t n = r.u64();
-    for (std::uint64_t i = 0; i < n; ++i) {
-        const Addr v = r.u64();
-        const PhysAddr p = r.u64();
-        r.require(v == pageBase(v),
-                  "page table virtual page not page-aligned");
-        r.require(p == physPageOf(v),
-                  "page table physical page is not the virtual page's "
-                  "slot");
-        r.require(vToP.emplace(v, p).second,
-                  "page table virtual page stored twice");
-        r.require(pToV.emplace(p, v).second,
-                  "page table physical page stored twice");
-    }
 }
 
 } // namespace stashsim

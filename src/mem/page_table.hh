@@ -24,9 +24,6 @@
 namespace stashsim
 {
 
-class SnapshotWriter;
-class SnapshotReader;
-
 /**
  * Virtual-to-physical page mapping with order-independent,
  * hash-assigned physical pages.
@@ -57,17 +54,6 @@ class PageTable
 
     /** The physical page translate() assigns to page @p vpage. */
     static PhysAddr physPageOf(Addr vpage);
-
-    /** Serializes the mapping, sorted by virtual page. */
-    void snapshot(SnapshotWriter &w) const;
-
-    /**
-     * Replaces the mapping (both directions) from a checkpoint.  A
-     * virtual page that is unaligned or stored twice, or a physical
-     * page that is not the one physPageOf() assigns or is stored
-     * twice, is a structured SnapshotError (DESIGN.md §11.6).
-     */
-    void restore(SnapshotReader &r);
 
   private:
     std::unordered_map<Addr, PhysAddr> vToP; //!< page -> page base

@@ -24,9 +24,6 @@
 namespace stashsim
 {
 
-class SnapshotWriter;
-class SnapshotReader;
-
 /**
  * Per-CU scratchpad storage.
  */
@@ -34,12 +31,6 @@ class Scratchpad
 {
   public:
     explicit Scratchpad(unsigned bytes) : data(bytes / wordBytes, 0) {}
-
-    /** Serializes contents + stats (src/mem/scratchpad.cc). */
-    void snapshot(SnapshotWriter &w) const;
-
-    /** Restores contents + stats from a checkpoint. */
-    void restore(SnapshotReader &r);
 
     unsigned sizeBytes() const
     {

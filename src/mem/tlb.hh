@@ -11,7 +11,7 @@
  *
  * The counters count lookups: one per L1 access, since an access that
  * waits in the L1 keeps its translation (the L1 wait list), and one
- * per probe.  They feed no artifact; checkpoints carry them.
+ * per probe.  They feed no artifact.
  */
 
 #ifndef STASHSIM_MEM_TLB_HH
@@ -26,9 +26,6 @@
 
 namespace stashsim
 {
-
-class SnapshotWriter;
-class SnapshotReader;
 
 /**
  * An LRU TLB backed by the shared page table.
@@ -45,20 +42,6 @@ class Tlb
     std::uint64_t accesses() const { return _accesses; }
     std::uint64_t misses() const { return _misses; }
     std::size_t size() const { return lru.size(); }
-
-    /** Serializes counters + entries in MRU-first order. */
-    void snapshot(SnapshotWriter &w) const;
-
-    /**
-     * Restores counters and replacement state.  The one-entry MRU
-     * fast path resets to "no last page": it is a host-side shortcut
-     * whose hit and miss paths count identically, so warming it lazily
-     * cannot perturb any modelled counter.  Throws SnapshotError
-     * unless every entry is a page-aligned, distinct vpage mapped as
-     * the (already restored) page table maps it, and misses do not
-     * exceed accesses.
-     */
-    void restore(SnapshotReader &r);
 
   private:
     void touch(Addr vpage, PhysAddr ppage);

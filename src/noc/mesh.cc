@@ -3,7 +3,6 @@
 #include <cstdlib>
 
 #include "sim/log.hh"
-#include "snapshot/snapshot.hh"
 
 namespace stashsim
 {
@@ -82,33 +81,6 @@ Mesh::route(NodeId src, NodeId dst, unsigned payload_bytes, MsgClass cls,
     _stats.flitHops[unsigned(cls)] += Counter(flits) * links;
 
     return t;
-}
-
-void
-Mesh::snapshot(SnapshotWriter &w) const
-{
-    writeStats(w, _stats);
-    w.u32(std::uint32_t(routers.size()));
-    for (const Router &rt : routers)
-        for (unsigned d = 0; d < unsigned(Direction::NumDirections); ++d)
-            w.u64(rt.busyUntil(Direction(d)));
-}
-
-void
-Mesh::restore(SnapshotReader &r)
-{
-    readStats(r, _stats);
-    r.require(r.u32() == routers.size(), "router count mismatch");
-    for (Router &rt : routers) {
-        for (unsigned d = 0; d < unsigned(Direction::NumDirections); ++d) {
-            // At a drain point every packet has arrived, so no link
-            // is reserved past the restored engine tick.
-            const Tick busy = r.u64();
-            r.require(busy <= eq.curTick(),
-                      "router link reserved past the engine tick");
-            rt.setBusyUntil(Direction(d), busy);
-        }
-    }
 }
 
 } // namespace stashsim

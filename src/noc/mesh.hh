@@ -29,9 +29,6 @@
 namespace stashsim
 {
 
-class SnapshotWriter;
-class SnapshotReader;
-
 /** Mesh timing parameters, in uncore (GPU-domain) cycles. */
 struct MeshParams
 {
@@ -98,16 +95,6 @@ class Mesh
     /** Per-test access to routers. */
     Router &router(NodeId n) { return routers.at(n); }
     const Router &router(NodeId n) const { return routers.at(n); }
-
-    /** Serializes traffic counters + per-router channel reservations. */
-    void snapshot(SnapshotWriter &w) const;
-
-    /**
-     * Restores counters and reservations from a checkpoint, after the
-     * event queue's clock.  A reservation past the queue's curTick is
-     * a SnapshotError.
-     */
-    void restore(SnapshotReader &r);
 
   private:
     unsigned nodeX(NodeId n) const { return n % params.width; }

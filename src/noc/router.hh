@@ -57,13 +57,6 @@ class Router
     /** Clears all channel reservations. */
     void reset() { _busyUntil.fill(0); }
 
-    /** Checkpoint restore: forces one link's reservation horizon. */
-    void
-    setBusyUntil(Direction dir, Tick t)
-    {
-        _busyUntil[unsigned(dir)] = t;
-    }
-
   private:
     std::array<Tick, unsigned(Direction::NumDirections)> _busyUntil{};
 };

@@ -241,38 +241,6 @@ EventQueue::setTime(Tick t)
     wheelBase = t;
 }
 
-EventQueue::ClockState
-EventQueue::clockState() const
-{
-    ClockState s;
-    s.curTick = _curTick;
-    s.lastEventTick = _lastEventTick;
-    s.nextSeq = nextSeq;
-    s.executed = _executed;
-    s.peakLive = _peakLive;
-    s.wheelInserts = _wheelInserts;
-    s.farInserts = _farInserts;
-    return s;
-}
-
-void
-EventQueue::restoreClock(const ClockState &s)
-{
-    sim_assert(_size == 0);
-    sim_assert(s.curTick >= s.lastEventTick);
-    // setTime() both moves the clock and re-anchors the wheel window
-    // (hence the far-horizon cutoff); it must run before
-    // _lastEventTick is restored because it asserts monotonicity
-    // against the queue's own (still-fresh) last-event tick.
-    setTime(s.curTick);
-    _lastEventTick = s.lastEventTick;
-    nextSeq = s.nextSeq;
-    _executed = s.executed;
-    _peakLive = std::size_t(s.peakLive);
-    _wheelInserts = s.wheelInserts;
-    _farInserts = s.farInserts;
-}
-
 void
 EventQueue::executeEvent(Event *ev)
 {

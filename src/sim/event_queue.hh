@@ -243,45 +243,13 @@ class EventQueue
 
     /**
      * Force-sets the current time on an EMPTY queue (forward or
-     * backward, but never before lastEventTick()).  Restore uses it
-     * to move a fresh queue to the checkpoint tick, and the driver
-     * uses it at drain completion to move the clock back to
+     * backward, but never before lastEventTick()).  The driver uses
+     * it at drain completion to move the clock back to
      * lastEventTick() when a trailing watchdog poll ran past it, so
      * controller-context code (phase boundaries, next-phase
      * scheduling) observes the tick the model finished at.
      */
     void setTime(Tick t);
-
-    /**
-     * Everything a checkpoint must carry to resume this queue's clock
-     * and observability counters exactly (src/snapshot).  Live events
-     * are never part of it: the driver only checkpoints at drain
-     * points, where every queue is empty by construction.
-     */
-    struct ClockState
-    {
-        Tick curTick = 0;
-        Tick lastEventTick = 0;
-        std::uint64_t nextSeq = 0;
-        std::uint64_t executed = 0;
-        std::uint64_t peakLive = 0;
-        std::uint64_t wheelInserts = 0;
-        std::uint64_t farInserts = 0;
-    };
-
-    /** Captures the clock/counter state for a checkpoint. */
-    ClockState clockState() const;
-
-    /**
-     * Restores a checkpointed clock into this (EMPTY, fresh) queue.
-     * Routes through setTime(), so the calendar wheelBase — and with
-     * it the wheel-vs-far classification cutoff at wheelBase +
-     * wheelSize — re-anchors at the restored time (same bug family as
-     * SetTimeReanchorsTheWheelAfterAFarPop: restoring only the tick
-     * would leave the cutoff at 0 and misroute every near event into
-     * the far heap).
-     */
-    void restoreClock(const ClockState &s);
 
     /** Schedules @p cb to run at absolute time @p when (>= curTick). */
     void schedule(Tick when, Callback cb, int priority = PriDefault);

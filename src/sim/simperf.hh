@@ -91,21 +91,6 @@ class SimPerf : public PhaseListener
      */
     void runBegin();
 
-    /**
-     * Overrides the measurement window's baseline counters.  A run
-     * restored from a checkpoint starts its engine at the checkpoint
-     * tick with the checkpoint's cumulative event count, but its
-     * deterministic perf{events,simTicks} must cover the whole run —
-     * the resume-parity contract — so the driver rebases to the
-     * pre-restore origin (0, 0) after runBegin().
-     */
-    void
-    rebase(std::uint64_t events0, Tick tick0)
-    {
-        eventsAtStart = events0;
-        tickAtStart = tick0;
-    }
-
     /** Everything measured since runBegin(). */
     SimPerfSummary summary() const;
 

@@ -6,10 +6,8 @@
  *
  *   magic        8 bytes  "STASHSNP"
  *   version      u32      snapshotVersion
- *   configHash   u64      snapshotConfigHash() of the writing system
- *   tick         u64      simulated time of the checkpoint
- *   phaseCursor  u32      workload phases completed
- *   workload     str      u32 length + bytes
+ *   configHash   u64      snapshotConfigHash() of the run's config
+ *   workload     str      u32 length + bytes (the run identity)
  *   sectionCount u32
  *   sections[]            u32 nameLen + name + u64 size + u32 crc32
  *   headerCrc    u32      crc32 over every byte above
@@ -123,9 +121,6 @@ struct Fnv1a
 std::uint64_t
 snapshotConfigHash(const SystemConfig &cfg)
 {
-    // The fields in their fixed historical order, so the hash keeps
-    // its value for every snapshot written so far.  cfg.verify is
-    // intentionally not mixed in; see the declaration comment.
     Fnv1a f;
     f.mix(snapshotVersion);
     f.mix(cfg.meshWidth);
@@ -154,8 +149,8 @@ snapshotConfigHash(const SystemConfig &cfg)
     f.mix(cfg.linkCycles);
     f.mix(cfg.nocFlitsPerCycle);
     // The memory backend's identity and every one of its knobs: a
-    // checkpoint taken against one backing-store model must never
-    // restore into another.
+    // result simulated against one backing-store model must never be
+    // served for another.
     f.mix(std::uint64_t(cfg.memBackend.kind));
     f.mix(cfg.memBackend.dramCycles);
     f.mix(cfg.memBackend.sttReadCycles);
@@ -172,6 +167,16 @@ snapshotConfigHash(const SystemConfig &cfg)
     f.mix(cfg.maxResidentTbsPerCu);
     f.mix(cfg.maxWarpsPerCu);
     f.mix(cfg.cpuOutstanding);
+    f.mix(cfg.verify.protocolChecker ? 1 : 0);
+    f.mix(cfg.verify.watchdog ? 1 : 0);
+    f.mix(cfg.verify.watchdogCheckTicks);
+    f.mix(cfg.verify.watchdogStallChecks);
+    f.mix(cfg.verify.faultInjection ? 1 : 0);
+    f.mix(cfg.verify.faultSeed);
+    f.mix(cfg.verify.faultDelayPermille);
+    f.mix(cfg.verify.faultMaxDelayCycles);
+    f.mix(cfg.verify.faultDupPermille);
+    f.mix(cfg.verify.faultDupDelayCycles);
     return f.h;
 }
 
@@ -230,8 +235,6 @@ SnapshotWriter::serialize() const
     out.insert(out.end(), snapshotMagic.begin(), snapshotMagic.end());
     putU32(out, snapshotVersion);
     putU64(out, configHash);
-    putU64(out, tick);
-    putU32(out, phaseCursor);
     putStr(out, workload);
     putU32(out, std::uint32_t(sections.size()));
     for (const auto &s : sections) {
@@ -297,8 +300,6 @@ SnapshotReader::SnapshotReader(std::vector<std::uint8_t> raw)
              " (this build reads version " +
              std::to_string(snapshotVersion) + ")");
     _configHash = u64();
-    _tick = u64();
-    _phaseCursor = u32();
     _workload = str();
 
     // The count and sizes are unvalidated until the header CRC below,
@@ -374,37 +375,11 @@ SnapshotReader::find(const std::string &name) const
     return nullptr;
 }
 
-bool
-SnapshotReader::hasSection(const std::string &name) const
-{
-    return find(name) != nullptr;
-}
-
-std::vector<std::string>
-SnapshotReader::sectionNames() const
-{
-    std::vector<std::string> names;
-    names.reserve(_sections.size());
-    for (const auto &s : _sections)
-        names.push_back(s.name);
-    return names;
-}
-
 void
 SnapshotReader::checkCrc(const Section &s) const
 {
     if (crc32(bytes.data() + s.offset, s.size) != s.crc)
         throw SnapshotError(s.name, "payload CRC mismatch (corrupt data)");
-}
-
-std::vector<std::uint8_t>
-SnapshotReader::sectionData(const std::string &name) const
-{
-    const Section *s = find(name);
-    if (!s)
-        throw SnapshotError(name, "section missing from snapshot");
-    checkCrc(*s);
-    return {bytes.begin() + s->offset, bytes.begin() + s->offset + s->size};
 }
 
 void
@@ -479,13 +454,6 @@ SnapshotReader::str()
     std::string s(bytes.begin() + cursor, bytes.begin() + cursor + n);
     cursor += n;
     return s;
-}
-
-void
-SnapshotReader::require(bool cond, const char *what) const
-{
-    if (!cond)
-        fail(what);
 }
 
 } // namespace stashsim

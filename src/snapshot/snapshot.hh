@@ -1,20 +1,18 @@
 /**
  * @file
- * Versioned, deterministic binary checkpoint format (DESIGN.md §11).
+ * Versioned, deterministic binary container for the sweep's RESULT
+ * cache (DESIGN.md §11).
  *
- * A snapshot is a manifest (magic, schema version, config hash, tick,
- * phase cursor, workload name) plus a table of named sections, each
- * carrying a CRC32 over its payload, followed by the concatenated
- * payloads.  Every multi-byte value is little-endian and fixed-width,
- * so a snapshot written by one run is byte-identical to one written by
- * any other run with the same state — the property the resume-parity
- * tests (tests/snapshot/) enforce mechanically.
+ * A snapshot is a manifest (magic, schema version, config hash, run
+ * identity) plus a table of named sections, each carrying a CRC32
+ * over its payload, followed by the concatenated payloads.  Every
+ * multi-byte value is little-endian and fixed-width, so the same
+ * result always serializes to the same bytes.
  *
  * Readers validate the header CRC on open and each section's CRC on
  * openSection(), so truncation and bit-flips surface as a structured
  * SnapshotError naming the failing section, never as undefined
- * behavior.  Unknown sections are ignored (forward compatibility);
- * missing optional sections are discovered via hasSection().
+ * behavior.  Unknown sections are ignored (forward compatibility).
  */
 
 #ifndef STASHSIM_SNAPSHOT_SNAPSHOT_HH
@@ -26,7 +24,6 @@
 #include <vector>
 
 #include "sim/stats.hh"
-#include "sim/types.hh"
 
 namespace stashsim
 {
@@ -34,7 +31,7 @@ namespace stashsim
 struct SystemConfig;
 
 /** Schema version written into every snapshot manifest. */
-constexpr std::uint32_t snapshotVersion = 1;
+constexpr std::uint32_t snapshotVersion = 2;
 
 /**
  * Structured snapshot failure: which section was being processed and
@@ -60,9 +57,10 @@ class SnapshotError : public std::runtime_error
 std::uint32_t crc32(const void *data, std::size_t n);
 
 /**
- * Hash of every SystemConfig field that shapes simulated state.
- * `verify` is deliberately excluded: its instruments contribute only
- * an optional snapshot section.
+ * Hash of every SystemConfig field, `verify` included: the checker,
+ * the watchdog and above all the fault injector change what a run
+ * reports, so a result cached under one setting is never served
+ * under another.
  */
 std::uint64_t snapshotConfigHash(const SystemConfig &cfg);
 
@@ -75,8 +73,6 @@ class SnapshotWriter
   public:
     /** @{ Manifest fields; set before serialize(). */
     std::uint64_t configHash = 0;
-    Tick tick = 0;
-    std::uint32_t phaseCursor = 0;
     std::string workload;
     /** @} */
 
@@ -131,17 +127,8 @@ class SnapshotReader
 
     /** @{ Manifest accessors. */
     std::uint64_t configHash() const { return _configHash; }
-    Tick tick() const { return _tick; }
-    std::uint32_t phaseCursor() const { return _phaseCursor; }
     const std::string &workload() const { return _workload; }
     /** @} */
-
-    /** True when the snapshot carries section @p name. */
-    bool hasSection(const std::string &name) const;
-    /** Section names in on-disk order. */
-    std::vector<std::string> sectionNames() const;
-    /** Raw payload bytes of section @p name (CRC-checked). */
-    std::vector<std::uint8_t> sectionData(const std::string &name) const;
 
     /** CRC-checks every section payload; throws on the first bad one. */
     void verifyAllSections() const;
@@ -167,9 +154,6 @@ class SnapshotReader
     std::string str();
     /** @} */
 
-    /** Throws SnapshotError(@e current section, @p what) when !cond. */
-    void require(bool cond, const char *what) const;
-
   private:
     struct Section
     {
@@ -186,8 +170,6 @@ class SnapshotReader
     std::vector<std::uint8_t> bytes;
     std::vector<Section> _sections;
     std::uint64_t _configHash = 0;
-    Tick _tick = 0;
-    std::uint32_t _phaseCursor = 0;
     std::string _workload;
 
     std::string current; //!< open section name ("" when none)
@@ -198,8 +180,8 @@ class SnapshotReader
 /** @{
  * Stats-struct (de)serialization driven by the struct's own visit()
  * enumeration, so a new counter is picked up automatically — and, by
- * the same token, changes the snapshot payload layout (bump
- * snapshotVersion when that matters across versions).
+ * the same token, changes the RESULT payload layout (bump
+ * snapshotVersion when it does).
  */
 template <class S>
 void

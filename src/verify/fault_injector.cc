@@ -1,10 +1,6 @@
 #include "verify/fault_injector.hh"
 
 #include <algorithm>
-#include <sstream>
-#include <vector>
-
-#include "snapshot/snapshot.hh"
 
 namespace stashsim
 {
@@ -78,43 +74,6 @@ FaultInjector::inject(NodeId src, NodeId dst, const Msg &msg,
         eq.schedule(release + extra, std::move(dispatch),
                     EventQueue::PriDelivery);
     }
-}
-
-void
-FaultInjector::snapshot(SnapshotWriter &w) const
-{
-    std::ostringstream os;
-    os << rng;
-    w.str(os.str());
-    std::vector<std::pair<std::pair<NodeId, NodeId>, Tick>> pairs(
-        lastRelease.begin(), lastRelease.end());
-    w.u64(pairs.size());
-    for (const auto &[key, tick] : pairs) {
-        w.u32(key.first);
-        w.u32(key.second);
-        w.u64(tick);
-    }
-    w.u64(_stats.messages);
-    w.u64(_stats.delayed);
-    w.u64(_stats.duplicated);
-}
-
-void
-FaultInjector::restore(SnapshotReader &r)
-{
-    std::istringstream is(r.str());
-    is >> rng;
-    r.require(bool(is), "mt19937_64 state malformed");
-    lastRelease.clear();
-    const std::uint64_t n = r.u64();
-    for (std::uint64_t i = 0; i < n; ++i) {
-        const NodeId src = NodeId(r.u32());
-        const NodeId dst = NodeId(r.u32());
-        lastRelease[{src, dst}] = Tick(r.u64());
-    }
-    _stats.messages = r.u64();
-    _stats.delayed = r.u64();
-    _stats.duplicated = r.u64();
 }
 
 } // namespace stashsim

@@ -39,9 +39,6 @@
 namespace stashsim
 {
 
-class SnapshotWriter;
-class SnapshotReader;
-
 /**
  * Deterministic NoC fault injector.
  */
@@ -71,18 +68,6 @@ class FaultInjector
                 DispatchFn dispatch);
 
     const Stats &stats() const { return _stats; }
-
-    /**
-     * Serializes the RNG stream position, FIFO clamps, and fault
-     * counters.  Only valid at a drain point: every delayed/duplicate
-     * delivery has resolved, so the engine state lives entirely in
-     * these members — which is what makes injected-fault runs
-     * checkpointable at all.  The mt19937_64 state rides as its
-     * canonical textual serialization (the standard's operator<<).
-     */
-    void snapshot(SnapshotWriter &w) const;
-    /** Restores what @ref snapshot wrote. */
-    void restore(SnapshotReader &r);
 
     /** Total injected faults (delays + duplicates). */
     std::uint64_t faults() const

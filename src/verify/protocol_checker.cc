@@ -8,7 +8,6 @@
 #include "mem/llc.hh"
 #include "mem/main_memory.hh"
 #include "sim/log.hh"
-#include "snapshot/snapshot.hh"
 
 namespace stashsim
 {
@@ -334,45 +333,6 @@ ProtocolChecker::checkFinalMemory(const MainMemory &mem)
     }
     if (violations.size() > before)
         fail("final memory check");
-}
-
-void
-ProtocolChecker::snapshot(SnapshotWriter &w) const
-{
-    w.u64(_storesSeen);
-    w.u64(_fillsChecked);
-    w.u64(_auditsRun);
-    std::vector<std::pair<PhysAddr, std::uint32_t>> words(golden.begin(),
-                                                          golden.end());
-    std::sort(words.begin(), words.end());
-    w.u64(words.size());
-    for (const auto &[pa, v] : words) {
-        w.u64(pa);
-        w.u32(v);
-    }
-    std::vector<PhysAddr> op(opaque.begin(), opaque.end());
-    std::sort(op.begin(), op.end());
-    w.u64(op.size());
-    for (PhysAddr pa : op)
-        w.u64(pa);
-}
-
-void
-ProtocolChecker::restore(SnapshotReader &r)
-{
-    _storesSeen = r.u64();
-    _fillsChecked = r.u64();
-    _auditsRun = r.u64();
-    golden.clear();
-    opaque.clear();
-    const std::uint64_t nw = r.u64();
-    for (std::uint64_t i = 0; i < nw; ++i) {
-        const PhysAddr pa = r.u64();
-        golden[pa] = r.u32();
-    }
-    const std::uint64_t no = r.u64();
-    for (std::uint64_t i = 0; i < no; ++i)
-        opaque.insert(r.u64());
 }
 
 } // namespace stashsim

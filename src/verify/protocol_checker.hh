@@ -59,8 +59,6 @@ namespace stashsim
 class L1Cache;
 class LlcBank;
 class MainMemory;
-class SnapshotReader;
-class SnapshotWriter;
 class Stash;
 
 /**
@@ -132,17 +130,6 @@ class ProtocolChecker
         return violations;
     }
     /** @} */
-
-    /**
-     * Serializes the golden image, opaque set, and counters (sorted,
-     * so the section is canonical).  The violation log is not
-     * serialized: a violation is fatal, so a checkpoint can only
-     * exist with an empty log.
-     */
-    void snapshot(SnapshotWriter &w) const;
-
-    /** Restores the golden image from a checkpoint. */
-    void restore(SnapshotReader &r);
 
   private:
     void violation(std::string what);

@@ -6,7 +6,6 @@
 #include <sstream>
 
 #include "sim/log.hh"
-#include "snapshot/snapshot.hh"
 #include "workloads/kernel_builder.hh"
 #include "workloads/synthetic/synth_engine.hh"
 #include "workloads/synthetic/trace_replay.hh"
@@ -134,40 +133,6 @@ cpuCheckWords(const Model &m, Addr base, std::uint32_t n,
     return work;
 }
 
-/** FNV-1a over a list of 64-bit values (the spec fingerprint). */
-std::uint64_t
-specHash(std::initializer_list<std::uint64_t> vs)
-{
-    std::uint64_t h = 0xcbf2'9ce4'8422'2325ull;
-    for (std::uint64_t v : vs) {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (8 * i)) & 0xff;
-            h *= 0x1'0000'01b3ull;
-        }
-    }
-    return h;
-}
-
-/**
- * Installs the checkpoint identity hooks: the spec hash pins the
- * parameterization (restoring under a differently-sized twin fails
- * loudly), the engine pins seed + stream position.
- */
-void
-attachSnapshotHooks(Workload &wl, std::shared_ptr<SynthEngine> eng,
-                    std::uint64_t spec_hash)
-{
-    wl.snapshotState = [eng, spec_hash](SnapshotWriter &w) {
-        w.u64(spec_hash);
-        eng->snapshot(w);
-    };
-    wl.restoreState = [eng, spec_hash](SnapshotReader &r) {
-        r.require(r.u64() == spec_hash,
-                  "synthetic spec hash does not match the snapshot");
-        eng->restore(r);
-    };
-}
-
 } // namespace
 
 // ---------------------------------------------------------------------
@@ -189,7 +154,7 @@ makeSynthMix(const SynthConfig &cfg)
     sim_assert(slice >= 32 && priv >= 32 && roWords >= 32);
     sim_assert(cfg.mixDepth >= 1);
 
-    auto eng = std::make_shared<SynthEngine>(cfg.seed);
+    SynthEngine eng(cfg.seed);
     auto model = std::make_shared<Model>();
     for (std::uint32_t i = 0; i < rwWords; ++i)
         (*model)[wordVa(rwBase, i)] = initVal(wordVa(rwBase, i));
@@ -253,12 +218,12 @@ makeSynthMix(const SynthConfig &cfg)
             for (unsigned w = 0; w < W; ++w) {
                 unsigned burst = 0;
                 for (unsigned a = 0; a < cfg.mixAccesses; ++a) {
-                    const unsigned cat = eng->range(100);
+                    const unsigned cat = eng.range(100);
                     if (cat < cfg.mixRoPct) {
                         // Read-only-shared: random per-lane gather.
                         std::vector<std::uint32_t> elems;
                         for (unsigned l = 0; l < 32; ++l)
-                            elems.push_back(eng->range(roWords));
+                            elems.push_back(eng.range(roWords));
                         tb.accessTile(w, tRo, elems, false);
                     } else if (cat < cfg.mixRoPct + cfg.mixRwPct) {
                         if (produce) {
@@ -266,9 +231,9 @@ makeSynthMix(const SynthConfig &cfg)
                             // an explicit generator value, tracked in
                             // the model (single writer per word).
                             const std::uint32_t start =
-                                w * slice + eng->range(slice - 31);
+                                w * slice + eng.range(slice - 31);
                             const std::uint32_t v =
-                                std::uint32_t(eng->next());
+                                std::uint32_t(eng.next());
                             tb.accessTile(w, tRw, laneElems(start, 32),
                                           true, false, v);
                             for (unsigned l = 0; l < 32; ++l) {
@@ -278,17 +243,17 @@ makeSynthMix(const SynthConfig &cfg)
                             }
                         } else {
                             const std::uint32_t start =
-                                eng->range(W * slice - 31);
+                                eng.range(W * slice - 31);
                             tb.accessTile(w, tRw, laneElems(start, 32),
                                           false);
                         }
                     } else {
                         // Private: this warp's own segment.
                         const std::uint32_t start =
-                            w * priv + eng->range(priv - 31);
-                        if (eng->range(2) == 1) {
+                            w * priv + eng.range(priv - 31);
+                        if (eng.range(2) == 1) {
                             const std::uint32_t v =
-                                std::uint32_t(eng->next());
+                                std::uint32_t(eng.next());
                             tb.accessTile(w, tPriv,
                                           laneElems(start, 32), true,
                                           false, v);
@@ -318,11 +283,6 @@ makeSynthMix(const SynthConfig &cfg)
     wl.phases.push_back(
         Phase::cpu(cpuCheckWords(*model, rwBase, rwWords, 8, cores)));
     wl.validate = modelValidator(model);
-    attachSnapshotHooks(
-        wl, eng,
-        specHash({1, cfg.seed, B, W, cfg.mixKernels, cfg.mixAccesses,
-                  cfg.mixDepth, cfg.mixComputeCycles, cfg.mixRoPct,
-                  cfg.mixRwPct, roWords, slice, priv, cores}));
     return wl;
 }
 
@@ -344,12 +304,12 @@ makeGraphGather(const SynthConfig &cfg)
     sim_assert(perB % W == 0);
     const std::uint32_t perW = perB / W;
 
-    auto eng = std::make_shared<SynthEngine>(cfg.seed);
+    SynthEngine eng(cfg.seed);
     // The host-side graph: fixed out-degree CSR column indices.
     auto col = std::make_shared<std::vector<std::uint32_t>>(
         std::size_t(V) * deg);
     for (auto &c : *col)
-        c = eng->range(V);
+        c = eng.range(V);
 
     std::vector<std::uint32_t> va(V), vb(V, 0);
     for (std::uint32_t v = 0; v < V; ++v)
@@ -449,9 +409,6 @@ makeGraphGather(const SynthConfig &cfg)
     wl.phases.push_back(
         Phase::cpu(cpuCheckWords(*model, finalArr, V, 4, cores)));
     wl.validate = modelValidator(model);
-    attachSnapshotHooks(
-        wl, eng,
-        specHash({2, cfg.seed, V, deg, iters, B, W, cores}));
     return wl;
 }
 
@@ -472,7 +429,7 @@ makeAttnScatter(const SynthConfig &cfg)
     const std::uint32_t perB = Q / B;
     const std::uint32_t numChunks = K / C;
 
-    auto eng = std::make_shared<SynthEngine>(cfg.seed);
+    SynthEngine eng(cfg.seed);
     std::vector<std::uint32_t> kv(K), qv(Q), out(Q, 0);
     for (std::uint32_t i = 0; i < K; ++i)
         kv[i] = initVal(wordVa(attnKBase, i));
@@ -521,7 +478,7 @@ makeAttnScatter(const SynthConfig &cfg)
             return (bytes + 63u) & ~63u;
         };
 
-        const std::uint32_t chunk0 = eng->range(numChunks);
+        const std::uint32_t chunk0 = eng.range(numChunks);
         TileUse ku;
         ku.tile = wordTile(attnKBase, chunk0 * C, C);
         ku.localOffset = alignUp(perB * wordBytes);
@@ -538,7 +495,7 @@ makeAttnScatter(const SynthConfig &cfg)
 
         for (unsigned c = 0; c < cfg.attnChunks; ++c) {
             const std::uint32_t chunk =
-                c == 0 ? chunk0 : eng->range(numChunks);
+                c == 0 ? chunk0 : eng.range(numChunks);
             if (c > 0)
                 tb.restage(tK, wordTile(attnKBase, chunk * C, C));
             for (std::uint32_t g = 0; g < perB; g += 32) {
@@ -549,7 +506,7 @@ makeAttnScatter(const SynthConfig &cfg)
                 for (unsigned t = 0; t < cfg.attnGathers; ++t) {
                     std::vector<std::uint32_t> ge;
                     for (std::uint32_t l = 0; l < lanes; ++l)
-                        ge.push_back(eng->range(C));
+                        ge.push_back(eng.range(C));
                     tb.accessTile(0, tK, ge, false);
                     last = std::move(ge);
                 }
@@ -570,10 +527,6 @@ makeAttnScatter(const SynthConfig &cfg)
     wl.phases.push_back(
         Phase::cpu(cpuCheckWords(*model, attnOutBase, Q, 1, cores)));
     wl.validate = modelValidator(model);
-    attachSnapshotHooks(
-        wl, eng,
-        specHash({3, cfg.seed, Q, K, C, cfg.attnChunks,
-                  cfg.attnGathers, B, cores}));
     return wl;
 }
 
@@ -593,7 +546,6 @@ makeStencil2D(const SynthConfig &cfg)
     sim_assert(Y % B == 0 && iters >= 1 && X >= 2);
     const std::uint32_t rows = Y / B;
 
-    auto eng = std::make_shared<SynthEngine>(cfg.seed);
     std::vector<std::uint32_t> ga(std::size_t(X) * Y),
         gb(std::size_t(X) * Y, 0);
     for (std::uint32_t i = 0; i < X * Y; ++i)
@@ -697,8 +649,6 @@ makeStencil2D(const SynthConfig &cfg)
     wl.phases.push_back(
         Phase::cpu(cpuCheckWords(*model, finalArr, X * Y, 8, cores)));
     wl.validate = modelValidator(model);
-    attachSnapshotHooks(
-        wl, eng, specHash({4, cfg.seed, X, Y, iters, B, W, cores}));
     return wl;
 }
 

@@ -28,9 +28,8 @@
  *    grids across iterations.
  *
  * Every workload validates its final memory image against a host-side
- * model replayed from the same seeded generation, and carries the
- * Workload snapshot hooks (spec hash + SynthEngine stream), so the
- * whole family is deterministic and checkpoint/farm-safe.
+ * model replayed from the same seeded generation, so the whole family
+ * is deterministic and farm-safe.
  */
 
 #ifndef STASHSIM_WORKLOADS_SYNTHETIC_SYNTH_WORKLOADS_HH

@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "sim/log.hh"
-#include "snapshot/snapshot.hh"
 #include "workloads/kernel_builder.hh"
 
 namespace stashsim
@@ -620,18 +619,6 @@ makeTraceReplay(const TraceData &t, MemOrg org,
         }
         wl.phases.push_back(Phase::gpu(std::move(k)));
     }
-
-    const std::uint64_t h = traceHash(t);
-    const std::uint64_t recs = t.records();
-    wl.snapshotState = [h, recs](SnapshotWriter &w) {
-        w.u64(h);
-        w.u64(recs);
-    };
-    wl.restoreState = [h, recs](SnapshotReader &r) {
-        r.require(r.u64() == h,
-                  "trace identity does not match the snapshot");
-        r.require(r.u64() == recs, "trace record count mismatch");
-    };
     return wl;
 }
 

@@ -117,7 +117,6 @@ std::uint64_t traceHash(const TraceData &t);
 /**
  * Lowers @p t into a runnable Workload for @p org.  One thread block
  * per recorded CU (block i lands on CU i), one warp per block.
- * Carries snapshot hooks pinning the trace identity.
  */
 Workload makeTraceReplay(const TraceData &t, MemOrg org,
                          const std::string &name = "TraceReplay");

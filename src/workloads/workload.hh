@@ -25,9 +25,6 @@
 namespace stashsim
 {
 
-class SnapshotWriter;
-class SnapshotReader;
-
 /**
  * One synchronization-delimited phase.
  */
@@ -79,18 +76,6 @@ struct Workload
     /** Returns true when the final memory image is correct. */
     std::function<bool(FunctionalMem &, std::vector<std::string> &)>
         validate;
-    /**
-     * Optional generator-state hooks, mirroring the fault injector's
-     * snapshot contract: when set, System::writeCheckpoint writes a
-     * "workload" section via snapshotState, and a restored run feeds
-     * it back through restoreState before resuming.  Workloads whose
-     * phases are pre-materialized (everything in the registry today)
-     * use this to pin their identity — e.g. the synthetic engine's
-     * spec hash and mt19937_64 stream — so a checkpoint can never
-     * silently resume under a differently-parameterized twin.
-     */
-    std::function<void(SnapshotWriter &)> snapshotState;
-    std::function<void(SnapshotReader &)> restoreState;
 };
 
 } // namespace stashsim

@@ -122,7 +122,6 @@ farmOpts(const std::string &dir, const std::string &worker,
     opts.threads = 1;
     opts.progress = progress;
     opts.stateDir = dir;
-    opts.checkpointEveryTicks = 1;
     opts.resume = true;
     opts.workerId = worker;
     return opts;
@@ -522,35 +521,40 @@ TEST(FarmSweepTest, StopFlagInterruptsResumablyMidCampaign)
 
 TEST(FarmSweepTest, MidRunInterruptDropsResumableCheckpoint)
 {
-    // Drive the run-level interrupt directly: a stop flag that is
-    // already set stops the run at its first phase boundary, drops a
-    // final checkpoint (no cadence configured), and the restored run
-    // finishes with the uninterrupted numbers.
+    const std::string refDir = freshDir("farm_midrun_ref");
+    const auto reference =
+        SweepDriver(farmOpts(refDir, "ref")).run(grid());
+
+    // The stop request lands while the first spec is in flight: that
+    // run finishes and drops its RESULT artifact, the checkpoint the
+    // next worker resumes from, and no other spec starts.
     const std::string dir = freshDir("farm_midrun");
-    RunSpec spec;
-    spec.workload = "Reuse";
-    spec.org = MemOrg::Stash;
-    spec.scale = workloads::Scale::Smoke;
+    std::atomic<bool> stop{false};
+    std::vector<RunSpec> specs = grid();
+    specs[0].instrument = [&stop](System &) { stop = true; };
+    SweepOptions opts = farmOpts(dir, "w0");
+    opts.stop = &stop;
+    SweepCounters counters;
+    const auto stopped = SweepDriver(opts).run(specs, &counters);
+    EXPECT_TRUE(counters.interrupted);
+    ASSERT_EQ(stopped.size(), 3u);
+    EXPECT_EQ(fingerprints({reference[0]}), fingerprints({stopped[0]}));
+    for (std::size_t i = 1; i < stopped.size(); ++i) {
+        EXPECT_FALSE(stopped[i].result.validated);
+        ASSERT_EQ(stopped[i].result.errors.size(), 1u);
+        EXPECT_EQ(stopped[i].result.errors[0],
+                  "interrupted before completion");
+    }
+    EXPECT_EQ(filesWithPrefix(dir, "RESULT_").size(), 1u);
+    EXPECT_TRUE(filesWithPrefix(dir, "LEASE_").empty());
 
-    const RunResult full = runSpec(spec);
-    ASSERT_TRUE(full.validated);
-
-    std::atomic<bool> stop{true};
-    RunSpec victim = spec;
-    victim.checkpointDir = dir;
-    victim.interrupt = &stop;
-    EXPECT_THROW(runSpec(victim), RunInterrupted);
-    const auto ckpts = filesWithPrefix(dir, "CKPT_");
-    ASSERT_FALSE(ckpts.empty())
-        << "interrupt must leave a final checkpoint";
-
-    RunSpec resume = spec;
-    resume.restoreFrom = ckpts.back();
-    const RunResult resumed = runSpec(resume);
-    EXPECT_TRUE(resumed.validated);
-    EXPECT_EQ(full.gpuCycles, resumed.gpuCycles);
-    EXPECT_EQ(full.perf.events, resumed.perf.events);
-    EXPECT_EQ(full.energy.total(), resumed.energy.total());
+    // The next worker serves the finished run and runs the others
+    // from tick 0.
+    SweepCounters resumedCounters;
+    const auto resumed =
+        SweepDriver(farmOpts(dir, "w1")).run(grid(), &resumedCounters);
+    EXPECT_EQ(fingerprints(reference), fingerprints(resumed));
+    EXPECT_EQ(resumedCounters.cachedRuns, 1u);
 }
 
 TEST(FarmSweepTest, KilledWorkerIsReclaimedByteIdentical)
@@ -595,9 +599,9 @@ TEST(FarmSweepTest, KilledWorkerIsReclaimedByteIdentical)
     }
 
     // The surviving worker drains the sweep: the settled spec serves
-    // from cache, the orphaned one is reclaimed and rerun from its
-    // checkpoints, and the last runs fresh — all byte-identical to
-    // the never-crashed reference.
+    // from cache, the orphaned one is reclaimed and rerun from tick 0,
+    // and the last runs fresh — all byte-identical to the
+    // never-crashed reference.
     SweepCounters counters;
     const auto out =
         SweepDriver(farmOpts(dir, "survivor")).run(grid(), &counters);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <sstream>
 
 #include "driver/sweep.hh"
@@ -120,6 +121,36 @@ TEST(SweepDriverTest, ProgressStreamReportsEveryRun)
     EXPECT_NE(text.find("[1/2]"), std::string::npos);
     EXPECT_NE(text.find("[2/2]"), std::string::npos);
     EXPECT_NE(text.find("Implicit/Scratch ok"), std::string::npos);
+}
+
+/**
+ * A stop request that lands before the sweep starts leaves every spec
+ * unrun, and no unrun record may read as a pass.
+ */
+TEST(SweepDriverTest, StoppedSweepMarksUnrunSpecsInterrupted)
+{
+    std::vector<RunSpec> specs;
+    for (MemOrg org : {MemOrg::Scratch, MemOrg::Cache, MemOrg::Stash}) {
+        RunSpec spec;
+        spec.workload = "Reuse";
+        spec.org = org;
+        spec.scale = workloads::Scale::Smoke;
+        specs.push_back(std::move(spec));
+    }
+    const std::atomic<bool> stop{true};
+    SweepOptions opts;
+    opts.threads = 2;
+    opts.stop = &stop;
+    SweepCounters counters;
+    const std::vector<RunRecord> records =
+        SweepDriver(opts).run(specs, &counters);
+    EXPECT_TRUE(counters.interrupted);
+    ASSERT_EQ(records.size(), specs.size());
+    for (const RunRecord &rec : records) {
+        EXPECT_FALSE(rec.result.validated) << rec.spec.label();
+        ASSERT_EQ(rec.result.errors.size(), 1u) << rec.spec.label();
+        EXPECT_EQ(rec.result.errors[0], "interrupted before completion");
+    }
 }
 
 } // namespace

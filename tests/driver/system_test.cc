@@ -224,62 +224,6 @@ TEST(SystemTest, AllWarmupWorkloadIsFatal)
     }
 }
 
-TEST(SystemTest, RestorePastWarmupWithoutBaselineIsFatal)
-{
-    // A snapshot taken from a warmup-free twin carries no baseline;
-    // resuming it past another workload's warmup boundary must fail
-    // loudly rather than subtract a zero baseline and present warmup
-    // traffic as measured traffic.
-    SystemConfig cfg = SystemConfig::microbenchmarkDefault();
-    cfg.memOrg = MemOrg::Cache;
-
-    auto make = [](unsigned warmup) {
-        Workload wl;
-        wl.name = "baseline_twin";
-        wl.warmupPhases = warmup;
-        for (int p = 0; p < 2; ++p) {
-            std::vector<std::vector<CpuOp>> w(1);
-            for (unsigned i = 0; i < 64; ++i)
-                w[0].push_back(CpuOp{gbase + i * 4, true, i});
-            wl.phases.push_back(Phase::cpu(std::move(w)));
-        }
-        return wl;
-    };
-
-    const std::string dir =
-        ::testing::TempDir() + "lost_baseline_ckpt";
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-
-    RunControl ckpt;
-    ckpt.checkpointEveryTicks = 1;
-    ckpt.checkpointDir = dir;
-    {
-        System sys(cfg);
-        RunResult r = sys.run(make(0), ckpt);
-        ASSERT_TRUE(r.validated);
-    }
-    std::string snap;
-    for (const auto &de : std::filesystem::directory_iterator(dir)) {
-        if (de.path().filename().string().rfind("CKPT_", 0) == 0)
-            snap = de.path().string();
-    }
-    ASSERT_FALSE(snap.empty()) << "no checkpoint was written";
-
-    RunControl res;
-    res.restoreFrom = snap;
-    System sys(cfg);
-    try {
-        sys.run(make(1), res);
-        FAIL() << "baseline-free resume past the warmup boundary was "
-                  "accepted";
-    } catch (const std::runtime_error &e) {
-        EXPECT_NE(std::string(e.what()).find("baseline"),
-                  std::string::npos)
-            << e.what();
-    }
-}
-
 TEST(EnergyModelTest, UsesTable3Constants)
 {
     const EnergyParams p;

@@ -3,8 +3,7 @@
  * Unit tests of the pluggable memory backends (src/mem/backend):
  * the latency contract of each model, completion-time sampling,
  * STT-MRAM write-pausing and read-port stalls, the SCM DRAM-cache's
- * hit/miss/spill paths and channel serialization, snapshot round
- * trips of each backend's internal state, the LLC bank's
+ * hit/miss/spill paths and channel serialization, the LLC bank's
  * accept/serve invariant (an in-service line is never an eviction
  * victim), and the LLC's victim scan, dirty writebacks and flush.
  */
@@ -32,40 +31,6 @@ namespace stashsim
 {
 namespace
 {
-
-/** Field-by-field stats equality, kept in sync by visit(). */
-void
-expectStatsEq(const MemBackendStats &a, const MemBackendStats &b)
-{
-    std::vector<std::pair<std::string, Counter>> av, bv;
-    MemBackendStats::visit(a, [&](const char *n, const Counter &c) {
-        av.emplace_back(n, c);
-    });
-    MemBackendStats::visit(b, [&](const char *n, const Counter &c) {
-        bv.emplace_back(n, c);
-    });
-    EXPECT_EQ(av, bv);
-}
-
-/** One backend's snapshot as a full serialized image. */
-std::vector<std::uint8_t>
-snapshotBytes(const MemBackend &b)
-{
-    SnapshotWriter w;
-    w.beginSection("x");
-    b.snapshot(w);
-    w.endSection();
-    return w.serialize();
-}
-
-void
-restoreFromBytes(MemBackend &b, const std::vector<std::uint8_t> &img)
-{
-    SnapshotReader r(img);
-    r.openSection("x");
-    b.restore(r);
-    r.closeSection();
-}
 
 TEST(MemBackendFactoryTest, BuildsEveryRegisteredKind)
 {
@@ -110,22 +75,6 @@ TEST(FixedBackendTest, DefaultLatencyAndCompletionTimeSampling)
     b->writeLine(0x1000, wordBit(1), d);
     EXPECT_EQ(mem.readWord(0x1000 + 4), 0x77u);
     EXPECT_EQ(b->stats().writes, 1u);
-}
-
-TEST(FixedBackendTest, SnapshotRoundTripCarriesStats)
-{
-    EventQueue eq;
-    MainMemory mem;
-    auto a = makeMemBackend(MemBackendConfig{}, eq, mem, 1);
-    a->readLine(0x1000, [](const LineData &) {});
-    a->writeLine(0x2000, fullLineMask, LineData{});
-    eq.run();
-
-    auto b = makeMemBackend(MemBackendConfig{}, eq, mem, 1);
-    const auto img = snapshotBytes(*a);
-    restoreFromBytes(*b, img);
-    expectStatsEq(b->stats(), a->stats());
-    EXPECT_EQ(snapshotBytes(*b), img);
 }
 
 TEST(SttMramBackendTest, UnloadedReadLatency)
@@ -208,37 +157,6 @@ TEST(SttMramBackendTest, FullWriteQueueStallsRead)
     EXPECT_EQ(at1041, 0u);
 }
 
-TEST(SttMramBackendTest, SnapshotRoundTripPreservesWriteQueue)
-{
-    EventQueue eq;
-    MainMemory mem;
-    MemBackendConfig cfg;
-    cfg.kind = MemBackendKind::SttMram;
-    SttMramBackend a(cfg, eq, mem, 1);
-
-    a.writeLine(0x1000, fullLineMask, LineData{});
-    a.writeLine(0x2000, fullLineMask, LineData{});
-    a.readLine(0x3000, [](const LineData &) {}); // pauses both writes
-    eq.run(); // drain point: the fill landed, writes are plain data
-    ASSERT_EQ(a.pendingWrites(), 2u);
-
-    SttMramBackend b(cfg, eq, mem, 1);
-    const auto img = snapshotBytes(a);
-    restoreFromBytes(b, img);
-    EXPECT_EQ(b.pendingWrites(), a.pendingWrites());
-    expectStatsEq(b.stats(), a.stats());
-    EXPECT_EQ(snapshotBytes(b), img) << "restore must be a fixed point";
-
-    // Behavioral equivalence from the restored state: an identical
-    // next read sees the identical queue and completes in lockstep.
-    Tick doneA = 0, doneB = 0;
-    a.readLine(0x4000, [&](const LineData &) { doneA = eq.curTick(); });
-    b.readLine(0x4000, [&](const LineData &) { doneB = eq.curTick(); });
-    eq.run();
-    EXPECT_EQ(doneA, doneB);
-    EXPECT_EQ(snapshotBytes(a), snapshotBytes(b));
-}
-
 TEST(ScmCacheBackendTest, MissFillsThenHitIsFast)
 {
     EventQueue eq;
@@ -318,46 +236,6 @@ TEST(ScmCacheBackendTest, DirtyVictimSpillsToScm)
     EXPECT_EQ(doneTick, Tick(cfg.scmWriteCycles + cfg.scmReadCycles));
 }
 
-TEST(ScmCacheBackendTest, SnapshotRoundTripPreservesCacheAndChannels)
-{
-    EventQueue eq;
-    MainMemory mem;
-    MemBackendConfig cfg;
-    cfg.kind = MemBackendKind::ScmCache;
-    cfg.scmCacheLines = 8;
-    cfg.scmCacheAssoc = 2;
-    ScmCacheBackend a(cfg, eq, mem, 1);
-
-    a.writeLine(0x1000, fullLineMask, LineData{});
-    a.readLine(0x2000, [](const LineData &) {});
-    a.readLine(0x1000, [](const LineData &) {}); // hit, bumps LRU
-    eq.run();
-
-    ScmCacheBackend b(cfg, eq, mem, 1);
-    const auto img = snapshotBytes(a);
-    restoreFromBytes(b, img);
-    EXPECT_EQ(b.residentLines(), a.residentLines());
-    EXPECT_EQ(b.dirtyLines(), a.dirtyLines());
-    expectStatsEq(b.stats(), a.stats());
-    EXPECT_EQ(snapshotBytes(b), img) << "restore must be a fixed point";
-
-    // From the restored tags and busy-until clocks, the next access
-    // behaves identically: same hit/miss outcome, same completion.
-    Tick doneA = 0, doneB = 0;
-    a.readLine(0x2000, [&](const LineData &) { doneA = eq.curTick(); });
-    b.readLine(0x2000, [&](const LineData &) { doneB = eq.curTick(); });
-    eq.run();
-    EXPECT_EQ(doneA, doneB);
-    EXPECT_EQ(a.stats().dcacheHits, b.stats().dcacheHits);
-    EXPECT_EQ(snapshotBytes(a), snapshotBytes(b));
-
-    // Geometry mismatch is a structured error, not silent corruption.
-    MemBackendConfig other = cfg;
-    other.scmCacheAssoc = 4;
-    ScmCacheBackend wrong(other, eq, mem, 1);
-    EXPECT_THROW(restoreFromBytes(wrong, img), SnapshotError);
-}
-
 TEST(SnapshotConfigHashTest, CoversBackendKindAndEveryKnob)
 {
     SystemConfig base = SystemConfig::microbenchmarkDefault();
@@ -368,8 +246,7 @@ TEST(SnapshotConfigHashTest, CoversBackendKindAndEveryKnob)
     EXPECT_NE(snapshotConfigHash(kind), h0);
 
     // Even a knob of an unselected backend folds into the hash: a
-    // checkpoint can never silently restore under a different memory
-    // system.
+    // cached result is never served under a different memory system.
     SystemConfig knob = base;
     knob.memBackend.scmWriteCycles += 1;
     EXPECT_NE(snapshotConfigHash(knob), h0);

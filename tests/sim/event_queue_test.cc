@@ -546,6 +546,92 @@ TEST(EventQueueTest, SetTimeReanchorsTheWheelAfterAFarPop)
     EXPECT_EQ(eq.curTick(), 200100u);
 }
 
+/**
+ * Same bug family, different entry point: a bounded run() that
+ * exhausts its events advances curTick to the bound, and with the
+ * queue empty the wheel must re-anchor there too.
+ */
+TEST(EventQueueRestoreTest, BoundedRunExhaustionReanchorsWheel)
+{
+    EventQueue eq;
+    bool early = false;
+    eq.schedule(5, [&] { early = true; });
+    eq.run(1'000'000'000);
+    EXPECT_TRUE(early);
+    EXPECT_EQ(eq.curTick(), 1'000'000'000u);
+
+    const std::uint64_t wheelBefore = eq.wheelInserts();
+    const std::uint64_t farBefore = eq.farInserts();
+    bool late = false;
+    eq.scheduleIn(10, [&] { late = true; });
+    EXPECT_EQ(eq.wheelInserts(), wheelBefore + 1);
+    EXPECT_EQ(eq.farInserts(), farBefore);
+    EXPECT_EQ(eq.run(), 1u);
+    EXPECT_TRUE(late);
+    EXPECT_EQ(eq.curTick(), 1'000'000'010u);
+}
+
+/**
+ * Restoring the clock to the last event tick after a bounded drain
+ * overshot it (System::run's drain-end realignment) must move the
+ * wheel's classification cutoff too: otherwise every near event
+ * scheduled afterwards would misroute into the far-horizon heap,
+ * functionally correct but quadratically slow, and a silent change
+ * to the queue-shape counters the artifacts report.
+ */
+TEST(EventQueueRestoreTest, RestoreClockReanchorsWheelCutoff)
+{
+    EventQueue eq;
+    eq.schedule(1'000'000'000, [] {});
+    eq.run(3'000'000'000);
+    EXPECT_EQ(eq.curTick(), 3'000'000'000u);
+    eq.setTime(eq.lastEventTick());
+    EXPECT_EQ(eq.curTick(), 1'000'000'000u);
+
+    const std::uint64_t wheelBefore = eq.wheelInserts();
+    const std::uint64_t farBefore = eq.farInserts();
+    bool ran = false;
+    eq.scheduleIn(100, [&] { ran = true; });
+    EXPECT_EQ(eq.wheelInserts(), wheelBefore + 1);
+    EXPECT_EQ(eq.farInserts(), farBefore);
+    EXPECT_EQ(eq.run(), 1u);
+    EXPECT_TRUE(ran);
+    EXPECT_EQ(eq.curTick(), 1'000'000'100u);
+}
+
+/**
+ * A queue whose clock was restored to the last event tick executes
+ * an identical schedule identically to one that never overshot: the
+ * sequence counter keeps the tie-break order across the restore.
+ */
+TEST(EventQueueRestoreTest, RestoredQueueOrderIsDeterministic)
+{
+    auto script = [](EventQueue &eq, std::vector<int> &order) {
+        for (int i = 0; i < 8; ++i)
+            eq.scheduleIn(50, [&order, i] { order.push_back(i); });
+        eq.scheduleIn(25, [&order] { order.push_back(100); });
+        eq.scheduleIn(75, [&order] { order.push_back(200); });
+        eq.run();
+    };
+
+    EventQueue a;
+    a.schedule(40, [] {});
+    a.run();
+
+    EventQueue b;
+    b.schedule(40, [] {});
+    b.run(500'000);
+    b.setTime(b.lastEventTick());
+    ASSERT_EQ(b.curTick(), a.curTick());
+
+    std::vector<int> orderA, orderB;
+    script(a, orderA);
+    script(b, orderB);
+    EXPECT_EQ(orderA, orderB);
+    EXPECT_EQ(orderA,
+              (std::vector<int>{100, 0, 1, 2, 3, 4, 5, 6, 7, 200}));
+}
+
 TEST(EventQueueTest, QueueShapeCountersTrackInsertsAndPeak)
 {
     EventQueue eq;

@@ -1,18 +1,20 @@
 /**
  * @file
- * End-to-end resume parity: a run that checkpoints, dies, and is
- * restored into a fresh System must finish with results
- * byte-identical to an uninterrupted run — every stats counter, the
- * energy breakdown, the deterministic SimPerf counters, and the final
- * memory image.  Also covered: the verify instruments staying armed
- * across the restore boundary, and the rejection diagnostics for
- * mismatched configurations and workloads.
+ * End-to-end resume parity through the RESULT cache: a run whose
+ * RESULT_* artifact a resumed sweep serves must report numbers
+ * byte-identical to simulating it — every stats counter, the energy
+ * breakdown and the deterministic SimPerf counters — under every
+ * memory backend, with the fault injector on, and for the synthetic
+ * workloads.  Writing the cache must not perturb a run, a checked
+ * spec must never be handed an unchecked result, and an artifact
+ * from another configuration, backend, workload or scale must be
+ * rejected with a diagnostic and re-simulated instead of served.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
+#include <atomic>
 #include <filesystem>
 #include <functional>
 #include <sstream>
@@ -20,9 +22,10 @@
 #include <utility>
 #include <vector>
 
-#include "driver/run.hh"
+#include "driver/sweep.hh"
 #include "mem/backend/mem_backend.hh"
-#include "snapshot/snapshot.hh"
+#include "verify/protocol_checker.hh"
+#include "workloads/workload_factory.hh"
 
 namespace stashsim
 {
@@ -40,22 +43,14 @@ freshDir(const std::string &name)
     return d;
 }
 
-/** (tick, path) of every checkpoint in @p dir, oldest first. */
-std::vector<std::pair<std::uint64_t, std::string>>
-checkpointsIn(const std::string &dir)
+/** Every RESULT_* artifact in @p dir, sorted by name. */
+std::vector<std::string>
+resultsIn(const std::string &dir)
 {
-    std::vector<std::pair<std::uint64_t, std::string>> out;
-    for (const auto &de : fs::directory_iterator(dir)) {
-        const std::string name = de.path().filename().string();
-        if (name.rfind("CKPT_", 0) != 0)
-            continue;
-        const std::size_t at = name.find('@');
-        if (at == std::string::npos)
-            continue;
-        out.emplace_back(
-            std::strtoull(name.c_str() + at + 1, nullptr, 10),
-            de.path().string());
-    }
+    std::vector<std::string> out;
+    for (const auto &de : fs::directory_iterator(dir))
+        if (de.path().filename().string().rfind("RESULT_", 0) == 0)
+            out.push_back(de.path().string());
     std::sort(out.begin(), out.end());
     return out;
 }
@@ -85,177 +80,223 @@ baseSpec(workloads::Scale scale = workloads::Scale::Smoke)
     return spec;
 }
 
-/** Attaches a finish hook capturing the system's end-state image. */
-void
-captureEndImage(RunSpec &spec, std::vector<std::uint8_t> *out)
+/**
+ * Makes @p spec count its workload builds in @p builds: a served
+ * result never builds one, so the count tells exactly which specs
+ * were simulated.
+ */
+RunSpec
+counted(RunSpec spec, std::atomic<int> *builds)
 {
-    spec.finish = [out](System &sys, const RunResult &) {
-        SnapshotWriter w;
-        sys.saveSnapshot(w);
-        *out = w.serialize();
+    // A custom builder defaults to the microbenchmark machine; keep
+    // the one the factory workload runs on.
+    spec.config = resolveRunConfig(spec);
+    const std::string name = spec.workload;
+    spec.make = [builds, name](const workloads::WorkloadParams &p) {
+        builds->fetch_add(1, std::memory_order_relaxed);
+        return workloads::WorkloadFactory::instance().make(name, p);
     };
+    return spec;
+}
+
+SweepOptions
+resumeOpts(const std::string &dir, std::ostream *progress = nullptr)
+{
+    SweepOptions opts;
+    opts.threads = 1;
+    opts.progress = progress;
+    opts.stateDir = dir;
+    opts.resume = true;
+    return opts;
+}
+
+/** Runs @p spec alone in a resume sweep over @p dir. */
+RunResult
+sweepOne(const std::string &dir, RunSpec spec,
+         SweepCounters *counters = nullptr,
+         std::ostream *progress = nullptr)
+{
+    auto recs = SweepDriver(resumeOpts(dir, progress))
+                    .run({std::move(spec)}, counters);
+    return recs.at(0).result;
+}
+
+/**
+ * Caches @p wrong's result, plants it where @p spec's result belongs,
+ * and resumes @p spec over it: the artifact must be rejected with the
+ * stale-result diagnostic and the spec re-simulated to the numbers a
+ * direct run reports.
+ */
+void
+expectForeignResultRejected(const std::string &name, RunSpec wrong,
+                            RunSpec spec)
+{
+    const std::string wrongDir = freshDir(name + "_wrong");
+    ASSERT_TRUE(sweepOne(wrongDir, std::move(wrong)).validated) << name;
+    const auto planted = resultsIn(wrongDir);
+    ASSERT_EQ(planted.size(), 1u) << name;
+
+    const std::string dir = freshDir(name);
+    const RunResult direct = sweepOne(dir, spec);
+    ASSERT_TRUE(direct.validated) << name;
+    const auto own = resultsIn(dir);
+    ASSERT_EQ(own.size(), 1u) << name;
+    fs::copy_file(planted[0], own[0],
+                  fs::copy_options::overwrite_existing);
+
+    std::atomic<int> builds{0};
+    std::ostringstream log;
+    SweepCounters counters;
+    const RunResult rerun =
+        sweepOne(dir, counted(spec, &builds), &counters, &log);
+    EXPECT_EQ(builds.load(), 1) << name << ": must re-simulate";
+    EXPECT_EQ(counters.cachedRuns, 0u) << name;
+    EXPECT_EQ(counters.staleResults, 1u) << name;
+    EXPECT_NE(log.str().find("belongs to a different configuration"),
+              std::string::npos)
+        << name << ": " << log.str();
+    EXPECT_EQ(log.str().find("(cached)"), std::string::npos)
+        << name << ": " << log.str();
+    EXPECT_EQ(fingerprint(direct), fingerprint(rerun)) << name;
 }
 
 TEST(ResumeParityTest, CheckpointingIsObservationallyPure)
 {
+    // Caching a result must not perturb the run that writes it.
     const std::string dir = freshDir("ckpt_pure");
-    const RunSpec plain = baseSpec();
-    RunSpec ckpt = baseSpec();
-    ckpt.checkpointEveryTicks = 1; // every eligible phase boundary
-    ckpt.checkpointDir = dir;
+    const RunResult plain = runSpec(baseSpec());
+    ASSERT_TRUE(plain.validated);
 
-    const RunResult a = runSpec(plain);
-    const RunResult b = runSpec(ckpt);
-    ASSERT_TRUE(a.validated);
-    EXPECT_EQ(fingerprint(a), fingerprint(b));
-    EXPECT_FALSE(checkpointsIn(dir).empty())
-        << "multi-phase run produced no checkpoints";
+    SweepOptions opts = resumeOpts(dir);
+    opts.resume = false;
+    const auto cached = SweepDriver(opts).run({baseSpec()});
+    EXPECT_EQ(fingerprint(plain), fingerprint(cached[0].result));
+    EXPECT_EQ(resultsIn(dir).size(), 1u)
+        << "a completed run must leave its RESULT artifact";
 }
 
 TEST(ResumeParityTest, RestoredRunFinishesByteIdentical)
 {
     for (const workloads::Scale scale :
          {workloads::Scale::Smoke, workloads::Scale::Quick}) {
-        const std::string dir = freshDir(
-            scale == workloads::Scale::Smoke ? "restore_smoke"
-                                             : "restore_quick");
-        std::vector<std::uint8_t> refImage;
-        RunSpec ref = baseSpec(scale);
-        ref.checkpointEveryTicks = 1;
-        ref.checkpointDir = dir;
-        captureEndImage(ref, &refImage);
-        const RunResult full = runSpec(ref);
-        ASSERT_TRUE(full.validated);
+        const std::string name = workloads::scaleName(scale);
+        const std::string dir = freshDir("restore_" + name);
+        std::atomic<int> builds{0};
+        const RunResult full =
+            sweepOne(dir, counted(baseSpec(scale), &builds));
+        ASSERT_TRUE(full.validated) << name;
+        ASSERT_EQ(builds.load(), 1) << name;
 
-        const auto ckpts = checkpointsIn(dir);
-        ASSERT_FALSE(ckpts.empty());
-        // Restore from every checkpoint the run dropped — early and
-        // late resume points must both converge to the same end.
-        for (const auto &[tick, path] : ckpts) {
-            std::vector<std::uint8_t> resImage;
-            RunSpec res = baseSpec(scale);
-            res.restoreFrom = path;
-            captureEndImage(res, &resImage);
-            const RunResult resumed = runSpec(res);
-            EXPECT_EQ(fingerprint(full), fingerprint(resumed))
-                << "restored from tick " << tick;
-            // Full end-state identity: memory image, caches, NoC,
-            // clocks — the whole serialized system.
-            EXPECT_EQ(refImage, resImage)
-                << "end-state image diverged restoring from tick "
-                << tick;
-        }
+        std::ostringstream log;
+        SweepCounters counters;
+        const RunResult served = sweepOne(
+            dir, counted(baseSpec(scale), &builds), &counters, &log);
+        EXPECT_EQ(builds.load(), 1) << name << ": served, not rerun";
+        EXPECT_EQ(counters.cachedRuns, 1u) << name;
+        EXPECT_NE(log.str().find("(cached)"), std::string::npos)
+            << log.str();
+        EXPECT_EQ(fingerprint(full), fingerprint(served)) << name;
     }
 }
 
 TEST(ResumeParityTest, VerifyInstrumentsStayArmedAcrossRestore)
 {
-    SystemConfig cfg = SystemConfig::microbenchmarkDefault();
-    cfg.memOrg = MemOrg::Stash;
+    // The clean run's cached result carries no checker verdict, so a
+    // resume must re-simulate the checked spec with its instruments
+    // armed instead of serving it — and then serve the checked
+    // result to the same checked spec.
+    const std::string dir = freshDir("restore_verify");
+    ASSERT_TRUE(sweepOne(dir, baseSpec()).validated);
+
+    RunSpec checked = baseSpec();
+    SystemConfig cfg = resolveRunConfig(checked);
     cfg.verify.protocolChecker = true;
     cfg.verify.watchdog = true;
+    checked.config = cfg;
+    std::uint64_t audits = 0;
+    checked.finish = [&audits](System &sys, const RunResult &) {
+        audits = sys.checker() ? sys.checker()->auditsRun() : 0;
+    };
 
-    const std::string dir = freshDir("restore_verify");
-    RunSpec ref = baseSpec();
-    ref.config = cfg;
-    ref.checkpointEveryTicks = 1;
-    ref.checkpointDir = dir;
-    const RunResult full = runSpec(ref);
-    ASSERT_TRUE(full.validated);
+    std::atomic<int> builds{0};
+    SweepCounters counters;
+    const RunResult first =
+        sweepOne(dir, counted(checked, &builds), &counters);
+    ASSERT_TRUE(first.validated)
+        << (first.errors.empty() ? "?" : first.errors[0]);
+    EXPECT_EQ(builds.load(), 1);
+    EXPECT_EQ(counters.staleResults, 1u);
+    EXPECT_GT(audits, 0u) << "the checker must run, not be skipped";
 
-    const auto ckpts = checkpointsIn(dir);
-    ASSERT_FALSE(ckpts.empty());
-    RunSpec res = baseSpec();
-    res.config = cfg;
-    res.restoreFrom = ckpts.back().second;
-    const RunResult resumed = runSpec(res);
-    ASSERT_TRUE(resumed.validated)
-        << (resumed.errors.empty() ? "?" : resumed.errors[0]);
-    EXPECT_EQ(fingerprint(full), fingerprint(resumed));
-
-    // The checkpoint really carried the checker's golden image.
-    SnapshotReader r = SnapshotReader::fromFile(ckpts.back().second);
-    EXPECT_TRUE(r.hasSection("checker"));
+    SweepCounters again;
+    const RunResult served =
+        sweepOne(dir, counted(checked, &builds), &again);
+    EXPECT_EQ(builds.load(), 1);
+    EXPECT_EQ(again.cachedRuns, 1u);
+    EXPECT_EQ(fingerprint(first), fingerprint(served));
 }
 
 TEST(ResumeParityTest, SyntheticRestoreFromEveryCheckpoint)
 {
-    // The synthetic generator carries its own snapshot section (spec
-    // hash + mt19937_64 stream); restoring any checkpoint of a
-    // synthetic run must still converge byte-identically.
-    const std::string dir = freshDir("restore_synth");
-    RunSpec ref;
-    ref.workload = "SynthMix";
-    ref.org = MemOrg::Stash;
-    ref.scale = workloads::Scale::Smoke;
-    ref.checkpointEveryTicks = 1;
-    ref.checkpointDir = dir;
-    std::vector<std::uint8_t> refImage;
-    captureEndImage(ref, &refImage);
-    const RunResult full = runSpec(ref);
-    ASSERT_TRUE(full.validated)
-        << (full.errors.empty() ? "?" : full.errors[0]);
+    // A synthetic grid resumed from each one of its RESULT artifacts
+    // alone: that spec is served, the others re-simulate, and every
+    // record matches the uninterrupted sweep.
+    std::vector<RunSpec> specs;
+    for (const MemOrg org :
+         {MemOrg::Scratch, MemOrg::Cache, MemOrg::Stash}) {
+        RunSpec s;
+        s.workload = "SynthMix";
+        s.org = org;
+        s.scale = workloads::Scale::Smoke;
+        specs.push_back(std::move(s));
+    }
+    const std::string refDir = freshDir("restore_synth_ref");
+    const auto ref = SweepDriver(resumeOpts(refDir)).run(specs);
+    for (const RunRecord &rec : ref)
+        ASSERT_TRUE(rec.result.validated)
+            << rec.spec.label() << ": "
+            << (rec.result.errors.empty() ? "?" : rec.result.errors[0]);
+    const auto results = resultsIn(refDir);
+    ASSERT_EQ(results.size(), specs.size());
 
-    const auto ckpts = checkpointsIn(dir);
-    ASSERT_FALSE(ckpts.empty());
-    for (const auto &[tick, path] : ckpts) {
-        // The workload section made it into the checkpoint.
-        SnapshotReader sr = SnapshotReader::fromFile(path);
-        EXPECT_TRUE(sr.hasSection("workload")) << path;
-
-        RunSpec res;
-        res.workload = "SynthMix";
-        res.org = MemOrg::Stash;
-        res.scale = workloads::Scale::Smoke;
-        res.restoreFrom = path;
-        std::vector<std::uint8_t> resImage;
-        captureEndImage(res, &resImage);
-        const RunResult resumed = runSpec(res);
-        EXPECT_EQ(fingerprint(full), fingerprint(resumed))
-            << "restored from tick " << tick;
-        EXPECT_EQ(refImage, resImage)
-            << "end-state image diverged restoring from tick "
-            << tick;
+    for (const std::string &kept : results) {
+        const std::string dir = freshDir("restore_synth");
+        fs::copy_file(kept,
+                      dir + "/" + fs::path(kept).filename().string());
+        std::atomic<int> builds{0};
+        std::vector<RunSpec> grid;
+        for (const RunSpec &s : specs)
+            grid.push_back(counted(s, &builds));
+        SweepCounters counters;
+        const auto resumed =
+            SweepDriver(resumeOpts(dir)).run(grid, &counters);
+        EXPECT_EQ(counters.cachedRuns, 1u) << kept;
+        EXPECT_EQ(builds.load(), int(specs.size()) - 1) << kept;
+        for (std::size_t i = 0; i < specs.size(); ++i)
+            EXPECT_EQ(fingerprint(ref[i].result),
+                      fingerprint(resumed[i].result))
+                << specs[i].label() << ", resumed from " << kept;
     }
 }
 
 TEST(ResumeParityTest, SyntheticScaleMismatchIsRejected)
 {
-    // A differently-parameterized twin (another scale => another spec
-    // hash) must not resume a synthetic checkpoint.
-    const std::string dir = freshDir("restore_synth_scale");
-    RunSpec ref;
-    ref.workload = "GraphGather";
-    ref.org = MemOrg::Stash;
-    ref.scale = workloads::Scale::Smoke;
-    ref.checkpointEveryTicks = 1;
-    ref.checkpointDir = dir;
-    ASSERT_TRUE(runSpec(ref).validated);
-    const auto ckpts = checkpointsIn(dir);
-    ASSERT_FALSE(ckpts.empty());
-
-    RunSpec res;
-    res.workload = "GraphGather";
-    res.org = MemOrg::Stash;
-    res.scale = workloads::Scale::Quick;
-    res.restoreFrom = ckpts.back().second;
-    EXPECT_THROW(runSpec(res), std::runtime_error);
+    // The scale is part of a result's identity: a smoke-scale
+    // synthetic result must not answer for the quick-scale run.
+    RunSpec smoke;
+    smoke.workload = "GraphGather";
+    smoke.org = MemOrg::Stash;
+    smoke.scale = workloads::Scale::Smoke;
+    RunSpec quick = smoke;
+    quick.scale = workloads::Scale::Quick;
+    expectForeignResultRejected("restore_synth_scale", smoke, quick);
 }
 
 TEST(ResumeParityTest, ConfigMismatchIsRejectedWithDiagnostic)
 {
-    const std::string dir = freshDir("restore_cfg_mismatch");
-    RunSpec ref = baseSpec();
-    ref.checkpointEveryTicks = 1;
-    ref.checkpointDir = dir;
-    ASSERT_TRUE(runSpec(ref).validated);
-    const auto ckpts = checkpointsIn(dir);
-    ASSERT_FALSE(ckpts.empty());
-    const std::string ckpt = ckpts.back().second;
-
-    // A checkpoint restores only into the machine that wrote it: a
+    // A result answers only for the machine that produced it: a
     // change to any hashed field, GPU side, memory backend or LLC
-    // alike, is the one structured fatal naming both hashes.
+    // alike, turns the cached artifact stale.
     const std::vector<std::pair<const char *,
                                 std::function<void(SystemConfig &)>>>
         changes = {
@@ -268,52 +309,22 @@ TEST(ResumeParityTest, ConfigMismatchIsRejectedWithDiagnostic)
             {"llcAssoc", [](SystemConfig &c) { c.llcAssoc *= 2; }},
         };
     for (const auto &[field, change] : changes) {
-        RunSpec res = baseSpec();
-        SystemConfig other = resolveRunConfig(res);
-        change(other);
-        res.config = other;
-        res.org = other.memOrg;
-        res.restoreFrom = ckpt;
-        std::ostringstream want;
-        want << "snapshot configuration hash mismatch: snapshot was "
-                "taken with config hash 0x"
-             << std::hex << SnapshotReader::fromFile(ckpt).configHash()
-             << " but this system's is 0x"
-             << snapshotConfigHash(other)
-             << " (always-excepted fields: verify)";
-        try {
-            runSpec(res);
-            ADD_FAILURE() << field << ": config-hash mismatch must be "
-                                      "fatal";
-        } catch (const std::runtime_error &e) {
-            EXPECT_NE(std::string(e.what()).find(want.str()),
-                      std::string::npos)
-                << field << ": " << e.what();
-        }
+        RunSpec other = baseSpec();
+        SystemConfig cfg = resolveRunConfig(other);
+        change(cfg);
+        other.config = cfg;
+        other.org = cfg.memOrg;
+        expectForeignResultRejected(
+            std::string("restore_cfg_") + field, baseSpec(), other);
     }
 }
 
 TEST(ResumeParityTest, WorkloadMismatchIsRejectedWithDiagnostic)
 {
-    const std::string dir = freshDir("restore_wl_mismatch");
-    RunSpec ref = baseSpec();
-    ref.checkpointEveryTicks = 1;
-    ref.checkpointDir = dir;
-    ASSERT_TRUE(runSpec(ref).validated);
-    const auto ckpts = checkpointsIn(dir);
-    ASSERT_FALSE(ckpts.empty());
-
-    RunSpec res = baseSpec();
-    res.workload = "Implicit"; // same machine, different workload
-    res.restoreFrom = ckpts.back().second;
-    try {
-        runSpec(res);
-        FAIL() << "workload mismatch must be fatal";
-    } catch (const std::runtime_error &e) {
-        EXPECT_NE(std::string(e.what()).find("workload"),
-                  std::string::npos)
-            << e.what();
-    }
+    RunSpec other = baseSpec();
+    other.workload = "Implicit"; // same machine, different workload
+    expectForeignResultRejected("restore_wl_mismatch", baseSpec(),
+                                other);
 }
 
 TEST(ResumeParityTest, FixedBackendIsTheDefaultSpelledExplicitly)
@@ -321,7 +332,8 @@ TEST(ResumeParityTest, FixedBackendIsTheDefaultSpelledExplicitly)
     // `--backend fixed` is the seed's memory model made explicit: a
     // run selecting it must be indistinguishable from a run that
     // never mentions a backend (the end-to-end CLI analogue is
-    // ci.sh's cmp of the BENCH_fig5.json artifacts).
+    // ci.sh's cmp of the BENCH_fig5.json artifacts), down to the
+    // cached result, which answers for both.
     const RunSpec plain = baseSpec();
     RunSpec fixed = baseSpec();
     fixed.backend = MemBackendKind::Fixed;
@@ -329,111 +341,80 @@ TEST(ResumeParityTest, FixedBackendIsTheDefaultSpelledExplicitly)
     const RunResult a = runSpec(plain);
     ASSERT_TRUE(a.validated);
     EXPECT_EQ(fingerprint(a), fingerprint(runSpec(fixed)));
+
+    const std::string dir = freshDir("restore_fixed_default");
+    ASSERT_TRUE(sweepOne(dir, plain).validated);
+    std::atomic<int> builds{0};
+    SweepCounters counters;
+    const RunResult served =
+        sweepOne(dir, counted(fixed, &builds), &counters);
+    EXPECT_EQ(builds.load(), 0);
+    EXPECT_EQ(counters.cachedRuns, 1u);
+    EXPECT_EQ(fingerprint(a), fingerprint(served));
 }
 
 TEST(ResumeParityTest, EveryMemBackendRestoresByteIdentical)
 {
-    // Each backend's timing state (write queues, DRAM-cache tags,
-    // channel clocks) rides in the checkpoint: resuming under any
-    // backend must converge to the uninterrupted run's exact end.
     for (const MemBackendInfo &info : memBackendList()) {
         const std::string dir =
             freshDir(std::string("restore_backend_") + info.name);
-        std::vector<std::uint8_t> refImage;
-        RunSpec ref = baseSpec();
-        ref.backend = info.kind;
-        ref.checkpointEveryTicks = 1;
-        ref.checkpointDir = dir;
-        captureEndImage(ref, &refImage);
-        const RunResult full = runSpec(ref);
+        RunSpec spec = baseSpec();
+        spec.backend = info.kind;
+        std::atomic<int> builds{0};
+        const RunResult full = sweepOne(dir, counted(spec, &builds));
         ASSERT_TRUE(full.validated) << info.name;
 
-        const auto ckpts = checkpointsIn(dir);
-        ASSERT_FALSE(ckpts.empty()) << info.name;
-        for (const auto &[tick, path] : ckpts) {
-            std::vector<std::uint8_t> resImage;
-            RunSpec res = baseSpec();
-            res.backend = info.kind;
-            res.restoreFrom = path;
-            captureEndImage(res, &resImage);
-            const RunResult resumed = runSpec(res);
-            EXPECT_EQ(fingerprint(full), fingerprint(resumed))
-                << info.name << ", restored from tick " << tick;
-            EXPECT_EQ(refImage, resImage)
-                << info.name << ", end-state image diverged "
-                << "restoring from tick " << tick;
-        }
+        SweepCounters counters;
+        const RunResult served =
+            sweepOne(dir, counted(spec, &builds), &counters);
+        EXPECT_EQ(builds.load(), 1) << info.name;
+        EXPECT_EQ(counters.cachedRuns, 1u) << info.name;
+        EXPECT_EQ(fingerprint(full), fingerprint(served)) << info.name;
     }
 }
 
 TEST(ResumeParityTest, BackendMismatchIsRejectedWithDiagnostic)
 {
-    // The backend kind folds into the snapshot config hash: an
-    // sttmram checkpoint must not restore under scmcache.
-    const std::string dir = freshDir("restore_backend_mismatch");
-    RunSpec ref = baseSpec();
-    ref.backend = MemBackendKind::SttMram;
-    ref.checkpointEveryTicks = 1;
-    ref.checkpointDir = dir;
-    ASSERT_TRUE(runSpec(ref).validated);
-    const auto ckpts = checkpointsIn(dir);
-    ASSERT_FALSE(ckpts.empty());
-
-    RunSpec res = baseSpec();
-    res.backend = MemBackendKind::ScmCache;
-    res.restoreFrom = ckpts.back().second;
-    try {
-        runSpec(res);
-        FAIL() << "backend mismatch must be fatal";
-    } catch (const std::runtime_error &e) {
-        EXPECT_NE(std::string(e.what()).find("configuration hash"),
-                  std::string::npos)
-            << e.what();
-    }
+    // The backend kind folds into the config hash: an sttmram result
+    // must not answer for the scmcache run of the same spec.
+    RunSpec sttmram = baseSpec();
+    sttmram.backend = MemBackendKind::SttMram;
+    RunSpec scmcache = baseSpec();
+    scmcache.backend = MemBackendKind::ScmCache;
+    expectForeignResultRejected("restore_backend_mismatch", sttmram,
+                                scmcache);
 }
 
 TEST(ResumeParityTest, FaultInjectedRunRestoresByteIdentical)
 {
-    // The injector serializes its RNG stream position, FIFO clamps,
-    // and fault counters into the "injector" snapshot section, so a
-    // restored run replays exactly the perturbations the
-    // uninterrupted run would have drawn from that point on.
-    SystemConfig cfg = SystemConfig::microbenchmarkDefault();
-    cfg.memOrg = MemOrg::Stash;
+    // A fault-injected run's cached result is served to the same
+    // injector settings, and to those only: another fault seed draws
+    // other perturbations, so its run is simulated.
+    RunSpec spec = baseSpec();
+    SystemConfig cfg = resolveRunConfig(spec);
     cfg.verify.faultInjection = true;
     cfg.verify.faultSeed = 12345;
     cfg.verify.faultDelayPermille = 100;
     cfg.verify.faultDupPermille = 50;
+    spec.config = cfg;
 
     const std::string dir = freshDir("restore_faults");
-    std::vector<std::uint8_t> refImage;
-    RunSpec ref = baseSpec();
-    ref.config = cfg;
-    ref.checkpointEveryTicks = 1;
-    ref.checkpointDir = dir;
-    captureEndImage(ref, &refImage);
-    const RunResult full = runSpec(ref);
+    std::atomic<int> builds{0};
+    const RunResult full = sweepOne(dir, counted(spec, &builds));
     ASSERT_TRUE(full.validated)
         << (full.errors.empty() ? "?" : full.errors[0]);
 
-    const auto ckpts = checkpointsIn(dir);
-    ASSERT_FALSE(ckpts.empty());
-    SnapshotReader hdr = SnapshotReader::fromFile(ckpts.back().second);
-    EXPECT_TRUE(hdr.hasSection("injector"))
-        << "fault-injected checkpoint must carry the RNG section";
+    SweepCounters counters;
+    const RunResult served =
+        sweepOne(dir, counted(spec, &builds), &counters);
+    EXPECT_EQ(builds.load(), 1);
+    EXPECT_EQ(counters.cachedRuns, 1u);
+    EXPECT_EQ(fingerprint(full), fingerprint(served));
 
-    for (const auto &[tick, path] : ckpts) {
-        std::vector<std::uint8_t> resImage;
-        RunSpec res = baseSpec();
-        res.config = cfg;
-        res.restoreFrom = path;
-        captureEndImage(res, &resImage);
-        const RunResult resumed = runSpec(res);
-        EXPECT_EQ(fingerprint(full), fingerprint(resumed))
-            << "restored from tick " << tick;
-        EXPECT_EQ(refImage, resImage)
-            << "end-state image diverged restoring from tick " << tick;
-    }
+    RunSpec reseeded = spec;
+    cfg.verify.faultSeed = 54321;
+    reseeded.config = cfg;
+    expectForeignResultRejected("restore_faults_seed", spec, reseeded);
 }
 
 } // namespace

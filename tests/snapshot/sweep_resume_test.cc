@@ -1,16 +1,18 @@
 /**
  * @file
  * SweepDriver resume tests: completed runs are served from their
- * RESULT_* artifacts without re-simulating, interrupted runs restart
- * from their latest CKPT_* snapshot, and a corrupt snapshot degrades
- * to a warning plus a from-scratch rerun — never a failed sweep and
- * never different numbers.
+ * RESULT_* artifacts without re-simulating, a run whose result was
+ * lost runs again from tick 0 with the same numbers, a corrupt
+ * result falls back to simulating with a warning, and a result
+ * cached under another configuration (verify settings included) is
+ * re-simulated, never served.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -46,7 +48,7 @@ grid(std::atomic<int> *builds)
     for (const MemOrg org :
          {MemOrg::Scratch, MemOrg::Cache, MemOrg::Stash}) {
         RunSpec s;
-        s.workload = "Reuse"; // multi-phase: every run checkpoints
+        s.workload = "Reuse";
         s.org = org;
         s.scale = workloads::Scale::Smoke;
         s.make = [builds](const workloads::WorkloadParams &p) {
@@ -102,7 +104,6 @@ stateOpts(const std::string &dir, std::ostream *progress)
     opts.threads = 1;
     opts.progress = progress;
     opts.stateDir = dir;
-    opts.checkpointEveryTicks = 1;
     return opts;
 }
 
@@ -131,6 +132,11 @@ TEST(SweepResumeTest, CompletedRunsAreServedFromCache)
         << secondLog.str();
 }
 
+/**
+ * A sweep's latest checkpoint is the set of RESULT_* artifacts its
+ * finished runs left: a sweep interrupted before one run cached its
+ * result serves the others and runs that one again from tick 0.
+ */
 TEST(SweepResumeTest, InterruptedRunRestartsFromLatestCheckpoint)
 {
     const std::string dir = freshDir("sweep_interrupted");
@@ -143,11 +149,10 @@ TEST(SweepResumeTest, InterruptedRunRestartsFromLatestCheckpoint)
     const int fresh = builds.load();
 
     // Simulate a crash after two of the three runs finished: one
-    // RESULT artifact never got written, but its checkpoints did.
+    // RESULT artifact never got written.
     const auto results = filesWithPrefix(dir, "RESULT_");
     ASSERT_EQ(results.size(), 3u);
     fs::remove(results[0]);
-    ASSERT_FALSE(filesWithPrefix(dir, "CKPT_").empty());
 
     std::ostringstream resumeLog;
     SweepOptions opts = stateOpts(dir, &resumeLog);
@@ -156,8 +161,6 @@ TEST(SweepResumeTest, InterruptedRunRestartsFromLatestCheckpoint)
     EXPECT_EQ(builds.load(), fresh + 1)
         << "exactly the interrupted run should re-simulate";
     EXPECT_EQ(fingerprints(first), fingerprints(second));
-    EXPECT_NE(resumeLog.str().find("(resumed)"), std::string::npos)
-        << resumeLog.str();
     // The rerun re-cached its result.
     EXPECT_EQ(filesWithPrefix(dir, "RESULT_").size(), 3u);
 }
@@ -166,40 +169,88 @@ TEST(SweepResumeTest, CorruptCheckpointFallsBackWithWarning)
 {
     const std::string dir = freshDir("sweep_corrupt");
     std::atomic<int> builds{0};
-    std::ostringstream log;
     const auto first =
-        SweepDriver(stateOpts(dir, &log)).run(grid(&builds));
+        SweepDriver(stateOpts(dir, nullptr)).run(grid(&builds));
     for (const RunRecord &rec : first)
         ASSERT_TRUE(rec.result.validated) << rec.spec.label();
+    const int fresh = builds.load();
 
-    // Lose one run's RESULT and truncate every one of its
-    // checkpoints: resume must warn, fall back to tick 0, and still
-    // produce the same numbers.
+    // Flip one payload byte: the header still parses, and only the
+    // section CRC catches the damage.
     const auto results = filesWithPrefix(dir, "RESULT_");
     ASSERT_EQ(results.size(), 3u);
     const std::string victim = results[1];
-    const std::string base = fs::path(victim).filename().string();
-    // "RESULT_<label>.snap" -> "CKPT_<label>@"
-    const std::string ckptPrefix =
-        "CKPT_" + base.substr(7, base.size() - 7 - 5) + "@";
-    fs::remove(victim);
-    const auto ckpts = filesWithPrefix(dir, ckptPrefix);
-    ASSERT_FALSE(ckpts.empty());
-    for (const std::string &c : ckpts)
-        fs::resize_file(c, fs::file_size(c) / 2);
+    {
+        std::fstream f(victim,
+                       std::ios::in | std::ios::out | std::ios::binary);
+        ASSERT_TRUE(f.good());
+        f.seekg(-1, std::ios::end);
+        const char last = char(f.get());
+        f.seekp(-1, std::ios::end);
+        f.put(char(last ^ 0x5a));
+    }
 
-    std::ostringstream resumeLog;
-    SweepOptions opts = stateOpts(dir, &resumeLog);
+    std::ostringstream log;
+    SweepOptions opts = stateOpts(dir, &log);
     opts.resume = true;
-    const auto second = SweepDriver(opts).run(grid(&builds));
+    SweepCounters counters;
+    const auto second = SweepDriver(opts).run(grid(&builds), &counters);
     EXPECT_EQ(fingerprints(first), fingerprints(second));
-    EXPECT_NE(resumeLog.str().find("unusable"), std::string::npos)
-        << resumeLog.str();
-    EXPECT_NE(resumeLog.str().find("falling back"),
-              std::string::npos);
-    // Fallback went all the way to a fresh run, not a resume.
-    EXPECT_EQ(resumeLog.str().find("(resumed)"), std::string::npos)
-        << resumeLog.str();
+    EXPECT_EQ(builds.load(), fresh + 1)
+        << "only the corrupt result falls back to simulating";
+    EXPECT_EQ(counters.corruptSnapshots, 1u);
+    EXPECT_EQ(counters.cachedRuns, 2u);
+    EXPECT_NE(log.str().find("'" + victim + "' is corrupt"),
+              std::string::npos)
+        << log.str();
+    EXPECT_NE(log.str().find("re-simulating"), std::string::npos)
+        << log.str();
+
+    // The fallback cached a sound result in the corrupt one's place.
+    SweepCounters third;
+    SweepDriver(opts).run(grid(&builds), &third);
+    EXPECT_EQ(builds.load(), fresh + 1);
+    EXPECT_EQ(third.cachedRuns, 3u);
+}
+
+/**
+ * The injector changes a run's timing, so a result cached by the
+ * clean run of a spec must not answer for its fault-injected twin
+ * under the same label: the twin re-simulates and reports its own
+ * cycles.
+ */
+TEST(SweepResumeTest, FaultInjectedSpecIsReSimulatedNotServed)
+{
+    const std::string dir = freshDir("sweep_fault_injected");
+    RunSpec clean;
+    clean.workload = "Reuse";
+    clean.org = MemOrg::Stash;
+    clean.scale = workloads::Scale::Smoke;
+
+    SweepOptions opts = stateOpts(dir, nullptr);
+    opts.resume = true;
+    const auto cleanRecs = SweepDriver(opts).run({clean});
+    ASSERT_TRUE(cleanRecs[0].result.validated);
+
+    RunSpec faulty = clean;
+    SystemConfig cfg = resolveRunConfig(clean);
+    cfg.verify.faultInjection = true;
+    cfg.verify.faultDelayPermille = 500;
+    faulty.config = cfg;
+    const RunResult direct = runSpec(faulty);
+    ASSERT_TRUE(direct.validated);
+    ASSERT_NE(direct.gpuCycles, cleanRecs[0].result.gpuCycles)
+        << "the injector must move this run's timing";
+
+    std::ostringstream log;
+    opts.progress = &log;
+    SweepCounters counters;
+    const auto faultyRecs = SweepDriver(opts).run({faulty}, &counters);
+    EXPECT_EQ(faultyRecs[0].result.gpuCycles, direct.gpuCycles);
+    EXPECT_EQ(counters.cachedRuns, 0u);
+    EXPECT_EQ(counters.staleResults, 1u);
+    EXPECT_EQ(log.str().find("(cached)"), std::string::npos)
+        << log.str();
 }
 
 } // namespace

@@ -1,8 +1,8 @@
 /**
  * @file
  * End-to-end tests of the synthetic traffic family: every shape runs
- * validated under every memory organization, generation is
- * deterministic, and the snapshot hooks pin the generator identity.
+ * validated under every memory organization and generation is
+ * deterministic.
  */
 
 #include <gtest/gtest.h>
@@ -10,7 +10,6 @@
 #include <sstream>
 
 #include "driver/system.hh"
-#include "snapshot/snapshot.hh"
 #include "workloads/synthetic/synth_engine.hh"
 #include "workloads/synthetic/synth_workloads.hh"
 #include "workloads/workload_factory.hh"
@@ -113,82 +112,15 @@ TEST(SynthDeterminism, SeedChangesTheStream)
     EXPECT_NE(sa.str(), sb.str());
 }
 
-TEST(SynthEngine, SnapshotRoundTripResumesTheStream)
-{
-    workloads::SynthEngine a(42);
-    for (int i = 0; i < 100; ++i)
-        a.next();
-
-    SnapshotWriter w;
-    w.beginSection("eng");
-    a.snapshot(w);
-    w.endSection();
-    const std::string dir = ::testing::TempDir() + "synth_eng";
-    w.writeFile(dir + ".snap");
-
-    workloads::SynthEngine b(42);
-    SnapshotReader r = SnapshotReader::fromFile(dir + ".snap");
-    r.openSection("eng");
-    b.restore(r);
-    r.closeSection();
-
-    EXPECT_EQ(b.draws(), 100u);
-    for (int i = 0; i < 16; ++i)
-        EXPECT_EQ(a.next(), b.next());
-}
-
-TEST(SynthEngine, RestoreRejectsForeignSeed)
-{
-    workloads::SynthEngine a(42);
-    SnapshotWriter w;
-    w.beginSection("eng");
-    a.snapshot(w);
-    w.endSection();
-    const std::string path = ::testing::TempDir() + "synth_seed.snap";
-    w.writeFile(path);
-
-    workloads::SynthEngine b(43);
-    SnapshotReader r = SnapshotReader::fromFile(path);
-    r.openSection("eng");
-    EXPECT_THROW(b.restore(r), std::runtime_error);
-}
-
-TEST(SynthWorkload, CarriesSnapshotHooks)
+TEST(SynthWorkload, WarmupIsAStrictPrefix)
 {
     WorkloadParams p;
     p.scale = Scale::Smoke;
     for (const auto &name : workloads::syntheticNames()) {
         Workload wl = WorkloadFactory::instance().make(name, p);
-        EXPECT_TRUE(bool(wl.snapshotState)) << name;
-        EXPECT_TRUE(bool(wl.restoreState)) << name;
         EXPECT_GT(wl.warmupPhases, 0u) << name;
         EXPECT_LT(wl.warmupPhases, wl.phases.size()) << name;
     }
-}
-
-TEST(SynthWorkload, RestoreRejectsDifferentSpec)
-{
-    // A checkpoint written under one parameterization must not resume
-    // under a differently-parameterized twin.
-    SynthConfig a;
-    a = workloads::scaledSynthConfig(
-        {MemOrg::Scratch, 1, Scale::Smoke});
-    SynthConfig b = a;
-    b.mixAccesses += 1;
-
-    Workload wa = workloads::makeSynthMix(a);
-    Workload wb = workloads::makeSynthMix(b);
-
-    SnapshotWriter w;
-    w.beginSection("workload");
-    wa.snapshotState(w);
-    w.endSection();
-    const std::string path = ::testing::TempDir() + "synth_spec.snap";
-    w.writeFile(path);
-
-    SnapshotReader r = SnapshotReader::fromFile(path);
-    r.openSection("workload");
-    EXPECT_THROW(wb.restoreState(r), std::runtime_error);
 }
 
 TEST(SynthWorkload, FactoryKindsAndDefaults)

@@ -193,8 +193,6 @@ TEST_P(ReplayAllOrgs, DemoReplaysValidated)
     TraceData t = mustParse(demoTrace());
     Workload wl = makeTraceReplay(t, org);
     EXPECT_EQ(wl.warmupPhases, 1u);
-    ASSERT_TRUE(bool(wl.snapshotState));
-    ASSERT_TRUE(bool(wl.restoreState));
 
     SystemConfig cfg = SystemConfig::applicationDefault();
     cfg.memOrg = org;

@@ -69,9 +69,9 @@ struct SimperfCollector
 
     /**
      * Recovery counters accumulated across every sweep (cached,
-     * retried, reclaimed leases, quarantines, ...).  They ride here —
+     * corrupt, stale, quarantined, interrupted).  They ride here —
      * NOT in the per-bench documents — because BENCH_<name>.json must
-     * stay byte-identical between fresh, resumed, and farmed sweeps.
+     * stay byte-identical between fresh and resumed sweeps.
      */
     SweepCounters recovery;
 
@@ -107,19 +107,12 @@ struct BenchContext
     /** When set, sweepSpecs() reports every sweep's throughput here. */
     SimperfCollector *simperf = nullptr;
     /**
-     * Result-cache state root; sweepSpecs() keeps each bench's state
-     * in <stateDir>/<bench> so same-named specs of different benches
-     * never collide.
+     * Result-cache state root (stashbench --restore): sweepSpecs()
+     * keeps each bench's state in <stateDir>/<bench> so same-named
+     * specs of different benches never collide.  A valid cached result
+     * is served; every other run starts from tick 0 and is cached.
      */
     std::string stateDir;
-    /** Resume: serve completed results, run the rest from tick 0. */
-    bool resume = false;
-    /** Farm worker id for lease files; empty = "w<pid>". */
-    std::string workerId;
-    /** Lease heartbeat TTL in ms (SweepOptions::leaseTtlMs). */
-    std::uint64_t leaseTtlMs = 30'000;
-    /** Attempts per spec before FAILED_* quarantine. */
-    unsigned maxAttempts = 3;
     /** Cooperative stop flag (SIGINT/SIGTERM); may be nullptr. */
     const std::atomic<bool> *stop = nullptr;
 };

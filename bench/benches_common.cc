@@ -178,7 +178,7 @@ SimperfCollector::toJson(const char *scale, double wallSeconds) const
     doc["totals"] = std::move(tot);
 
     // Structured recovery counters (sweep.*): this document is the
-    // one non-deterministic artifact, so the resume/farm bookkeeping
+    // one non-deterministic artifact, so the RESULT cache's bookkeeping
     // belongs here rather than in the byte-reproducible per-bench
     // documents.
     report::JsonValue rec = report::JsonValue::object();
@@ -187,9 +187,6 @@ SimperfCollector::toJson(const char *scale, double wallSeconds) const
     rec["sweep.staleResults"] = double(recovery.staleResults);
     rec["sweep.quarantinedArtifacts"] =
         double(recovery.quarantinedArtifacts);
-    rec["sweep.reclaimedLeases"] = double(recovery.reclaimedLeases);
-    rec["sweep.retriedRuns"] = double(recovery.retriedRuns);
-    rec["sweep.failedSpecs"] = double(recovery.failedSpecs);
     rec["sweep.interrupted"] = recovery.interrupted;
     doc["recovery"] = std::move(rec);
     return doc;
@@ -395,10 +392,6 @@ sweepSpecs(const BenchContext &ctx, const char *bench,
         // RESULT_ namespaces must not collide across them.
         opts.stateDir = ctx.stateDir + "/" + bench;
         std::filesystem::create_directories(opts.stateDir);
-        opts.resume = ctx.resume;
-        opts.workerId = ctx.workerId;
-        opts.leaseTtlMs = ctx.leaseTtlMs;
-        opts.maxAttempts = ctx.maxAttempts;
     }
     SweepCounters counters;
     std::vector<RunRecord> records =

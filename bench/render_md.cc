@@ -394,9 +394,8 @@ renderSynth(std::ostream &os, const JsonValue &doc)
           "stencil.\nNo hand-tuned scratchpad layout exists for "
           "these, so **Cache is the\nbaseline**: the question is "
           "what DMA staging (ScratchGD) or the stash\nbuys over "
-          "just caching. Seeded generators (`DESIGN.md` §14) keep "
-          "every\nrun — in one process or on any farm worker — "
-          "byte-deterministic.\n\n";
+          "just caching. Seeded generators (`DESIGN.md` §13) keep "
+          "every\nrun byte-deterministic, on any sweep thread.\n\n";
 
     os << "### Execution time (normalized to Cache)\n\n";
     renderNormalizedPanel(os, doc, idx, "gpuCycles", nullptr,

@@ -21,7 +21,6 @@
 
 #include "benches.hh"
 #include "driver/bench_args.hh"
-#include "driver/farm.hh"
 #include "driver/sweep.hh"
 #include "mem/backend/mem_backend.hh"
 #include "workloads/workload_factory.hh"
@@ -32,11 +31,14 @@ namespace
 using namespace stashsim;
 using namespace stashbench;
 
+/** Exit code for "interrupted, resumable" (vs 1 = failed). */
+constexpr int interruptedExitCode = 75;
+
 /**
  * SIGINT/SIGTERM set this; the sweep layer stops claiming runs, lets
  * the runs in flight finish and cache their results, and the CLI
- * exits with farm::interruptedExitCode so wrappers can tell
- * "interrupted, resumable" from "failed".
+ * exits with interruptedExitCode so wrappers can tell "interrupted,
+ * resumable" from "failed".
  */
 std::atomic<bool> g_stop{false};
 
@@ -338,19 +340,7 @@ main(int argc, char **argv)
     ctx.components = args.components;
     SimperfCollector simperf;
     ctx.simperf = &simperf;
-    // --farm names the shared state directory and implies resume
-    // (workers serve each other's cached results); --restore names
-    // the state directory and turns resume on.
-    if (!args.farmDir.empty()) {
-        ctx.stateDir = args.farmDir;
-        ctx.resume = true;
-        ctx.workerId = args.workerId;
-        ctx.leaseTtlMs = args.leaseTtlSec * 1000;
-        ctx.maxAttempts = args.maxAttempts;
-    } else if (!args.restoreDir.empty()) {
-        ctx.stateDir = args.restoreDir;
-        ctx.resume = true;
-    }
+    ctx.stateDir = args.restoreDir;
     ctx.stop = &g_stop;
     std::signal(SIGINT, stopHandler);
     std::signal(SIGTERM, stopHandler);
@@ -383,16 +373,25 @@ main(int argc, char **argv)
         report::JsonValue doc = b->run(ctx);
         if (g_stop.load(std::memory_order_relaxed)) {
             // Interrupted mid-sweep: the document is incomplete, so
-            // no artifact is written — the state dir already caches
-            // every finished run, and rerunning with --restore (or
-            // the same --farm dir) picks the campaign back up.
-            std::fprintf(stderr,
-                         "stashbench: interrupted during %s; state "
-                         "saved%s%s — resumable (exit %d)\n",
-                         b->name, ctx.stateDir.empty() ? "" : " in ",
-                         ctx.stateDir.c_str(),
-                         farm::interruptedExitCode);
-            return farm::interruptedExitCode;
+            // no artifact is written.  With --restore the state dir
+            // already caches every finished run, and rerunning with
+            // the same --restore DIR picks the campaign back up.
+            if (ctx.stateDir.empty()) {
+                std::fprintf(stderr,
+                             "stashbench: interrupted during %s; "
+                             "nothing was cached (no --restore DIR), "
+                             "so a rerun simulates every run again "
+                             "(exit %d)\n",
+                             b->name, interruptedExitCode);
+            } else {
+                std::fprintf(stderr,
+                             "stashbench: interrupted during %s; "
+                             "finished runs are cached in %s — rerun "
+                             "with --restore %s to resume (exit %d)\n",
+                             b->name, ctx.stateDir.c_str(),
+                             ctx.stateDir.c_str(), interruptedExitCode);
+            }
+            return interruptedExitCode;
         }
         const std::string path =
             args.outDir + "/BENCH_" + b->name + ".json";

@@ -3,8 +3,8 @@
 # times — plain, under AddressSanitizer + UndefinedBehaviorSanitizer,
 # and under ThreadSanitizer — then run the quick-scale benches, check
 # the artifacts against the committed manifest, exercise the RESULT
-# cache, multi-process farm crash-safety, memory-backend and trace
-# paths, smoke-run hostbench against its recorded digests,
+# cache, an interrupted and resumed --restore run, the memory-backend
+# and trace paths, smoke-run hostbench against its recorded digests,
 # and check the full-scale artifacts against their manifest and
 # EXPERIMENTS.md against them.
 #
@@ -28,8 +28,7 @@ run_suite() {
 run_suite "${root}/build"
 run_suite "${root}/build-san" -DSTASHSIM_SANITIZE=address,undefined
 # Each System runs on one thread; TSan covers the threads that run
-# many Systems at once (the SweepDriver's workers) and the farm's
-# lease heartbeats.
+# many Systems at once (the SweepDriver's workers).
 run_suite "${root}/build-tsan" -DSTASHSIM_SANITIZE=thread
 
 artifacts="${root}/build/bench-artifacts"
@@ -56,9 +55,9 @@ echo "=== quick artifacts vs scripts/quick_artifacts.sha256 ==="
 # were deleted simulate again from tick 0 and cache their results
 # anew; every kept result must be served "(cached)" and left alone
 # (same inode: a run simulated again re-publishes its file); and every
-# artifact must be byte-identical to the first pass.  A run simulated
-# again may also show "(cached)" when another sweep thread picks up
-# its fresh result first, so the log needs at least one per kept file.
+# artifact must be byte-identical to the first pass.  Each run is
+# visited by exactly one sweep thread, so the log shows exactly one
+# "(cached)" line per kept file.
 cachedir="${root}/build/bench-artifacts-cache"
 echo "=== RESULT cache (fig5, ablation_replication, synth, fig6: serve or re-simulate) ==="
 rm -rf "${cachedir}"
@@ -91,7 +90,7 @@ untouched="$(grep -cFx -f "${cachedir}/kept" "${cachedir}/after" || true)"
 served="$(grep -c '(cached)' "${cachedir}/rerun.log" || true)"
 recached="$(wc -l <"${cachedir}/after")"
 if [ "${kept}" -eq 0 ] || [ "${untouched}" -ne "${kept}" ] ||
-    [ "${served}" -lt "${kept}" ] || [ "${recached}" -ne "${total}" ]
+    [ "${served}" -ne "${kept}" ] || [ "${recached}" -ne "${total}" ]
 then
     cat "${cachedir}/rerun.log"
     echo "${kept} of ${total} results kept: ${untouched} left" \
@@ -101,61 +100,34 @@ then
 fi
 echo "${kept} kept results served, the deleted ones re-simulated; artifacts are byte-identical"
 
-# Farm crash-safety, end to end: two --farm workers drain one fig5
-# sweep over a shared state dir; one is SIGKILLed mid-run (the
-# dead-worker path: its lease goes stale and is reclaimed, and the run
-# starts again from tick 0) and one is SIGTERMed (graceful: it stops
-# claiming runs, finishes and caches the run in flight, and exits 75
-# "interrupted, resumable").  A fresh worker with a short lease TTL
-# then finishes the campaign, and its artifact must be byte-identical
-# to an uninterrupted single-process run, with no orphaned leases.
-farmref="${root}/build/bench-artifacts-farm-ref"
-farmstate="${root}/build/bench-farm-state"
-echo "=== farm crash-safety (fig5: SIGKILL one worker, SIGTERM one, survivor finishes) ==="
-rm -rf "${farmref}" "${farmstate}" \
-    "${root}/build/bench-artifacts-farm-w1" \
-    "${root}/build/bench-artifacts-farm-w2" \
-    "${root}/build/bench-artifacts-farm-w3"
-mkdir -p "${farmref}" "${farmstate}" \
-    "${root}/build/bench-artifacts-farm-w1" \
-    "${root}/build/bench-artifacts-farm-w2" \
-    "${root}/build/bench-artifacts-farm-w3"
-"${root}/build/bench/stashbench" --quick --jobs "${jobs}" \
-    --out "${farmref}" fig5
+# Interrupt and resume, end to end: SIGTERM a single-process
+# --restore run of fig6 (about 3 s serial at quick scale) one second
+# in.  It stops starting runs, finishes and caches the run in flight,
+# and exits 75 "interrupted, resumable" (or 0 if it finished first).
+# Rerunning with the same --restore directory serves the cached runs
+# and simulates the rest, and its artifact must be byte-identical to
+# the main quick leg's.
+sigdir="${root}/build/bench-artifacts-sigterm"
+echo "=== SIGTERM and resume (fig6 --restore: interrupt, rerun, cmp) ==="
+rm -rf "${sigdir}"
+mkdir -p "${sigdir}/state"
 "${root}/build/bench/stashbench" --quick --jobs 1 \
-    --farm "${farmstate}" --worker-id w1 \
-    --out "${root}/build/bench-artifacts-farm-w1" fig5 \
-    >/dev/null 2>&1 &
-w1_pid=$!
-"${root}/build/bench/stashbench" --quick --jobs 1 \
-    --farm "${farmstate}" --worker-id w2 \
-    --out "${root}/build/bench-artifacts-farm-w2" fig5 \
-    >/dev/null 2>&1 &
-w2_pid=$!
-sleep 2
-kill -KILL "${w1_pid}" 2>/dev/null || true
-kill -TERM "${w2_pid}" 2>/dev/null || true
-w1_rc=0; wait "${w1_pid}" || w1_rc=$?
-w2_rc=0; wait "${w2_pid}" || w2_rc=$?
-# The graceful worker either finished before the signal (0) or exited
-# with the distinct "interrupted, resumable" code (75).
-case "${w2_rc}" in
+    --restore "${sigdir}/state" --out "${sigdir}" fig6 \
+    >"${sigdir}/interrupted.log" 2>&1 &
+sig_pid=$!
+sleep 1
+kill -TERM "${sig_pid}" 2>/dev/null || true
+sig_rc=0; wait "${sig_pid}" || sig_rc=$?
+case "${sig_rc}" in
     0|75) ;;
-    *) echo "SIGTERMed farm worker exited ${w2_rc}, want 0 or 75" >&2
+    *) cat "${sigdir}/interrupted.log"
+       echo "SIGTERMed stashbench exited ${sig_rc}, want 0 or 75" >&2
        exit 1 ;;
 esac
-sleep 2 # let the SIGKILLed worker's last heartbeat go stale
 "${root}/build/bench/stashbench" --quick --jobs "${jobs}" \
-    --farm "${farmstate}" --worker-id w3 --lease-ttl 1 \
-    --out "${root}/build/bench-artifacts-farm-w3" fig5
-cmp "${farmref}/BENCH_fig5.json" \
-    "${root}/build/bench-artifacts-farm-w3/BENCH_fig5.json"
-if ls "${farmstate}"/fig5/LEASE_*.json >/dev/null 2>&1; then
-    echo "orphaned leases left in the farm state dir:" >&2
-    ls "${farmstate}"/fig5/LEASE_*.json >&2
-    exit 1
-fi
-echo "farmed artifact is byte-identical to the single-process sweep"
+    --restore "${sigdir}/state" --out "${sigdir}" fig6
+cmp "${artifacts}/BENCH_fig6.json" "${sigdir}/BENCH_fig6.json"
+echo "SIGTERMed run exited ${sig_rc}; the resumed artifact is byte-identical"
 
 # Memory-backend leg: one quick bench per backend.  --backend fixed
 # is the default model spelled explicitly, so its artifact must be
@@ -277,4 +249,4 @@ git -C "${root}" diff --exit-code -- EXPERIMENTS.md || {
     exit 1
 }
 
-echo "=== CI passed (plain + ASan/UBSan + TSan + quick benches + manifests + RESULT cache + farm + backends + trace + hostbench + full scale) ==="
+echo "=== CI passed (plain + ASan/UBSan + TSan + quick benches + manifests + RESULT cache + SIGTERM resume + backends + trace + hostbench + full scale) ==="

@@ -1,6 +1,6 @@
 #include "driver/bench_args.hh"
 
-#include <cstdlib>
+#include <cstdint>
 #include <cstring>
 
 namespace stashsim
@@ -23,13 +23,14 @@ needsValue(int i, int argc, const char *flag, std::string &err)
  *
  * strtoul-style parsing silently turned "--jobs abc" into 0 (one
  * thread per core) and "--jobs 3x" into 3; here every byte must be a
- * decimal digit and the value must fit @p max, or the parse fails
- * with a diagnostic naming the flag and the offending token.
+ * decimal digit and the value must fit an unsigned, or the parse
+ * fails with a diagnostic naming the flag and the offending token.
  */
 bool
-parseNumber(const char *flag, const char *text, std::uint64_t max,
-            std::uint64_t &out, std::string &err)
+parseUnsigned(const char *flag, const char *text, unsigned &out,
+              std::string &err)
 {
+    constexpr std::uint64_t max = 0xffff'ffffull;
     if (*text == '\0') {
         err = std::string(flag) + ": empty value (expected a base-10 "
               "unsigned integer)";
@@ -51,18 +52,6 @@ parseNumber(const char *flag, const char *text, std::uint64_t max,
         }
         v = v * 10 + d;
     }
-    out = v;
-    return true;
-}
-
-/** parseNumber() into an unsigned field. */
-bool
-parseUnsigned(const char *flag, const char *text, unsigned &out,
-              std::string &err)
-{
-    std::uint64_t v = 0;
-    if (!parseNumber(flag, text, 0xffff'ffffull, v, err))
-        return false;
     out = unsigned(v);
     return true;
 }
@@ -122,34 +111,6 @@ BenchArgs::parse(int argc, char **argv, BenchArgs &out,
             if (!needsValue(i, argc, a, err))
                 return false;
             out.restoreDir = argv[++i];
-        } else if (std::strcmp(a, "--farm") == 0) {
-            if (!needsValue(i, argc, a, err))
-                return false;
-            out.farmDir = argv[++i];
-        } else if (std::strcmp(a, "--worker-id") == 0) {
-            if (!needsValue(i, argc, a, err))
-                return false;
-            out.workerId = argv[++i];
-        } else if (std::strcmp(a, "--lease-ttl") == 0) {
-            if (!needsValue(i, argc, a, err))
-                return false;
-            if (!parseNumber(a, argv[++i],
-                             0xffff'ffff'ffff'ffffull,
-                             out.leaseTtlSec, err))
-                return false;
-            if (out.leaseTtlSec == 0) {
-                err = "--lease-ttl must be at least 1 second";
-                return false;
-            }
-        } else if (std::strcmp(a, "--max-attempts") == 0) {
-            if (!needsValue(i, argc, a, err))
-                return false;
-            if (!parseUnsigned(a, argv[++i], out.maxAttempts, err))
-                return false;
-            if (out.maxAttempts == 0) {
-                err = "--max-attempts must be at least 1";
-                return false;
-            }
         } else if (std::strcmp(a, "--trace-replay") == 0) {
             if (!needsValue(i, argc, a, err))
                 return false;
@@ -211,24 +172,6 @@ BenchArgs::usage(const char *prog)
            "                      cached results there instead of "
            "re-simulating;\n"
            "                      every other run starts from tick 0\n"
-           "  --farm DIR          join the worker farm over DIR: "
-           "runs are claimed\n"
-           "                      through lease files, so any number "
-           "of processes\n"
-           "                      pointed at DIR drain the sweep "
-           "together (implies\n"
-           "                      --restore semantics); exit code 75 "
-           "means\n"
-           "                      'interrupted, resumable'\n"
-           "  --worker-id S       farm worker identity for lease "
-           "files\n"
-           "                      (default: w<pid>)\n"
-           "  --lease-ttl SECONDS lease heartbeat TTL; a staler "
-           "lease is presumed\n"
-           "                      dead and stolen (default 30)\n"
-           "  --max-attempts N    attempts per run before FAILED_* "
-           "quarantine\n"
-           "                      (default 3)\n"
            "  --trace-replay FILE replay the stashtrace-v1 access "
            "trace in FILE as a\n"
            "                      workload across cache / scratchGD / "

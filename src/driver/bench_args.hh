@@ -11,7 +11,6 @@
 #ifndef STASHSIM_DRIVER_BENCH_ARGS_HH
 #define STASHSIM_DRIVER_BENCH_ARGS_HH
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -48,21 +47,11 @@ struct BenchArgs
     /** When nonempty, render EXPERIMENTS-style markdown here
      *  ("-" = stdout) from the JSON artifacts in outDir. */
     std::string renderMd;
-    /** Resume from the cached results in this directory. */
-    std::string restoreDir;
     /**
-     * Farm over this state directory: claim every run through the
-     * lease protocol so any number of stashbench processes pointed at
-     * the same directory drain one sweep together (implies resume
-     * semantics — workers serve each other's cached results).
+     * Result-cache directory: serve the valid cached results there
+     * and cache every other run's result (SweepOptions::stateDir).
      */
-    std::string farmDir;
-    /** Farm worker id for lease files; empty = "w<pid>". */
-    std::string workerId;
-    /** Lease heartbeat TTL in seconds (farm mode). */
-    std::uint64_t leaseTtlSec = 30;
-    /** Attempts per spec before FAILED_* quarantine (farm mode). */
-    unsigned maxAttempts = 3;
+    std::string restoreDir;
     /**
      * When nonempty, replay this stashtrace-v1 file as a workload
      * (BENCH_replay.json), or — combined with traceRecord — parse
@@ -92,8 +81,6 @@ struct BenchArgs
      *   --trace DIR
      *   --components
      *   --restore DIR
-     *   --farm DIR | --worker-id S | --lease-ttl SECONDS
-     *   --max-attempts N
      *   --trace-replay FILE | --trace-record FILE | --trace-from NAME
      *   --list [--json] | --list-workloads
      *   --render-md FILE

@@ -10,13 +10,10 @@
  * tests/driver enforces this — while wall-clock scales with the
  * core count.
  *
- * With a state directory the driver additionally becomes one worker
- * of a crash-safe farm (src/driver/farm.hh): every spec is claimed
- * through an atomic lease file before it runs, so N independent
- * processes (or hosts on a shared filesystem) pointed at the same
- * state dir drain one sweep cooperatively, stealing work from workers
- * that die and serving each other's cached results.  A single-process
- * sweep is simply a farm of one.
+ * With a state directory the same loop also serves the RESULT cache
+ * (DESIGN.md §11): the thread that claims a spec serves its valid
+ * cached result, or simulates it and caches the result.  Each spec is
+ * visited by exactly one thread.
  */
 
 #ifndef STASHSIM_DRIVER_SWEEP_HH
@@ -33,12 +30,10 @@ namespace stashsim
 {
 
 /**
- * Structured recovery counters for one sweep.  Everything the resume
- * and farm machinery used to only whisper onto the progress stream:
- * the sweep summary prints them, and the stashbench CLI folds them
- * into BENCH_simperf.json (deliberately NOT into BENCH_<name>.json,
- * which must stay byte-identical between fresh, resumed, and farmed
- * sweeps).
+ * Structured recovery counters for one sweep.  The sweep summary
+ * prints them, and the stashbench CLI folds them into
+ * BENCH_simperf.json (deliberately NOT into BENCH_<name>.json, which
+ * must stay byte-identical between fresh and resumed sweeps).
  */
 struct SweepCounters
 {
@@ -51,12 +46,6 @@ struct SweepCounters
     std::uint64_t staleResults = 0;
     /** Artifacts moved to QUARANTINE/ instead of being overwritten. */
     std::uint64_t quarantinedArtifacts = 0;
-    /** Stale leases of dead workers taken over by this sweep. */
-    std::uint64_t reclaimedLeases = 0;
-    /** Claims at attempt > 1 (a previous attempt failed or died). */
-    std::uint64_t retriedRuns = 0;
-    /** Specs that exhausted their attempt budget (FAILED_* marker). */
-    std::uint64_t failedSpecs = 0;
     /** The sweep stopped early on the stop flag (SIGINT/SIGTERM). */
     bool interrupted = false;
 
@@ -76,41 +65,15 @@ struct SweepOptions
     std::ostream *progress = nullptr;
 
     /**
-     * Result-cache state directory.  When nonempty, every completed
-     * run caches its RunResult to RESULT_<label>.snap there, and
-     * every spec is claimed through the farm lease protocol
-     * (src/driver/farm.hh) before running — so any number of
-     * processes pointed at the same directory drain the sweep
-     * together.
+     * Result-cache state directory.  When nonempty, a spec with a
+     * valid RESULT_<label>.snap there is served from it without
+     * simulating; every other spec runs from tick 0 and, unless it
+     * throws, caches its result there.  A truncated, corrupt or stale
+     * RESULT_* is moved to QUARANTINE/ with a warning on @ref progress
+     * and re-simulated — the cache never fails a sweep, it only saves
+     * work.
      */
     std::string stateDir;
-
-    /**
-     * Resume an interrupted sweep from @ref stateDir: specs with a
-     * valid RESULT_* artifact are not rerun (the cached result is
-     * returned), and the rest run from tick 0.  A truncated, corrupt
-     * or stale RESULT_* is quarantined with a warning on
-     * @ref progress and re-simulated — resume never fails a sweep, it
-     * only saves work.  Multi-process farming requires resume
-     * (workers serve each other's results through the cache); without
-     * it the sweep is a fresh campaign that ignores pre-existing
-     * artifacts.
-     */
-    bool resume = false;
-
-    /**
-     * Farm worker identity for lease files; empty = "w<pid>".  Give
-     * every farm process a distinct id (the driver appends ".<t>" per
-     * worker thread on top).
-     */
-    std::string workerId;
-
-    /** Lease heartbeat TTL in ms; a staler lease is presumed dead
-     *  and stolen.  Keep well above the longest single phase. */
-    std::uint64_t leaseTtlMs = 30'000;
-
-    /** Attempts a spec gets before it is quarantined as FAILED_*. */
-    unsigned maxAttempts = 3;
 
     /**
      * Cooperative stop flag (SIGINT/SIGTERM handlers set it).  When
@@ -138,10 +101,9 @@ class SweepDriver
      * Runs every spec and returns the records in spec order.
      * Exceptions inside a run (fatal() throws) are captured: the
      * record's result is marked unvalidated with the message in
-     * errors, and the remaining specs still run (stateful sweeps
-     * retry up to SweepOptions::maxAttempts first).  When @p counters
-     * is non-null the sweep's recovery counters are accumulated into
-     * it.
+     * errors, nothing is cached for it, and the remaining specs still
+     * run.  When @p counters is non-null the sweep's recovery counters
+     * are accumulated into it.
      */
     std::vector<RunRecord> run(std::vector<RunSpec> specs,
                                SweepCounters *counters = nullptr) const;

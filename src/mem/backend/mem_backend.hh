@@ -17,7 +17,7 @@
  *    deterministic: write cost is arithmetic on plain counters,
  *    never a live event.
  *  - One backend instance serves one LLC bank, and its timing state
- *    is that bank's alone (DESIGN.md section 13).
+ *    is that bank's alone (DESIGN.md section 12).
  */
 
 #ifndef STASHSIM_MEM_BACKEND_MEM_BACKEND_HH

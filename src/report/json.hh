@@ -134,8 +134,9 @@ class JsonValue
     /**
      * Deepest array/object nesting parse() accepts.  The simulator's
      * own documents nest fewer than ten levels; the bound keeps a
-     * hostile file (a farm lease of 200,000 '[') from overflowing the
-     * recursive-descent parser's stack.
+     * hostile file (a BENCH_*.json of 200,000 '[' read back by
+     * --render-md) from overflowing the recursive-descent parser's
+     * stack.
      */
     static constexpr unsigned maxParseDepth = 256;
 

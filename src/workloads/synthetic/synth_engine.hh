@@ -4,7 +4,7 @@
  *
  * A thin mt19937_64 wrapper whose whole point is reproducibility: a
  * workload generated from (spec, seed) is bit-identical no matter
- * where it is built — in one process or on a farm worker.
+ * which process or sweep thread builds it.
  */
 
 #ifndef STASHSIM_WORKLOADS_SYNTHETIC_SYNTH_ENGINE_HH

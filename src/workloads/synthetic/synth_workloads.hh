@@ -29,7 +29,7 @@
  *
  * Every workload validates its final memory image against a host-side
  * model replayed from the same seeded generation, so the whole family
- * is deterministic and farm-safe.
+ * is deterministic.
  */
 
 #ifndef STASHSIM_WORKLOADS_SYNTHETIC_SYNTH_WORKLOADS_HH

@@ -4,7 +4,7 @@
  * load/store/staging records, replayable as a Workload.
  *
  * The format lets arbitrary recorded access streams run through the
- * stash.  Grammar (see DESIGN.md §14.3 for the full treatment):
+ * stash.  Grammar (see DESIGN.md §13.3 for the full treatment):
  *
  *     stashtrace v1
  *     warmup <n>

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
+#include <iterator>
 #include <sstream>
+#include <stdexcept>
 
 #include "driver/sweep.hh"
 
@@ -92,6 +95,44 @@ TEST(SweepDriverTest, CapturesFailuresWithoutAbortingTheSweep)
     // Neighbors still ran to completion.
     EXPECT_TRUE(records[0].result.validated);
     EXPECT_TRUE(records[2].result.validated);
+
+    // With a state directory the failed run caches nothing, so every
+    // later sweep over it simulates the spec again (and fails again)
+    // while its neighbors are served from the cache.
+    namespace fs = std::filesystem;
+    const std::string dir = ::testing::TempDir() + "sweep_failure_state";
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    std::atomic<int> attempts{0};
+    RunSpec thrower = specs[0];
+    thrower.labelOverride = "thrower";
+    thrower.make = [&attempts](const workloads::WorkloadParams &)
+        -> Workload {
+        attempts.fetch_add(1, std::memory_order_relaxed);
+        throw std::runtime_error("injected workload failure");
+    };
+    const std::vector<RunSpec> stateful = {specs[0], thrower, specs[2]};
+    SweepOptions opts;
+    opts.threads = 2;
+    opts.stateDir = dir;
+    for (int pass = 1; pass <= 2; ++pass) {
+        SweepCounters counters;
+        const std::vector<RunRecord> recs =
+            SweepDriver(opts).run(stateful, &counters);
+        ASSERT_EQ(recs.size(), 3u);
+        EXPECT_FALSE(recs[1].result.validated);
+        ASSERT_EQ(recs[1].result.errors.size(), 1u);
+        EXPECT_EQ(recs[1].result.errors[0], "injected workload failure");
+        EXPECT_TRUE(recs[0].result.validated);
+        EXPECT_TRUE(recs[2].result.validated);
+        EXPECT_EQ(attempts.load(), pass);
+        EXPECT_EQ(counters.cachedRuns, pass == 1 ? 0u : 2u);
+        // Only the two neighbors' results are on disk.
+        EXPECT_EQ(std::distance(fs::directory_iterator(dir),
+                                fs::directory_iterator()),
+                  2);
+        EXPECT_FALSE(fs::exists(dir + "/RESULT_thrower-smoke.snap"));
+    }
 }
 
 TEST(SweepDriverTest, CapturesNonStandardExceptionsToo)

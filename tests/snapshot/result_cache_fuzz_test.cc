@@ -226,7 +226,6 @@ TEST(ResultCacheFuzzTest, EveryMutantIsServedOrReSimulated)
     SweepOptions opts;
     opts.threads = 1;
     opts.stateDir = dir;
-    opts.resume = true;
 
     const std::vector<RunRecord> first =
         SweepDriver(opts).run({tinySpec()});

@@ -106,7 +106,6 @@ resumeOpts(const std::string &dir, std::ostream *progress = nullptr)
     opts.threads = 1;
     opts.progress = progress;
     opts.stateDir = dir;
-    opts.resume = true;
     return opts;
 }
 
@@ -167,9 +166,7 @@ TEST(ResumeParityTest, CheckpointingIsObservationallyPure)
     const RunResult plain = runSpec(baseSpec());
     ASSERT_TRUE(plain.validated);
 
-    SweepOptions opts = resumeOpts(dir);
-    opts.resume = false;
-    const auto cached = SweepDriver(opts).run({baseSpec()});
+    const auto cached = SweepDriver(resumeOpts(dir)).run({baseSpec()});
     EXPECT_EQ(fingerprint(plain), fingerprint(cached[0].result));
     EXPECT_EQ(resultsIn(dir).size(), 1u)
         << "a completed run must leave its RESULT artifact";

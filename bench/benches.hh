@@ -32,6 +32,7 @@
 #include <atomic>
 #include <cstdint>
 #include <iosfwd>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -176,10 +177,20 @@ report::JsonValue benchDoc(const BenchContext &ctx, const char *name,
 report::JsonValue runToJson(const RunRecord &rec, bool components);
 
 /**
+ * A bench's state directory (<stateDir>/<bench>) could not be
+ * created; what() reads "cannot use state directory <dir>: <reason>".
+ */
+struct StateDirError : std::runtime_error
+{
+    using std::runtime_error::runtime_error;
+};
+
+/**
  * Runs @p specs through the SweepDriver with the context's jobs and
  * progress settings; when the context has a trace dir, each spec is
  * instrumented with a ChromeTraceSink whose output lands in
- * TRACE_<bench>_<label>.json.
+ * TRACE_<bench>_<label>.json.  Throws StateDirError when the bench's
+ * state directory cannot be created.
  */
 std::vector<RunRecord> sweepSpecs(const BenchContext &ctx,
                                   const char *bench,

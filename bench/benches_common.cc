@@ -391,7 +391,12 @@ sweepSpecs(const BenchContext &ctx, const char *bench,
         // same-labelled specs under different configurations, and the
         // RESULT_ namespaces must not collide across them.
         opts.stateDir = ctx.stateDir + "/" + bench;
-        std::filesystem::create_directories(opts.stateDir);
+        std::error_code ec;
+        std::filesystem::create_directories(opts.stateDir, ec);
+        if (ec) {
+            throw StateDirError("cannot use state directory " +
+                                opts.stateDir + ": " + ec.message());
+        }
     }
     SweepCounters counters;
     std::vector<RunRecord> records =

@@ -349,8 +349,9 @@ main(int argc, char **argv)
         std::filesystem::create_directories(ctx.stateDir, ec);
         if (ec) {
             std::fprintf(stderr,
-                         "stashbench: cannot create state dir %s\n",
-                         ctx.stateDir.c_str());
+                         "stashbench: cannot use state directory %s: "
+                         "%s\n",
+                         ctx.stateDir.c_str(), ec.message().c_str());
             return 1;
         }
     }
@@ -370,7 +371,13 @@ main(int argc, char **argv)
     const auto wall_start = std::chrono::steady_clock::now();
     for (const BenchInfo *b : selected) {
         std::fprintf(stderr, "=== %s: %s ===\n", b->name, b->title);
-        report::JsonValue doc = b->run(ctx);
+        report::JsonValue doc;
+        try {
+            doc = b->run(ctx);
+        } catch (const StateDirError &e) {
+            std::fprintf(stderr, "stashbench: %s\n", e.what());
+            return 1;
+        }
         if (g_stop.load(std::memory_order_relaxed)) {
             // Interrupted mid-sweep: the document is incomplete, so
             // no artifact is written.  With --restore the state dir

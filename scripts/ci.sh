@@ -3,10 +3,11 @@
 # times — plain, under AddressSanitizer + UndefinedBehaviorSanitizer,
 # and under ThreadSanitizer — then run the quick-scale benches, check
 # the artifacts against the committed manifest, exercise the RESULT
-# cache, an interrupted and resumed --restore run, the memory-backend
-# and trace paths, smoke-run hostbench against its recorded digests,
-# and check the full-scale artifacts against their manifest and
-# EXPERIMENTS.md against them.
+# cache (and its diagnostic for an unusable state directory), an
+# interrupted and resumed --restore run, the memory-backend and trace
+# paths (the recorded trace against its manifest), smoke-run hostbench
+# against its recorded digests, and check the full-scale artifacts
+# against their manifest and EXPERIMENTS.md against them.
 #
 # Usage: scripts/ci.sh [jobs]
 set -eu
@@ -100,6 +101,26 @@ then
 fi
 echo "${kept} kept results served, the deleted ones re-simulated; artifacts are byte-identical"
 
+# A state directory holding a plain file where a bench keeps its
+# results (DIR/fig5): stashbench must name the directory and the
+# reason and exit 1, not abort on an escaping filesystem error.
+collide="${cachedir}/collide"
+mkdir -p "${collide}/state"
+: >"${collide}/state/fig5"
+collide_rc=0
+"${root}/build/bench/stashbench" --smoke --jobs 1 \
+    --restore "${collide}/state" --out "${collide}" fig5 \
+    >"${collide}/run.log" 2>&1 || collide_rc=$?
+want="stashbench: cannot use state directory ${collide}/state/fig5: "
+if [ "${collide_rc}" -ne 1 ] || ! grep -qF "${want}" "${collide}/run.log"
+then
+    cat "${collide}/run.log"
+    echo "--restore over a plain file named fig5 exited ${collide_rc}," \
+         "want 1 and '${want}<reason>'" >&2
+    exit 1
+fi
+echo "--restore over a plain file named fig5 exits 1 with a diagnostic"
+
 # Interrupt and resume, end to end: SIGTERM a single-process
 # --restore run of fig6 (about 3 s serial at quick scale) one second
 # in.  It stops starting runs, finishes and caches the run in flight,
@@ -154,16 +175,22 @@ fi
 echo "--backend bogus rejected with a diagnostic"
 
 # Trace frontend leg: record a synthetic workload as a stashtrace-v1
-# file, re-emit it through the parser (the canonical rendering is a
-# parse/write fixed point, so the two files must be byte-identical),
-# then replay it as a bench.  Malformed traces and bad flag
-# combinations must be rejected with exit 2.
+# file and check it against the committed manifest (the recorder walks
+# the built op stream, so a slip in how a workload is lowered shows up
+# here even when the trace still round-trips), re-emit it through the
+# parser (the canonical rendering is a parse/write fixed point, so the
+# two files must be byte-identical), then replay it as a bench.
+# Malformed traces and bad flag combinations must be rejected with
+# exit 2.  Regenerate the manifest only with the quick one:
+#   cd "${tracedir}" && sha256sum synthmix.trace \
+#       > "${root}/scripts/trace_artifacts.sha256"
 tracedir="${root}/build/bench-artifacts-trace"
-echo "=== stashtrace record -> normalize -> replay round trip ==="
+echo "=== stashtrace record -> manifest -> normalize -> replay round trip ==="
 rm -rf "${tracedir}"
 mkdir -p "${tracedir}"
 "${root}/build/bench/stashbench" --quick \
     --trace-from SynthMix --trace-record "${tracedir}/synthmix.trace"
+(cd "${tracedir}" && sha256sum -c "${root}/scripts/trace_artifacts.sha256")
 "${root}/build/bench/stashbench" \
     --trace-replay "${tracedir}/synthmix.trace" \
     --trace-record "${tracedir}/synthmix.norm.trace"
@@ -249,4 +276,4 @@ git -C "${root}" diff --exit-code -- EXPERIMENTS.md || {
     exit 1
 }
 
-echo "=== CI passed (plain + ASan/UBSan + TSan + quick benches + manifests + RESULT cache + SIGTERM resume + backends + trace + hostbench + full scale) ==="
+echo "=== CI passed (plain + ASan/UBSan + TSan + quick benches + manifests + RESULT cache + state-dir diagnostic + SIGTERM resume + backends + trace manifest + hostbench + full scale) ==="

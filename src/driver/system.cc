@@ -253,27 +253,21 @@ System::drain(const char *what)
 void
 System::runGpuPhase(Phase &phase)
 {
-    // Split the grid round-robin across the CUs.
-    std::vector<Kernel> per_cu(gpus.size());
-    for (auto &k : per_cu)
-        k.name = phase.kernel.name;
-    for (std::size_t b = 0; b < phase.kernel.blocks.size(); ++b) {
-        per_cu[b % gpus.size()].blocks.push_back(
-            std::move(phase.kernel.blocks[b]));
-    }
-
+    // Split the grid round-robin across the CUs: CU i runs blocks i,
+    // i + n, i + 2n, ... in place.
+    const Kernel &k = phase.kernel;
     unsigned pending = 0;
-    for (std::size_t i = 0; i < gpus.size(); ++i) {
-        if (per_cu[i].blocks.empty())
-            continue;
+    for (std::size_t i = 0; i < gpus.size() && i < k.blocks.size(); ++i) {
         ++pending;
-        gpus[i].cu->runKernel(std::move(per_cu[i]),
+        gpus[i].cu->runKernel(k, i, gpus.size(),
                               [&pending] { --pending; });
     }
     drain("gpu kernel phase");
     if (pending != 0 && _watchdog)
         _watchdog->reportHang("gpu kernel phase");
     sim_assert(pending == 0);
+    // The phase's op streams are done with.
+    phase.kernel.blocks.clear();
 }
 
 void

@@ -83,59 +83,94 @@ ComputeUnit::freeLocal(LocalAddr base, std::uint32_t bytes)
 {
     if (bytes == 0)
         return;
-    freeLocalSpace.emplace_back(base, bytes);
-    // Coalesce adjacent intervals.
-    std::sort(freeLocalSpace.begin(), freeLocalSpace.end());
-    std::vector<std::pair<LocalAddr, std::uint32_t>> merged;
-    for (const auto &[b, sz] : freeLocalSpace) {
-        if (sz == 0)
-            continue;
-        if (!merged.empty() &&
-            merged.back().first + merged.back().second == b) {
-            merged.back().second += sz;
-        } else {
-            merged.emplace_back(b, sz);
-        }
+    // The free list is sorted and coalesced, with no empty interval,
+    // so only the freed interval's neighbours can merge with it.
+    auto next = std::lower_bound(freeLocalSpace.begin(),
+                                 freeLocalSpace.end(),
+                                 std::make_pair(base, std::uint32_t(0)));
+    const bool join_prev =
+        next != freeLocalSpace.begin() &&
+        std::prev(next)->first + std::prev(next)->second == base;
+    const bool join_next =
+        next != freeLocalSpace.end() && base + bytes == next->first;
+    if (join_prev && join_next) {
+        std::prev(next)->second += bytes + next->second;
+        freeLocalSpace.erase(next);
+    } else if (join_prev) {
+        std::prev(next)->second += bytes;
+    } else if (join_next) {
+        next->first = base;
+        next->second += bytes;
+    } else {
+        freeLocalSpace.insert(next, {base, bytes});
     }
-    freeLocalSpace = std::move(merged);
 }
 
 // ---------------------------------------------------------------------
 // Kernel lifecycle
 // ---------------------------------------------------------------------
 
+namespace
+{
+
+/** A context from @p spares, or a new one; value-initialized either way. */
+template <class T>
+std::unique_ptr<T>
+reuse(std::vector<std::unique_ptr<T>> &spares)
+{
+    if (spares.empty())
+        return std::make_unique<T>();
+    std::unique_ptr<T> p = std::move(spares.back());
+    spares.pop_back();
+    *p = T{};
+    return p;
+}
+
+/**
+ * Moves the contexts for which @p dead holds from @p live to
+ * @p spares; the rest keep their order.
+ */
+template <class T, class Pred>
 void
-ComputeUnit::runKernel(Kernel k, std::function<void()> done)
+retire(std::vector<std::unique_ptr<T>> &live,
+       std::vector<std::unique_ptr<T>> &spares, Pred dead)
+{
+    auto keep = live.begin();
+    for (auto &p : live) {
+        if (dead(*p))
+            spares.push_back(std::move(p));
+        else
+            *keep++ = std::move(p); // a self-move keeps p as it is
+    }
+    live.erase(keep, live.end());
+}
+
+} // namespace
+
+void
+ComputeUnit::runKernel(const Kernel &k, std::size_t first,
+                       std::size_t stride, std::function<void()> done)
 {
     sim_assert(!kernelActive);
-    kernel = std::move(k);
+    sim_assert(first < k.blocks.size() && stride > 0);
+    kernel = &k;
     kernelDone = std::move(done);
-    nextBlock = 0;
+    nextBlock = first;
+    blockStride = stride;
     kernelActive = true;
     kernelStart = eq.curTick();
     instrAtKernelStart = _stats.instructions;
     ++_stats.kernels;
-    if (kernel.blocks.empty()) {
-        // Degenerate launch; still a kernel boundary.
-        eq.scheduleIn(0, [this]() {
-            kernelActive = false;
-            if (stash)
-                stash->endKernel();
-            l1->selfInvalidate();
-            kernelDone();
-        });
-        return;
-    }
     tryLaunchBlocks();
 }
 
 void
 ComputeUnit::tryLaunchBlocks()
 {
-    while (nextBlock < kernel.blocks.size()) {
+    while (nextBlock < kernel->blocks.size()) {
         if (blocks.size() >= cfg.maxResidentTbsPerCu)
             return;
-        const ThreadBlock &tb = kernel.blocks[nextBlock];
+        const ThreadBlock &tb = kernel->blocks[nextBlock];
         unsigned live_warps = 0;
         for (const auto &b : blocks)
             live_warps += unsigned(b->tb->warps.size());
@@ -152,14 +187,13 @@ ComputeUnit::tryLaunchBlocks()
             }
             return;
         }
-        ++nextBlock;
+        nextBlock += blockStride;
 
-        auto ctx = std::make_unique<TbCtx>();
-        ctx->tb = &tb;
-        ctx->localBase = base;
-        ctx->liveWarps = unsigned(tb.warps.size());
-        TbCtx *tbc = ctx.get();
-        blocks.push_back(std::move(ctx));
+        TbCtx *tbc = blocks.emplace_back(reuse(spareBlocks)).get();
+        tbc->tb = &tb;
+        tbc->lanes = tb.addrs.data();
+        tbc->localBase = base;
+        tbc->liveWarps = unsigned(tb.warps.size());
 
         // AddMaps execute at block start (one instruction each).
         Cycles launch_delay = 0;
@@ -179,88 +213,88 @@ ComputeUnit::tryLaunchBlocks()
         // Create the warps now; they become schedulable when the
         // block starts running.
         for (const auto &ops : tb.warps) {
-            auto w = std::make_unique<WarpCtx>();
+            WarpCtx *w = warps.emplace_back(reuse(spareWarps)).get();
             w->tb = tbc;
             w->ops = &ops;
-            warps.push_back(std::move(w));
         }
-
-        auto start_running = [this, tbc]() {
-            tbc->running = true;
-            scheduleTick();
-        };
 
         if (!tb.dmaLoads.empty()) {
             sim_assert(dma != nullptr);
-            auto remaining =
-                std::make_shared<unsigned>(unsigned(tb.dmaLoads.size()));
+            tbc->dmaPending = unsigned(tb.dmaLoads.size());
             for (const DmaOp &d : tb.dmaLoads) {
                 ++_stats.instructions;
                 dma->load(d.tile,
                           LocalAddr(tbc->localBase + d.localOffset),
-                          [remaining, start_running]() {
-                              if (--*remaining == 0)
-                                  start_running();
+                          [this, tbc]() {
+                              if (--tbc->dmaPending == 0)
+                                  startBlock(*tbc);
                           });
             }
         } else if (launch_delay > 0) {
-            eq.scheduleIn(launch_delay * gpuClockPeriod, start_running);
+            eq.scheduleIn(launch_delay * gpuClockPeriod,
+                          [this, tbc]() { startBlock(*tbc); });
         } else {
-            start_running();
+            startBlock(*tbc);
         }
     }
 }
 
 void
+ComputeUnit::startBlock(TbCtx &tb)
+{
+    tb.running = true;
+    scheduleTick();
+}
+
+void
 ComputeUnit::finishBlock(TbCtx &tb)
 {
-    auto complete = [this, &tb]() {
-        if (stash) {
-            stash->endThreadBlock(tb.localBase, tb.tb->localBytes);
-            for (std::size_t i = 0; i < tb.tb->addMaps.size(); ++i)
-                stash->releaseMap(tb.mapIdx[i]);
-        }
-        freeLocal(tb.localBase, tb.tb->localBytes);
-        ++_stats.threadBlocks;
-
-        // Drop the block's warps and the block itself.
-        std::erase_if(warps, [&tb](const std::unique_ptr<WarpCtx> &w) {
-            return w->tb == &tb;
-        });
-        rrIndex = 0;
-        const TbCtx *dead = &tb;
-        std::erase_if(blocks,
-                      [dead](const std::unique_ptr<TbCtx> &b) {
-                          return b.get() == dead;
-                      });
-
-        tryLaunchBlocks();
-        checkKernelDone();
-    };
-
-    if (!tb.tb->dmaStores.empty()) {
-        sim_assert(dma != nullptr);
-        tb.draining = true;
-        auto remaining = std::make_shared<unsigned>(
-            unsigned(tb.tb->dmaStores.size()));
-        for (const DmaOp &d : tb.tb->dmaStores) {
-            ++_stats.instructions;
-            dma->store(d.tile, LocalAddr(tb.localBase + d.localOffset),
-                       [remaining, complete]() {
-                           if (--*remaining == 0)
-                               complete();
-                       });
-        }
-    } else {
-        complete();
+    if (tb.tb->dmaStores.empty()) {
+        retireBlock(tb);
+        return;
     }
+    sim_assert(dma != nullptr);
+    tb.draining = true;
+    tb.dmaPending = unsigned(tb.tb->dmaStores.size());
+    for (const DmaOp &d : tb.tb->dmaStores) {
+        ++_stats.instructions;
+        dma->store(d.tile, LocalAddr(tb.localBase + d.localOffset),
+                   [this, &tb]() {
+                       if (--tb.dmaPending == 0)
+                           retireBlock(tb);
+                   });
+    }
+}
+
+void
+ComputeUnit::retireBlock(TbCtx &tb)
+{
+    if (stash) {
+        stash->endThreadBlock(tb.localBase, tb.tb->localBytes);
+        for (std::size_t i = 0; i < tb.tb->addMaps.size(); ++i)
+            stash->releaseMap(tb.mapIdx[i]);
+    }
+    freeLocal(tb.localBase, tb.tb->localBytes);
+    ++_stats.threadBlocks;
+
+    // Drop the block's warps and the block itself; their contexts
+    // wait in the spares for the next launch.
+    retire(warps, spareWarps,
+           [&tb](const WarpCtx &w) { return w.tb == &tb; });
+    rrIndex = 0;
+    const TbCtx *dead = &tb;
+    retire(blocks, spareBlocks,
+           [dead](const TbCtx &b) { return &b == dead; });
+
+    tryLaunchBlocks();
+    checkKernelDone();
 }
 
 void
 ComputeUnit::checkKernelDone()
 {
     if (!kernelActive || !blocks.empty() ||
-        nextBlock < kernel.blocks.size()) {
+        nextBlock < kernel->blocks.size()) {
         return;
     }
     kernelActive = false;
@@ -428,9 +462,10 @@ ComputeUnit::execute(WarpCtx &warp)
         // the program brackets it with barriers).
         sim_assert(stash != nullptr);
         TbCtx *tb = warp.tb;
+        const DmaOp &to = tb->tb->retargets[op.index];
         const Cycles cost = stash->chgMap(
             tb->mapIdx[op.mapSlot],
-            LocalAddr(tb->localBase + op.localOffset), op.tile);
+            LocalAddr(tb->localBase + to.localOffset), to.tile);
         warp.blocked = true;
         eq.scheduleIn(cost * gpuClockPeriod,
                       [this, &warp]() { unblock(warp); });
@@ -439,13 +474,10 @@ ComputeUnit::execute(WarpCtx &warp)
       case OpKind::DmaXfer: {
         sim_assert(dma != nullptr);
         warp.blocked = true;
-        const LocalAddr local =
-            LocalAddr(warp.tb->localBase + op.localOffset);
-        auto done = [this, &warp]() { unblock(warp); };
-        if (op.dmaStore)
-            dma->store(op.tile, local, std::move(done));
-        else
-            dma->load(op.tile, local, std::move(done));
+        const DmaOp &to = warp.tb->tb->retargets[op.index];
+        dma->load(to.tile,
+                  LocalAddr(warp.tb->localBase + to.localOffset),
+                  [this, &warp]() { unblock(warp); });
         return;
       }
       default:
@@ -494,12 +526,13 @@ ComputeUnit::execMemLines(WarpCtx &warp, const WarpOp &op)
 
     // Coalesce the lanes by line; a record's payload is its lane and
     // store value.  Stash ops address the block's 32-bit local space.
-    sim_assert(op.addrs.size() <= warp.acc.size());
+    sim_assert(op.lanes <= warp.acc.size());
+    const Addr *addrs = warp.tb->lanes + op.index;
     GroupByKey<Addr, std::pair<unsigned, std::uint32_t>> lines;
-    for (unsigned lane = 0; lane < op.addrs.size(); ++lane) {
+    for (unsigned lane = 0; lane < op.lanes; ++lane) {
         const Addr a =
-            to_stash ? Addr(LocalAddr(warp.tb->localBase + op.addrs[lane]))
-                     : op.addrs[lane];
+            to_stash ? Addr(LocalAddr(warp.tb->localBase + addrs[lane]))
+                     : addrs[lane];
         lines.add(lineBase(a), wordBit(lineWord(a)),
                   {lane, is_store && op.storeAcc ? warp.acc[lane] : op.value});
     }
@@ -565,9 +598,10 @@ ComputeUnit::execMemLocal(WarpCtx &warp, const WarpOp &op)
 
     if (spad) {
         const LocalAddr base = warp.tb->localBase;
+        const Addr *addrs = warp.tb->lanes + op.index;
         const std::uint64_t seq = ++warp.memSeq;
-        for (unsigned lane = 0; lane < op.addrs.size(); ++lane) {
-            const LocalAddr a = LocalAddr(base + op.addrs[lane]);
+        for (unsigned lane = 0; lane < op.lanes; ++lane) {
+            const LocalAddr a = LocalAddr(base + addrs[lane]);
             if (is_store) {
                 spad->write(a,
                             op.storeAcc ? warp.acc[lane] : op.value);

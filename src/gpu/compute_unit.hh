@@ -13,7 +13,9 @@
  * Thread-block residency is limited by the slot count, the warp
  * count, and the local-memory footprint: a kernel whose blocks claim
  * large scratchpad/stash allocations runs fewer blocks concurrently,
- * exactly the occupancy coupling real GPUs exhibit.
+ * exactly the occupancy coupling real GPUs exhibit.  A retired
+ * block's and its warps' contexts are kept for the next launch, so a
+ * warm CU launches and retires blocks without allocating.
  */
 
 #ifndef STASHSIM_GPU_COMPUTE_UNIT_HH
@@ -56,8 +58,13 @@ class ComputeUnit
                 L1Cache *l1, Scratchpad *spad, Stash *stash,
                 DmaEngine *dma);
 
-    /** Launches @p kernel; @p done runs when every block finished. */
-    void runKernel(Kernel kernel, std::function<void()> done);
+    /**
+     * Launches blocks @p first, first + @p stride, ... of @p kernel,
+     * which must stay alive until @p done runs, when every one of
+     * them has finished.
+     */
+    void runKernel(const Kernel &kernel, std::size_t first,
+                   std::size_t stride, std::function<void()> done);
 
     const GpuStats &stats() const { return _stats; }
     CoreId coreId() const { return core; }
@@ -94,10 +101,14 @@ class ComputeUnit
     struct TbCtx
     {
         const ThreadBlock *tb = nullptr;
+        /** The block's lane-address pool, read on every access. */
+        const Addr *lanes = nullptr;
         LocalAddr localBase = 0;
         std::array<MapIndex, 8> mapIdx{};
         unsigned liveWarps = 0;
         unsigned barrierCount = 0;
+        /** DMA loads (at launch) or stores (at retire) in flight. */
+        unsigned dmaPending = 0;
         bool running = false; //!< AddMaps done, DMA loads complete
         bool draining = false; //!< waiting on DMA stores
     };
@@ -128,7 +139,9 @@ class ComputeUnit
     void unblock(WarpCtx &warp);
     void onWarpFinished(WarpCtx &warp);
     void tryLaunchBlocks();
+    void startBlock(TbCtx &tb);
     void finishBlock(TbCtx &tb);
+    void retireBlock(TbCtx &tb);
     void checkKernelDone();
     bool allocLocal(std::uint32_t bytes, LocalAddr *base);
     void freeLocal(LocalAddr base, std::uint32_t bytes);
@@ -141,11 +154,16 @@ class ComputeUnit
     Stash *stash;
     DmaEngine *dma;
 
-    Kernel kernel;
+    const Kernel *kernel = nullptr;
     std::function<void()> kernelDone;
     std::size_t nextBlock = 0;
+    std::size_t blockStride = 1;
+    /** Resident blocks and warps, in launch order. */
     std::vector<std::unique_ptr<TbCtx>> blocks;
     std::vector<std::unique_ptr<WarpCtx>> warps;
+    /** Retired contexts, reused by the next launches. */
+    std::vector<std::unique_ptr<TbCtx>> spareBlocks;
+    std::vector<std::unique_ptr<WarpCtx>> spareWarps;
     std::size_t rrIndex = 0;
     bool tickScheduled = false;
     bool kernelActive = false;

@@ -1,5 +1,7 @@
 #include "gpu/kernel.hh"
 
+#include "sim/log.hh"
+
 namespace stashsim
 {
 
@@ -43,38 +45,42 @@ computeOp(std::uint16_t cycles, std::int32_t acc_delta)
 }
 
 WarpOp
-memOp(OpKind kind, std::vector<Addr> addrs, std::uint8_t map_slot)
+barrierOp()
 {
     WarpOp op;
-    op.kind = kind;
-    op.addrs = std::move(addrs);
-    op.mapSlot = map_slot;
+    op.kind = OpKind::Barrier;
     return op;
 }
 
 WarpOp
-storeValueOp(OpKind kind, std::vector<Addr> addrs, std::uint32_t value,
-             std::uint8_t map_slot)
+ThreadBlock::memOp(OpKind kind, std::span<const Addr> lane_addrs,
+                   std::uint8_t map_slot)
 {
-    WarpOp op = memOp(kind, std::move(addrs), map_slot);
-    op.storeAcc = false;
+    sim_assert(lane_addrs.size() <= 32);
+    WarpOp op;
+    op.kind = kind;
+    op.mapSlot = map_slot;
+    op.lanes = std::uint8_t(lane_addrs.size());
+    op.index = std::uint32_t(addrs.size());
+    addrs.insert(addrs.end(), lane_addrs.begin(), lane_addrs.end());
+    return op;
+}
+
+WarpOp
+ThreadBlock::storeValueOp(OpKind kind, std::span<const Addr> lane_addrs,
+                          std::uint32_t value, std::uint8_t map_slot)
+{
+    WarpOp op = memOp(kind, lane_addrs, map_slot);
     op.value = value;
     return op;
 }
 
 WarpOp
-storeAccOp(OpKind kind, std::vector<Addr> addrs, std::uint8_t map_slot)
+ThreadBlock::storeAccOp(OpKind kind, std::span<const Addr> lane_addrs,
+                        std::uint8_t map_slot)
 {
-    WarpOp op = memOp(kind, std::move(addrs), map_slot);
+    WarpOp op = memOp(kind, lane_addrs, map_slot);
     op.storeAcc = true;
-    return op;
-}
-
-WarpOp
-barrierOp()
-{
-    WarpOp op;
-    op.kind = OpKind::Barrier;
     return op;
 }
 

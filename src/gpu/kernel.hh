@@ -8,6 +8,13 @@
  * dynamic warp instruction: a block of compute cycles, a coalesced
  * memory access with up to 32 per-lane addresses, or a barrier.
  *
+ * A WarpOp is a 20-byte trivially copyable record; what varies in
+ * size lives in its ThreadBlock.  A memory op names its lanes as a
+ * run of the block's lane-address pool (`addrs`), and a Remap or
+ * DmaXfer op names its target tile in the block's `retargets` table,
+ * so a stream of ops copies as plain bytes and a block's addresses
+ * are one exactly sized allocation (DESIGN.md §9.7).
+ *
  * Functional dataflow is carried by one accumulator register per
  * lane: loads set it, Compute ops transform it (acc += accDelta),
  * stores can write it back.  That is enough to verify real end-to-end
@@ -21,7 +28,9 @@
 #define STASHSIM_GPU_KERNEL_HH
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/stash_map.hh"
@@ -43,7 +52,7 @@ enum class OpKind : std::uint8_t
     StashSt,  //!< stash store (registers words lazily)
     Barrier,  //!< thread-block barrier
     Remap,    //!< ChgMap: point a map slot at a new tile (stash)
-    DmaXfer,  //!< mid-kernel DMA transfer (ScratchGD re-staging)
+    DmaXfer,  //!< mid-kernel DMA gather (ScratchGD re-staging)
 };
 
 /** Printable op-kind name. */
@@ -55,38 +64,33 @@ const char *opKindName(OpKind k);
 struct WarpOp
 {
     OpKind kind = OpKind::Compute;
+    /** Stash ops: map-index-table slot (0..3) of the thread block;
+     *  0xff for unmapped (temporary) accesses.  Remap: the slot to
+     *  retarget. */
+    std::uint8_t mapSlot = 0;
+    /** Stores: write the lane accumulator instead of `value`. */
+    bool storeAcc = false;
+    /** Memory ops: number of lanes (<= warp size). */
+    std::uint8_t lanes = 0;
     /** Compute: busy cycles. */
     std::uint16_t cycles = 1;
     /** Compute: per-lane accumulator delta (models compute(x)). */
     std::int32_t accDelta = 0;
-    /** Stash ops: map-index-table slot (0..3) of the thread block. */
-    std::uint8_t mapSlot = 0;
-    /** Stores: write the lane accumulator instead of `value`. */
-    bool storeAcc = false;
     /** Stores: immediate value when !storeAcc. */
     std::uint32_t value = 0;
     /**
-     * Memory ops: per-lane addresses.  Global ops use virtual
-     * addresses; Local/Stash ops use byte offsets within the thread
-     * block's local allocation.  Size <= warp size; lane i uses
-     * addrs[i].
+     * Memory ops: the first of the op's `lanes` consecutive entries
+     * in the block's `addrs` pool (lane i uses addrs[index + i]).
+     * Remap/DmaXfer: the op's entry in the block's `retargets`.
      */
-    std::vector<Addr> addrs;
-    /** Remap/DmaXfer: the new tile and its local byte offset. */
-    TileSpec tile;
-    LocalAddr localOffset = 0;
-    /** DmaXfer: scatter (store) instead of gather (load). */
-    bool dmaStore = false;
+    std::uint32_t index = 0;
 };
 
-/** Factory helpers for concise workload code. @{ */
+static_assert(sizeof(WarpOp) <= 24 && std::is_trivially_copyable_v<WarpOp>,
+              "a warp op stream must copy as plain bytes");
+
+/** Factory helpers for ops without lanes. @{ */
 WarpOp computeOp(std::uint16_t cycles, std::int32_t acc_delta = 0);
-WarpOp memOp(OpKind kind, std::vector<Addr> addrs,
-             std::uint8_t map_slot = 0);
-WarpOp storeValueOp(OpKind kind, std::vector<Addr> addrs,
-                    std::uint32_t value, std::uint8_t map_slot = 0);
-WarpOp storeAccOp(OpKind kind, std::vector<Addr> addrs,
-                  std::uint8_t map_slot = 0);
 WarpOp barrierOp();
 /** @} */
 
@@ -100,7 +104,10 @@ struct AddMapOp
     TileSpec tile;
 };
 
-/** A DMA transfer descriptor (ScratchGD configuration). */
+/**
+ * A DMA transfer descriptor (ScratchGD configuration), and the target
+ * of a Remap (ChgMap) or DmaXfer op.
+ */
 struct DmaOp
 {
     LocalAddr localOffset = 0;
@@ -109,7 +116,8 @@ struct DmaOp
 
 /**
  * One thread block: its local-memory footprint, its mappings/DMA
- * descriptors, and one op stream per warp.
+ * descriptors, one op stream per warp, and the lane addresses and
+ * retarget tiles its ops name by index.
  */
 struct ThreadBlock
 {
@@ -118,6 +126,33 @@ struct ThreadBlock
     std::vector<DmaOp> dmaLoads;
     std::vector<DmaOp> dmaStores;
     std::vector<std::vector<WarpOp>> warps;
+    /**
+     * Every memory op's lane addresses, each op's a consecutive run.
+     * Global ops use virtual addresses; Local/Stash ops use byte
+     * offsets within the block's local allocation.
+     */
+    std::vector<Addr> addrs;
+    /** Remap/DmaXfer targets: the new tile and its local offset. */
+    std::vector<DmaOp> retargets;
+
+    /** The lane addresses of memory op @p op. */
+    std::span<const Addr>
+    lanes(const WarpOp &op) const
+    {
+        return {addrs.data() + op.index, op.lanes};
+    }
+
+    /**
+     * Memory-op factories: append @p lane_addrs (at most 32) to the
+     * pool and return an op naming them.  @{
+     */
+    WarpOp memOp(OpKind kind, std::span<const Addr> lane_addrs,
+                 std::uint8_t map_slot = 0);
+    WarpOp storeValueOp(OpKind kind, std::span<const Addr> lane_addrs,
+                        std::uint32_t value, std::uint8_t map_slot = 0);
+    WarpOp storeAccOp(OpKind kind, std::span<const Addr> lane_addrs,
+                      std::uint8_t map_slot = 0);
+    /** @} */
 
     /** Total dynamic warp instructions in this block (for tests). */
     std::uint64_t dynamicInstructions() const;

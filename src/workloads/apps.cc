@@ -81,7 +81,7 @@ cpuConsume(Addr base, std::uint32_t words, unsigned cores)
 }
 
 /** Elements 0..count-1 of row @p r in a rows x cols staged tile. */
-std::vector<std::uint32_t>
+LaneList
 rowElems(unsigned r, unsigned cols, unsigned count = 0)
 {
     return laneElems(r * cols, count ? count : cols);

@@ -1,15 +1,13 @@
 #include "workloads/kernel_builder.hh"
 
-#include "sim/log.hh"
-
 namespace stashsim
 {
 
 TbBuilder::TbBuilder(MemOrg org, unsigned num_warps, unsigned warp_size)
-    : org(org), numWarps(num_warps), warpSize(warp_size),
-      body(num_warps)
+    : org(org), numWarps(num_warps), warpSize(warp_size)
 {
-    sim_assert(num_warps > 0);
+    sim_assert(num_warps > 0 && warp_size <= 32);
+    blk.warps.resize(num_warps);
 }
 
 bool
@@ -66,56 +64,51 @@ void
 TbBuilder::compute(unsigned warp, std::uint16_t cycles,
                    std::int32_t acc_delta)
 {
-    body.at(warp).push_back(computeOp(cycles, acc_delta));
+    blk.warps.at(warp).push_back(computeOp(cycles, acc_delta));
 }
 
 void
 TbBuilder::accessTile(unsigned warp, unsigned t,
-                      const std::vector<std::uint32_t> &elems,
+                      std::span<const std::uint32_t> elems,
                       bool is_store, bool store_acc,
                       std::uint32_t value, unsigned word)
 {
     sim_assert(!elems.empty() && elems.size() <= warpSize);
     const TileUse &use = tiles.at(t);
+    auto &stream = blk.warps.at(warp);
+    std::array<Addr, 32> addrs;
+    const std::span<const Addr> lanes(addrs.data(), elems.size());
 
+    WarpOp op;
     if (staged(t)) {
         // Direct local addressing: no index-computation instruction.
-        std::vector<Addr> addrs;
-        addrs.reserve(elems.size());
-        for (std::uint32_t e : elems) {
-            addrs.push_back(Addr(use.localOffset) +
-                            Addr(e) * use.tile.fieldSize +
-                            Addr(word) * wordBytes);
+        for (std::size_t i = 0; i < elems.size(); ++i) {
+            addrs[i] = Addr(use.localOffset) +
+                       Addr(elems[i]) * use.tile.fieldSize +
+                       Addr(word) * wordBytes;
         }
-        const OpKind kind = is_store ? localStoreKind()
-                                     : localLoadKind();
-        WarpOp op = memOp(kind, std::move(addrs), mapSlot[t]);
-        op.storeAcc = store_acc;
-        op.value = value;
-        body.at(warp).push_back(std::move(op));
-        return;
+        op = blk.memOp(is_store ? localStoreKind() : localLoadKind(),
+                       lanes, mapSlot[t]);
+    } else {
+        // Global access: the core computes the (AoS) address itself.
+        stream.push_back(computeOp(1));
+        const TileSpec &cur = currentTile.at(t);
+        for (std::size_t i = 0; i < elems.size(); ++i) {
+            addrs[i] = cur.globalAddrOf(elems[i] * cur.fieldSize +
+                                        word * wordBytes);
+        }
+        op = blk.memOp(is_store ? OpKind::GlobalSt : OpKind::GlobalLd,
+                       lanes);
     }
-
-    // Global access: the core computes the (AoS) address itself.
-    body.at(warp).push_back(computeOp(1));
-    const TileSpec &cur = currentTile.at(t);
-    std::vector<Addr> addrs;
-    addrs.reserve(elems.size());
-    for (std::uint32_t e : elems) {
-        addrs.push_back(cur.globalAddrOf(
-            e * cur.fieldSize + word * wordBytes));
-    }
-    const OpKind kind = is_store ? OpKind::GlobalSt : OpKind::GlobalLd;
-    WarpOp op = memOp(kind, std::move(addrs));
     op.storeAcc = store_acc;
     op.value = value;
-    body.at(warp).push_back(std::move(op));
+    stream.push_back(op);
 }
 
 void
 TbBuilder::barrier()
 {
-    for (auto &w : body)
+    for (auto &w : blk.warps)
         w.push_back(barrierOp());
 }
 
@@ -134,26 +127,21 @@ TbBuilder::restage(unsigned t, const TileSpec &new_tile)
       case MemOrg::ScratchG: {
         TileUse tmp = use;
         tmp.tile = new_tile;
-        emitCopyLoop(body, tmp, true);
+        emitCopyLoop(blk.warps, tmp, true);
         break;
       }
-      case MemOrg::ScratchGD: {
-        WarpOp op;
-        op.kind = OpKind::DmaXfer;
-        op.tile = new_tile;
-        op.localOffset = use.localOffset;
-        op.dmaStore = false;
-        body.at(0).push_back(std::move(op));
-        break;
-      }
+      case MemOrg::ScratchGD:
       case MemOrg::Stash:
       case MemOrg::StashG: {
+        // One warp re-points the tile: a DMA gather (ScratchGD) or a
+        // ChgMap of the tile's map slot (stash).
         WarpOp op;
-        op.kind = OpKind::Remap;
+        op.kind = org == MemOrg::ScratchGD ? OpKind::DmaXfer
+                                           : OpKind::Remap;
         op.mapSlot = mapSlot.at(t);
-        op.tile = new_tile;
-        op.localOffset = use.localOffset;
-        body.at(0).push_back(std::move(op));
+        op.index = std::uint32_t(blk.retargets.size());
+        blk.retargets.push_back(DmaOp{use.localOffset, new_tile});
+        blk.warps.at(0).push_back(op);
         break;
       }
       case MemOrg::Cache:
@@ -181,28 +169,28 @@ TbBuilder::emitCopyLoop(std::vector<std::vector<WarpOp>> &streams,
             const std::uint32_t lanes = std::min<std::uint32_t>(
                 warpSize, end - e);
             for (std::uint32_t fw = 0; fw < field_words; ++fw) {
-                std::vector<Addr> global_addrs, local_addrs;
-                global_addrs.reserve(lanes);
-                local_addrs.reserve(lanes);
+                std::array<Addr, 32> global_addrs, local_addrs;
                 for (std::uint32_t l = 0; l < lanes; ++l) {
                     const std::uint32_t off =
                         (e + l) * use.tile.fieldSize + fw * wordBytes;
-                    global_addrs.push_back(use.tile.globalAddrOf(off));
-                    local_addrs.push_back(Addr(use.localOffset) + off);
+                    global_addrs[l] = use.tile.globalAddrOf(off);
+                    local_addrs[l] = Addr(use.localOffset) + off;
                 }
+                const std::span<const Addr> global(global_addrs.data(),
+                                                   lanes);
+                const std::span<const Addr> local(local_addrs.data(),
+                                                  lanes);
                 streams[w].push_back(computeOp(1)); // index arithmetic
                 if (copy_in) {
-                    streams[w].push_back(memOp(
-                        OpKind::GlobalLd, std::move(global_addrs)));
-                    streams[w].push_back(storeAccOp(
-                        localStoreKind(), std::move(local_addrs),
-                        0xff));
+                    streams[w].push_back(
+                        blk.memOp(OpKind::GlobalLd, global));
+                    streams[w].push_back(
+                        blk.storeAccOp(localStoreKind(), local, 0xff));
                 } else {
-                    streams[w].push_back(memOp(localLoadKind(),
-                                               std::move(local_addrs),
-                                               0xff));
-                    streams[w].push_back(storeAccOp(
-                        OpKind::GlobalSt, std::move(global_addrs)));
+                    streams[w].push_back(
+                        blk.memOp(localLoadKind(), local, 0xff));
+                    streams[w].push_back(
+                        blk.storeAccOp(OpKind::GlobalSt, global));
                 }
             }
         }
@@ -212,8 +200,7 @@ TbBuilder::emitCopyLoop(std::vector<std::vector<WarpOp>> &streams,
 ThreadBlock
 TbBuilder::build()
 {
-    ThreadBlock tb;
-    tb.localBytes = localBytes;
+    blk.localBytes = localBytes;
 
     std::vector<std::vector<WarpOp>> prologue(numWarps);
     std::vector<std::vector<WarpOp>> epilogue(numWarps);
@@ -239,16 +226,16 @@ TbBuilder::build()
             break;
           case MemOrg::ScratchGD:
             if (use.readIn) {
-                tb.dmaLoads.push_back(DmaOp{use.localOffset, use.tile});
+                blk.dmaLoads.push_back(DmaOp{use.localOffset, use.tile});
                 has_prologue = true;
             }
             if (use.writeOut)
-                tb.dmaStores.push_back(
+                blk.dmaStores.push_back(
                     DmaOp{use.localOffset, use.tile});
             break;
           case MemOrg::Stash:
           case MemOrg::StashG:
-            tb.addMaps.push_back(AddMapOp{use.localOffset, use.tile});
+            blk.addMaps.push_back(AddMapOp{use.localOffset, use.tile});
             break;
           case MemOrg::Cache:
             break;
@@ -256,20 +243,27 @@ TbBuilder::build()
     }
 
     // Assemble per-warp streams: copy-in prologue / barrier / body /
-    // barrier / copy-out epilogue.
-    tb.warps.resize(numWarps);
-    const bool scratch_loops =
-        org == MemOrg::Scratch || org == MemOrg::ScratchG;
+    // barrier / copy-out epilogue.  Without copy loops the body is the
+    // stream already.
+    const bool copy_loops = (org == MemOrg::Scratch ||
+                             org == MemOrg::ScratchG) &&
+                            (has_prologue || has_epilogue);
     for (unsigned w = 0; w < numWarps; ++w) {
-        auto &s = tb.warps[w];
-        if (scratch_loops && has_prologue) {
-            s.insert(s.end(), prologue[w].begin(), prologue[w].end());
-            s.push_back(barrierOp());
-        }
-        s.insert(s.end(), body[w].begin(), body[w].end());
-        if (scratch_loops && has_epilogue) {
-            s.push_back(barrierOp());
-            s.insert(s.end(), epilogue[w].begin(), epilogue[w].end());
+        auto &s = blk.warps[w];
+        if (copy_loops) {
+            std::vector<WarpOp> body;
+            body.swap(s);
+            s.reserve(prologue[w].size() + body.size() +
+                      epilogue[w].size() + 3);
+            if (has_prologue) {
+                s.insert(s.end(), prologue[w].begin(), prologue[w].end());
+                s.push_back(barrierOp());
+            }
+            s.insert(s.end(), body.begin(), body.end());
+            if (has_epilogue) {
+                s.push_back(barrierOp());
+                s.insert(s.end(), epilogue[w].begin(), epilogue[w].end());
+            }
         }
         if (s.empty())
             s.push_back(computeOp(1));
@@ -277,14 +271,16 @@ TbBuilder::build()
         if (s.back().kind == OpKind::Barrier)
             s.push_back(computeOp(1));
     }
-    return tb;
+    // Exactly sized: a pool left at its doubling capacity holds up to
+    // twice the block's addresses for the whole run (DESIGN.md §9.7).
+    blk.addrs.shrink_to_fit();
+    return std::move(blk);
 }
 
-std::vector<std::uint32_t>
+LaneList
 laneElems(std::uint32_t first, std::uint32_t count, std::uint32_t stride)
 {
-    std::vector<std::uint32_t> v;
-    v.reserve(count);
+    LaneList v;
     for (std::uint32_t i = 0; i < count; ++i)
         v.push_back(first + i * stride);
     return v;

@@ -1,7 +1,8 @@
 /**
  * @file
- * KernelBuilder: lowers portable benchmark descriptions to each of
- * the paper's six memory configurations (Section 5.3).
+ * TbBuilder: lowers portable benchmark descriptions to each of the
+ * paper's six memory configurations (Section 5.3), one thread block
+ * at a time.
  *
  * A workload describes each data structure it touches as a TileUse —
  * the AddMap-style tile plus how the kernel uses it — and emits its
@@ -33,12 +34,15 @@
 #ifndef STASHSIM_WORKLOADS_KERNEL_BUILDER_HH
 #define STASHSIM_WORKLOADS_KERNEL_BUILDER_HH
 
+#include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "config/system_config.hh"
 #include "gpu/kernel.hh"
 #include "mem/tile.hh"
+#include "sim/log.hh"
 
 namespace stashsim
 {
@@ -92,9 +96,9 @@ class TbBuilder
      * configuration (see file comment).
      */
     void accessTile(unsigned warp, unsigned t,
-                    const std::vector<std::uint32_t> &elems,
-                    bool is_store, bool store_acc = true,
-                    std::uint32_t value = 0, unsigned word = 0);
+                    std::span<const std::uint32_t> elems, bool is_store,
+                    bool store_acc = true, std::uint32_t value = 0,
+                    unsigned word = 0);
 
     /** Appends a barrier to every warp. */
     void barrier();
@@ -111,7 +115,8 @@ class TbBuilder
 
     /**
      * Finalizes the block: wraps the body with the staging prologue
-     * and epilogue the configuration requires.
+     * and epilogue the configuration requires, and sizes the block's
+     * lane-address pool exactly.  Call once: the block is moved out.
      */
     ThreadBlock build();
 
@@ -121,7 +126,10 @@ class TbBuilder
     MemOrg memOrg() const { return org; }
 
   private:
-    /** Emits the explicit scratchpad copy-in/out loop for a tile. */
+    /**
+     * Emits the explicit scratchpad copy-in/out loop for a tile into
+     * @p streams, appending its lanes to the block's pool.
+     */
     void emitCopyLoop(std::vector<std::vector<WarpOp>> &streams,
                       const TileUse &use, bool copy_in);
 
@@ -136,15 +144,40 @@ class TbBuilder
     std::vector<TileSpec> currentTile;
     /** Stash map slot per staged tile (stash configs). */
     std::vector<std::uint8_t> mapSlot;
-    std::vector<std::vector<WarpOp>> body;
+    /**
+     * The block under construction: its warp streams hold the body,
+     * and its pool the lanes of every op emitted so far.
+     */
+    ThreadBlock blk;
     std::uint32_t localBytes = 0;
     std::uint8_t nextMapSlot = 0;
 };
 
-/** Splits @p total elements into per-warp lane vectors of <=32. */
-std::vector<std::uint32_t> laneElems(std::uint32_t first,
-                                     std::uint32_t count,
-                                     std::uint32_t stride = 1);
+/** Up to 32 lane element indices, held inline (no heap). */
+class LaneList
+{
+  public:
+    void
+    push_back(std::uint32_t e)
+    {
+        sim_assert(n < elems.size());
+        elems[n++] = e;
+    }
+
+    const std::uint32_t *data() const { return elems.data(); }
+    std::size_t size() const { return n; }
+    const std::uint32_t *begin() const { return elems.data(); }
+    const std::uint32_t *end() const { return elems.data() + n; }
+    std::uint32_t operator[](std::size_t i) const { return elems[i]; }
+
+  private:
+    std::array<std::uint32_t, 32> elems{};
+    std::uint32_t n = 0;
+};
+
+/** The @p count (<= 32) lane elements first, first + stride, .... */
+LaneList laneElems(std::uint32_t first, std::uint32_t count,
+                   std::uint32_t stride = 1);
 
 } // namespace stashsim
 

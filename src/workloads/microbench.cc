@@ -46,7 +46,7 @@ aosTile(Addr base, unsigned object_bytes, std::uint32_t first,
  */
 void
 emitBody(TbBuilder &b, unsigned warp, unsigned tile,
-         const std::vector<std::uint32_t> &elems, unsigned compute_ops,
+         std::span<const std::uint32_t> elems, unsigned compute_ops,
          std::int32_t delta)
 {
     b.accessTile(warp, tile, elems, false);
@@ -242,13 +242,12 @@ makePollution(const MicrobenchConfig &cfg)
         const unsigned tbb = b.addTile(b_use);
 
         for (unsigned w = 0; w < warps; ++w) {
-            const std::vector<std::uint32_t> elems = laneElems(w * 32,
-                                                               32);
+            const LaneList elems = laneElems(w * 32, 32);
             // t = B[(global element) mod |B|]: the reused, cache-
             // resident read.  Its value feeds the computation; the
             // one-accumulator dataflow model folds that contribution
             // into the compute delta below (see header comment).
-            std::vector<std::uint32_t> b_elems;
+            LaneList b_elems;
             for (std::uint32_t e : elems)
                 b_elems.push_back((tb * tpb + e) % bn);
             b.accessTile(w, tbb, b_elems, false);
@@ -322,7 +321,7 @@ makeOnDemand(const MicrobenchConfig &cfg)
             // Evaluate the condition, then touch a single element.
             b.compute(w, 1);
             const std::uint32_t e = w * 32 + chosen_lane(tb, w);
-            emitBody(b, w, t, {e}, cfg.onDemandComputeOps, 1);
+            emitBody(b, w, t, laneElems(e, 1), cfg.onDemandComputeOps, 1);
         }
         k.blocks.push_back(b.build());
     }

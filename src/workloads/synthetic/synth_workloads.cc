@@ -221,7 +221,7 @@ makeSynthMix(const SynthConfig &cfg)
                     const unsigned cat = eng.range(100);
                     if (cat < cfg.mixRoPct) {
                         // Read-only-shared: random per-lane gather.
-                        std::vector<std::uint32_t> elems;
+                        LaneList elems;
                         for (unsigned l = 0; l < 32; ++l)
                             elems.push_back(eng.range(roWords));
                         tb.accessTile(w, tRo, elems, false);
@@ -374,7 +374,7 @@ makeGraphGather(const SynthConfig &cfg)
                         std::min<std::uint32_t>(32, perW - g);
                     const std::uint32_t vrel0 = w * perW + g;
                     for (unsigned j = 0; j < deg; ++j) {
-                        std::vector<std::uint32_t> ce, ge;
+                        LaneList ce, ge;
                         for (std::uint32_t l = 0; l < lanes; ++l) {
                             ce.push_back((vrel0 + l) * deg + j);
                             ge.push_back((*col)[std::size_t(
@@ -502,13 +502,13 @@ makeAttnScatter(const SynthConfig &cfg)
                 const std::uint32_t lanes =
                     std::min<std::uint32_t>(32, perB - g);
                 tb.accessTile(0, tQ, laneElems(g, lanes), false);
-                std::vector<std::uint32_t> last;
+                LaneList last;
                 for (unsigned t = 0; t < cfg.attnGathers; ++t) {
-                    std::vector<std::uint32_t> ge;
+                    LaneList ge;
                     for (std::uint32_t l = 0; l < lanes; ++l)
                         ge.push_back(eng.range(C));
                     tb.accessTile(0, tK, ge, false);
-                    last = std::move(ge);
+                    last = ge;
                 }
                 tb.compute(0, 2, 1);
                 tb.accessTile(0, tO, laneElems(g, lanes), true, true);
@@ -606,7 +606,7 @@ makeStencil2D(const SynthConfig &cfg)
                 // Clamped-boundary 5-point star, south loaded last so
                 // the accumulator dataflow is host-predictable:
                 // out[r][c] = in[min(r+1, Y-1)][c] + 1.
-                std::vector<std::uint32_t> eC, eN, eW, eE, eS, eO;
+                LaneList eC, eN, eW, eE, eS, eO;
                 for (std::uint32_t l = 0; l < lanes; ++l) {
                     const std::uint32_t cell = c0 + l;
                     const std::uint32_t r = firstRow + cell / X;

@@ -113,6 +113,17 @@ hexList(const std::vector<Addr> &addrs)
     return s;
 }
 
+/**
+ * Whether the word at local offset @p a lies in the @p bytes at
+ * @p lo.  Written without `a + wordBytes`, which wraps for offsets
+ * near 2^64 and would pass them as covered.
+ */
+bool
+inMap(Addr a, Addr lo, Addr bytes)
+{
+    return a >= lo && a - lo < bytes;
+}
+
 /** A word tile over `bytes` contiguous bytes at @p base. */
 TileSpec
 spanTile(Addr base, std::uint32_t words)
@@ -286,23 +297,31 @@ parseTrace(const std::string &text, const TraceLimits &lim,
                     }
                 }
                 if (isLocal) {
-                    for (Addr a : rec.addrs) {
-                        const MapDecl *m = nullptr;
+                    // Replay lowers the record onto one tile: the
+                    // first map that covers its first lane.
+                    auto covering = [&](Addr a) -> const MapDecl * {
                         for (const auto &mm : maps[id]) {
-                            if (a >= mm.lo &&
-                                a + wordBytes <= mm.lo + mm.bytes) {
-                                m = &mm;
-                                break;
-                            }
+                            if (inMap(a, mm.lo, mm.bytes))
+                                return &mm;
                         }
-                        if (!m) {
+                        return nullptr;
+                    };
+                    const MapDecl *m = covering(rec.addrs[0]);
+                    for (Addr a : rec.addrs) {
+                        if (!covering(a)) {
                             return fail("local offset " + hexAddr(a) +
                                         " is not covered by any map");
                         }
-                        if (isStore && !m->writable) {
-                            return fail("lst at " + hexAddr(a) +
-                                        " targets a read-only map");
+                        if (!inMap(a, m->lo, m->bytes)) {
+                            return fail("local offsets " +
+                                        hexAddr(rec.addrs[0]) + " and " +
+                                        hexAddr(a) +
+                                        " lie in different maps");
                         }
+                    }
+                    if (isStore && !m->writable) {
+                        return fail("lst at " + hexAddr(rec.addrs[0]) +
+                                    " targets a read-only map");
                     }
                 } else {
                     const Addr mn = *std::min_element(
@@ -574,7 +593,7 @@ makeTraceReplay(const TraceData &t, MemOrg org,
                     u.originallyGlobal = true;
                     u.convertible = false; // raw addresses stay global
                     const unsigned h = b.addTile(u);
-                    std::vector<std::uint32_t> elems;
+                    LaneList elems;
                     for (Addr a : r.addrs) {
                         elems.push_back(
                             std::uint32_t((a - base) / wordBytes));
@@ -588,9 +607,7 @@ makeTraceReplay(const TraceData &t, MemOrg org,
                     const bool st = r.kind == TraceGpuOp::Kind::Lst;
                     const MapRef *m = nullptr;
                     for (const auto &mm : maps) {
-                        if (r.addrs[0] >= mm.lo &&
-                            r.addrs[0] + wordBytes <=
-                                mm.lo + mm.bytes) {
+                        if (inMap(r.addrs[0], mm.lo, mm.bytes)) {
                             m = &mm;
                             break;
                         }
@@ -599,10 +616,9 @@ makeTraceReplay(const TraceData &t, MemOrg org,
                         fatal("trace replay: local offset ",
                               r.addrs[0], " has no covering map");
                     }
-                    std::vector<std::uint32_t> elems;
+                    LaneList elems;
                     for (Addr a : r.addrs) {
-                        if (a < m->lo ||
-                            a + wordBytes > m->lo + m->bytes) {
+                        if (!inMap(a, m->lo, m->bytes)) {
                             fatal("trace replay: local offset ", a,
                                   " leaves its covering map");
                         }
@@ -657,9 +673,11 @@ traceFromWorkload(const Workload &wl, unsigned num_cus)
                 std::min<std::size_t>(num_cus, blocks.size()));
             for (std::size_t blk = 0; blk < blocks.size(); ++blk) {
                 auto &stream = tp.perCu[blk % num_cus];
-                for (const auto &warp : blocks[blk].warps) {
+                const ThreadBlock &tb = blocks[blk];
+                for (const auto &warp : tb.warps) {
                     for (const WarpOp &op : warp) {
                         TraceGpuOp rec;
+                        const auto lanes = tb.lanes(op);
                         switch (op.kind) {
                           case OpKind::Compute:
                             rec.kind = TraceGpuOp::Kind::Compute;
@@ -668,11 +686,11 @@ traceFromWorkload(const Workload &wl, unsigned num_cus)
                             break;
                           case OpKind::GlobalLd:
                             rec.kind = TraceGpuOp::Kind::Ld;
-                            rec.addrs = op.addrs;
+                            rec.addrs.assign(lanes.begin(), lanes.end());
                             break;
                           case OpKind::GlobalSt:
                             rec.kind = TraceGpuOp::Kind::St;
-                            rec.addrs = op.addrs;
+                            rec.addrs.assign(lanes.begin(), lanes.end());
                             rec.hasValue = !op.storeAcc;
                             rec.value = op.value;
                             break;

@@ -29,8 +29,8 @@
  * replays, not just addresses.  `#` starts a comment; numbers are
  * decimal or 0x-hex.  The parser is strict: truncated records, bad
  * opcodes, malformed numbers, out-of-range CU/core ids, unaligned or
- * unmapped addresses, and >32-lane records are all structured errors
- * naming the line.
+ * unmapped addresses, `lld`/`lst` lanes split across maps, and
+ * >32-lane records are all structured errors naming the line.
  */
 
 #ifndef STASHSIM_WORKLOADS_SYNTHETIC_TRACE_REPLAY_HH

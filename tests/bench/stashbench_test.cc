@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -401,6 +402,33 @@ TEST(StashbenchSchemaTest, AllRunsValidatedDetectsFailures)
     bad["validated"] = false;
     doc["runs"].push(std::move(bad));
     EXPECT_FALSE(allRunsValidated(doc));
+}
+
+TEST(StashbenchStateDirTest, FileNamedLikeABenchIsReportedNotThrownRaw)
+{
+    // `--restore DIR` keeps fig5's results in DIR/fig5; a plain file
+    // there must surface as the sweep's own error, which stashbench
+    // prints before exiting 1, not as an escaping filesystem_error.
+    const std::string root =
+        ::testing::TempDir() + "/stashbench_state_collision";
+    std::filesystem::remove_all(root);
+    std::filesystem::create_directories(root);
+    std::ofstream(root + "/fig5") << "not a directory\n";
+
+    BenchContext ctx;
+    ctx.scale = workloads::Scale::Smoke;
+    ctx.stateDir = root;
+    try {
+        findBench("fig5")->run(ctx);
+        ADD_FAILURE() << "fig5 ran over a plain file named fig5";
+    } catch (const StateDirError &e) {
+        const std::string what = e.what();
+        const std::string prefix =
+            "cannot use state directory " + root + "/fig5: ";
+        EXPECT_EQ(what.rfind(prefix, 0), 0u) << what;
+        EXPECT_GT(what.size(), prefix.size()) << "no reason given";
+    }
+    std::filesystem::remove_all(root);
 }
 
 } // namespace

@@ -60,9 +60,9 @@ makeSliceBlock(unsigned slice, std::int32_t delta)
     std::vector<Addr> offs;
     for (unsigned l = 0; l < sliceWords; ++l)
         offs.push_back(Addr(l) * wordBytes);
-    tb.warps[0].push_back(memOp(OpKind::StashLd, offs, 0));
+    tb.warps[0].push_back(tb.memOp(OpKind::StashLd, offs, 0));
     tb.warps[0].push_back(computeOp(1, delta));
-    tb.warps[0].push_back(storeAccOp(OpKind::StashSt, offs, 0));
+    tb.warps[0].push_back(tb.storeAccOp(OpKind::StashSt, offs, 0));
     return tb;
 }
 

@@ -142,9 +142,9 @@ TEST(SystemTest, CpuToGpuToCpuDataflow)
     std::vector<Addr> offs;
     for (unsigned l = 0; l < 32; ++l)
         offs.push_back(l * 4);
-    tb.warps[0].push_back(memOp(OpKind::StashLd, offs, 0));
+    tb.warps[0].push_back(tb.memOp(OpKind::StashLd, offs, 0));
     tb.warps[0].push_back(computeOp(1, 1));
-    tb.warps[0].push_back(storeAccOp(OpKind::StashSt, offs, 0));
+    tb.warps[0].push_back(tb.storeAccOp(OpKind::StashSt, offs, 0));
     k.blocks.push_back(std::move(tb));
     wl.phases.push_back(Phase::gpu(std::move(k)));
 

@@ -43,7 +43,7 @@ storeKernel(unsigned blocks, unsigned words_per_block)
                                 Addr(i + l) * 4);
             }
             tb.warps[0].push_back(
-                storeValueOp(OpKind::GlobalSt, std::move(addrs), 7));
+                tb.storeValueOp(OpKind::GlobalSt, addrs, 7));
         }
         k.blocks.push_back(std::move(tb));
     }
@@ -93,9 +93,9 @@ TEST(ComputeUnitTest, LoadComputeStorePipelineIsFunctional)
     std::vector<Addr> addrs;
     for (unsigned l = 0; l < 32; ++l)
         addrs.push_back(gbase + l * 4);
-    tb.warps[0].push_back(memOp(OpKind::GlobalLd, addrs));
+    tb.warps[0].push_back(tb.memOp(OpKind::GlobalLd, addrs));
     tb.warps[0].push_back(computeOp(1, 5)); // acc += 5
-    tb.warps[0].push_back(storeAccOp(OpKind::GlobalSt, addrs));
+    tb.warps[0].push_back(tb.storeAccOp(OpKind::GlobalSt, addrs));
     k.blocks.push_back(std::move(tb));
 
     Workload wl;
@@ -188,8 +188,8 @@ TEST(ComputeUnitTest, ScratchpadOpsStayLocal)
     std::vector<Addr> offs;
     for (unsigned l = 0; l < 32; ++l)
         offs.push_back(l * 4);
-    tb.warps[0].push_back(storeValueOp(OpKind::LocalSt, offs, 3));
-    tb.warps[0].push_back(memOp(OpKind::LocalLd, offs));
+    tb.warps[0].push_back(tb.storeValueOp(OpKind::LocalSt, offs, 3));
+    tb.warps[0].push_back(tb.memOp(OpKind::LocalLd, offs));
     k.blocks.push_back(std::move(tb));
     RunResult r = runKernelWorkload(sys, std::move(k));
     EXPECT_EQ(r.stats.scratch.reads, 32u);
@@ -216,7 +216,7 @@ TEST(ComputeUnitTest, StashKernelEndSelfInvalidates)
     std::vector<Addr> offs;
     for (unsigned l = 0; l < 32; ++l)
         offs.push_back(l * 4);
-    tb.warps[0].push_back(memOp(OpKind::StashLd, offs, 0));
+    tb.warps[0].push_back(tb.memOp(OpKind::StashLd, offs, 0));
     k.blocks.push_back(std::move(tb));
     RunResult r = runKernelWorkload(sys, std::move(k));
     // Loaded (Valid) words were self-invalidated at kernel end.

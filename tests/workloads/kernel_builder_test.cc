@@ -179,7 +179,7 @@ TEST(TbBuilderTest, RestageLowersPerConfiguration)
     Addr second = 0;
     for (const auto &op : cache.warps[0]) {
         if (op.kind == OpKind::GlobalLd)
-            second = op.addrs[0];
+            second = cache.lanes(op)[0];
     }
     EXPECT_EQ(second, stagedTile().tile.globalBase + 0x1000);
 }

@@ -99,7 +99,7 @@ TEST(SynthDeterminism, SeedChangesTheStream)
             for (const auto &blk : ph.kernel.blocks) {
                 for (const auto &warp : blk.warps) {
                     for (const auto &op : warp) {
-                        for (Addr adr : op.addrs)
+                        for (Addr adr : blk.lanes(op))
                             os << adr << ',';
                     }
                 }

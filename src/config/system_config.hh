@@ -154,11 +154,9 @@ struct SystemConfig
 
     // --- Scratchpad / stash --------------------------------------------
     unsigned localBytes = 16 * 1024; //!< scratchpad or stash size
-    unsigned localBanks = 32;
     unsigned stashMapEntries = 64;
-    unsigned vpMapEntries = 64; //!< TLB and RTLB entries each
+    unsigned vpMapEntries = 64; //!< stash VP-map TLB and RTLB, each
     unsigned stashChunkBytes = 64;
-    unsigned mapsPerThreadBlock = 4;
     Cycles stashTranslationCycles = 10;
     Cycles localHitCycles = 1;
     /** The Section 4.5 data-replication (reuseBit) optimization. */
@@ -182,7 +180,6 @@ struct SystemConfig
     MemBackendConfig memBackend;
 
     // --- GPU CU --------------------------------------------------------
-    unsigned warpSize = 32;
     unsigned maxResidentTbsPerCu = 8;
     unsigned maxWarpsPerCu = 48;
 

@@ -48,9 +48,9 @@ runStateLabel(const RunSpec &spec)
 
 /**
  * Caches a completed run's RunResult to RESULT_<label>.snap so a
- * resumed sweep returns it without re-simulating.  Host timings
- * (perf.hostSeconds, per-phase breakdown) are deliberately dropped:
- * only deterministic counters belong in resumable state.
+ * resumed sweep returns it without re-simulating.  The host time
+ * (perf.hostSeconds) is deliberately dropped: only deterministic
+ * counters belong in resumable state.
  */
 void
 saveResultCache(const std::string &path, const RunSpec &spec,

@@ -74,7 +74,7 @@ System::System(const SystemConfig &cfg, const EnergyParams &energy)
         const NodeId node = NodeId(i);
         const CoreId core = CoreId(i);
         GpuNode g;
-        g.tlb = std::make_unique<Tlb>(pageTable, cfg.vpMapEntries);
+        g.tlb = std::make_unique<Tlb>(pageTable);
         g.l1 = std::make_unique<L1Cache>(eq, fabric, *g.tlb, core,
                                          node, gl1);
         fabric.registerObject(node, Unit::L1, g.l1.get());
@@ -115,7 +115,7 @@ System::System(const SystemConfig &cfg, const EnergyParams &energy)
         const NodeId node = NodeId(cfg.numGpuCus + i);
         const CoreId core = CoreId(cfg.numGpuCus + i);
         CpuNode c;
-        c.tlb = std::make_unique<Tlb>(pageTable, cfg.vpMapEntries);
+        c.tlb = std::make_unique<Tlb>(pageTable);
         c.l1 = std::make_unique<L1Cache>(eq, fabric, *c.tlb, core,
                                          node, cl1);
         fabric.registerObject(node, Unit::L1, c.l1.get());
@@ -166,67 +166,6 @@ System::System(const SystemConfig &cfg, const EnergyParams &energy)
         // The watchdog arms itself at the driver's drain points.
         eq.addPhaseListener(_watchdog.get());
     }
-
-    // SimPerf samples host time at every drain boundary.
-    eq.addPhaseListener(&perf);
-
-    registerComponentStats();
-}
-
-void
-System::registerComponentStats()
-{
-    for (unsigned i = 0; i < gpus.size(); ++i) {
-        const std::string p = "cu" + std::to_string(i);
-        const GpuNode &g = gpus[i];
-        registry.addGroup(p + ".core", &g.cu->stats());
-        registry.addGroup(p + ".l1", &g.l1->stats());
-        if (g.spad)
-            registry.addGroup(p + ".scratch", &g.spad->stats());
-        if (g.stash)
-            registry.addGroup(p + ".stash", &g.stash->stats());
-        if (g.dma)
-            registry.addGroup(p + ".dma", &g.dma->stats());
-    }
-    for (unsigned i = 0; i < cpus.size(); ++i) {
-        const std::string p = "cpu" + std::to_string(i);
-        registry.addGroup(p + ".core", &cpus[i].core->stats());
-        registry.addGroup(p + ".l1", &cpus[i].l1->stats());
-    }
-    for (unsigned i = 0; i < llcBanks.size(); ++i) {
-        registry.addGroup("llc" + std::to_string(i),
-                          &llcBanks[i]->stats());
-    }
-    for (unsigned i = 0; i < memBackends.size(); ++i) {
-        registry.addGroup("memback" + std::to_string(i),
-                          &memBackends[i]->stats());
-    }
-    registry.addGroup("noc", &mesh.stats());
-    registry.addValue("sim.tick",
-                      [this] { return double(eq.curTick()); });
-    registry.addValue("sim.gpuCycles", [this] {
-        return double(eq.curTick() / gpuClockPeriod);
-    });
-    registry.addValue("simperf.events",
-                      [this] { return perf.eventsNow(); });
-    registry.addValue("simperf.hostSeconds",
-                      [this] { return perf.hostSecondsNow(); });
-    registry.addValue("simperf.eventsPerSec",
-                      [this] { return perf.eventsPerSecNow(); });
-    registry.addValue("simperf.ticksPerHostSec",
-                      [this] { return perf.ticksPerHostSecNow(); });
-    registry.addValue("simperf.peakLiveEvents", [this] {
-        return double(eq.peakLiveEvents());
-    });
-    registry.addValue("simperf.poolChunks", [this] {
-        return double(eq.poolChunksAllocated());
-    });
-    registry.addValue("simperf.wheelInserts", [this] {
-        return double(eq.wheelInserts());
-    });
-    registry.addValue("simperf.farInserts", [this] {
-        return double(eq.farInserts());
-    });
 }
 
 System::~System() = default;
@@ -236,7 +175,7 @@ System::drain(const char *what)
 {
     // Phases only complete when no component generates further work,
     // so running the queue dry is a full drain.  The phase boundary
-    // is broadcast to every listener (watchdog, SimPerf).
+    // is broadcast to every listener (the watchdog, a trace sink).
     eq.beginPhase(what);
     eq.run();
     // A trailing PriInternal event (a watchdog poll) may have carried

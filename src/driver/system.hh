@@ -44,7 +44,6 @@
 #include "mem/scratchpad.hh"
 #include "mem/tlb.hh"
 #include "noc/mesh.hh"
-#include "report/stats_registry.hh"
 #include "sim/event_queue.hh"
 #include "sim/simperf.hh"
 #include "workloads/workload.hh"
@@ -91,19 +90,8 @@ class System
     /** Aggregated statistics so far (tests may call mid-run). */
     SystemStats statsSnapshot() const;
 
-    /**
-     * Per-component live counter registry: every component instance
-     * registered once, under "cu<i>.*", "cpu<i>.*", "llc<i>.*", and
-     * "noc.*" prefixes.  Sampling it mid-run reads current values.
-     */
-    const report::StatsRegistry &statsRegistry() const
-    {
-        return registry;
-    }
-
     /** @{ Component access for tests. */
     EventQueue &eventQueue() { return eq; }
-    const SimPerf &simPerf() const { return perf; }
     FunctionalMem functionalMem() { return {mem, pageTable}; }
     const SystemConfig &config() const { return cfg; }
     Stash *stashOf(unsigned cu);
@@ -111,7 +99,6 @@ class System
     L1Cache *cpuL1Of(unsigned cpu);
     LlcBank *llcBankOf(PhysAddr line_pa);
     MemBackend *memBackendOf(NodeId node);
-    PageTable &pageTableRef() { return pageTable; }
     Fabric &fabricRef() { return fabric; }
     ProtocolChecker *checker() { return _checker.get(); }
     Watchdog *watchdog() { return _watchdog.get(); }
@@ -154,11 +141,8 @@ class System
      */
     void assertDrained() const;
 
-    void registerComponentStats();
-
     SystemConfig cfg;
     EnergyModel energyModel;
-    report::StatsRegistry registry;
 
     /** Declared before every component: they hold queue references. */
     EventQueue eq;

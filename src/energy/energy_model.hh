@@ -79,8 +79,6 @@ class EnergyModel
 
     EnergyBreakdown compute(const SystemStats &s) const;
 
-    const EnergyParams &energyParams() const { return params; }
-
   private:
     EnergyParams params;
 };

@@ -67,7 +67,6 @@ class ComputeUnit
                    std::size_t stride, std::function<void()> done);
 
     const GpuStats &stats() const { return _stats; }
-    CoreId coreId() const { return core; }
 
     /** Reports instruction issue as forward progress to @p w. */
     void setWatchdog(Watchdog *w) { watchdog = w; }
@@ -86,11 +85,11 @@ class ComputeUnit
         TbCtx *tb = nullptr;
         const std::vector<WarpOp> *ops = nullptr;
         std::size_t pc = 0;
-        std::array<std::uint32_t, 32> acc{};
+        std::array<std::uint32_t, warpLanes> acc{};
         /** Issue sequence of the op that last wrote each lane's
          *  accumulator: responses of batched loads apply in issue
          *  order, not arrival order. */
-        std::array<std::uint64_t, 32> accSeq{};
+        std::array<std::uint64_t, warpLanes> accSeq{};
         std::uint64_t memSeq = 0;
         bool blocked = false;
         bool atBarrier = false;
@@ -104,7 +103,7 @@ class ComputeUnit
         /** The block's lane-address pool, read on every access. */
         const Addr *lanes = nullptr;
         LocalAddr localBase = 0;
-        std::array<MapIndex, 8> mapIdx{};
+        std::array<MapIndex, blockMapSlots> mapIdx{};
         unsigned liveWarps = 0;
         unsigned barrierCount = 0;
         /** DMA loads (at launch) or stores (at retire) in flight. */
@@ -123,7 +122,8 @@ class ComputeUnit
         WarpCtx *warp = nullptr;
         std::uint64_t seq = 0; //!< the op's issue sequence in its warp
         std::uint32_t loadLanes = 0; //!< lanes that load a word of it
-        std::array<std::uint8_t, 32> laneWord{}; //!< each such lane's word
+        /** Each such lane's word of the line. */
+        std::array<std::uint8_t, warpLanes> laneWord{};
     };
 
     bool warpReady(const WarpCtx &w) const;

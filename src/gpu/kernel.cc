@@ -56,7 +56,7 @@ WarpOp
 ThreadBlock::memOp(OpKind kind, std::span<const Addr> lane_addrs,
                    std::uint8_t map_slot)
 {
-    sim_assert(lane_addrs.size() <= 32);
+    sim_assert(lane_addrs.size() <= warpLanes);
     WarpOp op;
     op.kind = kind;
     op.mapSlot = map_slot;

@@ -40,6 +40,12 @@
 namespace stashsim
 {
 
+/** Lanes per warp: the most lanes one memory op names. */
+constexpr unsigned warpLanes = 32;
+
+/** Stash maps per thread block (Table 2): a block's map slots. */
+constexpr unsigned blockMapSlots = 4;
+
 /** Kinds of warp instructions. */
 enum class OpKind : std::uint8_t
 {
@@ -64,13 +70,13 @@ const char *opKindName(OpKind k);
 struct WarpOp
 {
     OpKind kind = OpKind::Compute;
-    /** Stash ops: map-index-table slot (0..3) of the thread block;
-     *  0xff for unmapped (temporary) accesses.  Remap: the slot to
-     *  retarget. */
+    /** Stash ops: map-index-table slot (below blockMapSlots) of the
+     *  thread block; 0xff for unmapped (temporary) accesses.  Remap:
+     *  the slot to retarget. */
     std::uint8_t mapSlot = 0;
     /** Stores: write the lane accumulator instead of `value`. */
     bool storeAcc = false;
-    /** Memory ops: number of lanes (<= warp size). */
+    /** Memory ops: number of lanes (<= warpLanes). */
     std::uint8_t lanes = 0;
     /** Compute: busy cycles. */
     std::uint16_t cycles = 1;
@@ -143,8 +149,8 @@ struct ThreadBlock
     }
 
     /**
-     * Memory-op factories: append @p lane_addrs (at most 32) to the
-     * pool and return an op naming them.  @{
+     * Memory-op factories: append @p lane_addrs (at most warpLanes)
+     * to the pool and return an op naming them.  @{
      */
     WarpOp memOp(OpKind kind, std::span<const Addr> lane_addrs,
                  std::uint8_t map_slot = 0);

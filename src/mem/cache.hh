@@ -91,9 +91,6 @@ class L1Cache : public MemObject
 
     const CacheStats &stats() const { return _stats; }
 
-    /** Number of sets (for tests). */
-    unsigned numSets() const { return sets; }
-
     /** Looks up the state of a word; Invalid if not present. */
     WordState probe(Addr va);
 

@@ -2,24 +2,24 @@
  * @file
  * Per-core TLB.
  *
- * A 64-entry LRU TLB (Table 2).  Physically-tagged L1 caches consult
- * the TLB on every access, which is exactly the energy the stash
- * avoids on hits (Table 3 charges 14.1 pJ per TLB access).  Following
- * the paper (footnote 8), TLB misses are not charged a timing
- * penalty: every access is charged as a hit; misses still refill from
- * the page table so the entry bookkeeping is real.
+ * Physically-tagged L1 caches consult the TLB on every access, which
+ * is exactly the energy the stash avoids on hits (Table 3 charges
+ * 14.1 pJ per TLB access).  Following the paper (footnote 8), a TLB
+ * miss costs no time, so which pages the TLB holds reaches no cycle
+ * count, energy figure or artifact, and its contents are not
+ * modelled: every access is charged as a hit and translated by the
+ * shared page table, whose physical pages do not depend on the order
+ * of first touch.
  *
- * The counters count lookups: one per L1 access, since an access that
- * waits in the L1 keeps its translation (the L1 wait list), and one
- * per probe.  They feed no artifact.
+ * The access counter counts lookups: one per L1 access, since an
+ * access that waits in the L1 keeps its translation (the L1 wait
+ * list), and one per probe.  It feeds no artifact.
  */
 
 #ifndef STASHSIM_MEM_TLB_HH
 #define STASHSIM_MEM_TLB_HH
 
 #include <cstdint>
-#include <list>
-#include <unordered_map>
 
 #include "mem/page_table.hh"
 #include "sim/types.hh"
@@ -28,41 +28,38 @@ namespace stashsim
 {
 
 /**
- * An LRU TLB backed by the shared page table.
+ * A TLB front for the shared page table; see file comment.
  */
 class Tlb
 {
   public:
-    Tlb(PageTable &pt, unsigned entries) : pageTable(pt), capacity(entries)
-    {}
+    explicit Tlb(PageTable &pt) : pageTable(pt) {}
 
     /** Translates @p va, counting one TLB access. */
-    PhysAddr translate(Addr va);
+    PhysAddr
+    translate(Addr va)
+    {
+        ++_accesses;
+        const Addr vpage = pageBase(va);
+        if (vpage != lastVpage) {
+            lastVpage = vpage;
+            lastPpage = pageTable.translate(vpage);
+        }
+        return lastPpage + (va - vpage);
+    }
 
     std::uint64_t accesses() const { return _accesses; }
-    std::uint64_t misses() const { return _misses; }
-    std::size_t size() const { return lru.size(); }
 
   private:
-    void touch(Addr vpage, PhysAddr ppage);
-
     PageTable &pageTable;
-    unsigned capacity;
     /**
-     * One-entry MRU fast path: the page of the immediately preceding
-     * translate().  Its LRU node is by construction at the front of
-     * the list, so answering from this pair leaves the replacement
-     * state bit-identical while skipping the map find and the splice.
+     * One-entry fast path: the page of the immediately preceding
+     * translate(), answered without the page-table lookup.
      * (~Addr{0} is not page-aligned, so it never matches.)
      */
     Addr lastVpage = ~Addr{0};
     PhysAddr lastPpage = 0;
-    /** MRU-first list of (vpage, ppage). */
-    std::list<std::pair<Addr, PhysAddr>> lru;
-    std::unordered_map<Addr, std::list<std::pair<Addr, PhysAddr>>::iterator>
-        index;
     std::uint64_t _accesses = 0;
-    std::uint64_t _misses = 0;
 };
 
 } // namespace stashsim

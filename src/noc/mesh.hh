@@ -90,8 +90,6 @@ class Mesh
 
     const NocStats &stats() const { return _stats; }
 
-    const MeshParams &meshParams() const { return params; }
-
     /** Per-test access to routers. */
     Router &router(NodeId n) { return routers.at(n); }
     const Router &router(NodeId n) const { return routers.at(n); }

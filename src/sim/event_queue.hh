@@ -433,34 +433,6 @@ class EventQueue
     std::string _phaseName;
 };
 
-/**
- * A clock domain: converts between cycles and ticks and aligns events
- * to clock edges.
- */
-class Clock
-{
-  public:
-    explicit Clock(Tick period) : _period(period) {}
-
-    Tick period() const { return _period; }
-
-    /** Ticks spanned by @p cycles cycles. */
-    Tick cyclesToTicks(Cycles cycles) const { return cycles * _period; }
-
-    /** Whole cycles elapsed at @p t (floor). */
-    Cycles ticksToCycles(Tick t) const { return t / _period; }
-
-    /** The first clock edge at or after @p t. */
-    Tick
-    nextEdge(Tick t) const
-    {
-        return ((t + _period - 1) / _period) * _period;
-    }
-
-  private:
-    Tick _period;
-};
-
 } // namespace stashsim
 
 #endif // STASHSIM_SIM_EVENT_QUEUE_HH

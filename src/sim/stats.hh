@@ -10,12 +10,13 @@
  * reproduced tables/figures is traceable to a named counter here.
  *
  * Every struct enumerates its counters exactly once, through a static
- * visit() template; add/sub/flatten and the report subsystem
- * (src/report: StatsRegistry, JSON/CSV sinks) are all derived from
- * that single enumeration, so adding a counter is a one-line change
- * and it shows up everywhere — aggregation, reports, and the
- * flatten() parity contract — automatically.  Counter updates on the
- * simulation hot path remain plain field increments.
+ * visit() template; add, sub, flatten() and the RESULT cache's stats
+ * encoding are all derived from that single enumeration, so adding a
+ * counter is a one-line change and it shows up everywhere —
+ * aggregation, cached results, and the full `stats` map that
+ * stashbench's --components prints through flatten() —
+ * automatically.  Counter updates on the simulation hot path remain
+ * plain field increments.
  */
 
 #ifndef STASHSIM_SIM_STATS_HH
@@ -372,7 +373,7 @@ struct SystemStats
     /**
      * Enumerates the counter groups with their canonical report
      * prefixes.  f is called as f(prefix, group-struct); flatten()
-     * and the report subsystem both build on this.
+     * and the RESULT cache's stats encoding both build on this.
      */
     template <class Self, class F>
     static void
@@ -415,8 +416,8 @@ struct SystemStats
      * Flattens every counter into a name->value map for reports:
      * every raw counter of every group under its canonical prefix,
      * plus the derived totals (hits/misses/accesses, flit-hop total)
-     * and the sim.* scalars.  Superset of the legacy hand-written
-     * key list; names are "<group>.<counter>".
+     * and the sim.* scalars; names are "<group>.<counter>".  The one
+     * named-stats path: stashbench's --components prints this map.
      */
     std::map<std::string, double> flatten() const;
 };

@@ -133,11 +133,9 @@ snapshotConfigHash(const SystemConfig &cfg)
     f.mix(cfg.l1Mshrs);
     f.mix(cfg.l1HitCycles);
     f.mix(cfg.localBytes);
-    f.mix(cfg.localBanks);
     f.mix(cfg.stashMapEntries);
     f.mix(cfg.vpMapEntries);
     f.mix(cfg.stashChunkBytes);
-    f.mix(cfg.mapsPerThreadBlock);
     f.mix(cfg.stashTranslationCycles);
     f.mix(cfg.localHitCycles);
     f.mix(cfg.stashReplicationOpt ? 1 : 0);
@@ -163,7 +161,6 @@ snapshotConfigHash(const SystemConfig &cfg)
     f.mix(cfg.memBackend.scmReadCycles);
     f.mix(cfg.memBackend.scmWriteCycles);
     f.mix(cfg.memBackend.scmOccupancy);
-    f.mix(cfg.warpSize);
     f.mix(cfg.maxResidentTbsPerCu);
     f.mix(cfg.maxWarpsPerCu);
     f.mix(cfg.cpuOutstanding);

@@ -3,10 +3,10 @@
 namespace stashsim
 {
 
-TbBuilder::TbBuilder(MemOrg org, unsigned num_warps, unsigned warp_size)
-    : org(org), numWarps(num_warps), warpSize(warp_size)
+TbBuilder::TbBuilder(MemOrg org, unsigned num_warps)
+    : org(org), numWarps(num_warps)
 {
-    sim_assert(num_warps > 0 && warp_size <= 32);
+    sim_assert(num_warps > 0);
     blk.warps.resize(num_warps);
 }
 
@@ -52,7 +52,7 @@ TbBuilder::addTile(const TileUse &use)
         localBytes = std::max(
             localBytes, use.localOffset + use.tile.mappedBytes());
         if (usesStash(org) && !use.temporary) {
-            sim_assert(nextMapSlot < 4); // Table 2: 4 maps per block
+            sim_assert(nextMapSlot < blockMapSlots);
             slot = nextMapSlot++;
         }
     }
@@ -73,10 +73,10 @@ TbBuilder::accessTile(unsigned warp, unsigned t,
                       bool is_store, bool store_acc,
                       std::uint32_t value, unsigned word)
 {
-    sim_assert(!elems.empty() && elems.size() <= warpSize);
+    sim_assert(!elems.empty() && elems.size() <= warpLanes);
     const TileUse &use = tiles.at(t);
     auto &stream = blk.warps.at(warp);
-    std::array<Addr, 32> addrs;
+    std::array<Addr, warpLanes> addrs;
     const std::span<const Addr> lanes(addrs.data(), elems.size());
 
     WarpOp op;
@@ -165,11 +165,11 @@ TbBuilder::emitCopyLoop(std::vector<std::vector<WarpOp>> &streams,
     for (unsigned w = 0; w < numWarps; ++w) {
         const std::uint32_t begin = w * per_warp;
         const std::uint32_t end = std::min(n, begin + per_warp);
-        for (std::uint32_t e = begin; e < end; e += warpSize) {
+        for (std::uint32_t e = begin; e < end; e += warpLanes) {
             const std::uint32_t lanes = std::min<std::uint32_t>(
-                warpSize, end - e);
+                warpLanes, end - e);
             for (std::uint32_t fw = 0; fw < field_words; ++fw) {
-                std::array<Addr, 32> global_addrs, local_addrs;
+                std::array<Addr, warpLanes> global_addrs, local_addrs;
                 for (std::uint32_t l = 0; l < lanes; ++l) {
                     const std::uint32_t off =
                         (e + l) * use.tile.fieldSize + fw * wordBytes;

@@ -81,7 +81,7 @@ struct TileUse
 class TbBuilder
 {
   public:
-    TbBuilder(MemOrg org, unsigned num_warps, unsigned warp_size = 32);
+    TbBuilder(MemOrg org, unsigned num_warps);
 
     /** Declares a tile use; returns its handle. */
     unsigned addTile(const TileUse &use);
@@ -138,7 +138,6 @@ class TbBuilder
 
     MemOrg org;
     unsigned numWarps;
-    unsigned warpSize;
     std::vector<TileUse> tiles;
     /** Tile currently backing each handle (updated by restage). */
     std::vector<TileSpec> currentTile;
@@ -153,7 +152,7 @@ class TbBuilder
     std::uint8_t nextMapSlot = 0;
 };
 
-/** Up to 32 lane element indices, held inline (no heap). */
+/** Up to warpLanes lane element indices, held inline (no heap). */
 class LaneList
 {
   public:
@@ -171,11 +170,11 @@ class LaneList
     std::uint32_t operator[](std::size_t i) const { return elems[i]; }
 
   private:
-    std::array<std::uint32_t, 32> elems{};
+    std::array<std::uint32_t, warpLanes> elems{};
     std::uint32_t n = 0;
 };
 
-/** The @p count (<= 32) lane elements first, first + stride, .... */
+/** The @p count (<= warpLanes) lane elements first, first + stride, .... */
 LaneList laneElems(std::uint32_t first, std::uint32_t count,
                    std::uint32_t stride = 1);
 

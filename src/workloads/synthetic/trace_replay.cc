@@ -288,8 +288,10 @@ parseTrace(const std::string &text, const TraceLimits &lim,
                 }
                 if (!parseAddrList(tok[3], rec.addrs))
                     return fail("bad address list '" + tok[3] + "'");
-                if (rec.addrs.size() > 32)
-                    return fail("more than 32 lanes in one record");
+                if (rec.addrs.size() > warpLanes) {
+                    return fail("more than " + std::to_string(warpLanes) +
+                                " lanes in one record");
+                }
                 for (Addr a : rec.addrs) {
                     if (a % wordBytes) {
                         return fail("address " + hexAddr(a) +
@@ -374,9 +376,10 @@ parseTrace(const std::string &text, const TraceLimits &lim,
                     rec.writable = true;
                 else if (tok[6] != "ro")
                     return fail("map mode must be 'ro' or 'rw'");
-                if (maps[id].size() >= 4) {
-                    return fail("more than 4 maps for cu " + tok[1] +
-                                " in one phase");
+                if (maps[id].size() >= blockMapSlots) {
+                    return fail("more than " +
+                                std::to_string(blockMapSlots) +
+                                " maps for cu " + tok[1] + " in one phase");
                 }
                 rec.kind = TraceGpuOp::Kind::Map;
                 rec.localOffset = std::uint32_t(lo);

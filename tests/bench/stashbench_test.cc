@@ -138,6 +138,48 @@ TEST(StashbenchSchemaTest, Fig6DocumentIsValid)
     checkFigureDoc(runBenchThroughFile("fig6"), "fig6", 7, 5);
 }
 
+/**
+ * --components prints flatten() as each run's `stats` object: exactly
+ * its key set, and the same counts as the run's own fields.
+ */
+TEST(StashbenchSchemaTest, ComponentsPrintFlattenedStatsPerRun)
+{
+    const BenchInfo *bench = findBench("fig5");
+    ASSERT_NE(bench, nullptr);
+    BenchContext ctx;
+    ctx.scale = workloads::Scale::Smoke;
+    ctx.components = true;
+    const JsonValue doc = bench->run(ctx);
+
+    std::set<std::string> flattenKeys;
+    for (const auto &[key, value] : SystemStats{}.flatten())
+        flattenKeys.insert(key);
+
+    const JsonValue *runs = doc.find("runs");
+    ASSERT_NE(runs, nullptr);
+    ASSERT_GT(runs->size(), 0u);
+    for (std::size_t i = 0; i < runs->size(); ++i) {
+        const JsonValue &run = runs->at(i);
+        const std::string label = run.find("label")->asString();
+        const JsonValue *stats = run.find("stats");
+        ASSERT_NE(stats, nullptr) << label;
+        ASSERT_TRUE(stats->isObject()) << label;
+        std::set<std::string> keys;
+        for (const auto &[key, value] : stats->members())
+            keys.insert(key);
+        EXPECT_EQ(keys, flattenKeys) << label;
+        EXPECT_EQ(stats->find("gpu.instructions")->asNumber(),
+                  run.find("instructions")->asNumber())
+            << label;
+        EXPECT_EQ(stats->find("sim.gpuCycles")->asNumber(),
+                  run.find("gpuCycles")->asNumber())
+            << label;
+        EXPECT_EQ(stats->find("noc.flitHops.total")->asNumber(),
+                  run.find("flitHops")->find("total")->asNumber())
+            << label;
+    }
+}
+
 TEST(StashbenchSchemaTest, BenchListHasUniqueNamesAndRunners)
 {
     std::set<std::string> names;

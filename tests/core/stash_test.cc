@@ -49,7 +49,7 @@ class StashBench : public ::testing::Test
         fabric->registerObject(NodeId(0), Unit::Stash, stash.get());
         fabric->registerCore(0, NodeId(0));
 
-        tlb = std::make_unique<Tlb>(pageTable, 64);
+        tlb = std::make_unique<Tlb>(pageTable);
         cache = std::make_unique<L1Cache>(eq, *fabric, *tlb, 1,
                                           NodeId(1),
                                           L1Cache::Params{});

@@ -62,7 +62,7 @@ class CoherenceBench : public ::testing::Test
     addCache(const L1Cache::Params &p)
     {
         const CoreId c = CoreId(caches.size());
-        tlbs.push_back(std::make_unique<Tlb>(pageTable, 64));
+        tlbs.push_back(std::make_unique<Tlb>(pageTable));
         caches.push_back(std::make_unique<L1Cache>(
             eq, *fabric, *tlbs.back(), c, NodeId(c), p));
         fabric->registerObject(NodeId(c), Unit::L1, caches.back().get());

@@ -47,7 +47,7 @@ class DmaBench : public ::testing::Test
             fabric->registerObject(n, Unit::Llc, llc.back().get());
         }
         spad = std::make_unique<Scratchpad>(16 * 1024);
-        tlb = std::make_unique<Tlb>(pageTable, 64);
+        tlb = std::make_unique<Tlb>(pageTable);
         dma = std::make_unique<DmaEngine>(eq, *fabric, *tlb, *spad, 0,
                                           NodeId(0));
         fabric->registerObject(NodeId(0), Unit::Dma, dma.get());

@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for the discrete-event kernel and clock domains.
+ * Unit tests for the discrete-event kernel and the clock periods.
  */
 
 #include <gtest/gtest.h>
@@ -119,23 +119,6 @@ TEST(ClockTest, CpuAndGpuPeriodsMatchTable2Frequencies)
     // 2 GHz CPU and 700 MHz GPU on a 14 GHz tick base.
     EXPECT_EQ(ticksPerSecond / cpuClockPeriod, 2'000'000'000u);
     EXPECT_EQ(ticksPerSecond / gpuClockPeriod, 700'000'000u);
-}
-
-TEST(ClockTest, ConversionsRoundTrip)
-{
-    Clock gpu(gpuClockPeriod);
-    EXPECT_EQ(gpu.cyclesToTicks(10), 200u);
-    EXPECT_EQ(gpu.ticksToCycles(200), 10u);
-    EXPECT_EQ(gpu.ticksToCycles(219), 10u);
-}
-
-TEST(ClockTest, NextEdgeAlignsUp)
-{
-    Clock gpu(gpuClockPeriod);
-    EXPECT_EQ(gpu.nextEdge(0), 0u);
-    EXPECT_EQ(gpu.nextEdge(1), 20u);
-    EXPECT_EQ(gpu.nextEdge(20), 20u);
-    EXPECT_EQ(gpu.nextEdge(21), 40u);
 }
 
 TEST(EventQueueTest, EqualTickAndPriorityPreservesInsertionOrder)

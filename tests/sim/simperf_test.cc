@@ -1,8 +1,8 @@
 /**
  * @file
  * Unit tests for SimPerf, the host-side throughput observability
- * layer: per-phase rollups, the runBegin() measurement window, and
- * the System/StatsRegistry integration.
+ * layer: the runBegin() measurement window and the summary a System
+ * run carries in RunResult::perf.
  */
 
 #include <gtest/gtest.h>
@@ -17,9 +17,10 @@ namespace
 
 TEST(SimPerfTest, RollsUpEventsAndTicksByPhaseName)
 {
+    // Phase brackets, repeated names included, do not split the
+    // window: it counts every event and tick inside them.
     EventQueue eq;
     SimPerf perf(eq);
-    eq.addPhaseListener(&perf);
     perf.runBegin();
 
     eq.beginPhase("compute");
@@ -33,7 +34,6 @@ TEST(SimPerfTest, RollsUpEventsAndTicksByPhaseName)
     eq.run();
     eq.endPhase();
 
-    // Repeated phase names aggregate into one rollup entry.
     eq.beginPhase("compute");
     eq.schedule(40, []() {});
     eq.run();
@@ -43,21 +43,12 @@ TEST(SimPerfTest, RollsUpEventsAndTicksByPhaseName)
     EXPECT_EQ(s.events, 4u);
     EXPECT_EQ(s.simTicks, 40u);
     EXPECT_GE(s.hostSeconds, 0.0);
-    ASSERT_EQ(s.phases.size(), 2u); // first-seen name order
-    EXPECT_EQ(s.phases[0].name, "compute");
-    EXPECT_EQ(s.phases[0].count, 2u);
-    EXPECT_EQ(s.phases[0].events, 3u);
-    EXPECT_EQ(s.phases[1].name, "drain");
-    EXPECT_EQ(s.phases[1].count, 1u);
-    EXPECT_EQ(s.phases[1].events, 1u);
-    EXPECT_GE(s.phases[0].hostSeconds, 0.0);
 }
 
 TEST(SimPerfTest, RunBeginRestartsTheMeasurementWindow)
 {
     EventQueue eq;
     SimPerf perf(eq);
-    eq.addPhaseListener(&perf);
     eq.schedule(5, []() {});
     eq.run();
 
@@ -75,7 +66,6 @@ TEST(SimPerfTest, SurvivesAQueueReset)
     // a SimPerf window spanning a reset still counts every event.
     EventQueue eq;
     SimPerf perf(eq);
-    eq.addPhaseListener(&perf);
     perf.runBegin();
     eq.schedule(5, []() {});
     eq.run();
@@ -85,44 +75,17 @@ TEST(SimPerfTest, SurvivesAQueueReset)
     EXPECT_EQ(perf.summary().events, 2u);
 }
 
-TEST(SimPerfTest, LiveSamplesAreMonotone)
-{
-    EventQueue eq;
-    SimPerf perf(eq);
-    perf.runBegin();
-    const double e0 = perf.eventsNow();
-    eq.schedule(1, []() {});
-    eq.schedule(2, []() {});
-    eq.run();
-    const double e1 = perf.eventsNow();
-    EXPECT_GE(e1, e0);
-    EXPECT_EQ(e1, 2.0);
-    EXPECT_GE(perf.hostSecondsNow(), 0.0);
-    EXPECT_GE(perf.eventsPerSecNow(), 0.0);
-    EXPECT_GE(perf.ticksPerHostSecNow(), 0.0);
-}
-
 TEST(SimPerfTest, RunResultCarriesThroughputSummary)
 {
     RunSpec spec;
     spec.workload = "Implicit";
     spec.org = MemOrg::Stash;
     spec.scale = workloads::Scale::Smoke;
-    bool saw_registry_keys = false;
-    spec.instrument = [&](System &sys) {
-        const auto v = sys.statsRegistry().values();
-        saw_registry_keys = v.count("simperf.events") &&
-                            v.count("simperf.hostSeconds") &&
-                            v.count("simperf.eventsPerSec") &&
-                            v.count("simperf.ticksPerHostSec");
-    };
     const RunResult r = runSpec(spec);
     ASSERT_TRUE(r.validated);
-    EXPECT_TRUE(saw_registry_keys);
     EXPECT_GT(r.perf.events, 0u);
     EXPECT_GT(r.perf.simTicks, 0u);
     EXPECT_GE(r.perf.hostSeconds, 0.0);
-    EXPECT_FALSE(r.perf.phases.empty());
     EXPECT_GE(r.perf.eventsPerHostSec(), 0.0);
     EXPECT_GE(r.perf.ticksPerHostSec(), 0.0);
 }

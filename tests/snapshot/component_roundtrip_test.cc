@@ -2,7 +2,7 @@
  * @file
  * Round trips: what goes into a component comes back out of it
  * unchanged — words through main memory and a scratchpad, pages
- * through the page table and the TLB, lines through an LLC bank in
+ * through the page table, lines through an LLC bank in
  * replacement order, mappings through the stash map — and the RESULT
  * snapshot a System's run leaves is a fixed point of running it
  * again.
@@ -31,7 +31,6 @@
 #include "mem/main_memory.hh"
 #include "mem/page_table.hh"
 #include "mem/scratchpad.hh"
-#include "mem/tlb.hh"
 #include "noc/mesh.hh"
 #include "workloads/workload_factory.hh"
 
@@ -86,28 +85,6 @@ TEST(ComponentRoundTripTest, PageTable)
         EXPECT_TRUE(pt.reverse(pa, &back));
         EXPECT_EQ(back, va);
     }
-}
-
-TEST(ComponentRoundTripTest, TlbKeepsCountersAndReplacementOrder)
-{
-    PageTable pt;
-    Tlb tlb(pt, 2);
-    tlb.translate(0x1000); // miss
-    tlb.translate(0x2000); // miss
-    tlb.translate(0x1000); // hit; 0x1000 is now MRU
-    tlb.translate(0x3000); // miss, evicts LRU 0x2000
-    EXPECT_EQ(tlb.accesses(), 4u);
-    EXPECT_EQ(tlb.misses(), 3u);
-    EXPECT_EQ(tlb.size(), 2u);
-
-    // Touching a new page evicts 0x1000 (now the LRU) and keeps
-    // 0x3000 resident; every translation still matches the table.
-    EXPECT_EQ(tlb.translate(0x4000), pt.translate(0x4000));
-    EXPECT_EQ(tlb.misses(), 4u);
-    EXPECT_EQ(tlb.translate(0x3000), pt.translate(0x3000));
-    EXPECT_EQ(tlb.misses(), 4u) << "0x3000 was evicted";
-    EXPECT_EQ(tlb.translate(0x1000), pt.translate(0x1000));
-    EXPECT_EQ(tlb.misses(), 5u) << "0x1000 was not evicted";
 }
 
 /** A unit that accepts and drops every message. */

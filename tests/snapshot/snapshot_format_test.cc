@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "config/system_config.hh"
@@ -234,24 +235,62 @@ TEST(SnapshotConfigHashTest, SensitiveToEveryVerifyField)
 
 TEST(SnapshotConfigHashTest, SensitiveToSimulatedState)
 {
+    // One edit per top-level SystemConfig field, in declaration
+    // order: a field the hash leaves out would let a cached result
+    // be served for a machine that was never simulated.
     const SystemConfig base = SystemConfig::microbenchmarkDefault();
     const std::uint64_t h = snapshotConfigHash(base);
-
-    SystemConfig c1 = base;
-    c1.l1Bytes *= 2;
-    EXPECT_NE(snapshotConfigHash(c1), h);
-
-    SystemConfig c2 = base;
-    c2.memOrg = MemOrg::ScratchGD;
-    EXPECT_NE(snapshotConfigHash(c2), h);
-
-    SystemConfig c3 = base;
-    c3.numGpuCus += 1;
-    EXPECT_NE(snapshotConfigHash(c3), h);
-
-    SystemConfig c4 = base;
-    c4.stashChunkBytes *= 2;
-    EXPECT_NE(snapshotConfigHash(c4), h);
+    const std::vector<std::pair<const char *, void (*)(SystemConfig &)>>
+        edits = {
+            {"meshWidth", [](SystemConfig &c) { c.meshWidth += 1; }},
+            {"meshHeight", [](SystemConfig &c) { c.meshHeight += 1; }},
+            {"numGpuCus", [](SystemConfig &c) { c.numGpuCus += 1; }},
+            {"numCpuCores", [](SystemConfig &c) { c.numCpuCores += 1; }},
+            {"memOrg",
+             [](SystemConfig &c) { c.memOrg = MemOrg::ScratchGD; }},
+            {"l1Bytes", [](SystemConfig &c) { c.l1Bytes *= 2; }},
+            {"l1Assoc", [](SystemConfig &c) { c.l1Assoc *= 2; }},
+            {"l1Mshrs", [](SystemConfig &c) { c.l1Mshrs += 1; }},
+            {"l1HitCycles", [](SystemConfig &c) { c.l1HitCycles += 1; }},
+            {"localBytes", [](SystemConfig &c) { c.localBytes *= 2; }},
+            {"stashMapEntries",
+             [](SystemConfig &c) { c.stashMapEntries += 1; }},
+            {"vpMapEntries", [](SystemConfig &c) { c.vpMapEntries += 1; }},
+            {"stashChunkBytes",
+             [](SystemConfig &c) { c.stashChunkBytes *= 2; }},
+            {"stashTranslationCycles",
+             [](SystemConfig &c) { c.stashTranslationCycles += 1; }},
+            {"localHitCycles",
+             [](SystemConfig &c) { c.localHitCycles += 1; }},
+            {"stashReplicationOpt",
+             [](SystemConfig &c) {
+                 c.stashReplicationOpt = !c.stashReplicationOpt;
+             }},
+            {"llcBanks", [](SystemConfig &c) { c.llcBanks += 1; }},
+            {"llcBankBytes", [](SystemConfig &c) { c.llcBankBytes *= 2; }},
+            {"llcAssoc", [](SystemConfig &c) { c.llcAssoc *= 2; }},
+            {"llcBankCycles", [](SystemConfig &c) { c.llcBankCycles += 1; }},
+            {"routerCycles", [](SystemConfig &c) { c.routerCycles += 1; }},
+            {"linkCycles", [](SystemConfig &c) { c.linkCycles += 1; }},
+            {"nocFlitsPerCycle",
+             [](SystemConfig &c) { c.nocFlitsPerCycle += 1; }},
+            {"memBackend",
+             [](SystemConfig &c) { c.memBackend.dramCycles += 1; }},
+            {"maxResidentTbsPerCu",
+             [](SystemConfig &c) { c.maxResidentTbsPerCu += 1; }},
+            {"maxWarpsPerCu", [](SystemConfig &c) { c.maxWarpsPerCu += 1; }},
+            {"cpuOutstanding",
+             [](SystemConfig &c) { c.cpuOutstanding += 1; }},
+            {"verify",
+             [](SystemConfig &c) {
+                 c.verify.protocolChecker = !c.verify.protocolChecker;
+             }},
+        };
+    for (const auto &[field, edit] : edits) {
+        SystemConfig c = base;
+        edit(c);
+        EXPECT_NE(snapshotConfigHash(c), h) << field;
+    }
 }
 
 } // namespace

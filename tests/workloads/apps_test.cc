@@ -61,12 +61,15 @@ TEST_P(AppAllConfigs, RunsToCompletion)
     EXPECT_GT(r.gpuCycles, 0u);
     EXPECT_GT(r.stats.gpu.threadBlocks, 0u);
     // The run must actually exercise the configured local memory.
-    if (usesScratchpad(org))
+    if (usesScratchpad(org)) {
         EXPECT_GT(r.stats.scratch.accesses(), 0u) << name;
-    if (usesStash(org))
+    }
+    if (usesStash(org)) {
         EXPECT_GT(r.stats.stash.accesses(), 0u) << name;
-    if (org == MemOrg::ScratchGD)
+    }
+    if (org == MemOrg::ScratchGD) {
         EXPECT_GT(r.stats.dma.wordsLoaded, 0u) << name;
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -50,10 +50,12 @@ TEST_P(SynthAllConfigs, RunsValidated)
         << (r.errors.empty() ? "" : (": " + r.errors[0]));
     EXPECT_GT(r.gpuCycles, 0u);
     EXPECT_GT(r.stats.gpu.threadBlocks, 0u);
-    if (usesScratchpad(org))
+    if (usesScratchpad(org)) {
         EXPECT_GT(r.stats.scratch.accesses(), 0u) << name;
-    if (usesStash(org))
+    }
+    if (usesStash(org)) {
         EXPECT_GT(r.stats.stash.accesses(), 0u) << name;
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -29,176 +29,141 @@ stashMetrics(const RunRecord &rec)
     return m;
 }
 
+/** One (workload, org, machine) row of a config ablation. */
+struct AblationRow
+{
+    const char *workload;
+    MemOrg org;
+    bool app; //!< the application machine, else the microbenchmark one
+};
+
+/**
+ * A config ablation: each row runs at each knob value, on its Table 2
+ * machine with one SystemConfig field set.
+ */
+struct ConfigAblation
+{
+    const char *bench;
+    std::vector<AblationRow> rows;
+    const char *param; //!< the knob's key under "params"
+    const char *label; //!< run label: "<workload>/<label>-<value>"
+    std::vector<report::JsonValue> values;
+    void (*set)(SystemConfig &, const report::JsonValue &);
+    bool stashMetrics; //!< add stashMetrics() under "metrics"
+};
+
+report::JsonValue
+runConfigAblation(const BenchContext &ctx, const ConfigAblation &a)
+{
+    report::JsonValue doc =
+        benchDoc(ctx, a.bench, findBench(a.bench)->title);
+    std::vector<RunSpec> specs;
+    for (const AblationRow &row : a.rows) {
+        for (const report::JsonValue &v : a.values) {
+            RunSpec spec;
+            spec.workload = row.workload;
+            spec.org = row.org;
+            spec.scale = ctx.scale;
+            SystemConfig cfg = row.app
+                                   ? SystemConfig::applicationDefault()
+                                   : SystemConfig::microbenchmarkDefault();
+            a.set(cfg, v);
+            spec.config = cfg;
+            spec.labelOverride =
+                std::string(row.workload) + "/" + a.label + "-" +
+                (v.isBool() ? (v.asBool() ? "on" : "off")
+                            : report::jsonNumberToString(v.asNumber()));
+            specs.push_back(std::move(spec));
+        }
+    }
+
+    std::vector<RunRecord> records =
+        sweepSpecs(ctx, a.bench, std::move(specs));
+    report::JsonValue runs = report::JsonValue::array();
+    for (std::size_t i = 0; i < records.size(); ++i) {
+        report::JsonValue run = runToJson(records[i], ctx.components);
+        report::JsonValue params = report::JsonValue::object();
+        params[a.param] = a.values[i % a.values.size()];
+        run["params"] = std::move(params);
+        if (a.stashMetrics)
+            run["metrics"] = stashMetrics(records[i]);
+        runs.push(std::move(run));
+    }
+    doc["runs"] = std::move(runs);
+    return doc;
+}
+
+/** The three microbenchmarks the stash's knobs move, on the stash. */
+const std::vector<AblationRow> stashMicrobenchmarks = {
+    {"Implicit", MemOrg::Stash, false},
+    {"On-demand", MemOrg::Stash, false},
+    {"Reuse", MemOrg::Stash, false},
+};
+
 } // namespace
 
 report::JsonValue
 runAblationReplication(const BenchContext &ctx)
 {
-    report::JsonValue doc =
-        benchDoc(ctx, "ablation_replication",
-                 findBench("ablation_replication")->title);
-
-    std::vector<RunSpec> specs;
-    std::vector<bool> knob;
-    auto add = [&](const char *name, MemOrg org, bool app, bool opt) {
-        RunSpec spec;
-        spec.workload = name;
-        spec.org = org;
-        spec.scale = ctx.scale;
-        SystemConfig cfg = app ? SystemConfig::applicationDefault()
-                               : SystemConfig::microbenchmarkDefault();
-        cfg.stashReplicationOpt = opt;
-        spec.config = cfg;
-        spec.labelOverride = std::string(name) + "/repl-" +
-                             (opt ? "on" : "off");
-        specs.push_back(std::move(spec));
-        knob.push_back(opt);
-    };
-    for (const char *name : {"Reuse", "On-demand"}) {
-        for (bool opt : {true, false})
-            add(name, MemOrg::Stash, false, opt);
-    }
-    for (const char *name : {"LUD", "SGEMM"}) {
-        for (bool opt : {true, false})
-            add(name, MemOrg::Stash, true, opt);
-    }
-
-    std::vector<RunRecord> records =
-        sweepSpecs(ctx, "ablation_replication", std::move(specs));
-    report::JsonValue runs = report::JsonValue::array();
-    for (std::size_t i = 0; i < records.size(); ++i) {
-        report::JsonValue run = runToJson(records[i], ctx.components);
-        report::JsonValue params = report::JsonValue::object();
-        params["replication"] = bool(knob[i]);
-        run["params"] = std::move(params);
-        run["metrics"] = stashMetrics(records[i]);
-        runs.push(std::move(run));
-    }
-    doc["runs"] = std::move(runs);
-    return doc;
+    return runConfigAblation(
+        ctx, {.bench = "ablation_replication",
+              .rows = {{"Reuse", MemOrg::Stash, false},
+                       {"On-demand", MemOrg::Stash, false},
+                       {"LUD", MemOrg::Stash, true},
+                       {"SGEMM", MemOrg::Stash, true}},
+              .param = "replication",
+              .label = "repl",
+              .values = {true, false},
+              .set = [](SystemConfig &c, const report::JsonValue &v) {
+                  c.stashReplicationOpt = v.asBool();
+              },
+              .stashMetrics = true});
 }
 
 report::JsonValue
 runAblationChunkGranularity(const BenchContext &ctx)
 {
-    report::JsonValue doc =
-        benchDoc(ctx, "ablation_chunk_granularity",
-                 findBench("ablation_chunk_granularity")->title);
-
-    std::vector<RunSpec> specs;
-    std::vector<unsigned> knob;
-    for (const char *name : {"Implicit", "On-demand", "Reuse"}) {
-        for (unsigned chunk : {64u, 128u, 256u}) {
-            RunSpec spec;
-            spec.workload = name;
-            spec.org = MemOrg::Stash;
-            spec.scale = ctx.scale;
-            SystemConfig cfg = SystemConfig::microbenchmarkDefault();
-            cfg.stashChunkBytes = chunk;
-            spec.config = cfg;
-            spec.labelOverride =
-                std::string(name) + "/chunk-" + std::to_string(chunk);
-            specs.push_back(std::move(spec));
-            knob.push_back(chunk);
-        }
-    }
-
-    std::vector<RunRecord> records = sweepSpecs(
-        ctx, "ablation_chunk_granularity", std::move(specs));
-    report::JsonValue runs = report::JsonValue::array();
-    for (std::size_t i = 0; i < records.size(); ++i) {
-        report::JsonValue run = runToJson(records[i], ctx.components);
-        report::JsonValue params = report::JsonValue::object();
-        params["chunkBytes"] = knob[i];
-        run["params"] = std::move(params);
-        run["metrics"] = stashMetrics(records[i]);
-        runs.push(std::move(run));
-    }
-    doc["runs"] = std::move(runs);
-    return doc;
+    return runConfigAblation(
+        ctx, {.bench = "ablation_chunk_granularity",
+              .rows = stashMicrobenchmarks,
+              .param = "chunkBytes",
+              .label = "chunk",
+              .values = {64u, 128u, 256u},
+              .set = [](SystemConfig &c, const report::JsonValue &v) {
+                  c.stashChunkBytes = unsigned(v.asNumber());
+              },
+              .stashMetrics = true});
 }
 
 report::JsonValue
 runAblationStashMapSize(const BenchContext &ctx)
 {
-    report::JsonValue doc =
-        benchDoc(ctx, "ablation_stash_map_size",
-                 findBench("ablation_stash_map_size")->title);
-
-    std::vector<RunSpec> specs;
-    std::vector<unsigned> knob;
-    auto add = [&](const char *name, MemOrg org, bool app,
-                   unsigned entries) {
-        RunSpec spec;
-        spec.workload = name;
-        spec.org = org;
-        spec.scale = ctx.scale;
-        SystemConfig cfg = app ? SystemConfig::applicationDefault()
-                               : SystemConfig::microbenchmarkDefault();
-        cfg.stashMapEntries = entries;
-        spec.config = cfg;
-        spec.labelOverride = std::string(name) + "/entries-" +
-                             std::to_string(entries);
-        specs.push_back(std::move(spec));
-        knob.push_back(entries);
-    };
-    for (unsigned entries : {16u, 32u, 64u, 128u})
-        add("Reuse", MemOrg::Stash, false, entries);
-    for (unsigned entries : {16u, 32u, 64u, 128u})
-        add("LUD", MemOrg::StashG, true, entries);
-
-    std::vector<RunRecord> records =
-        sweepSpecs(ctx, "ablation_stash_map_size", std::move(specs));
-    report::JsonValue runs = report::JsonValue::array();
-    for (std::size_t i = 0; i < records.size(); ++i) {
-        report::JsonValue run = runToJson(records[i], ctx.components);
-        report::JsonValue params = report::JsonValue::object();
-        params["mapEntries"] = knob[i];
-        run["params"] = std::move(params);
-        run["metrics"] = stashMetrics(records[i]);
-        runs.push(std::move(run));
-    }
-    doc["runs"] = std::move(runs);
-    return doc;
+    return runConfigAblation(
+        ctx, {.bench = "ablation_stash_map_size",
+              .rows = {{"Reuse", MemOrg::Stash, false},
+                       {"LUD", MemOrg::StashG, true}},
+              .param = "mapEntries",
+              .label = "entries",
+              .values = {16u, 32u, 64u, 128u},
+              .set = [](SystemConfig &c, const report::JsonValue &v) {
+                  c.stashMapEntries = unsigned(v.asNumber());
+              },
+              .stashMetrics = true});
 }
 
 report::JsonValue
 runAblationTranslationLatency(const BenchContext &ctx)
 {
-    report::JsonValue doc =
-        benchDoc(ctx, "ablation_translation_latency",
-                 findBench("ablation_translation_latency")->title);
-
-    std::vector<RunSpec> specs;
-    std::vector<unsigned> knob;
-    for (const char *name : {"Implicit", "On-demand", "Reuse"}) {
-        for (unsigned xl : {0u, 5u, 10u, 20u, 40u}) {
-            RunSpec spec;
-            spec.workload = name;
-            spec.org = MemOrg::Stash;
-            spec.scale = ctx.scale;
-            SystemConfig cfg = SystemConfig::microbenchmarkDefault();
-            cfg.stashTranslationCycles = xl;
-            spec.config = cfg;
-            spec.labelOverride =
-                std::string(name) + "/xl-" + std::to_string(xl);
-            specs.push_back(std::move(spec));
-            knob.push_back(xl);
-        }
-    }
-
-    std::vector<RunRecord> records = sweepSpecs(
-        ctx, "ablation_translation_latency", std::move(specs));
-    report::JsonValue runs = report::JsonValue::array();
-    for (std::size_t i = 0; i < records.size(); ++i) {
-        report::JsonValue run = runToJson(records[i], ctx.components);
-        report::JsonValue params = report::JsonValue::object();
-        params["translationCycles"] = knob[i];
-        run["params"] = std::move(params);
-        runs.push(std::move(run));
-    }
-    doc["runs"] = std::move(runs);
-    return doc;
+    return runConfigAblation(
+        ctx, {.bench = "ablation_translation_latency",
+              .rows = stashMicrobenchmarks,
+              .param = "translationCycles",
+              .label = "xl",
+              .values = {0u, 5u, 10u, 20u, 40u},
+              .set = [](SystemConfig &c, const report::JsonValue &v) {
+                  c.stashTranslationCycles = Cycles(v.asNumber());
+              },
+              .stashMetrics = false});
 }
 
 namespace

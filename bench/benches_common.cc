@@ -225,7 +225,7 @@ benchInventoryJson()
     doc["benches"] = std::move(arr);
     // The runnable workload inventory (including the synthetic
     // family and the trace-replay frontend), so wrappers can build
-    // run grids without scraping --list-workloads.
+    // run grids without scraping --list.
     report::JsonValue wls = report::JsonValue::array();
     for (const auto &info :
          workloads::WorkloadFactory::instance().list()) {

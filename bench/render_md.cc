@@ -23,33 +23,10 @@ namespace
 
 using report::JsonValue;
 
-bool
-loadDoc(const std::string &dir, const std::string &bench,
-        JsonValue &doc, std::string &err)
-{
-    const std::string path = dir + "/BENCH_" + bench + ".json";
-    std::ifstream is(path);
-    if (!is) {
-        err = "cannot open " + path +
-              " (run stashbench to generate it)";
-        return false;
-    }
-    std::stringstream ss;
-    ss << is.rdbuf();
-    std::string parse_err;
-    if (!JsonValue::parse(ss.str(), doc, parse_err)) {
-        err = path + ": " + parse_err;
-        return false;
-    }
-    const JsonValue *schema = doc.find("schema");
-    if (!schema || schema->asString() != "stashsim-bench-v1") {
-        err = path + ": not a stashsim-bench-v1 document";
-        return false;
-    }
-    return true;
-}
-
-/** runs indexed by (workload, config). */
+/**
+ * runs indexed by (workload, config).  The renderers read only
+ * members that loadDoc() checked.
+ */
 using RunIndex =
     std::map<std::string, std::map<std::string, const JsonValue *>>;
 
@@ -57,15 +34,11 @@ RunIndex
 indexRuns(const JsonValue &doc)
 {
     RunIndex idx;
-    const JsonValue *runs = doc.find("runs");
-    if (!runs)
-        return idx;
-    for (std::size_t i = 0; i < runs->size(); ++i) {
-        const JsonValue &run = runs->at(i);
-        const JsonValue *wl = run.find("workload");
-        const JsonValue *cfg = run.find("config");
-        if (wl && cfg)
-            idx[wl->asString()][cfg->asString()] = &run;
+    const JsonValue &runs = *doc.find("runs");
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+        const JsonValue &run = runs.at(i);
+        idx[run.find("workload")->asString()]
+           [run.find("config")->asString()] = &run;
     }
     return idx;
 }
@@ -94,11 +67,9 @@ std::vector<std::string>
 stringList(const JsonValue &doc, const char *key)
 {
     std::vector<std::string> out;
-    const JsonValue *arr = doc.find(key);
-    if (!arr)
-        return out;
-    for (std::size_t i = 0; i < arr->size(); ++i)
-        out.push_back(arr->at(i).asString());
+    const JsonValue &arr = *doc.find(key);
+    for (std::size_t i = 0; i < arr.size(); ++i)
+        out.push_back(arr.at(i).asString());
     return out;
 }
 
@@ -113,7 +84,118 @@ paperNumber(const JsonValue &doc, const char *group,
     if (!g)
         return fallback;
     const JsonValue *v = g->find(key);
-    return v ? v->asNumber() : fallback;
+    return v && v->isNumber() ? v->asNumber() : fallback;
+}
+
+/**
+ * Checks that @p doc has every member of @p shape with the same kind,
+ * recursively; an array in @p shape holds the shape of each element.
+ * Notes "<path> is missing" or "<path> is not <kind>" in @p err.
+ */
+bool
+conforms(const JsonValue &doc, const JsonValue &shape,
+         const std::string &path, std::string &err)
+{
+    static const char *const kindNames[] = {
+        "null", "a boolean", "a number", "a string", "an array",
+        "an object"};
+    if (doc.kind() != shape.kind()) {
+        err = path + " is not " + kindNames[int(shape.kind())];
+        return false;
+    }
+    for (const auto &[key, member] : shape.members()) {
+        const std::string at = path.empty() ? key : path + "." + key;
+        const JsonValue *v = doc.find(key);
+        if (!v) {
+            err = at + " is missing";
+            return false;
+        }
+        if (!conforms(*v, member, at, err))
+            return false;
+    }
+    for (std::size_t i = 0; shape.isArray() && i < doc.size(); ++i) {
+        if (!conforms(doc.at(i), shape.at(0),
+                      path + "[" + std::to_string(i) + "]", err))
+            return false;
+    }
+    return true;
+}
+
+/**
+ * @{ What each renderer reads, every member with its kind.  The
+ * paper's numbers and memback's ratios are optional: one that is
+ * missing or not a number renders as "—".
+ */
+const char *const table3Shape =
+    R"({"values": {"scratchpadAccess": 0, "stashHit": 0,
+                   "stashMiss": 0, "l1Hit": 0, "l1Miss": 0,
+                   "tlbAccess": 0},
+        "ratios": {"scratchpadOverL1Hit": 0,
+                   "stashMissOverL1Miss": 0}})";
+/** A normalized panel's: the lists and every run's metrics. */
+const char *const gridShape =
+    R"({"scale": "", "baseline": "", "configs": [""],
+        "workloads": [""],
+        "runs": [{"workload": "", "config": "", "gpuCycles": 0,
+                  "instructions": 0, "energy": {"total": 0},
+                  "flitHops": {"total": 0}}]})";
+const char *const membackShape =
+    R"({"workloads": [""], "backends": [""]})";
+/** @} */
+
+/**
+ * Reads BENCH_<bench>.json from @p dir and checks it against
+ * @p shapeText, and a panel's document for a run of each listed
+ * workload under each config and the baseline, so that a renderer
+ * finds every member it reads.  A failure leaves
+ * "<path>: <what is wrong>" in @p err.
+ */
+bool
+loadDoc(const std::string &dir, const std::string &bench,
+        const char *shapeText, JsonValue &doc, std::string &err)
+{
+    const std::string path = dir + "/BENCH_" + bench + ".json";
+    std::ifstream is(path);
+    if (!is) {
+        err = "cannot open " + path +
+              " (run stashbench to generate it)";
+        return false;
+    }
+    std::stringstream ss;
+    ss << is.rdbuf();
+    std::string parse_err;
+    if (!JsonValue::parse(ss.str(), doc, parse_err)) {
+        err = path + ": " + parse_err;
+        return false;
+    }
+    const JsonValue *schema = doc.find("schema");
+    if (!schema || schema->asString() != "stashsim-bench-v1") {
+        err = path + ": not a stashsim-bench-v1 document";
+        return false;
+    }
+    JsonValue shape;
+    std::string what;
+    JsonValue::parse(shapeText, shape, what);
+    if (!conforms(doc, shape, "", what)) {
+        err = path + ": " + what;
+        return false;
+    }
+    if (!shape.find("runs"))
+        return true;
+    const RunIndex idx = indexRuns(doc);
+    std::vector<std::string> configs = stringList(doc, "configs");
+    configs.push_back(doc.find("baseline")->asString());
+    for (const std::string &wl : stringList(doc, "workloads")) {
+        const auto per = idx.find(wl);
+        for (const std::string &c : configs) {
+            if (per == idx.end() || !per->second.count(c)) {
+                err = path + ": no run of workload '" + wl +
+                      "' under config '" + c + "'";
+                return false;
+            }
+        }
+    }
+    return true;
 }
 
 /**
@@ -360,7 +442,8 @@ renderMemBackend(std::ostream &os, const JsonValue &doc)
     auto cell = [&](const std::string &b, const std::string &key) {
         const JsonValue *per = ratios ? ratios->find(b) : nullptr;
         const JsonValue *v = per ? per->find(key) : nullptr;
-        return v ? fmt(v->asNumber()) : std::string("—");
+        return v && v->isNumber() ? fmt(v->asNumber())
+                                  : std::string("—");
     };
     for (const std::string &wl : workloads) {
         os << "| " << wl << " |";
@@ -476,11 +559,11 @@ renderExperimentsMd(const std::string &dir, std::ostream &os,
                     std::string &err)
 {
     JsonValue table3, fig5, fig6, memback, synth;
-    if (!loadDoc(dir, "table3", table3, err) ||
-        !loadDoc(dir, "fig5", fig5, err) ||
-        !loadDoc(dir, "fig6", fig6, err) ||
-        !loadDoc(dir, "memback", memback, err) ||
-        !loadDoc(dir, "synth", synth, err))
+    if (!loadDoc(dir, "table3", table3Shape, table3, err) ||
+        !loadDoc(dir, "fig5", gridShape, fig5, err) ||
+        !loadDoc(dir, "fig6", gridShape, fig6, err) ||
+        !loadDoc(dir, "memback", membackShape, memback, err) ||
+        !loadDoc(dir, "synth", gridShape, synth, err))
         return false;
 
     os << "# EXPERIMENTS — paper vs. measured\n\n"

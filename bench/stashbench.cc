@@ -64,18 +64,6 @@ listBenches()
     return 0;
 }
 
-int
-listWorkloads()
-{
-    std::printf("%-12s %-15s %s\n", "workload", "kind", "description");
-    for (const auto &info :
-         workloads::WorkloadFactory::instance().list()) {
-        std::printf("%-12s %-15s %s\n", info.name.c_str(),
-                    info.kindName(), info.description.c_str());
-    }
-    return 0;
-}
-
 /** Resolves --backend into @p ctx; exit-2 diagnostic on failure. */
 bool
 resolveBackend(const BenchArgs &args, BenchContext &ctx)
@@ -278,8 +266,6 @@ main(int argc, char **argv)
         }
         return listBenches();
     }
-    if (args.listWorkloads)
-        return listWorkloads();
     // Trace flows: --trace-from records a workload (no simulation),
     // --trace-replay parses a trace and either normalizes it into
     // --trace-record or sweeps it into BENCH_replay.json.

@@ -26,7 +26,8 @@ run_suite() {
     ctest --test-dir "${build_dir}" --output-on-failure -j "${jobs}"
 }
 
-run_suite "${root}/build"
+# The plain build must stay warning-free: any warning fails it.
+run_suite "${root}/build" -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 run_suite "${root}/build-san" -DSTASHSIM_SANITIZE=address,undefined
 # Each System runs on one thread; TSan covers the threads that run
 # many Systems at once (the SweepDriver's workers).

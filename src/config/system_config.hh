@@ -72,7 +72,7 @@ bool memBackendFromName(const std::string &name, MemBackendKind &out);
 /**
  * Backend selection plus every backend's timing knobs.  The knobs of
  * the unselected backends are inert; all of them (and the kind) fold
- * into the snapshot config hash, so a cached result is never served
+ * into the RESULT cache's config hash, so a cached result is never served
  * under a different memory system.
  */
 struct MemBackendConfig
@@ -162,8 +162,7 @@ struct SystemConfig
     /** The Section 4.5 data-replication (reuseBit) optimization. */
     bool stashReplicationOpt = true;
 
-    // --- LLC (shared L2, NUCA) -----------------------------------------
-    unsigned llcBanks = 16;
+    // --- LLC (shared L2, NUCA): one bank per mesh node ----------------
     unsigned llcBankBytes = 256 * 1024; //!< 4 MB total
     unsigned llcAssoc = 16;
     Cycles llcBankCycles = 23; //!< bank access; 29-61 total w/ network

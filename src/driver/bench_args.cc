@@ -127,8 +127,6 @@ BenchArgs::parse(int argc, char **argv, BenchArgs &out,
             out.json = true;
         } else if (std::strcmp(a, "--list") == 0) {
             out.list = true;
-        } else if (std::strcmp(a, "--list-workloads") == 0) {
-            out.listWorkloads = true;
         } else if (std::strcmp(a, "--help") == 0 ||
                    std::strcmp(a, "-h") == 0) {
             out.help = true;
@@ -188,9 +186,8 @@ BenchArgs::usage(const char *prog)
            "of simulating\n"
            "  --json              with --list, emit the bench "
            "inventory as JSON\n"
-           "  --list              list benches and exit\n"
-           "  --list-workloads    list registered workloads and "
-           "exit\n"
+           "  --list              list benches and workloads, "
+           "and exit\n"
            "  --render-md FILE    render markdown from BENCH_*.json "
            "in --out ('-' = stdout);\n"
            "                      with bench names, refreshes those "

@@ -39,8 +39,7 @@ struct BenchArgs
     std::string outDir = ".";
     /** Bench names to run; empty = all. */
     std::vector<std::string> benches;
-    bool list = false;          //!< --list: enumerate benches
-    bool listWorkloads = false; //!< --list-workloads
+    bool list = false; //!< --list: enumerate benches and workloads
     bool components = false; //!< include per-component stats in JSON
     /** When nonempty, write per-run Chrome traces into this dir. */
     std::string traceDir;
@@ -82,7 +81,7 @@ struct BenchArgs
      *   --components
      *   --restore DIR
      *   --trace-replay FILE | --trace-record FILE | --trace-from NAME
-     *   --list [--json] | --list-workloads
+     *   --list [--json]
      *   --render-md FILE
      *   --help | -h
      * plus positional bench names.

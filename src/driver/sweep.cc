@@ -9,7 +9,7 @@
 #include <thread>
 #include <utility>
 
-#include "snapshot/snapshot.hh"
+#include "driver/result_cache.hh"
 
 namespace stashsim
 {
@@ -44,89 +44,6 @@ runStateLabel(const RunSpec &spec)
 {
     return artifactLabel(spec.label()) + "-" +
            workloads::scaleName(spec.scale);
-}
-
-/**
- * Caches a completed run's RunResult to RESULT_<label>.snap so a
- * resumed sweep returns it without re-simulating.  The host time
- * (perf.hostSeconds) is deliberately dropped: only deterministic
- * counters belong in resumable state.
- */
-void
-saveResultCache(const std::string &path, const RunSpec &spec,
-                const SystemConfig &cfg, const RunResult &r)
-{
-    SnapshotWriter w;
-    w.configHash = snapshotConfigHash(cfg);
-    w.workload = runStateLabel(spec);
-    w.beginSection("result");
-    w.b(r.validated);
-    w.u64(r.gpuCycles);
-    w.u64(r.perf.events);
-    w.u64(r.perf.simTicks);
-    w.u64(r.perf.shape.peakLiveEvents);
-    w.u64(r.perf.shape.poolChunks);
-    w.u64(r.perf.shape.wheelInserts);
-    w.u64(r.perf.shape.farInserts);
-    w.u32(std::uint32_t(r.errors.size()));
-    for (const std::string &e : r.errors)
-        w.str(e);
-    writeSystemStats(w, r.stats);
-    w.endSection();
-    w.writeFile(path);
-}
-
-/** What a cached-RESULT load found; the caller reacts per outcome. */
-enum class CacheLoad
-{
-    Ok,       //!< served; @p out is the cached result
-    Missing,  //!< no artifact (or unreadable file): simulate
-    Stale,    //!< config hash / run identity mismatch: edited grid
-    Corrupt   //!< structural damage: quarantine, then simulate
-};
-
-/**
- * Loads a cached RunResult.  The record's config hash and run
- * identity are validated BEFORE it is served, so a stale state dir
- * left over from an edited sweep grid reruns the spec instead of
- * returning the wrong cached numbers.  The energy breakdown is
- * recomputed from the restored stats rather than stored — it is a
- * pure function of them.
- */
-CacheLoad
-loadResultCache(const std::string &path, const RunSpec &spec,
-                const SystemConfig &cfg, RunResult &out)
-{
-    if (!std::filesystem::exists(path))
-        return CacheLoad::Missing;
-    try {
-        SnapshotReader r = SnapshotReader::fromFile(path);
-        if (r.configHash() != snapshotConfigHash(cfg) ||
-            r.workload() != runStateLabel(spec)) {
-            return CacheLoad::Stale;
-        }
-        r.verifyAllSections();
-        r.openSection("result");
-        out.validated = r.b();
-        out.gpuCycles = Cycles(r.u64());
-        out.perf = SimPerfSummary{};
-        out.perf.events = r.u64();
-        out.perf.simTicks = r.u64();
-        out.perf.shape.peakLiveEvents = r.u64();
-        out.perf.shape.poolChunks = r.u64();
-        out.perf.shape.wheelInserts = r.u64();
-        out.perf.shape.farInserts = r.u64();
-        out.errors.clear();
-        const std::uint32_t nerr = r.u32();
-        for (std::uint32_t e = 0; e < nerr; ++e)
-            out.errors.push_back(r.str());
-        readSystemStats(r, out.stats);
-        r.closeSection();
-        out.energy = EnergyModel(spec.energy).compute(out.stats);
-        return CacheLoad::Ok;
-    } catch (const SnapshotError &) {
-        return CacheLoad::Corrupt;
-    }
 }
 
 /**
@@ -209,26 +126,30 @@ SweepDriver::run(std::vector<RunSpec> specs,
     // Fills @p rec from its valid cached result (returning true) or
     // by simulating it.
     const auto runOne = [&](RunRecord &rec) {
-        std::string path;
-        SystemConfig cfg;
+        std::string path, label;
+        std::uint64_t hash = 0;
         if (stateful) {
-            cfg = resolveRunConfig(rec.spec);
-            path = opts.stateDir + "/RESULT_" +
-                   runStateLabel(rec.spec) + ".snap";
+            label = runStateLabel(rec.spec);
+            hash = configHash(resolveRunConfig(rec.spec));
+            path = opts.stateDir + "/RESULT_" + label + ".snap";
             RunResult cached;
-            switch (loadResultCache(path, rec.spec, cfg, cached)) {
-              case CacheLoad::Ok:
+            switch (loadResult(path, hash, label, cached)) {
+              case ResultLoad::Ok:
+                // The energy breakdown is a pure function of the
+                // stats, so the record does not carry it.
+                cached.energy =
+                    EnergyModel(rec.spec.energy).compute(cached.stats);
                 rec.result = std::move(cached);
                 return true;
-              case CacheLoad::Corrupt:
+              case ResultLoad::Corrupt:
                 quarantine(path, cnt.corruptSnapshots, "is corrupt");
                 break;
-              case CacheLoad::Stale:
+              case ResultLoad::Stale:
                 quarantine(path, cnt.staleResults,
                            "belongs to a different configuration "
                            "(edited sweep grid?)");
                 break;
-              case CacheLoad::Missing:
+              case ResultLoad::Missing:
                 break;
             }
         }
@@ -252,12 +173,12 @@ SweepDriver::run(std::vector<RunSpec> specs,
         }
         if (stateful) {
             try {
-                saveResultCache(path, rec.spec, cfg, rec.result);
-            } catch (const SnapshotError &e) {
+                saveResult(path, hash, label, rec.result);
+            } catch (const std::exception &e) {
                 std::lock_guard<std::mutex> lock(mutex);
                 if (opts.progress) {
                     *opts.progress << "sweep: cannot cache result '"
-                                   << path << "' (" << e.reason()
+                                   << path << "' (" << e.what()
                                    << ")" << std::endl;
                 }
             }

@@ -34,8 +34,6 @@ System::System(const SystemConfig &cfg, const EnergyParams &energy)
 {
     if (cfg.numGpuCus + cfg.numCpuCores > cfg.numNodes())
         fatal("more cores than mesh nodes");
-    if (cfg.llcBanks != cfg.numNodes())
-        fatal("this system places one LLC bank per mesh node");
     const std::uint64_t llcSets =
         cfg.llcAssoc == 0
             ? 0

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdlib>
 #include <iostream>
-#include <mutex>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -14,82 +13,59 @@ namespace stashsim
 namespace
 {
 
-// The hook registry is process-global while Systems are per-thread
-// in a parallel sweep, so (un)registration must be mutex-protected.
-// The mutex is not held while hooks run: a hook may (un)register
-// other hooks, and flushing happens on a failure path where another
-// thread's registration racing a copy of the list is acceptable.
-
-std::mutex &
-hooksMutex()
-{
-    static std::mutex m;
-    return m;
-}
-
-std::vector<std::pair<std::size_t, DiagnosticHook>> &
-diagnosticHooks()
-{
-    static std::vector<std::pair<std::size_t, DiagnosticHook>> hooks;
-    return hooks;
-}
-
-std::size_t nextHookId = 1;
+// Each thread keeps its own hooks.  A System is built, run and torn
+// down on one sweep thread, so a failure on that thread dumps only
+// the state it owns, never a System that another thread is still
+// changing.  Ids grow with registration, so the list stays sorted.
+thread_local std::vector<std::pair<std::size_t, DiagnosticHook>>
+    diagnosticHooks;
+thread_local std::size_t nextHookId = 1;
 
 } // namespace
 
 std::size_t
 registerDiagnosticHook(DiagnosticHook hook)
 {
-    std::lock_guard<std::mutex> lock(hooksMutex());
     const std::size_t id = nextHookId++;
-    diagnosticHooks().emplace_back(id, std::move(hook));
+    diagnosticHooks.emplace_back(id, std::move(hook));
     return id;
 }
 
 void
 unregisterDiagnosticHook(std::size_t id)
 {
-    std::lock_guard<std::mutex> lock(hooksMutex());
-    auto &hooks = diagnosticHooks();
-    for (auto it = hooks.begin(); it != hooks.end(); ++it) {
-        if (it->first == id) {
-            hooks.erase(it);
-            return;
-        }
-    }
+    const auto it = std::find_if(
+        diagnosticHooks.begin(), diagnosticHooks.end(),
+        [id](const auto &entry) { return entry.first == id; });
+    // A hook left on another thread's list would dangle there.
+    sim_assert(it != diagnosticHooks.end());
+    diagnosticHooks.erase(it);
 }
 
 void
 flushDiagnosticHooks()
 {
     // Reentrancy guard: a hook that panics (or a panic inside a
-    // panic) must not flush again (per thread).
+    // panic) must not flush again.
     thread_local bool flushing = false;
     if (flushing)
         return;
     flushing = true;
-    // Pick one not-yet-run hook at a time under the lock and run it
-    // unlocked: a hook may (un)register other hooks, and ones
-    // appended mid-flush must also run (each at most once).
-    std::vector<std::size_t> ran;
+    // Look up the next hook after the last one run, afresh each time:
+    // a hook may (un)register other hooks, and ones appended
+    // mid-flush must also run (each at most once).  The hook runs
+    // from a copy, since it may unregister itself.
+    std::size_t last = 0;
     while (true) {
-        std::pair<std::size_t, DiagnosticHook> todo{0, nullptr};
-        {
-            std::lock_guard<std::mutex> lock(hooksMutex());
-            for (const auto &entry : diagnosticHooks()) {
-                if (std::find(ran.begin(), ran.end(), entry.first) ==
-                    ran.end()) {
-                    todo = entry;
-                    break;
-                }
-            }
-        }
-        if (todo.first == 0)
+        const auto it = std::find_if(
+            diagnosticHooks.begin(), diagnosticHooks.end(),
+            [last](const auto &entry) { return entry.first > last; });
+        if (it == diagnosticHooks.end())
             break;
-        ran.push_back(todo.first);
-        if (todo.second)
-            todo.second();
+        last = it->first;
+        const DiagnosticHook hook = it->second;
+        if (hook)
+            hook();
     }
     flushing = false;
 }

@@ -11,9 +11,10 @@
  * inform() - purely informational.
  *
  * Components can register diagnostic hooks (dump callbacks); both
- * panic() and fatal() flush every registered hook once before
- * aborting/throwing, so a watchdog or protocol-checker state dump
- * fires even when the failure originates elsewhere.
+ * panic() and fatal() flush every hook their thread registered once
+ * before aborting/throwing, so a watchdog or protocol-checker state
+ * dump fires even when the failure originates elsewhere in the same
+ * System.
  */
 
 #ifndef STASHSIM_SIM_LOG_HH
@@ -57,18 +58,23 @@ bool tracePA(std::uint64_t pa);
 using DiagnosticHook = std::function<void()>;
 
 /**
- * Registers @p hook to run (once) before any panic/fatal failure.
+ * Registers @p hook to run (once) before any panic/fatal failure on
+ * the calling thread; other threads' failures never run it.
  * @return an id for unregisterDiagnosticHook.
  */
 std::size_t registerDiagnosticHook(DiagnosticHook hook);
 
-/** Removes a previously registered hook (owners call from dtors). */
+/**
+ * Removes a hook the calling thread registered (owners call from
+ * dtors, on the thread that built them).
+ */
 void unregisterDiagnosticHook(std::size_t id);
 
 /**
- * Runs every registered hook, in registration order.  Reentrancy-
- * guarded: a hook that itself panics does not recurse.  Called
- * automatically by panic()/fatal(); exposed for tests.
+ * Runs every hook the calling thread registered, in registration
+ * order.  Reentrancy-guarded: a hook that itself panics does not
+ * recurse.  Called automatically by panic()/fatal(); exposed for
+ * tests.
  */
 void flushDiagnosticHooks();
 

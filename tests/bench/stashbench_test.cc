@@ -3,13 +3,17 @@
  * Schema checks for the stashbench JSON artifacts: fig5 and fig6 run
  * at smoke scale through the exact benchlib code path behind
  * `stashbench --quick`, and the emitted documents are validated
- * field by field after a serialize/parse round trip.
+ * field by field after a serialize/parse round trip.  The
+ * EXPERIMENTS.md renderer reads such documents back from disk, so
+ * seeded mutants of them must render or fail with a message.
  */
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <random>
 #include <set>
 #include <sstream>
 
@@ -471,6 +475,183 @@ TEST(StashbenchStateDirTest, FileNamedLikeABenchIsReportedNotThrownRaw)
         EXPECT_GT(what.size(), prefix.size()) << "no reason given";
     }
     std::filesystem::remove_all(root);
+}
+
+/** Nodes in @p v's tree, @p v included. */
+std::size_t
+countNodes(const JsonValue &v)
+{
+    std::size_t n = 1;
+    for (const auto &member : v.members())
+        n += countNodes(member.second);
+    for (std::size_t i = 0; v.isArray() && i < v.size(); ++i)
+        n += countNodes(v.at(i));
+    return n;
+}
+
+/** A value of another kind than @p v. */
+JsonValue
+otherKind(const JsonValue &v, std::mt19937_64 &rng)
+{
+    const JsonValue choices[] = {JsonValue(),       JsonValue(true),
+                                 JsonValue(7),      JsonValue("text"),
+                                 JsonValue::array(), JsonValue::object()};
+    std::size_t i = rng() % std::size(choices);
+    if (choices[i].kind() == v.kind())
+        i = (i + 1) % std::size(choices);
+    return choices[i];
+}
+
+/**
+ * @p v with its node numbered @p target in preorder (the root is 0,
+ * @p index counts the nodes visited) deleted from its object or array
+ * when @p drop, else replaced by a value of another kind.
+ */
+std::vector<JsonValue>
+edited(const JsonValue &v, std::size_t &index, std::size_t target,
+       bool drop, std::mt19937_64 &rng)
+{
+    if (index++ == target) {
+        if (drop)
+            return {};
+        return {otherKind(v, rng)};
+    }
+    if (!v.isObject() && !v.isArray())
+        return {v};
+    JsonValue out = v.isObject() ? JsonValue::object() : JsonValue::array();
+    for (const auto &[key, child] : v.members())
+        for (JsonValue &c : edited(child, index, target, drop, rng))
+            out[key] = std::move(c);
+    for (std::size_t i = 0; v.isArray() && i < v.size(); ++i)
+        for (JsonValue &c : edited(v.at(i), index, target, drop, rng))
+            out.push(std::move(c));
+    return {out};
+}
+
+/** @p doc with run @p victim dropped, or duplicated in place. */
+JsonValue
+withRunEdited(const JsonValue &doc, std::size_t victim, bool duplicate)
+{
+    const JsonValue &runs = *doc.find("runs");
+    JsonValue kept = JsonValue::array();
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+        if (i != victim || duplicate)
+            kept.push(runs.at(i));
+        if (i == victim && duplicate)
+            kept.push(runs.at(i));
+    }
+    JsonValue out = doc;
+    out["runs"] = std::move(kept);
+    return out;
+}
+
+/** @p obj without its member @p key. */
+JsonValue
+without(const JsonValue &obj, const std::string &key)
+{
+    JsonValue out = JsonValue::object();
+    for (const auto &[k, v] : obj.members())
+        if (k != key)
+            out[k] = v;
+    return out;
+}
+
+/**
+ * The renderer reads BENCH_*.json back from disk, so whatever is in
+ * them must render or fail with "BENCH_<name>.json: <what is wrong>",
+ * never crash: seeded mutants of clean smoke artifacts delete a
+ * member, give a value another kind, or drop or duplicate a run.
+ */
+TEST(RenderMdTest, SeededMutantsRenderOrFailWithAMessage)
+{
+    const std::string dir = ::testing::TempDir() + "/render_md_mutants";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    const std::vector<std::string> names = {"table3", "fig5", "fig6",
+                                            "memback", "synth"};
+    std::map<std::string, std::string> texts;
+    BenchContext ctx;
+    ctx.scale = workloads::Scale::Smoke;
+    for (const std::string &name : names) {
+        texts[name] = findBench(name)->run(ctx).dump();
+        std::ofstream(dir + "/BENCH_" + name + ".json") << texts[name];
+    }
+    std::ostringstream clean;
+    std::string err;
+    ASSERT_TRUE(renderExperimentsMd(dir, clean, err)) << err;
+    EXPECT_NE(clean.str().find("## Figure 6"), std::string::npos);
+
+    const auto parsed = [&texts](const std::string &name) {
+        JsonValue doc;
+        std::string perr;
+        EXPECT_TRUE(JsonValue::parse(texts.at(name), doc, perr)) << perr;
+        return doc;
+    };
+    // Renders with @p doc as BENCH_<name>.json, then puts it back.
+    const auto render = [&](const std::string &name, const JsonValue &doc,
+                            std::string &why) {
+        const std::string path = dir + "/BENCH_" + name + ".json";
+        std::ofstream(path) << doc.dump();
+        std::ostringstream os;
+        const bool ok = renderExperimentsMd(dir, os, why);
+        std::ofstream(path) << texts.at(name);
+        return ok;
+    };
+    const std::string fig5Path = dir + "/BENCH_fig5.json: ";
+
+    // Inputs that crashed the renderer: run 0 without gpuCycles, no
+    // first run, no baseline.
+    const JsonValue fig5 = parsed("fig5");
+    const JsonValue &runs = *fig5.find("runs");
+    JsonValue noCycles = without(fig5, "runs");
+    noCycles["runs"] = JsonValue::array();
+    noCycles["runs"].push(without(runs.at(0), "gpuCycles"));
+    for (std::size_t i = 1; i < runs.size(); ++i)
+        noCycles["runs"].push(runs.at(i));
+    EXPECT_FALSE(render("fig5", noCycles, err));
+    EXPECT_EQ(err, fig5Path + "runs[0].gpuCycles is missing");
+    EXPECT_FALSE(render("fig5", withRunEdited(fig5, 0, false), err));
+    EXPECT_EQ(err, fig5Path + "no run of workload '" +
+                       runs.at(0).find("workload")->asString() +
+                       "' under config '" +
+                       runs.at(0).find("config")->asString() + "'");
+    EXPECT_FALSE(render("fig5", without(fig5, "baseline"), err));
+    EXPECT_EQ(err, fig5Path + "baseline is missing");
+
+    std::mt19937_64 rng(20150613);
+    unsigned rendered = 0, refused = 0;
+    for (unsigned trial = 0; trial < 240; ++trial) {
+        const unsigned kind = trial % 4;
+        // table3 has no runs to drop or duplicate.
+        const std::string &name =
+            kind < 2 ? names[rng() % names.size()]
+                     : names[1 + rng() % (names.size() - 1)];
+        const JsonValue doc = parsed(name);
+        JsonValue mutant;
+        if (kind < 2) {
+            std::size_t index = 0;
+            const std::size_t target = 1 + rng() % (countNodes(doc) - 1);
+            mutant = edited(doc, index, target, kind == 0, rng).at(0);
+        } else {
+            const std::size_t victim = rng() % doc.find("runs")->size();
+            mutant = withRunEdited(doc, victim, kind == 3);
+        }
+        std::string why;
+        if (render(name, mutant, why)) {
+            ++rendered;
+            continue;
+        }
+        ++refused;
+        const std::string prefix = dir + "/BENCH_" + name + ".json: ";
+        EXPECT_EQ(why.rfind(prefix, 0), 0u) << "trial " << trial << ": "
+                                            << why;
+        EXPECT_GT(why.size(), prefix.size()) << "trial " << trial;
+    }
+    // Both outcomes occur: a duplicated run or a deleted paper number
+    // still renders.
+    EXPECT_GT(rendered, 0u);
+    EXPECT_GT(refused, 0u);
+    std::filesystem::remove_all(dir);
 }
 
 } // namespace

@@ -116,7 +116,7 @@ TEST(BenchArgsTest, UnknownFlagStillRejected)
     // Flags of deleted mechanisms are unknown, not silently ignored.
     for (const std::string flag :
          {"--checkpoint-every", "--farm", "--worker-id", "--lease-ttl",
-          "--max-attempts"}) {
+          "--max-attempts", "--list-workloads"}) {
         EXPECT_FALSE(parse({flag, "1"}, a, err)) << flag;
         EXPECT_EQ(err, "unknown option: " + flag);
     }
@@ -138,7 +138,6 @@ const KnownFlag knownFlags[] = {
     {"--restore", true},      {"--trace-replay", true},
     {"--trace-record", true}, {"--trace-from", true},
     {"--json", false},        {"--list", false},
-    {"--list-workloads", false},
     {"--help", false},        {"-h", false},
 };
 

@@ -80,7 +80,7 @@ TEST(SystemTest, TableTwoPresetsMatchPaper)
     EXPECT_EQ(mb.numCpuCores, 15u);
     EXPECT_EQ(mb.localBytes, 16u * 1024);
     EXPECT_EQ(mb.l1Bytes, 32u * 1024);
-    EXPECT_EQ(mb.llcBanks * mb.llcBankBytes, 4u * 1024 * 1024);
+    EXPECT_EQ(mb.numNodes() * mb.llcBankBytes, 4u * 1024 * 1024);
     EXPECT_EQ(mb.stashMapEntries, 64u);
     EXPECT_EQ(mb.vpMapEntries, 64u);
     EXPECT_EQ(mb.stashTranslationCycles, 10u);

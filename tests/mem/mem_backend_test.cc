@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "config/system_config.hh"
+#include "driver/result_cache.hh"
 #include "mem/backend/mem_backend.hh"
 #include "mem/backend/scmcache_backend.hh"
 #include "mem/backend/sttmram_backend.hh"
@@ -25,7 +26,6 @@
 #include "mem/llc.hh"
 #include "mem/main_memory.hh"
 #include "noc/mesh.hh"
-#include "snapshot/snapshot.hh"
 
 namespace stashsim
 {
@@ -239,21 +239,21 @@ TEST(ScmCacheBackendTest, DirtyVictimSpillsToScm)
 TEST(SnapshotConfigHashTest, CoversBackendKindAndEveryKnob)
 {
     SystemConfig base = SystemConfig::microbenchmarkDefault();
-    const std::uint64_t h0 = snapshotConfigHash(base);
+    const std::uint64_t h0 = configHash(base);
 
     SystemConfig kind = base;
     kind.memBackend.kind = MemBackendKind::SttMram;
-    EXPECT_NE(snapshotConfigHash(kind), h0);
+    EXPECT_NE(configHash(kind), h0);
 
     // Even a knob of an unselected backend folds into the hash: a
     // cached result is never served under a different memory system.
     SystemConfig knob = base;
     knob.memBackend.scmWriteCycles += 1;
-    EXPECT_NE(snapshotConfigHash(knob), h0);
+    EXPECT_NE(configHash(knob), h0);
 
     SystemConfig dram = base;
     dram.memBackend.dramCycles += 1;
-    EXPECT_NE(snapshotConfigHash(dram), h0);
+    EXPECT_NE(configHash(dram), h0);
 }
 
 /** Collects the responses the LLC sends back to the requester. */

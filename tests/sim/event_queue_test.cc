@@ -534,7 +534,7 @@ TEST(EventQueueTest, SetTimeReanchorsTheWheelAfterAFarPop)
  * exhausts its events advances curTick to the bound, and with the
  * queue empty the wheel must re-anchor there too.
  */
-TEST(EventQueueRestoreTest, BoundedRunExhaustionReanchorsWheel)
+TEST(EventQueueRealignTest, BoundedRunExhaustionReanchorsWheel)
 {
     EventQueue eq;
     bool early = false;
@@ -555,14 +555,14 @@ TEST(EventQueueRestoreTest, BoundedRunExhaustionReanchorsWheel)
 }
 
 /**
- * Restoring the clock to the last event tick after a bounded drain
+ * Realigning the clock to the last event tick after a bounded drain
  * overshot it (System::run's drain-end realignment) must move the
  * wheel's classification cutoff too: otherwise every near event
  * scheduled afterwards would misroute into the far-horizon heap,
  * functionally correct but quadratically slow, and a silent change
  * to the queue-shape counters the artifacts report.
  */
-TEST(EventQueueRestoreTest, RestoreClockReanchorsWheelCutoff)
+TEST(EventQueueRealignTest, RealignedClockReanchorsWheelCutoff)
 {
     EventQueue eq;
     eq.schedule(1'000'000'000, [] {});
@@ -583,11 +583,11 @@ TEST(EventQueueRestoreTest, RestoreClockReanchorsWheelCutoff)
 }
 
 /**
- * A queue whose clock was restored to the last event tick executes
+ * A queue whose clock was realigned to the last event tick executes
  * an identical schedule identically to one that never overshot: the
- * sequence counter keeps the tie-break order across the restore.
+ * sequence counter keeps the tie-break order across the realignment.
  */
-TEST(EventQueueRestoreTest, RestoredQueueOrderIsDeterministic)
+TEST(EventQueueRealignTest, RealignedQueueOrderIsDeterministic)
 {
     auto script = [](EventQueue &eq, std::vector<int> &order) {
         for (int i = 0; i < 8; ++i)

@@ -7,6 +7,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "sim/log.hh"
@@ -86,6 +87,29 @@ TEST(DiagnosticHookTest, HookMayRegisterAnotherHookDuringFlush)
     EXPECT_EQ(late, 1);
     unregisterDiagnosticHook(id);
     unregisterDiagnosticHook(late_id);
+}
+
+/**
+ * In a `--jobs N` sweep each thread runs its own System: a fatal()
+ * on one thread must dump that thread's state only, never run a hook
+ * whose System another thread is still changing.
+ */
+TEST(DiagnosticHookTest, FatalRunsOnlyItsOwnThreadsHooks)
+{
+    int mine = 0;
+    int theirs = 0;
+    const std::size_t id =
+        registerDiagnosticHook([&mine]() { ++mine; });
+    std::thread([&theirs]() {
+        const std::size_t other =
+            registerDiagnosticHook([&theirs]() { ++theirs; });
+        EXPECT_THROW(fatal("failure on another thread"),
+                     std::runtime_error);
+        unregisterDiagnosticHook(other);
+    }).join();
+    EXPECT_EQ(theirs, 1) << "the failing thread's hook must run";
+    EXPECT_EQ(mine, 0) << "another thread's hook ran";
+    unregisterDiagnosticHook(id);
 }
 
 } // namespace

@@ -1,12 +1,11 @@
 /**
  * @file
  * Seeded mutation test of the RESULT cache: a cached RESULT_*.snap is
- * mutated in its payload bytes, its payload length and its manifest,
- * with the section and header CRCs fixed up afterwards so that each
- * mutant gets past the container's checksums.  A resume sweep over
- * every mutant must either serve it or quarantine it and re-simulate
- * the run from tick 0.  It never crashes, which the ASan/UBSan build
- * of this test checks too.
+ * mutated in its fields, its length fields, its length and its
+ * header, with the CRC fixed up afterwards so that each mutant gets
+ * past the checksum.  A resume sweep over every mutant must either
+ * serve it or quarantine it and re-simulate the run from tick 0.  It
+ * never crashes, which the ASan/UBSan build of this test checks too.
  */
 
 #include <gtest/gtest.h>
@@ -20,8 +19,8 @@
 #include <string>
 #include <vector>
 
+#include "driver/result_cache.hh"
 #include "driver/sweep.hh"
-#include "snapshot/snapshot.hh"
 
 namespace stashsim
 {
@@ -47,7 +46,6 @@ tinySpec()
     cfg.meshHeight = 1;
     cfg.numGpuCus = 1;
     cfg.numCpuCores = 1;
-    cfg.llcBanks = 2;
     spec.config = cfg;
     spec.make = [](const workloads::WorkloadParams &) {
         constexpr Addr base = 0x400000;
@@ -112,45 +110,29 @@ putLe(std::vector<std::uint8_t> &b, std::size_t at, std::uint64_t v,
 }
 
 /**
- * Where the fields of a one-section image sit, following the layout
- * documented in src/snapshot/snapshot.cc.
+ * Where the fields of a record sit, following the layout documented
+ * in src/driver/result_cache.hh.
  */
 struct Layout
 {
-    std::size_t hashAt = 8 + 4;
-    std::size_t workloadAt = 0; //!< first byte of the label text
-    std::size_t nameAt = 0;     //!< first byte of the section name
-    std::size_t sizeAt = 0;
+    std::size_t versionAt = 8;
+    std::size_t hashAt = 12;
+    std::size_t labelAt = 24; //!< first byte of the label text
+    std::size_t bodyAt = 0;   //!< first field after the label
     std::size_t crcAt = 0;
-    std::size_t headerCrcAt = 0;
-    std::size_t payloadAt = 0;
 
     explicit Layout(const std::vector<std::uint8_t> &b)
+        : bodyAt(labelAt + getU32(b, labelAt - 4)), crcAt(b.size() - 4)
     {
-        std::size_t off = hashAt + 8;
-        workloadAt = off + 4;
-        off = workloadAt + getU32(b, off);
-        EXPECT_EQ(getU32(b, off), 1u) << "one section expected";
-        off += 4;
-        nameAt = off + 4;
-        off = nameAt + getU32(b, off);
-        sizeAt = off;
-        crcAt = sizeAt + 8;
-        headerCrcAt = crcAt + 4;
-        payloadAt = headerCrcAt + 4;
-    }
-
-    /** Re-seals @p b after a mutation: section size, section CRC,
-     *  header CRC. */
-    void
-    fixUp(std::vector<std::uint8_t> &b) const
-    {
-        const std::size_t size = b.size() - payloadAt;
-        putLe(b, sizeAt, size, 8);
-        putLe(b, crcAt, crc32(b.data() + payloadAt, size), 4);
-        putLe(b, headerCrcAt, crc32(b.data(), headerCrcAt), 4);
     }
 };
+
+/** Rewrites the trailing CRC over the bytes before it. */
+void
+reseal(std::vector<std::uint8_t> &b)
+{
+    putLe(b, b.size() - 4, crc32(b.data(), b.size() - 4), 4);
+}
 
 /** One seeded mutant of @p image, resealed; @p kind picks the family. */
 std::vector<std::uint8_t>
@@ -159,23 +141,23 @@ mutate(const std::vector<std::uint8_t> &image, unsigned kind,
 {
     const Layout at(image);
     std::vector<std::uint8_t> b = image;
-    const std::size_t payload = b.size() - at.payloadAt;
+    const std::size_t body = at.crcAt - at.bodyAt;
     auto pick = [&rng](std::size_t n) {
         return std::size_t(rng() % std::max<std::size_t>(n, 1));
     };
     switch (kind) {
       case 0: {
-        // Random payload bytes.
+        // Random field bytes.
         const unsigned n = 1 + unsigned(rng() % 4);
         for (unsigned i = 0; i < n; ++i)
-            b[at.payloadAt + pick(payload)] = std::uint8_t(rng());
+            b[at.bodyAt + pick(body)] = std::uint8_t(rng());
         break;
       }
       case 1: {
         // An extreme value in a length field: the error count, which
         // follows the validated flag and seven u64 counts, or one
         // error string's length.
-        std::vector<std::size_t> lengths = {at.payloadAt + 1 + 7 * 8};
+        std::vector<std::size_t> lengths = {at.bodyAt + 1 + 7 * 8};
         std::size_t off = lengths[0] + 4;
         for (std::uint32_t e = getU32(b, lengths[0]); e > 0; --e) {
             lengths.push_back(off);
@@ -183,19 +165,19 @@ mutate(const std::vector<std::uint8_t> &image, unsigned kind,
         }
         static const std::uint32_t extremes[] = {
             0, 1, 2, 0x7fff'ffffu, 0xffff'ffffu, 0x8000'0000u,
-            std::uint32_t(payload), std::uint32_t(payload + 1)};
+            std::uint32_t(body), std::uint32_t(body + 1)};
         putLe(b, lengths[pick(lengths.size())],
               extremes[pick(std::size(extremes))], 4);
         break;
       }
       case 2: {
-        // Shorter or longer payload, the section size following it.
-        const std::size_t pos = at.payloadAt + pick(payload + 1);
+        // Fewer or more bytes before the CRC.
+        const std::size_t pos = at.bodyAt + pick(body + 1);
         const std::size_t n = 1 + pick(16);
         if (rng() % 2 == 0) {
             b.erase(b.begin() + std::ptrdiff_t(pos),
                     b.begin() + std::ptrdiff_t(
-                                    std::min(pos + n, b.size())));
+                                    std::min(pos + n, at.crcAt)));
         } else {
             std::vector<std::uint8_t> extra(n);
             for (auto &x : extra)
@@ -206,14 +188,14 @@ mutate(const std::vector<std::uint8_t> &image, unsigned kind,
         break;
       }
       default: {
-        // The manifest: config hash, run label or section name.
-        const std::size_t field[] = {at.hashAt + pick(8),
-                                     at.workloadAt, at.nameAt};
-        b[field[pick(3)]] ^= std::uint8_t(1 + rng() % 255);
+        // The header: magic, version, config hash or run label.
+        const std::size_t field[] = {pick(8), at.versionAt + pick(4),
+                                     at.hashAt + pick(8), at.labelAt};
+        b[field[pick(4)]] ^= std::uint8_t(1 + rng() % 255);
         break;
       }
     }
-    at.fixUp(b);
+    reseal(b);
     return b;
 }
 

@@ -159,10 +159,10 @@ expectForeignResultRejected(const std::string &name, RunSpec wrong,
     EXPECT_EQ(fingerprint(direct), fingerprint(rerun)) << name;
 }
 
-TEST(ResumeParityTest, CheckpointingIsObservationallyPure)
+TEST(ResumeParityTest, CachingIsObservationallyPure)
 {
     // Caching a result must not perturb the run that writes it.
-    const std::string dir = freshDir("ckpt_pure");
+    const std::string dir = freshDir("cache_pure");
     const RunResult plain = runSpec(baseSpec());
     ASSERT_TRUE(plain.validated);
 

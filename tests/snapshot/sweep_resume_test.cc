@@ -141,11 +141,11 @@ TEST(SweepResumeTest, CompletedRunsAreServedFromCache)
 }
 
 /**
- * A sweep's latest checkpoint is the set of RESULT_* artifacts its
- * finished runs left: a sweep interrupted before one run cached its
- * result serves the others and runs that one again from tick 0.
+ * A sweep that lost one run's RESULT_* file (a crash before that run
+ * cached its result) serves the others and runs that one again from
+ * tick 0.
  */
-TEST(SweepResumeTest, InterruptedRunRestartsFromLatestCheckpoint)
+TEST(SweepResumeTest, LostResultIsReSimulatedFromTickZero)
 {
     const std::string dir = freshDir("sweep_interrupted");
     std::atomic<int> builds{0};
@@ -172,7 +172,7 @@ TEST(SweepResumeTest, InterruptedRunRestartsFromLatestCheckpoint)
     EXPECT_EQ(filesWithPrefix(dir, "RESULT_").size(), 3u);
 }
 
-TEST(SweepResumeTest, CorruptCheckpointFallsBackWithWarning)
+TEST(SweepResumeTest, FlippedByteFallsBackWithWarning)
 {
     const std::string dir = freshDir("sweep_corrupt");
     std::atomic<int> builds{0};
@@ -182,8 +182,8 @@ TEST(SweepResumeTest, CorruptCheckpointFallsBackWithWarning)
         ASSERT_TRUE(rec.result.validated) << rec.spec.label();
     const int fresh = builds.load();
 
-    // Flip one payload byte: the header still parses, and only the
-    // section CRC catches the damage.
+    // Flip the last byte: every field still parses, and only the
+    // CRC catches the damage.
     const auto results = filesWithPrefix(dir, "RESULT_");
     ASSERT_EQ(results.size(), 3u);
     const std::string victim = results[1];
@@ -227,8 +227,8 @@ TEST(SweepResumeTest, CorruptCheckpointFallsBackWithWarning)
 
 /**
  * A RESULT file cut short (a half-written copy, a full disk) fails
- * before any section CRC is checked; it too is moved to QUARANTINE/
- * and its spec alone is re-simulated.
+ * its CRC too; it is moved to QUARANTINE/ and its spec alone is
+ * re-simulated.
  */
 TEST(SweepResumeTest, CorruptResultIsQuarantinedAndResimulated)
 {
@@ -381,7 +381,7 @@ TEST(SweepResumeTest, StopFlagInterruptsResumablyMidCampaign)
  * run finishes and caches its result, no other spec starts, and the
  * next sweep serves the finished run and runs the others from tick 0.
  */
-TEST(SweepResumeTest, MidRunInterruptDropsResumableCheckpoint)
+TEST(SweepResumeTest, StopDuringARunCachesThatRunOnly)
 {
     std::atomic<int> builds{0};
     const auto reference =

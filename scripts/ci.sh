@@ -5,9 +5,9 @@
 # the artifacts against the committed manifest, exercise the RESULT
 # cache (and its diagnostic for an unusable state directory), an
 # interrupted and resumed --restore run, the memory-backend and trace
-# paths (the recorded trace against its manifest), smoke-run hostbench
-# against its recorded digests, and check the full-scale artifacts
-# against their manifest and EXPERIMENTS.md against them.
+# paths (three recorded traces against their manifest), smoke-run
+# hostbench against its recorded digests, and check the full-scale
+# artifacts against their manifest and EXPERIMENTS.md against them.
 #
 # Usage: scripts/ci.sh [jobs]
 set -eu
@@ -175,22 +175,30 @@ if "${root}/build/bench/stashbench" --backend bogus fig5 \
 fi
 echo "--backend bogus rejected with a diagnostic"
 
-# Trace frontend leg: record a synthetic workload as a stashtrace-v1
-# file and check it against the committed manifest (the recorder walks
-# the built op stream, so a slip in how a workload is lowered shows up
-# here even when the trace still round-trips), re-emit it through the
-# parser (the canonical rendering is a parse/write fixed point, so the
-# two files must be byte-identical), then replay it as a bench.
-# Malformed traces and bad flag combinations must be rejected with
-# exit 2.  Regenerate the manifest only with the quick one:
-#   cd "${tracedir}" && sha256sum synthmix.trace \
-#       > "${root}/scripts/trace_artifacts.sha256"
+# Trace frontend leg: record three workloads as stashtrace-v1 files
+# and check them against the committed manifest (the recorder walks
+# the built op stream and reads each op's lanes back from the block's
+# lane pool, so a slip in how a workload is lowered or its lanes are
+# stored shows up here even when the trace still round-trips).
+# SynthMix's lanes are 4 bytes apart or gathers, Implicit's 64 bytes
+# apart, and On-demand's ops have one lane each.  Then re-emit the
+# SynthMix trace through the parser (the canonical rendering is a
+# parse/write fixed point, so the two files must be byte-identical)
+# and replay it as a bench.  Malformed traces and bad flag
+# combinations must be rejected with exit 2.  Regenerate the manifest
+# only with the quick one:
+#   cd "${tracedir}" && sha256sum synthmix.trace implicit.trace \
+#       on-demand.trace > "${root}/scripts/trace_artifacts.sha256"
 tracedir="${root}/build/bench-artifacts-trace"
 echo "=== stashtrace record -> manifest -> normalize -> replay round trip ==="
 rm -rf "${tracedir}"
 mkdir -p "${tracedir}"
 "${root}/build/bench/stashbench" --quick \
     --trace-from SynthMix --trace-record "${tracedir}/synthmix.trace"
+"${root}/build/bench/stashbench" --quick \
+    --trace-from Implicit --trace-record "${tracedir}/implicit.trace"
+"${root}/build/bench/stashbench" --quick \
+    --trace-from On-demand --trace-record "${tracedir}/on-demand.trace"
 (cd "${tracedir}" && sha256sum -c "${root}/scripts/trace_artifacts.sha256")
 "${root}/build/bench/stashbench" \
     --trace-replay "${tracedir}/synthmix.trace" \

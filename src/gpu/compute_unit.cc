@@ -527,7 +527,7 @@ ComputeUnit::execMemLines(WarpCtx &warp, const WarpOp &op)
     // Coalesce the lanes by line; a record's payload is its lane and
     // store value.  Stash ops address the block's 32-bit local space.
     sim_assert(op.lanes <= warp.acc.size());
-    const Addr *addrs = warp.tb->lanes + op.index;
+    const LaneAddrs addrs(warp.tb->lanes, op);
     GroupByKey<Addr, std::pair<unsigned, std::uint32_t>> lines;
     for (unsigned lane = 0; lane < op.lanes; ++lane) {
         const Addr a =
@@ -598,7 +598,7 @@ ComputeUnit::execMemLocal(WarpCtx &warp, const WarpOp &op)
 
     if (spad) {
         const LocalAddr base = warp.tb->localBase;
-        const Addr *addrs = warp.tb->lanes + op.index;
+        const LaneAddrs addrs(warp.tb->lanes, op);
         const std::uint64_t seq = ++warp.memSeq;
         for (unsigned lane = 0; lane < op.lanes; ++lane) {
             const LocalAddr a = LocalAddr(base + addrs[lane]);

@@ -1,5 +1,8 @@
 #include "gpu/kernel.hh"
 
+#include <limits>
+#include <optional>
+
 #include "sim/log.hh"
 
 namespace stashsim
@@ -52,6 +55,35 @@ barrierOp()
     return op;
 }
 
+namespace
+{
+
+/**
+ * The one signed 32-bit distance, modulo 2^64, between every two
+ * neighbouring lanes of @p a (0 for a single lane), if there is one.
+ */
+std::optional<std::int32_t>
+constantStep(std::span<const Addr> a)
+{
+    if (a.empty())
+        return std::nullopt;
+    if (a.size() == 1)
+        return 0;
+    const Addr d = a[1] - a[0];
+    const std::int64_t s = std::int64_t(d);
+    if (s < std::numeric_limits<std::int32_t>::min() ||
+        s > std::numeric_limits<std::int32_t>::max()) {
+        return std::nullopt;
+    }
+    for (std::size_t i = 2; i < a.size(); ++i) {
+        if (a[i] - a[i - 1] != d)
+            return std::nullopt;
+    }
+    return std::int32_t(s);
+}
+
+} // namespace
+
 WarpOp
 ThreadBlock::memOp(OpKind kind, std::span<const Addr> lane_addrs,
                    std::uint8_t map_slot)
@@ -62,7 +94,13 @@ ThreadBlock::memOp(OpKind kind, std::span<const Addr> lane_addrs,
     op.mapSlot = map_slot;
     op.lanes = std::uint8_t(lane_addrs.size());
     op.index = std::uint32_t(addrs.size());
-    addrs.insert(addrs.end(), lane_addrs.begin(), lane_addrs.end());
+    if (const auto step = constantStep(lane_addrs)) {
+        op.strided = true;
+        op.step = *step;
+        addrs.push_back(lane_addrs.front());
+    } else {
+        addrs.insert(addrs.end(), lane_addrs.begin(), lane_addrs.end());
+    }
     return op;
 }
 

@@ -8,12 +8,14 @@
  * dynamic warp instruction: a block of compute cycles, a coalesced
  * memory access with up to 32 per-lane addresses, or a barrier.
  *
- * A WarpOp is a 20-byte trivially copyable record; what varies in
- * size lives in its ThreadBlock.  A memory op names its lanes as a
- * run of the block's lane-address pool (`addrs`), and a Remap or
- * DmaXfer op names its target tile in the block's `retargets` table,
- * so a stream of ops copies as plain bytes and a block's addresses
- * are one exactly sized allocation (DESIGN.md §9.7).
+ * A WarpOp is a 24-byte trivially copyable record; what varies in
+ * size lives in its ThreadBlock.  A memory op names its lanes in the
+ * block's lane-address pool (`addrs`): lanes one constant step apart
+ * as their first address plus the step, any others as a run of the
+ * pool, read back through LaneAddrs.  A Remap or DmaXfer op names its
+ * target tile in the block's `retargets` table, so a stream of ops
+ * copies as plain bytes and a block's addresses are one exactly sized
+ * allocation (DESIGN.md §9.7).
  *
  * Functional dataflow is carried by one accumulator register per
  * lane: loads set it, Compute ops transform it (acc += accDelta),
@@ -27,7 +29,9 @@
 #ifndef STASHSIM_GPU_KERNEL_HH
 #define STASHSIM_GPU_KERNEL_HH
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <span>
 #include <string>
 #include <type_traits>
@@ -80,20 +84,93 @@ struct WarpOp
     std::uint8_t lanes = 0;
     /** Compute: busy cycles. */
     std::uint16_t cycles = 1;
+    /** Memory ops: the pool holds only lane 0; lane i adds i * step. */
+    bool strided = false;
     /** Compute: per-lane accumulator delta (models compute(x)). */
     std::int32_t accDelta = 0;
     /** Stores: immediate value when !storeAcc. */
     std::uint32_t value = 0;
     /**
-     * Memory ops: the first of the op's `lanes` consecutive entries
-     * in the block's `addrs` pool (lane i uses addrs[index + i]).
+     * Memory ops: the op's first entry in the block's `addrs` pool.
      * Remap/DmaXfer: the op's entry in the block's `retargets`.
      */
     std::uint32_t index = 0;
+    /** Strided memory ops: the signed distance between lanes. */
+    std::int32_t step = 0;
 };
 
 static_assert(sizeof(WarpOp) <= 24 && std::is_trivially_copyable_v<WarpOp>,
               "a warp op stream must copy as plain bytes");
+
+/**
+ * The lane addresses of one memory op, read from its block's lane
+ * pool: the only reader of how the pool encodes them.  A strided op's
+ * pool entry is lane 0 and lane i adds i * step (modulo 2^64); any
+ * other op's lanes are `lanes` consecutive pool entries.
+ */
+class LaneAddrs
+{
+  public:
+    LaneAddrs(const Addr *pool, const WarpOp &op)
+        : first(pool + op.index), count(op.lanes),
+          entryStride(op.strided ? 0 : 1),
+          step(op.strided ? Addr(std::int64_t(op.step)) : 0)
+    {
+    }
+
+    unsigned size() const { return count; }
+
+    Addr
+    operator[](unsigned lane) const
+    {
+        return first[lane * entryStride] + step * lane;
+    }
+
+    /** Iterates the addresses by value, lane 0 first. */
+    class iterator
+    {
+      public:
+        using iterator_category = std::input_iterator_tag;
+        using value_type = Addr;
+        using difference_type = std::ptrdiff_t;
+        using pointer = void;
+        using reference = Addr;
+
+        iterator(const LaneAddrs *lanes, unsigned lane)
+            : lanes(lanes), lane(lane)
+        {
+        }
+        Addr operator*() const { return (*lanes)[lane]; }
+        iterator &
+        operator++()
+        {
+            ++lane;
+            return *this;
+        }
+        iterator
+        operator++(int)
+        {
+            iterator was = *this;
+            ++lane;
+            return was;
+        }
+        bool operator==(const iterator &o) const { return lane == o.lane; }
+
+      private:
+        const LaneAddrs *lanes;
+        unsigned lane;
+    };
+
+    iterator begin() const { return {this, 0}; }
+    iterator end() const { return {this, count}; }
+
+  private:
+    const Addr *first;
+    unsigned count;
+    /** 1 for a run of pool entries, 0 for a strided op's one. */
+    unsigned entryStride;
+    Addr step;
+};
 
 /** Factory helpers for ops without lanes. @{ */
 WarpOp computeOp(std::uint16_t cycles, std::int32_t acc_delta = 0);
@@ -133,24 +210,23 @@ struct ThreadBlock
     std::vector<DmaOp> dmaStores;
     std::vector<std::vector<WarpOp>> warps;
     /**
-     * Every memory op's lane addresses, each op's a consecutive run.
-     * Global ops use virtual addresses; Local/Stash ops use byte
-     * offsets within the block's local allocation.
+     * Every memory op's lane addresses: a strided op's first lane,
+     * any other op's lanes as a consecutive run.  Global ops use
+     * virtual addresses; Local/Stash ops use byte offsets within the
+     * block's local allocation.  Read them through LaneAddrs.
      */
     std::vector<Addr> addrs;
     /** Remap/DmaXfer targets: the new tile and its local offset. */
     std::vector<DmaOp> retargets;
 
     /** The lane addresses of memory op @p op. */
-    std::span<const Addr>
-    lanes(const WarpOp &op) const
-    {
-        return {addrs.data() + op.index, op.lanes};
-    }
+    LaneAddrs lanes(const WarpOp &op) const { return {addrs.data(), op}; }
 
     /**
      * Memory-op factories: append @p lane_addrs (at most warpLanes)
-     * to the pool and return an op naming them.  @{
+     * to the pool, as the first address alone when they step by one
+     * constant signed 32-bit amount, and return an op naming them.
+     * @{
      */
     WarpOp memOp(OpKind kind, std::span<const Addr> lane_addrs,
                  std::uint8_t map_slot = 0);

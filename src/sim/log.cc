@@ -63,9 +63,19 @@ flushDiagnosticHooks()
         if (it == diagnosticHooks.end())
             break;
         last = it->first;
-        const DiagnosticHook hook = it->second;
-        if (hook)
-            hook();
+        // A hook that fails (say, by calling fatal()) is reported and
+        // the rest still run; nothing escapes, so the guard is always
+        // cleared below and the failure reported is the caller's.
+        try {
+            const DiagnosticHook hook = it->second;
+            if (hook)
+                hook();
+        } catch (const std::exception &e) {
+            std::cerr << "diagnostic hook failed: " << e.what()
+                      << std::endl;
+        } catch (...) {
+            std::cerr << "diagnostic hook failed" << std::endl;
+        }
     }
     flushing = false;
 }

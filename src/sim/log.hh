@@ -73,8 +73,9 @@ void unregisterDiagnosticHook(std::size_t id);
 /**
  * Runs every hook the calling thread registered, in registration
  * order.  Reentrancy-guarded: a hook that itself panics does not
- * recurse.  Called automatically by panic()/fatal(); exposed for
- * tests.
+ * recurse.  A hook that throws is reported on stderr and the later
+ * hooks still run.  Called automatically by panic()/fatal(); exposed
+ * for tests.
  */
 void flushDiagnosticHooks();
 

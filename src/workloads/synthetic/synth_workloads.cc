@@ -1,9 +1,9 @@
 #include "workloads/synthetic/synth_workloads.hh"
 
 #include <algorithm>
-#include <map>
 #include <memory>
 #include <sstream>
+#include <utility>
 
 #include "sim/log.hh"
 #include "workloads/kernel_builder.hh"
@@ -64,16 +64,20 @@ initVal(Addr a)
 }
 
 /**
- * The expected final memory image, built alongside generation.  An
- * ordered map so validation error messages are deterministic.
+ * The expected final memory image, built alongside generation: the
+ * word array at each base, in address order so validation error
+ * messages are deterministic.
  */
-using Model = std::map<Addr, std::uint32_t>;
+using Model = std::vector<std::pair<Addr, std::vector<std::uint32_t>>>;
 
+/** Appends the array @p v at @p base, above every array in @p m. */
 void
-addArray(Model &m, Addr base, const std::vector<std::uint32_t> &v)
+addArray(Model &m, Addr base, std::vector<std::uint32_t> v)
 {
-    for (std::uint32_t i = 0; i < v.size(); ++i)
-        m[wordVa(base, i)] = v[i];
+    sim_assert(m.empty() ||
+               wordVa(m.back().first,
+                      std::uint32_t(m.back().second.size())) <= base);
+    m.emplace_back(base, std::move(v));
 }
 
 std::function<bool(FunctionalMem &, std::vector<std::string> &)>
@@ -81,17 +85,19 @@ modelValidator(std::shared_ptr<const Model> m)
 {
     return [m](FunctionalMem &fm, std::vector<std::string> &errors) {
         bool ok = true;
-        for (const auto &kv : *m) {
-            const std::uint32_t got = fm.readWord(kv.first);
-            if (got != kv.second) {
-                if (errors.size() < 8) {
-                    std::ostringstream os;
-                    os << "word 0x" << std::hex << kv.first
-                       << ": got 0x" << got << ", want 0x"
-                       << kv.second;
-                    errors.push_back(os.str());
+        for (const auto &[base, words] : *m) {
+            for (std::uint32_t i = 0; i < words.size(); ++i) {
+                const Addr a = wordVa(base, i);
+                const std::uint32_t got = fm.readWord(a);
+                if (got != words[i]) {
+                    if (errors.size() < 8) {
+                        std::ostringstream os;
+                        os << "word 0x" << std::hex << a << ": got 0x"
+                           << got << ", want 0x" << words[i];
+                        errors.push_back(os.str());
+                    }
+                    ok = false;
                 }
-                ok = false;
             }
         }
         return ok;
@@ -115,18 +121,21 @@ cpuWriteWords(Addr base, std::uint32_t n, std::uint32_t step,
     return work;
 }
 
-/** CPU phase checking every @p step'th word against the model. */
+/**
+ * CPU phase checking every @p step'th word of the array at @p base
+ * against its expected words @p want.
+ */
 std::vector<std::vector<CpuOp>>
-cpuCheckWords(const Model &m, Addr base, std::uint32_t n,
+cpuCheckWords(Addr base, const std::vector<std::uint32_t> &want,
               std::uint32_t step, unsigned cores)
 {
     std::vector<std::vector<CpuOp>> work(std::max(1u, cores));
     std::size_t idx = 0;
-    for (std::uint32_t i = 0; i < n; i += step, ++idx) {
+    for (std::uint32_t i = 0; i < want.size(); i += step, ++idx) {
         CpuOp op;
         op.addr = wordVa(base, i);
         op.isStore = false;
-        op.value = m.at(op.addr);
+        op.value = want[i];
         op.checkValue = true;
         work[idx % work.size()].push_back(op);
     }
@@ -155,11 +164,11 @@ makeSynthMix(const SynthConfig &cfg)
     sim_assert(cfg.mixDepth >= 1);
 
     SynthEngine eng(cfg.seed);
-    auto model = std::make_shared<Model>();
+    std::vector<std::uint32_t> rwV(rwWords), privV(privWords);
     for (std::uint32_t i = 0; i < rwWords; ++i)
-        (*model)[wordVa(rwBase, i)] = initVal(wordVa(rwBase, i));
+        rwV[i] = initVal(wordVa(rwBase, i));
     for (std::uint32_t i = 0; i < privWords; ++i)
-        (*model)[wordVa(privBase, i)] = initVal(wordVa(privBase, i));
+        privV[i] = initVal(wordVa(privBase, i));
 
     Workload wl;
     wl.name = "SynthMix";
@@ -236,11 +245,8 @@ makeSynthMix(const SynthConfig &cfg)
                                 std::uint32_t(eng.next());
                             tb.accessTile(w, tRw, laneElems(start, 32),
                                           true, false, v);
-                            for (unsigned l = 0; l < 32; ++l) {
-                                (*model)[wordVa(
-                                    rwBase, owner * W * slice + start +
-                                                l)] = v;
-                            }
+                            for (unsigned l = 0; l < 32; ++l)
+                                rwV[owner * W * slice + start + l] = v;
                         } else {
                             const std::uint32_t start =
                                 eng.range(W * slice - 31);
@@ -257,11 +263,8 @@ makeSynthMix(const SynthConfig &cfg)
                             tb.accessTile(w, tPriv,
                                           laneElems(start, 32), true,
                                           false, v);
-                            for (unsigned l = 0; l < 32; ++l) {
-                                (*model)[wordVa(
-                                    privBase, b * W * priv + start +
-                                                  l)] = v;
-                            }
+                            for (unsigned l = 0; l < 32; ++l)
+                                privV[b * W * priv + start + l] = v;
                         } else {
                             tb.accessTile(w, tPriv,
                                           laneElems(start, 32), false);
@@ -281,7 +284,10 @@ makeSynthMix(const SynthConfig &cfg)
     }
 
     wl.phases.push_back(
-        Phase::cpu(cpuCheckWords(*model, rwBase, rwWords, 8, cores)));
+        Phase::cpu(cpuCheckWords(rwBase, rwV, 8, cores)));
+    auto model = std::make_shared<Model>();
+    addArray(*model, rwBase, std::move(rwV));
+    addArray(*model, privBase, std::move(privV));
     wl.validate = modelValidator(model);
     return wl;
 }
@@ -401,13 +407,13 @@ makeGraphGather(const SynthConfig &cfg)
         }
     }
 
+    const bool finalInB = iters % 2 == 1;
+    wl.phases.push_back(Phase::cpu(cpuCheckWords(
+        finalInB ? graphBBase : graphABase, finalInB ? vb : va, 4,
+        cores)));
     auto model = std::make_shared<Model>();
-    addArray(*model, graphABase, va);
-    addArray(*model, graphBBase, vb);
-    const Addr finalArr =
-        (iters % 2 == 1) ? graphBBase : graphABase;
-    wl.phases.push_back(
-        Phase::cpu(cpuCheckWords(*model, finalArr, V, 4, cores)));
+    addArray(*model, graphABase, std::move(va));
+    addArray(*model, graphBBase, std::move(vb));
     wl.validate = modelValidator(model);
     return wl;
 }
@@ -520,12 +526,12 @@ makeAttnScatter(const SynthConfig &cfg)
     }
     wl.phases.push_back(Phase::gpu(std::move(kern)));
 
-    auto model = std::make_shared<Model>();
-    addArray(*model, attnKBase, kv);
-    addArray(*model, attnQBase, qv);
-    addArray(*model, attnOutBase, out);
     wl.phases.push_back(
-        Phase::cpu(cpuCheckWords(*model, attnOutBase, Q, 1, cores)));
+        Phase::cpu(cpuCheckWords(attnOutBase, out, 1, cores)));
+    auto model = std::make_shared<Model>();
+    addArray(*model, attnQBase, std::move(qv));
+    addArray(*model, attnKBase, std::move(kv));
+    addArray(*model, attnOutBase, std::move(out));
     wl.validate = modelValidator(model);
     return wl;
 }
@@ -641,13 +647,13 @@ makeStencil2D(const SynthConfig &cfg)
         }
     }
 
+    const bool finalInB = iters % 2 == 1;
+    wl.phases.push_back(Phase::cpu(cpuCheckWords(
+        finalInB ? stencilBBase : stencilABase, finalInB ? gb : ga, 8,
+        cores)));
     auto model = std::make_shared<Model>();
-    addArray(*model, stencilABase, ga);
-    addArray(*model, stencilBBase, gb);
-    const Addr finalArr =
-        (iters % 2 == 1) ? stencilBBase : stencilABase;
-    wl.phases.push_back(
-        Phase::cpu(cpuCheckWords(*model, finalArr, X * Y, 8, cores)));
+    addArray(*model, stencilABase, std::move(ga));
+    addArray(*model, stencilBBase, std::move(gb));
     wl.validate = modelValidator(model);
     return wl;
 }

@@ -103,8 +103,10 @@ constexpr double budgetPerKiloEvent = 40.0;
 
 /**
  * Heap allocations per thread block that building the Figure 6 grid
- * at quick scale may make: 77.2 over its 8,780 blocks.  With a heap
- * vector per memory op the grid made 274.9 (DESIGN.md §9.7).
+ * at quick scale may make: 78.2 over its 8,780 blocks (77.2 while
+ * every lane went into the pool, which then grew in bigger steps).
+ * With a heap vector per memory op the grid made 274.9 (DESIGN.md
+ * §9.7).
  */
 constexpr double buildBudgetPerBlock = 90.0;
 

@@ -90,6 +90,38 @@ TEST(DiagnosticHookTest, HookMayRegisterAnotherHookDuringFlush)
 }
 
 /**
+ * A hook that fails by calling fatal() must neither replace the
+ * failure being reported nor stop this thread's later failures from
+ * flushing.
+ */
+TEST(DiagnosticHookTest, ThrowingHookNeitherMasksFatalNorDisablesFlush)
+{
+    int after = 0;
+    const std::size_t failing =
+        registerDiagnosticHook([]() { fatal("hook failed"); });
+    const std::size_t later =
+        registerDiagnosticHook([&after]() { ++after; });
+    try {
+        fatal("first");
+        ADD_FAILURE() << "fatal() returned";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find("first"), std::string::npos)
+            << e.what();
+    }
+    EXPECT_EQ(after, 1) << "a hook after the failing one did not run";
+    unregisterDiagnosticHook(failing);
+    unregisterDiagnosticHook(later);
+
+    int registered_afterwards = 0;
+    const std::size_t id = registerDiagnosticHook(
+        [&registered_afterwards]() { ++registered_afterwards; });
+    EXPECT_THROW(fatal("second"), std::runtime_error);
+    EXPECT_EQ(registered_afterwards, 1)
+        << "the guard stayed set after the failing hook";
+    unregisterDiagnosticHook(id);
+}
+
+/**
  * In a `--jobs N` sweep each thread runs its own System: a fatal()
  * on one thread must dump that thread's state only, never run a hook
  * whose System another thread is still changing.

@@ -39,7 +39,6 @@
 #include "driver/run.hh"
 #include "driver/sweep.hh"
 #include "report/json.hh"
-#include "workloads/synthetic/trace_replay.hh"
 
 namespace stashbench
 {
@@ -93,15 +92,12 @@ struct BenchContext
     workloads::Scale scale = workloads::Scale::Full;
     /** Sweep worker threads; 0 = one per hardware thread. */
     unsigned jobs = 0;
-    /**
-     * Memory backend for every run that does not pick its own
-     * (stashbench --backend); the memback ablation overrides it per
-     * run to sweep all three.
-     */
-    MemBackendKind backend = MemBackendKind::Fixed;
     /** Sweep progress stream; nullptr = silent. */
     std::ostream *progress = nullptr;
-    /** When nonempty, write per-run Chrome traces into this dir. */
+    /**
+     * When nonempty, write per-run Chrome traces into this dir;
+     * sweepSpecs() creates it.
+     */
     std::string traceDir;
     /** Include the full flattened stats map in every run object. */
     bool components = false;
@@ -133,27 +129,6 @@ struct BenchInfo
 /** Every bench, in EXPERIMENTS.md order. */
 const std::vector<BenchInfo> &benchList();
 
-/**
- * The `--trace-replay FILE` frontend (not in benchList(): it needs a
- * trace file, not just a name): sweeps @p trace over ScratchGD /
- * Cache / Stash and returns the stashsim-bench-v1 document for
- * BENCH_replay.json.  @p source is recorded in the document's
- * "trace" object.
- */
-report::JsonValue runReplayBench(const BenchContext &ctx,
-                                 const workloads::TraceData &trace,
-                                 const std::string &source);
-
-/**
- * Machine-readable bench inventory (stashbench --list --json):
- *   schema    "stashsim-benchlist-v1"
- *   benches   [{name, title, description, scales[]}]
- *   workloads [{name, kind, description}] (runnable inventory)
- *   backends  [{name, description}]   (--backend choices)
- * where scales is empty for scale-independent benches.
- */
-report::JsonValue benchInventoryJson();
-
 /** Lookup by name; nullptr when unknown. */
 const BenchInfo *findBench(const std::string &name);
 
@@ -177,20 +152,29 @@ report::JsonValue benchDoc(const BenchContext &ctx, const char *name,
 report::JsonValue runToJson(const RunRecord &rec, bool components);
 
 /**
- * A bench's state directory (<stateDir>/<bench>) could not be
- * created; what() reads "cannot use state directory <dir>: <reason>".
+ * A directory a bench writes into could not be created; what() reads
+ * "cannot use <role> directory <dir>: <reason>".
  */
-struct StateDirError : std::runtime_error
+struct DirError : std::runtime_error
 {
     using std::runtime_error::runtime_error;
 };
 
 /**
+ * Creates @p dir and its missing parents (nothing when @p dir is
+ * empty or exists); throws DirError naming @p role ("output",
+ * "trace" or "state") when it cannot.
+ */
+void makeDir(const std::string &dir, const char *role);
+
+/**
  * Runs @p specs through the SweepDriver with the context's jobs and
  * progress settings; when the context has a trace dir, each spec is
  * instrumented with a ChromeTraceSink whose output lands in
- * TRACE_<bench>_<label>.json.  Throws StateDirError when the bench's
- * state directory cannot be created.
+ * TRACE_<bench>_<label>.json, and a run whose trace file cannot be
+ * written fails with that error.  Throws DirError when the trace dir
+ * or the bench's state directory (<stateDir>/<bench>) cannot be
+ * created.
  */
 std::vector<RunRecord> sweepSpecs(const BenchContext &ctx,
                                   const char *bench,

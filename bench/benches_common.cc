@@ -10,8 +10,8 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <system_error>
 
-#include "mem/backend/mem_backend.hh"
 #include "report/trace.hh"
 
 namespace stashbench
@@ -192,61 +192,6 @@ SimperfCollector::toJson(const char *scale, double wallSeconds) const
     return doc;
 }
 
-report::JsonValue
-benchInventoryJson()
-{
-    report::JsonValue doc = report::JsonValue::object();
-    doc["schema"] = "stashsim-benchlist-v1";
-    report::JsonValue arr = report::JsonValue::array();
-    for (const BenchInfo &b : benchList()) {
-        report::JsonValue e = report::JsonValue::object();
-        e["name"] = b.name;
-        e["title"] = b.title;
-        e["description"] = b.desc;
-        report::JsonValue scales = report::JsonValue::array();
-        // "-" marks a scale-independent bench: empty list.
-        if (std::string(b.scales) != "-") {
-            std::string word;
-            for (const char *p = b.scales;; ++p) {
-                if (*p == ' ' || *p == '\0') {
-                    if (!word.empty())
-                        scales.push(word);
-                    word.clear();
-                    if (*p == '\0')
-                        break;
-                } else {
-                    word += *p;
-                }
-            }
-        }
-        e["scales"] = std::move(scales);
-        arr.push(std::move(e));
-    }
-    doc["benches"] = std::move(arr);
-    // The runnable workload inventory (including the synthetic
-    // family and the trace-replay frontend), so wrappers can build
-    // run grids without scraping --list.
-    report::JsonValue wls = report::JsonValue::array();
-    for (const auto &info :
-         workloads::WorkloadFactory::instance().list()) {
-        report::JsonValue e = report::JsonValue::object();
-        e["name"] = info.name;
-        e["kind"] = info.kindName();
-        e["description"] = info.description;
-        wls.push(std::move(e));
-    }
-    doc["workloads"] = std::move(wls);
-    report::JsonValue backends = report::JsonValue::array();
-    for (const MemBackendInfo &b : memBackendList()) {
-        report::JsonValue e = report::JsonValue::object();
-        e["name"] = b.name;
-        e["description"] = b.desc;
-        backends.push(std::move(e));
-    }
-    doc["backends"] = std::move(backends);
-    return doc;
-}
-
 const BenchInfo *
 findBench(const std::string &name)
 {
@@ -347,11 +292,25 @@ traceFileLabel(const std::string &label)
 
 } // namespace
 
+void
+makeDir(const std::string &dir, const char *role)
+{
+    if (dir.empty())
+        return;
+    std::error_code ec;
+    std::filesystem::create_directories(dir, ec);
+    if (ec) {
+        throw DirError(std::string("cannot use ") + role +
+                       " directory " + dir + ": " + ec.message());
+    }
+}
+
 std::vector<RunRecord>
 sweepSpecs(const BenchContext &ctx, const char *bench,
            std::vector<RunSpec> specs)
 {
     if (!ctx.traceDir.empty()) {
+        makeDir(ctx.traceDir, "trace");
         for (RunSpec &spec : specs) {
             const std::string path = ctx.traceDir + "/TRACE_" +
                                      bench + "_" +
@@ -370,17 +329,19 @@ sweepSpecs(const BenchContext &ctx, const char *bench,
                 });
                 sys.eventQueue().addPhaseListener(sink.get());
             };
+            // The sweep records a throw as the run's error, so an
+            // unwritten trace fails its run.
             spec.finish = [sink, path](System &,
                                        const RunResult &) {
                 std::ofstream os(path);
                 if (os)
                     sink->writeTo(os);
+                os.close();
+                if (!os)
+                    throw std::runtime_error("cannot write trace file " +
+                                             path);
             };
         }
-    }
-    for (RunSpec &spec : specs) {
-        if (!spec.backend)
-            spec.backend = ctx.backend;
     }
     SweepOptions opts;
     opts.threads = ctx.jobs;
@@ -391,12 +352,7 @@ sweepSpecs(const BenchContext &ctx, const char *bench,
         // same-labelled specs under different configurations, and the
         // RESULT_ namespaces must not collide across them.
         opts.stateDir = ctx.stateDir + "/" + bench;
-        std::error_code ec;
-        std::filesystem::create_directories(opts.stateDir, ec);
-        if (ec) {
-            throw StateDirError("cannot use state directory " +
-                                opts.stateDir + ": " + ec.message());
-        }
+        makeDir(opts.stateDir, "state");
     }
     SweepCounters counters;
     std::vector<RunRecord> records =

@@ -1,6 +1,6 @@
 /**
  * @file
- * The synthetic-traffic sweep and the stashtrace replay bench.
+ * The synthetic-traffic sweep.
  *
  * `synth` asks the paper's question on traffic the paper never ran:
  * the four synthetic kernel shapes (plus read-only-heavy and
@@ -9,15 +9,11 @@
  * synthetic kernels have no hand-tuned scratchpad layout, so the
  * interesting ratios are "what does staging through DMA or the stash
  * buy over just caching".
- *
- * runReplayBench() is the `--trace-replay FILE` frontend: the same
- * three-organization sweep over an externally recorded trace.
  */
 
 #include "benches.hh"
 
 #include "workloads/synthetic/synth_workloads.hh"
-#include "workloads/synthetic/trace_replay.hh"
 
 namespace stashbench
 {
@@ -154,59 +150,6 @@ runSynth(const BenchContext &ctx)
     addCycleRatios(doc, records, names, MemOrg::Stash, MemOrg::Cache,
                    "stashOverCacheCycles");
     addCycleRatios(doc, records, names, MemOrg::ScratchGD,
-                   MemOrg::Cache, "scratchGDOverCacheCycles");
-    return doc;
-}
-
-report::JsonValue
-runReplayBench(const BenchContext &ctx,
-               const workloads::TraceData &trace,
-               const std::string &source)
-{
-    const std::vector<MemOrg> configs = {MemOrg::ScratchGD,
-                                         MemOrg::Cache, MemOrg::Stash};
-    report::JsonValue doc =
-        benchDoc(ctx, "replay", "stashtrace replay");
-    doc["baseline"] = memOrgName(MemOrg::Cache);
-    report::JsonValue orgArr = report::JsonValue::array();
-    for (MemOrg org : configs)
-        orgArr.push(memOrgName(org));
-    doc["configs"] = std::move(orgArr);
-    report::JsonValue nameArr = report::JsonValue::array();
-    nameArr.push("TraceReplay");
-    doc["workloads"] = std::move(nameArr);
-
-    report::JsonValue meta = report::JsonValue::object();
-    meta["source"] = source;
-    meta["records"] = double(trace.records());
-    meta["phases"] = double(trace.phases.size());
-    meta["hash"] = double(workloads::traceHash(trace) & 0xffffffffu);
-    doc["trace"] = std::move(meta);
-
-    std::vector<RunSpec> specs;
-    for (MemOrg org : configs) {
-        RunSpec spec;
-        spec.workload = "TraceReplay";
-        spec.org = org;
-        spec.scale = ctx.scale;
-        spec.make = [&trace](const workloads::WorkloadParams &p) {
-            return workloads::makeTraceReplay(trace, p.org);
-        };
-        spec.config = SystemConfig::applicationDefault();
-        spec.labelOverride =
-            std::string("TraceReplay/") + memOrgName(org);
-        specs.push_back(std::move(spec));
-    }
-
-    std::vector<RunRecord> records =
-        sweepSpecs(ctx, "replay", std::move(specs));
-    report::JsonValue runs = report::JsonValue::array();
-    for (const RunRecord &rec : records)
-        runs.push(runToJson(rec, ctx.components));
-    doc["runs"] = std::move(runs);
-    addCycleRatios(doc, records, {"TraceReplay"}, MemOrg::Stash,
-                   MemOrg::Cache, "stashOverCacheCycles");
-    addCycleRatios(doc, records, {"TraceReplay"}, MemOrg::ScratchGD,
                    MemOrg::Cache, "scratchGDOverCacheCycles");
     return doc;
 }

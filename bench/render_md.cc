@@ -424,13 +424,13 @@ renderMemBackend(std::ostream &os, const JsonValue &doc)
     const JsonValue *ratios = doc.find("stashOverScratchCycles");
 
     os << "## Memory-backend ablation (`stashbench memback`)\n\n"
-          "The paper evaluates over a flat 168-cycle DRAM. The "
-          "`--backend` flag\nswaps the backing store behind the LLC "
-          "(see `src/mem/backend/`):\n`sttmram` models asymmetric "
-          "read/write latency with write-pausing,\n`scmcache` a "
-          "set-associative DRAM cache in front of slow SCM with\n"
-          "bandwidth-aware queuing. Stash execution time over "
-          "Scratch, per\nbackend:\n\n";
+          "The paper evaluates over a flat 168-cycle DRAM (`fixed`). "
+          "This bench\nalso swaps in two other backing stores behind "
+          "the LLC (see\n`src/mem/backend/`): `sttmram` models "
+          "asymmetric read/write latency\nwith write-pausing, "
+          "`scmcache` a set-associative DRAM cache in front\nof slow "
+          "SCM with bandwidth-aware queuing. Stash execution time "
+          "over\nScratch, per backend:\n\n";
 
     os << "| |";
     for (const std::string &b : backends)
@@ -496,9 +496,7 @@ renderSynth(std::ostream &os, const JsonValue &doc)
           "gives back that margin on the dense staged\nkernels "
           "(attention, stencil), where its serial on-demand miss "
           "path\ncannot match bulk DMA and leaves it at or slightly "
-          "above cache. An\nexternally recorded trace replays "
-          "through the same three organizations\nwith "
-          "`--trace-replay FILE` (`BENCH_replay.json`).\n\n";
+          "above cache.\n\n";
 }
 
 void

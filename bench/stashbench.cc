@@ -13,16 +13,12 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <sstream>
-#include <system_error>
 
 #include "benches.hh"
 #include "driver/bench_args.hh"
 #include "driver/sweep.hh"
-#include "mem/backend/mem_backend.hh"
 #include "workloads/workload_factory.hh"
 
 namespace
@@ -62,158 +58,6 @@ listBenches()
                     info.kindName(), info.description.c_str());
     }
     return 0;
-}
-
-/** Resolves --backend into @p ctx; exit-2 diagnostic on failure. */
-bool
-resolveBackend(const BenchArgs &args, BenchContext &ctx)
-{
-    if (args.backend.empty() ||
-        memBackendFromName(args.backend, ctx.backend))
-        return true;
-    std::string names;
-    for (const MemBackendInfo &b : memBackendList()) {
-        if (!names.empty())
-            names += ", ";
-        names += b.name;
-    }
-    std::fprintf(stderr,
-                 "stashbench: unknown memory backend '%s' "
-                 "(valid: %s; --list --json has descriptions)\n",
-                 args.backend.c_str(), names.c_str());
-    return false;
-}
-
-/** The validation bounds every CLI trace flow parses against. */
-workloads::TraceLimits
-traceLimits()
-{
-    const SystemConfig cfg = SystemConfig::applicationDefault();
-    workloads::TraceLimits lim;
-    lim.maxCus = cfg.numGpuCus;
-    lim.maxCpuCores = cfg.numCpuCores;
-    lim.localBytes = cfg.localBytes;
-    return lim;
-}
-
-bool
-writeTraceFile(const std::string &path,
-               const workloads::TraceData &trace)
-{
-    std::ofstream os(path);
-    if (!os) {
-        std::fprintf(stderr, "stashbench: cannot write %s\n",
-                     path.c_str());
-        return false;
-    }
-    os << workloads::writeTrace(trace);
-    return bool(os);
-}
-
-/** --trace-from NAME --trace-record FILE: record, no simulation. */
-int
-traceFromMain(const BenchArgs &args)
-{
-    const auto &factory = workloads::WorkloadFactory::instance();
-    if (!factory.find(args.traceFrom)) {
-        std::fprintf(stderr,
-                     "stashbench: unknown workload '%s' for "
-                     "--trace-from (--list shows the choices)\n",
-                     args.traceFrom.c_str());
-        return 2;
-    }
-    workloads::TraceData trace;
-    try {
-        // Record from the cache-organization build: every access is
-        // global there, which is exactly what the trace grammar's
-        // ld/st records describe.
-        workloads::WorkloadParams p;
-        p.org = MemOrg::Cache;
-        p.scale = args.scale;
-        const Workload wl = factory.make(args.traceFrom, p);
-        trace =
-            workloads::traceFromWorkload(wl, traceLimits().maxCus);
-    } catch (const std::exception &e) {
-        std::fprintf(stderr, "stashbench: cannot record %s: %s\n",
-                     args.traceFrom.c_str(), e.what());
-        return 2;
-    }
-    if (!writeTraceFile(args.traceRecord, trace))
-        return 1;
-    std::fprintf(stderr,
-                 "recorded %s (%s scale) -> %s: %llu records, "
-                 "%zu phases\n",
-                 args.traceFrom.c_str(),
-                 workloads::scaleName(args.scale),
-                 args.traceRecord.c_str(),
-                 (unsigned long long)trace.records(),
-                 trace.phases.size());
-    return 0;
-}
-
-/**
- * --trace-replay FILE: parse, then either normalize into
- * --trace-record (no simulation) or sweep the trace over
- * scratchGD/cache/stash and write BENCH_replay.json.
- */
-int
-traceReplayMain(const BenchArgs &args)
-{
-    std::ifstream is(args.traceReplay);
-    if (!is) {
-        std::fprintf(stderr, "stashbench: cannot read %s\n",
-                     args.traceReplay.c_str());
-        return 2;
-    }
-    std::ostringstream buf;
-    buf << is.rdbuf();
-    workloads::TraceData trace;
-    std::string err;
-    if (!workloads::parseTrace(buf.str(), traceLimits(), trace,
-                               err)) {
-        std::fprintf(stderr, "stashbench: %s: %s\n",
-                     args.traceReplay.c_str(), err.c_str());
-        return 2;
-    }
-    if (!args.traceRecord.empty()) {
-        // Normalize-only mode: the canonical rendering is a
-        // parse/write fixed point, so record->replay->record round
-        // trips byte-identically.
-        if (!writeTraceFile(args.traceRecord, trace))
-            return 1;
-        std::fprintf(stderr,
-                     "normalized %s -> %s: %llu records, %zu "
-                     "phases\n",
-                     args.traceReplay.c_str(),
-                     args.traceRecord.c_str(),
-                     (unsigned long long)trace.records(),
-                     trace.phases.size());
-        return 0;
-    }
-
-    BenchContext ctx;
-    ctx.scale = args.scale;
-    ctx.jobs = args.jobs;
-    if (!resolveBackend(args, ctx))
-        return 2;
-    ctx.progress = &std::cerr;
-    ctx.traceDir = args.traceDir;
-    ctx.components = args.components;
-    report::JsonValue doc =
-        runReplayBench(ctx, trace, args.traceReplay);
-    const std::string path = args.outDir + "/BENCH_replay.json";
-    std::ofstream os(path);
-    if (!os) {
-        std::fprintf(stderr, "stashbench: cannot write %s\n",
-                     path.c_str());
-        return 1;
-    }
-    doc.write(os);
-    os << "\n";
-    const bool ok = allRunsValidated(doc);
-    std::fprintf(stderr, "wrote %s%s\n", path.c_str(),
-                 ok ? "" : " (FAILED validation)");
-    return ok ? 0 : 1;
 }
 
 int
@@ -258,41 +102,8 @@ main(int argc, char **argv)
         std::fputs(BenchArgs::usage("stashbench").c_str(), stdout);
         return 0;
     }
-    if (args.list) {
-        if (args.json) {
-            benchInventoryJson().write(std::cout);
-            std::cout << "\n";
-            return 0;
-        }
+    if (args.list)
         return listBenches();
-    }
-    // Trace flows: --trace-from records a workload (no simulation),
-    // --trace-replay parses a trace and either normalizes it into
-    // --trace-record or sweeps it into BENCH_replay.json.
-    if (!args.traceFrom.empty() && !args.traceReplay.empty()) {
-        std::fprintf(stderr,
-                     "stashbench: --trace-from and --trace-replay "
-                     "are mutually exclusive\n");
-        return 2;
-    }
-    if (!args.traceFrom.empty()) {
-        if (args.traceRecord.empty()) {
-            std::fprintf(stderr,
-                         "stashbench: --trace-from requires "
-                         "--trace-record FILE for the output\n");
-            return 2;
-        }
-        return traceFromMain(args);
-    }
-    if (!args.traceReplay.empty())
-        return traceReplayMain(args);
-    if (!args.traceRecord.empty()) {
-        std::fprintf(stderr,
-                     "stashbench: --trace-record needs "
-                     "--trace-from NAME or --trace-replay FILE as "
-                     "the source\n");
-        return 2;
-    }
     // --render-md alone renders from existing artifacts; with bench
     // names it refreshes those artifacts first.
     if (!args.renderMd.empty() && args.benches.empty())
@@ -319,8 +130,6 @@ main(int argc, char **argv)
     BenchContext ctx;
     ctx.scale = args.scale;
     ctx.jobs = args.jobs;
-    if (!resolveBackend(args, ctx))
-        return 2;
     ctx.progress = &std::cerr;
     ctx.traceDir = args.traceDir;
     ctx.components = args.components;
@@ -330,16 +139,15 @@ main(int argc, char **argv)
     ctx.stop = &g_stop;
     std::signal(SIGINT, stopHandler);
     std::signal(SIGTERM, stopHandler);
-    if (!ctx.stateDir.empty()) {
-        std::error_code ec;
-        std::filesystem::create_directories(ctx.stateDir, ec);
-        if (ec) {
-            std::fprintf(stderr,
-                         "stashbench: cannot use state directory %s: "
-                         "%s\n",
-                         ctx.stateDir.c_str(), ec.message().c_str());
-            return 1;
-        }
+    // Every directory the benches write into exists before the first
+    // run, so a bad path fails here and not after simulating.
+    try {
+        makeDir(args.outDir, "output");
+        makeDir(ctx.traceDir, "trace");
+        makeDir(ctx.stateDir, "state");
+    } catch (const DirError &e) {
+        std::fprintf(stderr, "stashbench: %s\n", e.what());
+        return 1;
     }
 
     SweepOptions sizing;
@@ -360,7 +168,7 @@ main(int argc, char **argv)
         report::JsonValue doc;
         try {
             doc = b->run(ctx);
-        } catch (const StateDirError &e) {
+        } catch (const DirError &e) {
             std::fprintf(stderr, "stashbench: %s\n", e.what());
             return 1;
         }

@@ -3,11 +3,12 @@
 # times — plain, under AddressSanitizer + UndefinedBehaviorSanitizer,
 # and under ThreadSanitizer — then run the quick-scale benches, check
 # the artifacts against the committed manifest, exercise the RESULT
-# cache (and its diagnostic for an unusable state directory), an
-# interrupted and resumed --restore run, the memory-backend and trace
-# paths (three recorded traces against their manifest), smoke-run
-# hostbench against its recorded digests, and check the full-scale
-# artifacts against their manifest and EXPERIMENTS.md against them.
+# cache (and its diagnostic for an unusable state directory), the
+# output and trace directories stashbench creates (and its diagnostic
+# for an unusable one), an interrupted and resumed --restore run,
+# smoke-run hostbench against its recorded digests, and check the
+# full-scale artifacts against their manifest and EXPERIMENTS.md
+# against them.
 #
 # Usage: scripts/ci.sh [jobs]
 set -eu
@@ -122,6 +123,39 @@ then
 fi
 echo "--restore over a plain file named fig5 exits 1 with a diagnostic"
 
+# Output and trace directories: --out and --trace may name
+# directories that do not exist yet, and stashbench creates them, with
+# their parents, before the first run; each run writes one TRACE file.
+# A plain file given as --trace must stop stashbench with a diagnostic
+# and exit 1 before any run starts (no "[1/" progress line).
+dirs="${root}/build/bench-artifacts-dirs"
+echo "=== output and trace directories (created before the first run, or exit 1) ==="
+rm -rf "${dirs}"
+mkdir -p "${dirs}"
+"${root}/build/bench/stashbench" --smoke --jobs "${jobs}" \
+    --out "${dirs}/a/b" --trace "${dirs}/t/u" fig5
+traces="$(ls "${dirs}/t/u" | grep -c '^TRACE_fig5_.*\.json$' || true)"
+if [ ! -f "${dirs}/a/b/BENCH_fig5.json" ] || [ "${traces}" -ne 16 ]; then
+    ls -lR "${dirs}"
+    echo "--out ${dirs}/a/b --trace ${dirs}/t/u: want BENCH_fig5.json" \
+         "and 16 TRACE files, got ${traces} TRACE files" >&2
+    exit 1
+fi
+: >"${dirs}/plain"
+plain_rc=0
+"${root}/build/bench/stashbench" --smoke --jobs 1 --out "${dirs}" \
+    --trace "${dirs}/plain" fig5 >"${dirs}/plain.log" 2>&1 || plain_rc=$?
+want="stashbench: cannot use trace directory ${dirs}/plain: "
+if [ "${plain_rc}" -ne 1 ] || ! grep -qF "${want}" "${dirs}/plain.log" ||
+    grep -qF "[1/" "${dirs}/plain.log"
+then
+    cat "${dirs}/plain.log"
+    echo "--trace over a plain file exited ${plain_rc}, want 1 and" \
+         "'${want}<reason>' before any run" >&2
+    exit 1
+fi
+echo "--out and --trace created with their parents; a plain file as --trace exits 1 before any run"
+
 # Interrupt and resume, end to end: SIGTERM a single-process
 # --restore run of fig6 (about 3 s serial at quick scale) one second
 # in.  It stops starting runs, finishes and caches the run in flight,
@@ -150,76 +184,6 @@ esac
     --restore "${sigdir}/state" --out "${sigdir}" fig6
 cmp "${artifacts}/BENCH_fig6.json" "${sigdir}/BENCH_fig6.json"
 echo "SIGTERMed run exited ${sig_rc}; the resumed artifact is byte-identical"
-
-# Memory-backend leg: one quick bench per backend.  --backend fixed
-# is the default model spelled explicitly, so its artifact must be
-# byte-identical to the plain quick run's; sttmram and scmcache just
-# have to run to completion with validated runs (their artifacts are
-# model-dependent by design).  BENCH_memback.json — the three-backend
-# ablation — is archived by the all-bench quick leg above.
-backends_dir="${root}/build/bench-artifacts-backends"
-echo "=== stashbench --backend legs (fixed parity + sttmram/scmcache) ==="
-for backend in fixed sttmram scmcache; do
-    rm -rf "${backends_dir}/${backend}"
-    mkdir -p "${backends_dir}/${backend}"
-    "${root}/build/bench/stashbench" --quick --jobs "${jobs}" \
-        --backend "${backend}" --out "${backends_dir}/${backend}" fig5
-done
-cmp "${artifacts}/BENCH_fig5.json" \
-    "${backends_dir}/fixed/BENCH_fig5.json"
-echo "--backend fixed artifact is byte-identical to the default"
-if "${root}/build/bench/stashbench" --backend bogus fig5 \
-    >/dev/null 2>&1; then
-    echo "--backend bogus should have been rejected" >&2
-    exit 1
-fi
-echo "--backend bogus rejected with a diagnostic"
-
-# Trace frontend leg: record three workloads as stashtrace-v1 files
-# and check them against the committed manifest (the recorder walks
-# the built op stream and reads each op's lanes back from the block's
-# lane pool, so a slip in how a workload is lowered or its lanes are
-# stored shows up here even when the trace still round-trips).
-# SynthMix's lanes are 4 bytes apart or gathers, Implicit's 64 bytes
-# apart, and On-demand's ops have one lane each.  Then re-emit the
-# SynthMix trace through the parser (the canonical rendering is a
-# parse/write fixed point, so the two files must be byte-identical)
-# and replay it as a bench.  Malformed traces and bad flag
-# combinations must be rejected with exit 2.  Regenerate the manifest
-# only with the quick one:
-#   cd "${tracedir}" && sha256sum synthmix.trace implicit.trace \
-#       on-demand.trace > "${root}/scripts/trace_artifacts.sha256"
-tracedir="${root}/build/bench-artifacts-trace"
-echo "=== stashtrace record -> manifest -> normalize -> replay round trip ==="
-rm -rf "${tracedir}"
-mkdir -p "${tracedir}"
-"${root}/build/bench/stashbench" --quick \
-    --trace-from SynthMix --trace-record "${tracedir}/synthmix.trace"
-"${root}/build/bench/stashbench" --quick \
-    --trace-from Implicit --trace-record "${tracedir}/implicit.trace"
-"${root}/build/bench/stashbench" --quick \
-    --trace-from On-demand --trace-record "${tracedir}/on-demand.trace"
-(cd "${tracedir}" && sha256sum -c "${root}/scripts/trace_artifacts.sha256")
-"${root}/build/bench/stashbench" \
-    --trace-replay "${tracedir}/synthmix.trace" \
-    --trace-record "${tracedir}/synthmix.norm.trace"
-cmp "${tracedir}/synthmix.trace" "${tracedir}/synthmix.norm.trace"
-echo "recorded and normalized traces are byte-identical"
-"${root}/build/bench/stashbench" --quick --jobs "${jobs}" \
-    --trace-replay "${tracedir}/synthmix.trace" --out "${tracedir}"
-ls -l "${tracedir}/BENCH_replay.json"
-printf 'not a trace\n' > "${tracedir}/bogus.trace"
-if "${root}/build/bench/stashbench" \
-    --trace-replay "${tracedir}/bogus.trace" >/dev/null 2>&1; then
-    echo "malformed trace should have been rejected" >&2
-    exit 1
-fi
-if "${root}/build/bench/stashbench" --trace-from SynthMix \
-    >/dev/null 2>&1; then
-    echo "--trace-from without --trace-record should be rejected" >&2
-    exit 1
-fi
-echo "malformed trace and bad flag combinations rejected"
 
 # hostbench smoke leg: build and run the host-cost benchmark that
 # gates perf changes, one traced pass per workload, plus
@@ -285,4 +249,4 @@ git -C "${root}" diff --exit-code -- EXPERIMENTS.md || {
     exit 1
 }
 
-echo "=== CI passed (plain + ASan/UBSan + TSan + quick benches + manifests + RESULT cache + state-dir diagnostic + SIGTERM resume + backends + trace manifest + hostbench + full scale) ==="
+echo "=== CI passed (plain + ASan/UBSan + TSan + quick benches + manifests + RESULT cache + state-dir diagnostic + output/trace dirs + SIGTERM resume + hostbench + full scale) ==="

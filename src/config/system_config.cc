@@ -39,20 +39,6 @@ memBackendName(MemBackendKind kind)
     }
 }
 
-bool
-memBackendFromName(const std::string &name, MemBackendKind &out)
-{
-    for (MemBackendKind k :
-         {MemBackendKind::Fixed, MemBackendKind::SttMram,
-          MemBackendKind::ScmCache}) {
-        if (name == memBackendName(k)) {
-            out = k;
-            return true;
-        }
-    }
-    return false;
-}
-
 SystemConfig
 SystemConfig::microbenchmarkDefault()
 {

@@ -7,8 +7,6 @@
 #ifndef STASHSIM_CONFIG_SYSTEM_CONFIG_HH
 #define STASHSIM_CONFIG_SYSTEM_CONFIG_HH
 
-#include <string>
-
 #include "sim/types.hh"
 
 namespace stashsim
@@ -65,9 +63,6 @@ enum class MemBackendKind
 
 /** Printable name of a memory backend kind ("fixed", ...). */
 const char *memBackendName(MemBackendKind kind);
-
-/** Parses a backend name; false when @p name is not a backend. */
-bool memBackendFromName(const std::string &name, MemBackendKind &out);
 
 /**
  * Backend selection plus every backend's timing knobs.  The knobs of

@@ -69,30 +69,12 @@ BenchArgs::parse(int argc, char **argv, BenchArgs &out,
             out.scale = Scale::Quick;
         } else if (std::strcmp(a, "--smoke") == 0) {
             out.scale = Scale::Smoke;
-        } else if (std::strcmp(a, "--scale") == 0) {
-            if (!needsValue(i, argc, a, err))
-                return false;
-            const char *v = argv[++i];
-            if (std::strcmp(v, "full") == 0)
-                out.scale = Scale::Full;
-            else if (std::strcmp(v, "quick") == 0)
-                out.scale = Scale::Quick;
-            else if (std::strcmp(v, "smoke") == 0)
-                out.scale = Scale::Smoke;
-            else {
-                err = std::string("unknown scale: ") + v;
-                return false;
-            }
         } else if (std::strcmp(a, "--jobs") == 0 ||
                    std::strcmp(a, "-j") == 0) {
             if (!needsValue(i, argc, a, err))
                 return false;
             if (!parseUnsigned(a, argv[++i], out.jobs, err))
                 return false;
-        } else if (std::strcmp(a, "--backend") == 0) {
-            if (!needsValue(i, argc, a, err))
-                return false;
-            out.backend = argv[++i];
         } else if (std::strcmp(a, "--out") == 0) {
             if (!needsValue(i, argc, a, err))
                 return false;
@@ -111,20 +93,6 @@ BenchArgs::parse(int argc, char **argv, BenchArgs &out,
             if (!needsValue(i, argc, a, err))
                 return false;
             out.restoreDir = argv[++i];
-        } else if (std::strcmp(a, "--trace-replay") == 0) {
-            if (!needsValue(i, argc, a, err))
-                return false;
-            out.traceReplay = argv[++i];
-        } else if (std::strcmp(a, "--trace-record") == 0) {
-            if (!needsValue(i, argc, a, err))
-                return false;
-            out.traceRecord = argv[++i];
-        } else if (std::strcmp(a, "--trace-from") == 0) {
-            if (!needsValue(i, argc, a, err))
-                return false;
-            out.traceFrom = argv[++i];
-        } else if (std::strcmp(a, "--json") == 0) {
-            out.json = true;
         } else if (std::strcmp(a, "--list") == 0) {
             out.list = true;
         } else if (std::strcmp(a, "--help") == 0 ||
@@ -149,16 +117,8 @@ BenchArgs::usage(const char *prog)
            "options:\n"
            "  --quick             scaled-down inputs (~4x smaller)\n"
            "  --smoke             smoke-test inputs (~16x smaller)\n"
-           "  --scale S           full | quick | smoke\n"
            "  --jobs N, -j N      sweep worker threads "
            "(default: hardware)\n"
-           "  --backend NAME      memory backend for every run: "
-           "fixed (default),\n"
-           "                      sttmram, or scmcache (see --list "
-           "--json for the\n"
-           "                      inventory); the memback bench "
-           "ignores this and\n"
-           "                      sweeps all three\n"
            "  --out DIR           artifact directory for "
            "BENCH_<name>.json (default: .)\n"
            "  --trace DIR         write a Chrome trace per run "
@@ -170,22 +130,6 @@ BenchArgs::usage(const char *prog)
            "                      cached results there instead of "
            "re-simulating;\n"
            "                      every other run starts from tick 0\n"
-           "  --trace-replay FILE replay the stashtrace-v1 access "
-           "trace in FILE as a\n"
-           "                      workload across cache / scratchGD / "
-           "stash, writing\n"
-           "                      BENCH_replay.json into --out; with "
-           "--trace-record,\n"
-           "                      just re-emit the normalized trace "
-           "and exit\n"
-           "  --trace-record FILE write a stashtrace-v1 trace to "
-           "FILE\n"
-           "  --trace-from NAME   record workload NAME (built at "
-           "--scale, cache org)\n"
-           "                      into --trace-record FILE instead "
-           "of simulating\n"
-           "  --json              with --list, emit the bench "
-           "inventory as JSON\n"
            "  --list              list benches and workloads, "
            "and exit\n"
            "  --render-md FILE    render markdown from BENCH_*.json "

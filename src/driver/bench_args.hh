@@ -27,15 +27,7 @@ struct BenchArgs
     workloads::Scale scale = workloads::Scale::Full;
     /** Sweep worker threads; 0 = one per hardware thread. */
     unsigned jobs = 0;
-    /**
-     * Memory backend name for every run ("fixed", "sttmram",
-     * "scmcache"); empty keeps each bench's own choice (the fixed
-     * default everywhere except the memback ablation, which sweeps
-     * all three itself).  Validated by the binary against
-     * memBackendList(), not here — the parser stays string-only.
-     */
-    std::string backend;
-    /** Directory for BENCH_*.json (and TRACE_*.json) artifacts. */
+    /** Directory for BENCH_*.json artifacts. */
     std::string outDir = ".";
     /** Bench names to run; empty = all. */
     std::vector<std::string> benches;
@@ -51,37 +43,17 @@ struct BenchArgs
      * and cache every other run's result (SweepOptions::stateDir).
      */
     std::string restoreDir;
-    /**
-     * When nonempty, replay this stashtrace-v1 file as a workload
-     * (BENCH_replay.json), or — combined with traceRecord — parse
-     * and re-emit it normalized.
-     */
-    std::string traceReplay;
-    /** When nonempty, write a stashtrace-v1 trace to this path. */
-    std::string traceRecord;
-    /**
-     * When nonempty, record the named factory workload (built at
-     * `scale`, cache organization) into traceRecord instead of
-     * simulating anything.
-     */
-    std::string traceFrom;
-    /** --list emits machine-readable JSON instead of the table. */
-    bool json = false;
     bool help = false;
-
-    bool quick() const { return scale == workloads::Scale::Quick; }
 
     /**
      * Parses argv.  Recognized flags:
-     *   --quick | --smoke | --scale full|quick|smoke
+     *   --quick | --smoke
      *   --jobs N | -j N
-     *   --backend NAME
      *   --out DIR
      *   --trace DIR
      *   --components
      *   --restore DIR
-     *   --trace-replay FILE | --trace-record FILE | --trace-from NAME
-     *   --list [--json]
+     *   --list
      *   --render-md FILE
      *   --help | -h
      * plus positional bench names.

@@ -207,12 +207,15 @@ SweepDriver::run(std::vector<RunSpec> specs,
                 ++cnt.cachedRuns;
             ++done;
             if (opts.progress) {
+                const RunResult &r = rec.result;
                 *opts.progress
                     << "[" << done << "/" << n << "] "
                     << rec.spec.label()
-                    << (rec.result.validated ? " ok"
-                                             : " FAILED validation")
-                    << (cached ? " (cached)" : "") << std::endl;
+                    << (r.validated ? " ok" : " FAILED validation")
+                    << (cached ? " (cached)" : "");
+                if (!r.validated && !r.errors.empty())
+                    *opts.progress << ": " << r.errors[0];
+                *opts.progress << std::endl;
             }
         }
     };

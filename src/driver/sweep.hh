@@ -61,7 +61,10 @@ struct SweepOptions
     /** Worker threads; 0 = one per hardware thread, 1 = serial. */
     unsigned threads = 0;
 
-    /** Progress stream ("[k/n] label ... ok"); nullptr = silent. */
+    /**
+     * Progress stream ("[k/n] label ok", or "FAILED validation" and
+     * the run's first error); nullptr = silent.
+     */
     std::ostream *progress = nullptr;
 
     /**

@@ -20,16 +20,11 @@ const std::vector<MemBackendInfo> &
 memBackendList()
 {
     static const std::vector<MemBackendInfo> backends = {
-        {MemBackendKind::Fixed, memBackendName(MemBackendKind::Fixed),
-         "flat fixed-latency DRAM (the paper's machine; default)"},
+        {MemBackendKind::Fixed, memBackendName(MemBackendKind::Fixed)},
         {MemBackendKind::SttMram,
-         memBackendName(MemBackendKind::SttMram),
-         "STT-MRAM: asymmetric read/write latency with write-pausing "
-         "(FUSE)"},
+         memBackendName(MemBackendKind::SttMram)},
         {MemBackendKind::ScmCache,
-         memBackendName(MemBackendKind::ScmCache),
-         "set-associative DRAM cache over slow SCM with "
-         "bandwidth-aware queuing (POSTECH)"},
+         memBackendName(MemBackendKind::ScmCache)},
     };
     return backends;
 }

@@ -86,12 +86,11 @@ class MemBackend
     MemBackendStats _stats;
 };
 
-/** One registered backend kind, for CLI inventories/diagnostics. */
+/** One registered backend kind. */
 struct MemBackendInfo
 {
     MemBackendKind kind;
     const char *name;
-    const char *desc;
 };
 
 /** Every backend kind, registry order. */

@@ -8,7 +8,6 @@
 #include "sim/log.hh"
 #include "workloads/kernel_builder.hh"
 #include "workloads/synthetic/synth_engine.hh"
-#include "workloads/synthetic/trace_replay.hh"
 
 namespace stashsim
 {
@@ -20,8 +19,8 @@ namespace
 
 /**
  * Virtual base addresses of the synthetic arrays — above the
- * application range (0x4000'0000..0x7fff'ffff) so nothing aliases
- * when tooling compares traces across workload families.
+ * application range (0x4000'0000..0x7fff'ffff), so no synthetic
+ * array aliases an application's.
  */
 constexpr Addr roBase = 0x8000'0000;       //!< SynthMix read-only pool
 constexpr Addr rwBase = 0x8400'0000;       //!< SynthMix rw-shared pool
@@ -760,20 +759,6 @@ registerSyntheticWorkloads(WorkloadFactory &factory)
                 return makeSynthetic(name, scaledSynthConfig(p));
             });
     }
-
-    WorkloadInfo info;
-    info.name = "TraceReplay";
-    info.kind = WorkloadInfo::Kind::Replay;
-    info.description = "stashtrace-v1 replay (built-in demo trace; "
-                       "bring your own with --trace-replay FILE)";
-    factory.registerWorkload(
-        std::move(info), [](const WorkloadParams &p) {
-            TraceData t;
-            std::string err;
-            if (!parseTrace(demoTrace(), TraceLimits(), t, err))
-                fatal("built-in demo trace: ", err);
-            return makeTraceReplay(t, p.org);
-        });
 }
 
 } // namespace workloads

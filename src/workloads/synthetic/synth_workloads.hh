@@ -114,7 +114,7 @@ Workload makeStencil2D(const SynthConfig &cfg);
 /** Builds synthetic workload @p name; fatal() when unknown. */
 Workload makeSynthetic(const std::string &name, const SynthConfig &cfg);
 
-/** Registers the synthetic family (and the trace-replay demo). */
+/** Registers the synthetic family. */
 void registerSyntheticWorkloads(WorkloadFactory &factory);
 
 } // namespace workloads

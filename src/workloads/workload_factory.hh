@@ -54,7 +54,6 @@ struct WorkloadInfo
         Microbenchmark,
         Application,
         Synthetic, //!< parameterized traffic generator
-        Replay,    //!< stashtrace replay frontend
     };
 
     std::string name;
@@ -71,8 +70,6 @@ struct WorkloadInfo
             return "application";
           case Kind::Synthetic:
             return "synthetic";
-          case Kind::Replay:
-            return "replay";
           default:
             return "?";
         }

@@ -18,7 +18,6 @@
 #include <sstream>
 
 #include "benches.hh"
-#include "mem/backend/mem_backend.hh"
 #include "workloads/workload_factory.hh"
 
 namespace stashbench
@@ -280,45 +279,6 @@ TEST(StashbenchSchemaTest, SynthDocumentIsValid)
     }
 }
 
-TEST(StashbenchSchemaTest, ReplayDocumentIsValid)
-{
-    workloads::TraceData trace;
-    std::string err;
-    ASSERT_TRUE(workloads::parseTrace(workloads::demoTrace(),
-                                      workloads::TraceLimits{}, trace,
-                                      err))
-        << err;
-
-    BenchContext ctx;
-    ctx.scale = workloads::Scale::Smoke;
-    const JsonValue doc = runReplayBench(ctx, trace, "demo");
-    EXPECT_EQ(doc.find("schema")->asString(), "stashsim-bench-v1");
-    EXPECT_EQ(doc.find("bench")->asString(), "replay");
-    EXPECT_EQ(doc.find("baseline")->asString(), "Cache");
-
-    const JsonValue *meta = doc.find("trace");
-    ASSERT_NE(meta, nullptr);
-    EXPECT_EQ(meta->find("source")->asString(), "demo");
-    EXPECT_EQ(meta->find("records")->asNumber(),
-              double(trace.records()));
-    EXPECT_EQ(meta->find("phases")->asNumber(),
-              double(trace.phases.size()));
-    EXPECT_EQ(meta->find("hash")->asNumber(),
-              double(workloads::traceHash(trace) & 0xffffffffu));
-
-    const JsonValue *runs = doc.find("runs");
-    ASSERT_NE(runs, nullptr);
-    ASSERT_EQ(runs->size(), 3u);
-    for (std::size_t i = 0; i < runs->size(); ++i)
-        checkRunObject(runs->at(i));
-    EXPECT_TRUE(allRunsValidated(doc));
-    ASSERT_NE(doc.find("stashOverCacheCycles"), nullptr);
-    EXPECT_GT(doc.find("stashOverCacheCycles")
-                  ->find("TraceReplay")
-                  ->asNumber(),
-              0);
-}
-
 TEST(StashbenchSchemaTest, BenchListCarriesScalesAndDescriptions)
 {
     for (const BenchInfo &b : benchList()) {
@@ -329,87 +289,6 @@ TEST(StashbenchSchemaTest, BenchListCarriesScalesAndDescriptions)
     }
     // table3 runs no simulation and thus has no scales.
     EXPECT_STREQ(findBench("table3")->scales, "-");
-}
-
-TEST(StashbenchSchemaTest, InventoryDocumentMatchesBenchList)
-{
-    const JsonValue doc = benchInventoryJson();
-    EXPECT_EQ(doc.find("schema")->asString(),
-              "stashsim-benchlist-v1");
-
-    const JsonValue *benches = doc.find("benches");
-    ASSERT_NE(benches, nullptr);
-    ASSERT_TRUE(benches->isArray());
-    ASSERT_EQ(benches->size(), benchList().size());
-
-    std::set<std::string> names;
-    for (std::size_t i = 0; i < benches->size(); ++i) {
-        const JsonValue &row = benches->at(i);
-        ASSERT_NE(row.find("name"), nullptr);
-        const std::string name = row.find("name")->asString();
-        EXPECT_TRUE(names.insert(name).second)
-            << "duplicate: " << name;
-        EXPECT_FALSE(row.find("title")->asString().empty()) << name;
-        EXPECT_FALSE(row.find("description")->asString().empty())
-            << name;
-        ASSERT_NE(row.find("scales"), nullptr) << name;
-        EXPECT_TRUE(row.find("scales")->isArray()) << name;
-        if (name == "fig5") {
-            const JsonValue *scales = row.find("scales");
-            ASSERT_EQ(scales->size(), 3u);
-            EXPECT_EQ(scales->at(0).asString(), "smoke");
-            EXPECT_EQ(scales->at(1).asString(), "quick");
-            EXPECT_EQ(scales->at(2).asString(), "full");
-        }
-        if (name == "table3") { // analytic table: runs no simulation
-            EXPECT_EQ(row.find("scales")->size(), 0u);
-        }
-    }
-    EXPECT_NE(names.count("fig5"), 0u);
-    EXPECT_NE(names.count("table3"), 0u);
-    EXPECT_NE(names.count("memback"), 0u);
-
-    // The --backend choices ride in the same inventory document.
-    const JsonValue *backends = doc.find("backends");
-    ASSERT_NE(backends, nullptr);
-    ASSERT_TRUE(backends->isArray());
-    ASSERT_EQ(backends->size(), memBackendList().size());
-    std::set<std::string> backendNames;
-    for (std::size_t i = 0; i < backends->size(); ++i) {
-        const JsonValue &row = backends->at(i);
-        ASSERT_NE(row.find("name"), nullptr);
-        const std::string name = row.find("name")->asString();
-        EXPECT_TRUE(backendNames.insert(name).second)
-            << "duplicate: " << name;
-        EXPECT_FALSE(row.find("description")->asString().empty())
-            << name;
-        // Every advertised name must round-trip through the parser
-        // the CLI validates --backend with.
-        MemBackendKind kind;
-        EXPECT_TRUE(memBackendFromName(name, kind)) << name;
-        EXPECT_STREQ(memBackendName(kind), name.c_str());
-    }
-    EXPECT_NE(backendNames.count("fixed"), 0u);
-    EXPECT_NE(backendNames.count("sttmram"), 0u);
-    EXPECT_NE(backendNames.count("scmcache"), 0u);
-
-    // The runnable-workload inventory rides along (additive field,
-    // schema stays v1).
-    const JsonValue *wls = doc.find("workloads");
-    ASSERT_NE(wls, nullptr);
-    ASSERT_TRUE(wls->isArray());
-    ASSERT_EQ(wls->size(),
-              workloads::WorkloadFactory::instance().list().size());
-    std::set<std::string> kinds;
-    for (std::size_t i = 0; i < wls->size(); ++i) {
-        const JsonValue &row = wls->at(i);
-        ASSERT_NE(row.find("name"), nullptr);
-        EXPECT_FALSE(row.find("kind")->asString().empty());
-        EXPECT_FALSE(row.find("description")->asString().empty());
-        kinds.insert(row.find("kind")->asString());
-    }
-    EXPECT_NE(kinds.count("synthetic"), 0u);
-    EXPECT_NE(kinds.count("replay"), 0u);
 }
 
 TEST(StashbenchSchemaTest, SimperfDocumentRecordsEngineShape)
@@ -467,13 +346,91 @@ TEST(StashbenchStateDirTest, FileNamedLikeABenchIsReportedNotThrownRaw)
     try {
         findBench("fig5")->run(ctx);
         ADD_FAILURE() << "fig5 ran over a plain file named fig5";
-    } catch (const StateDirError &e) {
+    } catch (const DirError &e) {
         const std::string what = e.what();
         const std::string prefix =
             "cannot use state directory " + root + "/fig5: ";
         EXPECT_EQ(what.rfind(prefix, 0), 0u) << what;
         EXPECT_GT(what.size(), prefix.size()) << "no reason given";
     }
+    std::filesystem::remove_all(root);
+}
+
+/** Two smoke-scale specs, as a bench builds them. */
+std::vector<RunSpec>
+smokeSpecs()
+{
+    std::vector<RunSpec> specs;
+    for (MemOrg org : {MemOrg::Scratch, MemOrg::Stash}) {
+        RunSpec spec;
+        spec.workload = "Implicit";
+        spec.org = org;
+        spec.scale = workloads::Scale::Smoke;
+        specs.push_back(std::move(spec));
+    }
+    return specs;
+}
+
+/**
+ * `--trace DIR` creates DIR and its parents and writes one TRACE file
+ * per run there; a plain file at DIR is the sweep's own error, which
+ * stashbench prints before exiting 1, not a sweep that writes no
+ * trace and passes.
+ */
+TEST(StashbenchDirTest, TraceDirIsCreatedOrReported)
+{
+    const std::string root = ::testing::TempDir() + "/stashbench_trace";
+    std::filesystem::remove_all(root);
+
+    BenchContext ctx;
+    ctx.scale = workloads::Scale::Smoke;
+    ctx.traceDir = root + "/t/u";
+    for (const RunRecord &rec : sweepSpecs(ctx, "dirs", smokeSpecs()))
+        EXPECT_TRUE(rec.result.validated) << rec.spec.label();
+    ASSERT_TRUE(std::filesystem::is_directory(ctx.traceDir));
+    std::set<std::string> files;
+    for (const auto &e :
+         std::filesystem::directory_iterator(ctx.traceDir))
+        files.insert(e.path().filename().string());
+    EXPECT_EQ(files, (std::set<std::string>{
+                         "TRACE_dirs_Implicit_Scratch.json",
+                         "TRACE_dirs_Implicit_Stash.json"}));
+
+    ctx.traceDir = root + "/plain";
+    std::ofstream(ctx.traceDir) << "not a directory\n";
+    try {
+        sweepSpecs(ctx, "dirs", smokeSpecs());
+        ADD_FAILURE() << "traced into a plain file";
+    } catch (const DirError &e) {
+        const std::string what = e.what();
+        const std::string prefix =
+            "cannot use trace directory " + ctx.traceDir + ": ";
+        EXPECT_EQ(what.rfind(prefix, 0), 0u) << what;
+        EXPECT_GT(what.size(), prefix.size()) << "no reason given";
+    }
+    std::filesystem::remove_all(root);
+}
+
+/** A trace file that cannot be written fails its run, by name. */
+TEST(StashbenchDirTest, UnwritableTraceFileFailsItsRun)
+{
+    const std::string root =
+        ::testing::TempDir() + "/stashbench_trace_unwritable";
+    std::filesystem::remove_all(root);
+    const std::string blocked = root + "/TRACE_dirs_Implicit_Stash.json";
+    std::filesystem::create_directories(blocked);
+
+    BenchContext ctx;
+    ctx.scale = workloads::Scale::Smoke;
+    ctx.traceDir = root;
+    const std::vector<RunRecord> records =
+        sweepSpecs(ctx, "dirs", smokeSpecs());
+    ASSERT_EQ(records.size(), 2u);
+    EXPECT_TRUE(records[0].result.validated);
+    EXPECT_FALSE(records[1].result.validated);
+    EXPECT_EQ(records[1].result.errors,
+              std::vector<std::string>{"cannot write trace file " +
+                                       blocked});
     std::filesystem::remove_all(root);
 }
 

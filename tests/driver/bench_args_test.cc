@@ -86,27 +86,6 @@ INSTANTIATE_TEST_SUITE_P(Sweep, BadNumbers,
                              return std::string(info.param.label);
                          });
 
-TEST(BenchArgsTest, TraceFlagsParse)
-{
-    BenchArgs a;
-    std::string err;
-    ASSERT_TRUE(parse({"--trace-replay", "in.trace", "--trace-record",
-                       "out.trace", "--trace-from", "SynthMix"},
-                      a, err))
-        << err;
-    EXPECT_EQ(a.traceReplay, "in.trace");
-    EXPECT_EQ(a.traceRecord, "out.trace");
-    EXPECT_EQ(a.traceFrom, "SynthMix");
-}
-
-TEST(BenchArgsTest, TraceFlagsRequireValues)
-{
-    BenchArgs a;
-    std::string err;
-    EXPECT_FALSE(parse({"--trace-replay"}, a, err));
-    EXPECT_NE(err.find("--trace-replay"), std::string::npos) << err;
-}
-
 TEST(BenchArgsTest, UnknownFlagStillRejected)
 {
     BenchArgs a;
@@ -116,7 +95,9 @@ TEST(BenchArgsTest, UnknownFlagStillRejected)
     // Flags of deleted mechanisms are unknown, not silently ignored.
     for (const std::string flag :
          {"--checkpoint-every", "--farm", "--worker-id", "--lease-ttl",
-          "--max-attempts", "--list-workloads"}) {
+          "--max-attempts", "--list-workloads", "--scale", "--backend",
+          "--trace-replay", "--trace-record", "--trace-from",
+          "--json"}) {
         EXPECT_FALSE(parse({flag, "1"}, a, err)) << flag;
         EXPECT_EQ(err, "unknown option: " + flag);
     }
@@ -130,15 +111,12 @@ struct KnownFlag
 };
 
 const KnownFlag knownFlags[] = {
-    {"--quick", false},       {"--smoke", false},
-    {"--scale", true},        {"--jobs", true},
-    {"-j", true},             {"--backend", true},
-    {"--out", true},          {"--trace", true},
-    {"--render-md", true},    {"--components", false},
-    {"--restore", true},      {"--trace-replay", true},
-    {"--trace-record", true}, {"--trace-from", true},
-    {"--json", false},        {"--list", false},
-    {"--help", false},        {"-h", false},
+    {"--quick", false},    {"--smoke", false},
+    {"--jobs", true},      {"-j", true},
+    {"--out", true},       {"--trace", true},
+    {"--render-md", true}, {"--components", false},
+    {"--restore", true},   {"--list", false},
+    {"--help", false},     {"-h", false},
 };
 
 const KnownFlag *
@@ -173,9 +151,6 @@ modelParse(const std::vector<std::string> &words, unsigned &jobs,
         if (i + 1 == words.size())
             return false;
         const std::string v = words[++i].c_str();
-        if (std::strcmp(w, "--scale") == 0 && v != "full" &&
-            v != "quick" && v != "smoke")
-            return false;
         if (std::strcmp(w, "--jobs") == 0 || std::strcmp(w, "-j") == 0) {
             if (v.empty())
                 return false;
@@ -214,10 +189,9 @@ TEST(BenchArgsTest, SeededArgvMutationsParseOrFailWithAnError)
 {
     const std::vector<std::vector<std::string>> seeds = {
         {"--quick", "--jobs", "4", "--out", "out", "fig5", "fig6"},
-        {"--scale", "smoke", "-j", "2", "--restore", "state",
-         "--backend", "sttmram", "synth"},
-        {"--trace-replay", "in.trace", "--trace-record", "out.trace"},
-        {"--list", "--json"},
+        {"--smoke", "-j", "2", "--restore", "state", "--trace",
+         "traces", "synth"},
+        {"--list", "-h"},
         {"--render-md", "-", "--out", "dir", "--components", "--trace",
          "traces", "--smoke"},
     };

@@ -326,11 +326,11 @@ TEST(ResumeParityTest, WorkloadMismatchIsRejectedWithDiagnostic)
 
 TEST(ResumeParityTest, FixedBackendIsTheDefaultSpelledExplicitly)
 {
-    // `--backend fixed` is the seed's memory model made explicit: a
-    // run selecting it must be indistinguishable from a run that
-    // never mentions a backend (the end-to-end CLI analogue is
-    // ci.sh's cmp of the BENCH_fig5.json artifacts), down to the
-    // cached result, which answers for both.
+    // `backend = Fixed` is the seed's memory model made explicit: a
+    // run selecting it (memback's fixed runs) must be
+    // indistinguishable from a run that never mentions a backend
+    // (every other bench's runs), down to the cached result, which
+    // answers for both.
     const RunSpec plain = baseSpec();
     RunSpec fixed = baseSpec();
     fixed.backend = MemBackendKind::Fixed;

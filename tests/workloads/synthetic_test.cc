@@ -131,13 +131,8 @@ TEST(SynthWorkload, FactoryKindsAndDefaults)
     const auto *info = f.find("SynthMix");
     ASSERT_NE(info, nullptr);
     EXPECT_STREQ(info->kindName(), "synthetic");
-    const auto *replay = f.find("TraceReplay");
-    ASSERT_NE(replay, nullptr);
-    EXPECT_STREQ(replay->kindName(), "replay");
     // Synthetics run on the 15-CU application machine.
     EXPECT_EQ(f.defaultConfig("SynthMix").numGpuCus,
-              SystemConfig::applicationDefault().numGpuCus);
-    EXPECT_EQ(f.defaultConfig("TraceReplay").numGpuCus,
               SystemConfig::applicationDefault().numGpuCus);
 }
 
